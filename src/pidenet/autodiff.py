@@ -3,13 +3,15 @@
 A ``Tape`` records primitive operations as they execute (dynamic graph,
 one tape per objective evaluation) and replays them in reverse to
 accumulate gradients of a scalar objective with respect to any recorded
-variables.  Activation derivatives are primitives in their own right,
-so expressions that already contain an input gradient of a network stay
-differentiable with respect to the network parameters without any
-higher-order machinery.
+variables.  A network's value together with its input gradient is one
+fused primitive, ``Tape.mlp``, whose hand-written VJP differentiates the
+input gradient with respect to the parameters, so losses that contain
+the gradient need no higher-order machinery.
 
 Tensors are plain ``numpy.ndarray`` objects in float64; they are treated
-as immutable once recorded.
+as immutable once recorded.  VJP closures hold arrays and shapes, never
+variables or the tape, so a tape holds no reference cycle and its memory
+goes as soon as the last variable on it is dropped.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ class _Node:
         self.parents = parents
         self.value = value
         self.requires_grad = requires_grad
-        # vjp: adjoint -> sequence of (parent_id, contribution); only
-        # parents that require gradients receive contributions.
+        # vjp: adjoint -> one contribution per parent, aligned with
+        # ``parents``; None where the parent needs no gradient.
         self.vjp = vjp
 
 
@@ -99,10 +101,10 @@ class Tape:
     # ------------------------------------------------------------------
     # node plumbing
 
-    def _append(self, op, parents, value, vjp) -> Variable:
-        rg = any(self._nodes[p].requires_grad for p in parents) if vjp else False
-        node = _Node(op, parents, value, rg, vjp if rg else None)
-        self._nodes.append(node)
+    def _append(self, op, parents: Sequence[Variable], value, vjp) -> Variable:
+        ids = tuple(p.id for p in parents)
+        rg = vjp is not None and any(self._nodes[i].requires_grad for i in ids)
+        self._nodes.append(_Node(op, ids, value, rg, vjp if rg else None))
         return Variable(self, len(self._nodes) - 1, value.shape)
 
     def _check(self, var: Variable, op: str) -> _Node:
@@ -141,312 +143,261 @@ class Tape:
 
     def add(self, a: Variable, b: Variable) -> Variable:
         na, nb = self._binary_shapes("add", a, b)
-        val = na.value + nb.value
+        ra, rb, sa, sb = na.requires_grad, nb.requires_grad, na.value.shape, nb.value.shape
 
         def vjp(g):
-            out = []
-            if na.requires_grad:
-                out.append((a.id, _reduce_to(g, na.value.shape)))
-            if nb.requires_grad:
-                out.append((b.id, _reduce_to(g, nb.value.shape)))
-            return out
+            return (_reduce_to(g, sa) if ra else None, _reduce_to(g, sb) if rb else None)
 
-        return self._append("add", (a.id, b.id), val, vjp)
+        return self._append("add", (a, b), na.value + nb.value, vjp)
 
     def sub(self, a: Variable, b: Variable) -> Variable:
         na, nb = self._binary_shapes("sub", a, b)
-        val = na.value - nb.value
+        ra, rb, sa, sb = na.requires_grad, nb.requires_grad, na.value.shape, nb.value.shape
 
         def vjp(g):
-            out = []
-            if na.requires_grad:
-                out.append((a.id, _reduce_to(g, na.value.shape)))
-            if nb.requires_grad:
-                out.append((b.id, _reduce_to(-g, nb.value.shape)))
-            return out
+            return (_reduce_to(g, sa) if ra else None, _reduce_to(-g, sb) if rb else None)
 
-        return self._append("sub", (a.id, b.id), val, vjp)
+        return self._append("sub", (a, b), na.value - nb.value, vjp)
 
     def mul(self, a: Variable, b: Variable) -> Variable:
         na, nb = self._binary_shapes("mul", a, b)
-        val = na.value * nb.value
-        av, bv = na.value, nb.value
+        ra, rb, av, bv = na.requires_grad, nb.requires_grad, na.value, nb.value
 
         def vjp(g):
-            out = []
-            if na.requires_grad:
-                out.append((a.id, _reduce_to(g * bv, na.value.shape)))
-            if nb.requires_grad:
-                out.append((b.id, _reduce_to(g * av, nb.value.shape)))
-            return out
+            return (
+                _reduce_to(g * bv, av.shape) if ra else None,
+                _reduce_to(g * av, bv.shape) if rb else None,
+            )
 
-        return self._append("mul", (a.id, b.id), val, vjp)
+        return self._append("mul", (a, b), av * bv, vjp)
 
     def smul(self, a: Variable, c: float) -> Variable:
         na = self._check(a, "smul")
         c = float(c)
-        val = na.value * c
-
-        def vjp(g):
-            return [(a.id, g * c)] if na.requires_grad else []
-
-        return self._append("smul", (a.id,), val, vjp)
+        return self._append("smul", (a,), na.value * c, lambda g: (g * c,))
 
     def square(self, a: Variable) -> Variable:
-        na = self._check(a, "square")
-        av = na.value
-        val = av * av
-
-        def vjp(g):
-            return [(a.id, g * (2.0 * av))] if na.requires_grad else []
-
-        return self._append("square", (a.id,), val, vjp)
+        av = self._check(a, "square").value
+        return self._append("square", (a,), av * av, lambda g: (g * (2.0 * av),))
 
     # ------------------------------------------------------------------
     # linear algebra
 
     def matmul(self, a: Variable, b: Variable) -> Variable:
         na, nb = self._check(a, "matmul"), self._check(b, "matmul")
-        av, bv = na.value, nb.value
+        ra, rb, av, bv = na.requires_grad, nb.requires_grad, na.value, nb.value
         if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
             raise ShapeMismatchError(f"matmul: shapes {av.shape} and {bv.shape}")
-        val = av @ bv
 
         def vjp(g):
-            out = []
-            if na.requires_grad:
-                out.append((a.id, g @ bv.T))
-            if nb.requires_grad:
-                out.append((b.id, av.T @ g))
-            return out
+            return (g @ bv.T if ra else None, av.T @ g if rb else None)
 
-        return self._append("matmul", (a.id, b.id), val, vjp)
-
-    def transpose(self, a: Variable) -> Variable:
-        na = self._check(a, "transpose")
-        if na.value.ndim != 2:
-            raise ShapeMismatchError(f"transpose: shape {na.value.shape}")
-        val = na.value.T.copy()
-
-        def vjp(g):
-            return [(a.id, g.T)] if na.requires_grad else []
-
-        return self._append("transpose", (a.id,), val, vjp)
+        return self._append("matmul", (a, b), av @ bv, vjp)
 
     def affine(self, x: Variable, w: Variable, b: Variable) -> Variable:
         """x @ w + b with the bias broadcast across rows."""
         nx, nw, nb = self._check(x, "affine"), self._check(w, "affine"), self._check(b, "affine")
         xv, wv, bv = nx.value, nw.value, nb.value
+        rx, rw, rb = nx.requires_grad, nw.requires_grad, nb.requires_grad
         if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != (wv.shape[1],):
             raise ShapeMismatchError(
                 f"affine: x {xv.shape}, w {wv.shape}, b {bv.shape}"
             )
-        val = xv @ wv + bv
 
         def vjp(g):
-            out = []
-            if nx.requires_grad:
-                out.append((x.id, g @ wv.T))
-            if nw.requires_grad:
-                out.append((w.id, xv.T @ g))
-            if nb.requires_grad:
-                out.append((b.id, g.sum(axis=0)))
-            return out
+            return (
+                g @ wv.T if rx else None,
+                xv.T @ g if rw else None,
+                g.sum(axis=0) if rb else None,
+            )
 
-        return self._append("affine", (x.id, w.id, b.id), val, vjp)
+        return self._append("affine", (x, w, b), xv @ wv + bv, vjp)
 
     def batch_matvec(self, mats: np.ndarray, v: Variable) -> Variable:
         """Per-row matrix-vector product with a constant (B,d,d) stack."""
-        nv = self._check(v, "batch_matvec")
+        vv = self._check(v, "batch_matvec").value
         mats = _as_array(mats)
-        vv = nv.value
         if mats.ndim != 3 or vv.ndim != 2 or mats.shape[0] != vv.shape[0] or mats.shape[2] != vv.shape[1]:
             raise ShapeMismatchError(f"batch_matvec: mats {mats.shape}, v {vv.shape}")
         val = np.einsum("bij,bj->bi", mats, vv)
-
-        def vjp(g):
-            if not nv.requires_grad:
-                return []
-            return [(v.id, np.einsum("bij,bi->bj", mats, g))]
-
-        return self._append("batch_matvec", (v.id,), val, vjp)
+        return self._append(
+            "batch_matvec", (v,), val, lambda g: (np.einsum("bij,bi->bj", mats, g),)
+        )
 
     # ------------------------------------------------------------------
-    # reductions
+    # reductions and slices
 
     def sum(self, a: Variable) -> Variable:
-        na = self._check(a, "sum")
-        shape = na.value.shape
-        val = np.asarray(na.value.sum())
-
-        def vjp(g):
-            return [(a.id, np.broadcast_to(g, shape).copy())] if na.requires_grad else []
-
-        return self._append("sum", (a.id,), val, vjp)
+        av = self._check(a, "sum").value
+        shape = av.shape
+        return self._append(
+            "sum", (a,), np.asarray(av.sum()), lambda g: (np.broadcast_to(g, shape).copy(),)
+        )
 
     def mean(self, a: Variable) -> Variable:
-        na = self._check(a, "mean")
-        shape = na.value.shape
-        n = na.value.size
-        val = np.asarray(na.value.mean())
-
-        def vjp(g):
-            if not na.requires_grad:
-                return []
-            return [(a.id, np.broadcast_to(g / n, shape).copy())]
-
-        return self._append("mean", (a.id,), val, vjp)
-
-    def row_sum(self, a: Variable) -> Variable:
-        """Sum over the last axis, keeping a (B, 1) column."""
-        na = self._check(a, "row_sum")
-        if na.value.ndim != 2:
-            raise ShapeMismatchError(f"row_sum: shape {na.value.shape}")
-        val = na.value.sum(axis=1, keepdims=True)
-        width = na.value.shape[1]
-
-        def vjp(g):
-            if not na.requires_grad:
-                return []
-            return [(a.id, np.repeat(g, width, axis=1))]
-
-        return self._append("row_sum", (a.id,), val, vjp)
+        av = self._check(a, "mean").value
+        shape, n = av.shape, av.size
+        return self._append(
+            "mean", (a,), np.asarray(av.mean()), lambda g: (np.broadcast_to(g / n, shape).copy(),)
+        )
 
     def row_dot(self, a: Variable, b: Variable) -> Variable:
         """Row-wise inner product of two (B, d) arrays, yielding (B, 1)."""
         na, nb = self._check(a, "row_dot"), self._check(b, "row_dot")
-        av, bv = na.value, nb.value
+        ra, rb, av, bv = na.requires_grad, nb.requires_grad, na.value, nb.value
         if av.shape != bv.shape or av.ndim != 2:
             raise ShapeMismatchError(f"row_dot: shapes {av.shape} and {bv.shape}")
-        val = np.einsum("bj,bj->b", av, bv)[:, None]
 
         def vjp(g):
-            out = []
-            if na.requires_grad:
-                out.append((a.id, g * bv))
-            if nb.requires_grad:
-                out.append((b.id, g * av))
-            return out
+            return (g * bv if ra else None, g * av if rb else None)
 
-        return self._append("row_dot", (a.id, b.id), val, vjp)
+        return self._append("row_dot", (a, b), np.einsum("bj,bj->b", av, bv)[:, None], vjp)
 
     def segment_sum(self, a: Variable, segment_ids: np.ndarray, num_segments: int) -> Variable:
         """Sum (K, 1) rows into (num_segments, 1) buckets given per-row ids."""
-        na = self._check(a, "segment_sum")
-        av = na.value
+        av = self._check(a, "segment_sum").value
         ids = np.asarray(segment_ids, dtype=np.int64)
         if av.ndim != 2 or av.shape[1] != 1 or ids.shape != (av.shape[0],):
             raise ShapeMismatchError(f"segment_sum: values {av.shape}, ids {ids.shape}")
         val = np.zeros((num_segments, 1))
         np.add.at(val, ids, av)
+        return self._append("segment_sum", (a,), val, lambda g: (g[ids],))
+
+    def slice(self, a: Variable, rows: tuple[int, int] | None = None,
+              cols: tuple[int, int] | None = None) -> Variable:
+        """Rectangular block ``a[r0:r1, c0:c1]`` of a 2-D array; None takes the whole axis."""
+        av = self._check(a, "slice").value
+        if av.ndim != 2:
+            raise ShapeMismatchError(f"slice: shape {av.shape} is not 2-D")
+        (r0, r1), (c0, c1) = rows or (0, av.shape[0]), cols or (0, av.shape[1])
+        if not (0 <= r0 <= r1 <= av.shape[0] and 0 <= c0 <= c1 <= av.shape[1]):
+            raise ShapeMismatchError(f"slice: shape {av.shape}, rows [{r0}:{r1}], cols [{c0}:{c1}]")
+        shape = av.shape
 
         def vjp(g):
-            return [(a.id, g[ids])] if na.requires_grad else []
+            out = np.zeros(shape)
+            out[r0:r1, c0:c1] = g
+            return (out,)
 
-        return self._append("segment_sum", (a.id,), val, vjp)
-
-    def slice_rows(self, a: Variable, start: int, stop: int) -> Variable:
-        na = self._check(a, "slice_rows")
-        av = na.value
-        if av.ndim != 2 or not (0 <= start <= stop <= av.shape[0]):
-            raise ShapeMismatchError(f"slice_rows: shape {av.shape}, rows [{start}:{stop}]")
-        val = av[start:stop].copy()
-
-        def vjp(g):
-            if not na.requires_grad:
-                return []
-            out = np.zeros_like(av)
-            out[start:stop] = g
-            return [(a.id, out)]
-
-        return self._append("slice_rows", (a.id,), val, vjp)
+        return self._append("slice", (a,), av[r0:r1, c0:c1].copy(), vjp)
 
     def block_mean(self, a: Variable, n_blocks: int) -> Variable:
         """Means over consecutive equal-size row blocks of a column."""
-        na = self._check(a, "block_mean")
-        av = na.value
+        av = self._check(a, "block_mean").value
         if av.ndim != 2 or av.shape[1] != 1 or n_blocks < 1 or av.shape[0] % n_blocks:
             raise ShapeMismatchError(f"block_mean: shape {av.shape} into {n_blocks} blocks")
         block = av.shape[0] // n_blocks
         val = av.reshape(n_blocks, block).mean(axis=1, keepdims=True)
-
-        def vjp(g):
-            if not na.requires_grad:
-                return []
-            out = np.repeat(g / block, block, axis=0)
-            return [(a.id, out)]
-
-        return self._append("block_mean", (a.id,), val, vjp)
-
-    def slice_cols(self, a: Variable, start: int, stop: int) -> Variable:
-        na = self._check(a, "slice_cols")
-        av = na.value
-        if av.ndim != 2 or not (0 <= start <= stop <= av.shape[1]):
-            raise ShapeMismatchError(f"slice_cols: shape {av.shape}, cols [{start}:{stop}]")
-        val = av[:, start:stop].copy()
-
-        def vjp(g):
-            if not na.requires_grad:
-                return []
-            out = np.zeros_like(av)
-            out[:, start:stop] = g
-            return [(a.id, out)]
-
-        return self._append("slice_cols", (a.id,), val, vjp)
+        return self._append(
+            "block_mean", (a,), val, lambda g: (np.repeat(g / block, block, axis=0),)
+        )
 
     # ------------------------------------------------------------------
-    # activations and their derivative primitives
+    # activations
 
-    def _unary(self, op, a, fwd, grad_factory):
-        na = self._check(a, op)
-        val = fwd(na.value)
-        grad_fn = grad_factory(na.value, val)
-
-        def vjp(g):
-            return [(a.id, g * grad_fn())] if na.requires_grad else []
-
-        return self._append(op, (a.id,), val, vjp)
+    def _unary(self, op, a, val, slope):
+        """Elementwise node whose local derivative ``slope()`` is built only in backward."""
+        return self._append(op, (a,), val, lambda g: (g * slope(),))
 
     def tanh(self, a: Variable) -> Variable:
-        return self._unary("tanh", a, np.tanh, lambda x, y: (lambda: 1.0 - y * y))
-
-    def tanh_prime(self, a: Variable) -> Variable:
-        # d/dx tanh'(x) = -2 tanh(x) (1 - tanh(x)^2)
-        na = self._check(a, "tanh_prime")
-        t = np.tanh(na.value)
-        val = 1.0 - t * t
-
-        def vjp(g):
-            return [(a.id, g * (-2.0 * t * val))] if na.requires_grad else []
-
-        return self._append("tanh_prime", (a.id,), val, vjp)
+        y = np.tanh(self._check(a, "tanh").value)
+        return self._unary("tanh", a, y, lambda: 1.0 - y * y)
 
     def relu(self, a: Variable) -> Variable:
-        return self._unary(
-            "relu", a,
-            lambda x: np.maximum(x, 0.0),
-            lambda x, y: (lambda: (x > 0.0).astype(np.float64)),
-        )
-
-    def relu_prime(self, a: Variable) -> Variable:
-        # Step function; its own derivative is zero almost everywhere and
-        # is taken as zero at the kink, so the node carries no gradient.
-        na = self._check(a, "relu_prime")
-        val = (na.value > 0.0).astype(np.float64)
-        return self._append("relu_prime", (a.id,), val, None)
+        x = self._check(a, "relu").value
+        return self._unary("relu", a, np.maximum(x, 0.0), lambda: (x > 0.0).astype(np.float64))
 
     def leaky_relu(self, a: Variable, alpha: float) -> Variable:
+        x = self._check(a, "leaky_relu").value
         alpha = float(alpha)
         return self._unary(
-            "leaky_relu", a,
-            lambda x: np.where(x > 0.0, x, alpha * x),
-            lambda x, y: (lambda: np.where(x > 0.0, 1.0, alpha)),
+            "leaky_relu", a, np.where(x > 0.0, x, alpha * x),
+            lambda: np.where(x > 0.0, 1.0, alpha),
         )
 
-    def leaky_relu_prime(self, a: Variable, alpha: float) -> Variable:
-        na = self._check(a, "leaky_relu_prime")
-        val = np.where(na.value > 0.0, 1.0, float(alpha))
-        return self._append("leaky_relu_prime", (a.id,), val, None)
+    # ------------------------------------------------------------------
+    # fused network primitive
+
+    def mlp(self, inp, weights: Sequence[Variable], biases: Sequence[Variable],
+            activation: str, alpha: float = 0.01) -> Variable:
+        """Scalar MLP and its input gradient as one node: ``[u | du/dinp[:, 1:]]``.
+
+        ``inp`` is a constant (rows, k) array whose first column (time)
+        is left out of the gradient; the node's value has shape
+        (rows, k).  The hidden layers apply ``activation`` ("tanh",
+        "relu" or "leaky_relu" with slope ``alpha``), the last layer is
+        linear with one output.  Gradients flow to every weight and bias.
+        """
+        ws = [self._check(w, "mlp").value for w in weights]
+        bs = [self._check(b, "mlp").value for b in biases]
+        h = _as_array(inp)
+        fan_in = [h.shape[-1]] + [w.shape[-1] for w in ws[:-1]]
+        if (h.ndim != 2 or len(ws) < 2 or len(bs) != len(ws) or ws[-1].shape[-1] != 1
+                or any(w.shape != (f, b.size) or b.ndim != 1 for w, b, f in zip(ws, bs, fan_in))):
+            raise ShapeMismatchError(
+                f"mlp: input {h.shape}, weights {[w.shape for w in ws]}, biases {[b.shape for b in bs]}"
+            )
+        n_hidden = len(ws) - 1
+        tanh = activation == "tanh"
+
+        # value chain: hs[j] is the input of layer j, slopes[j] the
+        # activation derivative at layer j's pre-activation
+        hs, slopes = [h], []
+        for w, b in zip(ws[:-1], bs[:-1]):
+            z = h @ w
+            z += b
+            h, s = _activate(z, activation, alpha)
+            hs.append(h)
+            slopes.append(s)
+        packed = np.empty((h.shape[0], ws[0].shape[0]))
+        packed[:, :1] = h @ ws[-1] + bs[-1]
+
+        # input-gradient chain: v_j is the adjoint of hidden output j,
+        # q_j = v_j * slopes[j] that of its pre-activation
+        v, vs, qs = ws[-1].T, [], []
+        for j in range(n_hidden - 1, -1, -1):
+            q = v * slopes[j]
+            qs.insert(0, q)
+            if tanh:  # only tanh has a second derivative, which needs v_j
+                vs.insert(0, v)
+            if j:
+                v = q @ ws[j].T
+        packed[:, 1:] = qs[0] @ ws[0][1:].T
+
+        def vjp(g):
+            g_u, g_grad = g[:, :1], g[:, 1:]
+            gws = [None] * len(ws)
+            # through the gradient chain, input side first; for tanh keep
+            # the adjoint of each slope, d(slope)/dz = -2 h slope
+            gw0 = np.zeros_like(ws[0])
+            gw0[1:] = g_grad.T @ qs[0]
+            gws[0] = gw0
+            g_q = g_grad @ ws[0][1:]
+            g_slopes = []
+            for j in range(n_hidden):
+                if tanh:
+                    g_slopes.append(g_q * vs[j])
+                g_v = g_q * slopes[j]
+                if j + 1 < n_hidden:
+                    gws[j + 1] = g_v.T @ qs[j + 1]
+                    g_q = g_v @ ws[j + 1]
+                else:
+                    gws[-1] = g_v.sum(axis=0)[:, None]
+            # through the value chain, output side first
+            gws[-1] += hs[-1].T @ g_u
+            gbs = [None] * n_hidden + [g_u.sum(axis=0)]
+            g_h = g_u @ ws[-1].T
+            for j in range(n_hidden - 1, -1, -1):
+                if tanh:
+                    g_h -= 2.0 * hs[j + 1] * g_slopes[j]
+                g_z = g_h * slopes[j]
+                gws[j] += hs[j].T @ g_z
+                gbs[j] = g_z.sum(axis=0)
+                if j:
+                    g_h = g_z @ ws[j].T
+            return (*gws, *gbs)
+
+        return self._append("mlp", (*weights, *biases), packed, vjp)
 
     # ------------------------------------------------------------------
     # reverse pass
@@ -455,24 +406,28 @@ class Tape:
         """Gradients of a scalar objective for each requested variable.
 
         Variables not reachable from the objective get exact zero arrays.
+        Each adjoint is freed once its node has passed it on, so the peak
+        holds the adjoints of one frontier, not of the whole tape.
         """
         obj_node = self._check(objective, "backward")
         if obj_node.value.shape != ():
             raise TapeError(f"backward: objective has shape {obj_node.value.shape}, expected scalar")
         for v in wrt:
             self._check(v, "backward")
+        keep = {v.id for v in wrt}
 
         adjoint: dict[int, np.ndarray] = {objective.id: np.ones(())}
         for nid in range(objective.id, -1, -1):
-            g = adjoint.get(nid)
-            if g is None:
-                continue
             node = self._nodes[nid]
             if node.vjp is None:
                 continue
-            for pid, contrib in node.vjp(g):
-                prev = adjoint.get(pid)
-                adjoint[pid] = contrib if prev is None else prev + contrib
+            g = adjoint.get(nid) if nid in keep else adjoint.pop(nid, None)
+            if g is None:
+                continue
+            for pid, contrib in zip(node.parents, node.vjp(g)):
+                if contrib is not None:
+                    prev = adjoint.get(pid)
+                    adjoint[pid] = contrib if prev is None else prev + contrib
 
         out = []
         for v in wrt:
@@ -481,6 +436,20 @@ class Tape:
                 g = np.zeros(self._nodes[v.id].value.shape)
             out.append(np.asarray(g, dtype=np.float64))
         return out
+
+
+def _activate(z: np.ndarray, activation: str, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Activation written over ``z``, and its derivative, each computed once."""
+    if activation == "tanh":
+        h = np.tanh(z, out=z)
+        return h, 1.0 - h * h
+    if activation == "relu":
+        s = (z > 0.0).astype(np.float64)
+        return np.maximum(z, 0.0, out=z), s
+    if activation == "leaky_relu":
+        s = np.where(z > 0.0, 1.0, float(alpha))
+        return np.multiply(z, s, out=z), s
+    raise ValueError(f"unknown activation {activation!r}")
 
 
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:

@@ -16,6 +16,30 @@ import os
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import ctypes
+
+
+def _retain_freed_heap() -> None:
+    """Keep freed arrays in the malloc heap for the next allocation.
+
+    Each iteration frees and reallocates the same tape buffers.  glibc
+    would unmap large ones on free and fault them in again page by page;
+    raising the mmap threshold to its 32 MiB cap and the trim threshold
+    to 1 GiB stops that.  Does nothing without glibc's ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # from glibc's malloc.h
+    mallopt(m_mmap_threshold, 32 << 20)
+    mallopt(m_trim_threshold, 1 << 30)
+
+
+_retain_freed_heap()
+
 import argparse
 import json
 import logging
@@ -170,16 +194,19 @@ def load_config(spec: str, seed_override: int | None = None) -> TrainConfig:
 # training
 
 def _evaluate(config: TrainConfig, params: nn.MlpParams, eval_batch, iteration, lr, started):
-    tape = Tape()
-    total, _ = scheme.loss(nn.bind(tape, params), eval_batch, config.problem)
-    node_errors = metrics.error_by_time(params, eval_batch, config.problem)
+    total, _ = scheme.loss(nn.bind(Tape(), params), eval_batch, config.problem)
+    loss = float(total.value)
+    del total  # frees the tape before the error pass
+    mean_rel_err, node_errors, max_sq_err = metrics.evaluation_errors(
+        params, eval_batch, config.problem
+    )
     return metrics.MetricsReport(
         iteration=iteration,
-        loss=float(total.value),
-        mean_rel_err=metrics.mean_relative_error(params, eval_batch, config.problem),
+        loss=loss,
+        mean_rel_err=mean_rel_err,
         rel_err_t0=float(node_errors[0]),
         node_errors=node_errors,
-        max_sq_err=metrics.max_square_error(params, eval_batch, config.problem),
+        max_sq_err=max_sq_err,
         lr=lr,
         wall_clock=time.perf_counter() - started,
     )
@@ -195,6 +222,23 @@ def load_checkpoint(path) -> tuple[nn.MlpParams, int, float]:
     with open(path) as fh:
         payload = json.load(fh)
     return nn.params_from_dict(payload["model"]), int(payload["iteration"]), float(payload["lr"])
+
+
+def _train_step(config: TrainConfig, params: nn.MlpParams, state: AdamState, it: int, lr: float):
+    """One iteration: fresh batch, loss on a new tape, backward, Adam step.
+
+    The tape and everything on it die when this returns, before the next
+    iteration builds its own.
+    """
+    batch = jumpsim.simulate_forward(
+        config.problem, config.grid, config.batch_size, config.seed_simulation + it,
+        stream=TRAIN_STREAM,
+    )
+    tape = Tape()
+    net = nn.bind(tape, params)
+    total, breakdown = scheme.loss(net, batch, config.problem)
+    grads = tape.backward(total, net.param_vars)
+    return params.replace_flat(optim.adam_step(params.flat_list(), grads, state, lr)), breakdown
 
 
 def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsReport], nn.MlpParams]:
@@ -221,15 +265,7 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
         for it in range(1, config.iterations + 1):
             lr = optim.lr_at(config.schedule, it - 1)
             try:
-                batch = jumpsim.simulate_forward(
-                    problem, grid, config.batch_size, config.seed_simulation + it,
-                    stream=TRAIN_STREAM,
-                )
-                tape = Tape()
-                net = nn.bind(tape, params)
-                total, breakdown = scheme.loss(net, batch, problem)
-                grads = tape.backward(total, net.param_vars)
-                new_flat = optim.adam_step(params.flat_list(), grads, state, lr)
+                params, breakdown = _train_step(config, params, state, it, lr)
             except (NumericalAbortError, SimulationError, NonFiniteGradientError) as exc:
                 _dump_abort(out, it, exc)
                 raise NumericalAbortError(
@@ -237,7 +273,6 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
                     interval=getattr(exc, "interval", None),
                     breakdown=getattr(exc, "breakdown", None),
                 ) from exc
-            params = params.replace_flat(new_flat)
             breakdown_log.write(
                 json.dumps({"iteration": it, **breakdown.to_dict()}) + "\n"
             )
@@ -334,7 +369,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config = load_config(args.config)
+    config = load_config(args.config, seed_override=args.seed)
     params, iteration, lr = load_checkpoint(args.checkpoint)
     if params.arch != config.architecture:
         raise ConfigError(
@@ -378,6 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--config", required=True)
     ev.add_argument("--out")
+    ev.add_argument("--seed", type=int, help="the --seed given to train: evaluate on seed S+2")
     ev.set_defaults(func=_cmd_eval)
     return parser
 

@@ -1,14 +1,13 @@
 """Scalar-output MLP on (t, x) inputs with tape-expressible input gradients.
 
-The spatial gradient of the network is built analytically from tape
-primitives (the layer-by-layer chain rule written out as matmuls and
-activation-derivative nodes), so any loss containing it remains
-differentiable with respect to the parameters in a single reverse pass.
+The value and spatial gradient of the network come from one fused tape
+primitive, ``Tape.mlp``, whose VJP differentiates the gradient as well,
+so any loss containing it remains differentiable with respect to the
+parameters in a single reverse pass.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,55 +116,33 @@ class TapeMlp:
             out.extend((w, b))
         return out
 
-    def _apply_activation(self, z: Variable) -> Variable:
-        t = self.tape
-        if self.arch.activation == "tanh":
-            return t.tanh(z)
-        if self.arch.activation == "relu":
-            return t.relu(z)
-        return t.leaky_relu(z, self.arch.alpha)
-
-    def _activation_prime(self, z: Variable) -> Variable:
-        t = self.tape
-        if self.arch.activation == "tanh":
-            return t.tanh_prime(z)
-        if self.arch.activation == "relu":
-            return t.relu_prime(z)
-        return t.leaky_relu_prime(z, self.arch.alpha)
-
-    def _forward_nodes(self, t_in, x: np.ndarray):
-        tape = self.tape
-        inp = tape.constant(_assemble_input(self.arch, t_in, x))
-        pre_acts = []
-        h = inp
-        n_hidden = len(self.arch.hidden)
-        for i in range(n_hidden):
-            z = tape.affine(h, self._w_vars[i], self._b_vars[i])
-            pre_acts.append(z)
-            h = self._apply_activation(z)
-        out = tape.affine(h, self._w_vars[-1], self._b_vars[-1])
-        return out, pre_acts
-
     def value(self, t_in, x: np.ndarray) -> Variable:
         """Network value as a (B, 1) tape variable."""
-        out, _ = self._forward_nodes(t_in, x)
-        return out
+        tape = self.tape
+        h = tape.constant(_assemble_input(self.arch, t_in, x))
+        for w, b in zip(self._w_vars[:-1], self._b_vars[:-1]):
+            z = tape.affine(h, w, b)
+            if self.arch.activation == "tanh":
+                h = tape.tanh(z)
+            elif self.arch.activation == "relu":
+                h = tape.relu(z)
+            else:
+                h = tape.leaky_relu(z, self.arch.alpha)
+        return tape.affine(h, self._w_vars[-1], self._b_vars[-1])
 
     def value_and_grad(self, t_in, x: np.ndarray) -> tuple[Variable, Variable]:
         """Value plus the gradient in the spatial coordinates, both on tape.
 
-        The gradient covers only the x part of the (t, x) input; nothing in
+        Both are column blocks of one fused ``Tape.mlp`` node.  The
+        gradient covers only the x part of the (t, x) input; nothing in
         the scheme differentiates with respect to time.
         """
         tape = self.tape
-        out, pre_acts = self._forward_nodes(t_in, x)
-        rows = out.shape[0]
-        u = tape.matmul(tape.constant(np.ones((rows, 1))), tape.transpose(self._w_vars[-1]))
-        for i in range(len(self.arch.hidden) - 1, -1, -1):
-            s = tape.mul(u, self._activation_prime(pre_acts[i]))
-            u = tape.matmul(s, tape.transpose(self._w_vars[i]))
-        grad_x = tape.slice_cols(u, 1, self.arch.input_dim)
-        return out, grad_x
+        packed = tape.mlp(
+            _assemble_input(self.arch, t_in, x), self._w_vars, self._b_vars,
+            self.arch.activation, self.arch.alpha,
+        )
+        return tape.slice(packed, cols=(0, 1)), tape.slice(packed, cols=(1, self.arch.input_dim))
 
 
 def bind(tape: Tape, params: MlpParams) -> TapeMlp:
@@ -190,9 +167,9 @@ def evaluate(params: MlpParams, t, x: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# checkpoint file format: JSON with an architecture header and nested
-# float lists; Python's repr-based float serialization round-trips the
-# exact bit pattern.
+# model part of the checkpoint (``cli.save_checkpoint``): architecture
+# header plus nested float lists; Python's repr-based float
+# serialization round-trips the exact bit pattern.
 
 def params_to_dict(params: MlpParams) -> dict:
     return {
@@ -217,13 +194,3 @@ def params_from_dict(data: dict) -> MlpParams:
     weights = [np.asarray(w, dtype=np.float64) for w in data["weights"]]
     biases = [np.asarray(b, dtype=np.float64) for b in data["biases"]]
     return MlpParams(arch, weights, biases)
-
-
-def save_params(params: MlpParams, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(params_to_dict(params), fh)
-
-
-def load_params(path) -> MlpParams:
-    with open(path) as fh:
-        return params_from_dict(json.load(fh))

@@ -151,9 +151,9 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
     split = n_steps * n_rows
 
     value_all, grad_all = net.value_and_grad(t_stack, x_stack)
-    y_curr = tape.slice_rows(value_all, 0, split)
-    y_next = tape.slice_rows(value_all, n_rows, (n_steps + 1) * n_rows)
-    grad_curr = tape.slice_rows(grad_all, 0, split)
+    y_curr = tape.slice(value_all, rows=(0, split))
+    y_next = tape.slice(value_all, rows=(n_rows, split + n_rows))
+    grad_curr = tape.slice(grad_all, rows=(0, split))
     x_curr = x_stack[:split]
     t_curr = t_stack[:split]
 
@@ -184,7 +184,7 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
             breakdown=LossBreakdown(interval_terms, float("nan"), float("nan")),
         )
 
-    y_term = tape.slice_rows(value_all, split, (n_steps + 1) * n_rows)
+    y_term = tape.slice(value_all, rows=(split, split + n_rows))
     target = tape.constant(problem.terminal(batch.states[:, n_steps, :]))
     terminal = tape.mean(tape.square(tape.sub(y_term, target)))
     if not np.isfinite(terminal.value):

@@ -69,14 +69,18 @@ class TestPrimitives:
         (g,) = t.backward(total, [vals])
         np.testing.assert_array_equal(g.ravel(), [1.0, 3.0, 3.0])
 
-    def test_activation_prime_values(self):
+    def test_slice_block_and_backward(self):
         t = Tape()
-        z = t.constant(np.array([-2.0, 0.0, 1.5]))
-        np.testing.assert_array_equal(t.relu_prime(z).value, [0.0, 0.0, 1.0])
-        np.testing.assert_array_equal(t.leaky_relu_prime(z, 0.01).value, [0.01, 0.01, 1.0])
-        np.testing.assert_allclose(
-            t.tanh_prime(z).value, 1.0 - np.tanh([-2.0, 0.0, 1.5]) ** 2, rtol=1e-15
-        )
+        a = t.param(np.arange(12.0).reshape(4, 3))
+        block = t.slice(a, rows=(1, 3), cols=(1, 3))
+        np.testing.assert_array_equal(block.value, [[4.0, 5.0], [7.0, 8.0]])
+        assert t.slice(a).value.shape == (4, 3)
+        (g,) = t.backward(t.sum(t.square(block)), [a])
+        expected = np.zeros((4, 3))
+        expected[1:3, 1:3] = 2.0 * block.value
+        np.testing.assert_array_equal(g, expected)
+        with pytest.raises(ShapeMismatchError, match="slice"):
+            t.slice(a, rows=(2, 5))
 
 
 class TestBackward:
@@ -179,6 +183,81 @@ class TestGradCheck:
         (g,) = t.backward(f(t, x), [x])
         assert float(g) == 0.01
         assert grad_check(f, np.array(-2.0)) <= 1e-9
+
+
+class TestFusedMlp:
+    """``Tape.mlp``: packed [u | du/dx] and its hand-written VJP."""
+
+    @staticmethod
+    def layers(n_hidden, d=2, width=5, seed=0):
+        rng = np.random.default_rng(seed)
+        dims = [1 + d] + [width] * n_hidden + [1]
+        ws = [rng.normal(scale=0.8, size=(a, b)) for a, b in zip(dims[:-1], dims[1:])]
+        bs = [rng.normal(scale=0.3, size=b) for b in dims[1:]]
+        return ws + bs
+
+    @pytest.mark.parametrize("n_hidden", [1, 3])
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_parameter_gradients_match_finite_differences(self, activation, n_hidden):
+        arrays = self.layers(n_hidden)
+        rng = np.random.default_rng(1)
+        inp = rng.uniform(-1.0, 1.0, size=(6, 3))
+        coef = rng.normal(size=(6, 3))
+
+        def build(tape, arrs):
+            params = [tape.param(a) for a in arrs]
+            packed = tape.mlp(inp, params[: n_hidden + 1], params[n_hidden + 1:], activation, 0.1)
+            # squaring makes the adjoint depend on both value and gradient
+            return tape.sum(tape.mul(tape.square(packed), tape.constant(coef))), params
+
+        tape = Tape()
+        objective, params = build(tape, arrays)
+        grads = tape.backward(objective, params)
+        for k, base in enumerate(arrays):
+            fd = finite_diff(
+                lambda arr, k=k: float(
+                    build(Tape(), [arr if j == k else a for j, a in enumerate(arrays)])[0].value
+                ),
+                base,
+            )
+            assert rel_gap(grads[k], fd) <= 1e-6, (activation, n_hidden, k)
+
+    @pytest.mark.parametrize("activation, value, slope", [
+        ("relu", [0.0, 0.0, 1.5], [0.0, 0.0, 1.0]),
+        ("leaky_relu", [-0.02, 0.0, 1.5], [0.01, 0.01, 1.0]),
+        ("tanh", np.tanh([-2.0, 0.0, 1.5]), 1.0 - np.tanh([-2.0, 0.0, 1.5]) ** 2),
+    ])
+    def test_one_unit_network_gives_activation_and_slope(self, activation, value, slope):
+        # u = act(x) and du/dx = act'(x); the kink at 0 takes the left slope
+        t = Tape()
+        ws = [t.constant(np.array([[0.0], [1.0]])), t.constant(np.ones((1, 1)))]
+        bs = [t.constant(np.zeros(1)), t.constant(np.zeros(1))]
+        inp = np.array([[0.0, -2.0], [0.0, 0.0], [0.0, 1.5]])
+        packed = t.mlp(inp, ws, bs, activation, 0.01).value
+        np.testing.assert_allclose(packed[:, 0], value, rtol=1e-15)
+        np.testing.assert_allclose(packed[:, 1], slope, rtol=1e-15)
+
+    def test_gradient_columns_match_input_finite_differences(self):
+        arrays = self.layers(2)
+        x0 = np.array([0.3, -0.7, 0.5])
+
+        def value_at(x):
+            t = Tape()
+            params = [t.constant(a) for a in arrays]
+            return float(t.mlp(x[None, :], params[:3], params[3:], "tanh").value[0, 0])
+
+        t = Tape()
+        params = [t.constant(a) for a in arrays]
+        packed = t.mlp(x0[None, :], params[:3], params[3:], "tanh").value
+        assert packed.shape == (1, 3)
+        assert rel_gap(packed[0, 1:], finite_diff(value_at, x0)[1:]) <= 1e-8
+
+    def test_layers_that_do_not_chain_are_rejected(self):
+        t = Tape()
+        ws = [t.param(np.ones((3, 4))), t.param(np.ones((5, 1)))]
+        bs = [t.param(np.zeros(4)), t.param(np.zeros(1))]
+        with pytest.raises(ShapeMismatchError, match="mlp"):
+            t.mlp(np.ones((2, 3)), ws, bs, "tanh")
 
 
 # Random compositions: a chain of elementwise/matmul/reduction ops whose

@@ -102,6 +102,15 @@ class TestInputGradient:
         v2, _ = net.value_and_grad(0.6, x)
         assert np.array_equal(v1.value, v2.value)
 
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_fused_value_column_bit_identical_to_evaluate(self, activation):
+        params = nn.init(small_arch(d=3, hidden=(7, 5, 6), activation=activation), seed=13)
+        params.biases[0][:] = np.linspace(-0.5, 0.5, 7)
+        x = np.random.default_rng(6).normal(size=(9, 3))
+        tape = Tape()
+        value, _ = nn.bind(tape, params).value_and_grad(0.4, x)
+        assert np.array_equal(value.value, nn.evaluate(params, 0.4, x))
+
     def test_linear_network_gradient_is_weight_row(self):
         arch = nn.MlpArchitecture(input_dim=3, hidden=(3,), activation="relu")
         w_out = np.array([[2.0], [-1.5], [0.5]])
@@ -161,14 +170,3 @@ class TestInputGradient:
                 base,
             )
             assert rel_gap(grads[k], fd) <= 1e-5
-
-
-class TestCheckpoint:
-    def test_roundtrip_bit_exact(self, tmp_path):
-        params = nn.init(small_arch(d=3, hidden=(9, 5), activation="leaky_relu"), seed=99)
-        path = tmp_path / "params.json"
-        nn.save_params(params, path)
-        loaded = nn.load_params(path)
-        assert loaded.arch == params.arch
-        for a, b in zip(params.flat_list(), loaded.flat_list()):
-            assert np.array_equal(a, b)

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -178,6 +181,25 @@ class TestLoss:
         l1, _ = scheme.loss(nn.bind(t1, params), batch, prob)
         l2, _ = scheme.loss(nn.bind(t2, params), batch.permuted(perm), prob)
         assert float(l1.value) == pytest.approx(float(l2.value), abs=1e-12)
+
+    def test_tape_dies_without_the_garbage_collector(self):
+        # VJP closures hold arrays, not variables, so a dropped tape is
+        # freed by reference counting alone
+        prob = problems.bsb_jumps(dim=2)
+        params = nn.init(nn.MlpArchitecture(3, (6, 6), "leaky_relu"), seed=9)
+        batch = toy_batch(prob, n_steps=3, batch_size=16, seed=77)
+        gc.disable()
+        try:
+            tape = Tape()
+            net = nn.bind(tape, params)
+            total, _ = scheme.loss(net, batch, prob)
+            grads = tape.backward(total, net.param_vars)
+            alive = weakref.ref(tape)
+            del tape, net, total
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert len(grads) == 6
 
     def test_oracle_loss_vanishes_for_identity_solution(self):
         # the one-step map reproduces the forward recursion exactly when
