@@ -213,17 +213,6 @@ class Tape:
 
         return self._append("affine", (x, w, b), xv @ wv + bv, vjp)
 
-    def batch_matvec(self, mats: np.ndarray, v: Variable) -> Variable:
-        """Per-row matrix-vector product with a constant (B,d,d) stack."""
-        vv = self._check(v, "batch_matvec").value
-        mats = _as_array(mats)
-        if mats.ndim != 3 or vv.ndim != 2 or mats.shape[0] != vv.shape[0] or mats.shape[2] != vv.shape[1]:
-            raise ShapeMismatchError(f"batch_matvec: mats {mats.shape}, v {vv.shape}")
-        val = np.einsum("bij,bj->bi", mats, vv)
-        return self._append(
-            "batch_matvec", (v,), val, lambda g: (np.einsum("bij,bi->bj", mats, g),)
-        )
-
     # ------------------------------------------------------------------
     # reductions and slices
 

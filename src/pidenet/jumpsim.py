@@ -206,6 +206,15 @@ def _draw_noise(problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int
     return brownian, counts, ev_path, ev_interval, ev_marks
 
 
+def _jump_sum(problem: ProblemSpec, batch: PathBatch, n: int, t, x: np.ndarray) -> np.ndarray:
+    """Per-path sum of the jump sizes of interval n, zero on paths without events."""
+    jump_sum = np.zeros_like(x)
+    ids, marks = batch.events(n)
+    if ids.size:
+        np.add.at(jump_sum, ids, problem.jump_size(t, x[ids], marks))
+    return jump_sum
+
+
 def simulate_forward(
     problem: ProblemSpec,
     grid: TimeGrid,
@@ -216,10 +225,11 @@ def simulate_forward(
     """Euler steps with compound-Poisson jumps and compensator correction.
 
     Each interval applies, with coefficients frozen at the left endpoint:
-    drift * dt, diffusion times the Brownian increment, the sum of jump
-    sizes over the interval's marks, minus the closed-form compensator
-    integral times dt.  The ``stream`` tag separates independent uses of
-    the same seed (training batches versus held-out evaluation batches).
+    drift * dt, the diffusion diagonal times the Brownian increment
+    elementwise, the sum of jump sizes over the interval's marks, minus the
+    closed-form compensator integral times dt.  The ``stream`` tag
+    separates independent uses of the same seed (training batches versus
+    held-out evaluation batches).
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -244,16 +254,11 @@ def simulate_forward(
     for n in range(grid.steps):
         t = times[n]
         x = x_all[:, n, :]
-        jump_sum = np.zeros_like(x)
-        ids, marks = batch.events(n)
-        if ids.size:
-            np.add.at(jump_sum, ids, problem.jump_size(t, x[ids], marks))
-        sigma = problem.diffusion(t, x)
         nxt = (
             x
             + problem.drift(t, x) * dt
-            + np.einsum("bij,bj->bi", sigma, brownian[:, n, :])
-            + jump_sum
+            + problem.diffusion(t, x) * brownian[:, n, :]
+            + _jump_sum(problem, batch, n, t, x)
             - problem.compensator(t, x) * dt
         )
         if not np.all(np.isfinite(nxt)):
@@ -278,11 +283,7 @@ def compensator_residual_paths(
     for n in range(grid.steps):
         t = grid.times[n]
         x = batch.states[:, n, :]
-        jump_sum = np.zeros_like(x)
-        ids, marks = batch.events(n)
-        if ids.size:
-            np.add.at(jump_sum, ids, problem.jump_size(t, x[ids], marks))
-        out[:, n, :] = jump_sum - problem.compensator(t, x) * grid.dt
+        out[:, n, :] = _jump_sum(problem, batch, n, t, x) - problem.compensator(t, x) * grid.dt
     return out
 
 

@@ -1,10 +1,11 @@
 """Benchmark problem definitions: coefficients, jump laws, drivers, exact solutions.
 
-Each problem bundles the forward-process coefficients (drift, diffusion,
-jump size), the jump intensity with its mark sampler and the closed-form
-compensator integral of the jump size, the backward driver, the terminal
-condition, and (when known) the exact solution used only for error
-reporting.
+Each problem bundles the forward-process coefficients (drift, diagonal
+diffusion, jump size), the jump intensity with its mark sampler and the
+closed-form compensator integral of the jump size, the backward driver,
+the terminal condition, and (when known) the exact solution used only
+for error reporting.  All four problems have a diagonal diffusion, so a
+problem stores only its (rows, d) diagonal.
 
 Drivers follow the sign convention of the backward one-step map
 ``Y_next = Y - f*dt + Z.dW + I*dt``: the source term that the benchmark
@@ -28,9 +29,9 @@ class ProblemSpec:
 
     Coefficient callables receive the state as (rows, d) and the time as
     either a scalar or a (rows, 1) column; implementations must broadcast
-    over both.  ``diffusion`` returns full (rows, d, d) matrices;
-    ``diffusion_diag``, when set, returns just the (rows, d) diagonal and
-    lets the loss skip the dense matrix product.
+    over both.  ``diffusion`` returns the (rows, d) diagonal of the
+    diffusion matrix; the forward step multiplies it elementwise with the
+    Brownian increment and the loss with the network's input gradient.
     """
 
     name: str
@@ -48,7 +49,6 @@ class ProblemSpec:
     terminal: Callable[[np.ndarray], np.ndarray]
     exact: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     exact_grad: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    diffusion_diag: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -98,8 +98,7 @@ def pure_jump_1d(
         intensity=lam,
         mark_dim=1,
         drift=lambda t, x: np.zeros_like(x),
-        diffusion=lambda t, x: np.zeros((x.shape[0], 1, 1)),
-        diffusion_diag=lambda t, x: np.zeros_like(x),
+        diffusion=lambda t, x: np.zeros_like(x),
         jump_size=lambda t, x, z: x * (np.exp(z) - 1.0),
         sample_marks=_normal_mark_sampler(mark_mean, mark_std),
         compensator=lambda t, x: lam * kappa * x,
@@ -137,8 +136,7 @@ def pide_1d(
         intensity=lam,
         mark_dim=1,
         drift=lambda t, x: eps * x,
-        diffusion=lambda t, x: np.full((x.shape[0], 1, 1), tau),
-        diffusion_diag=lambda t, x: np.full_like(x, tau),
+        diffusion=lambda t, x: np.full_like(x, tau),
         jump_size=lambda t, x, z: x * (np.exp(z) - 1.0),
         sample_marks=_normal_mark_sampler(mark_mean, mark_std),
         compensator=lambda t, x: lam * kappa * x,
@@ -182,8 +180,7 @@ def highdim_pide(
         intensity=lam,
         mark_dim=dim,
         drift=lambda t, x: 0.5 * eps * x,
-        diffusion=lambda t, x: np.broadcast_to(tau * np.eye(dim), (x.shape[0], dim, dim)).copy(),
-        diffusion_diag=lambda t, x: np.full_like(x, tau),
+        diffusion=lambda t, x: np.full_like(x, tau),
         jump_size=lambda t, x, e: e,
         sample_marks=_normal_mark_sampler(mark_mean, mark_std),
         compensator=lambda t, x: np.full_like(x, lam * mark_mean),
@@ -220,12 +217,6 @@ def bsb_jumps(
     T = total_time
     mark_msq = mark_mean**2 + mark_std**2
 
-    def diffusion(t, x):
-        out = np.zeros((x.shape[0], dim, dim))
-        idx = np.arange(dim)
-        out[:, idx, idx] = tau * x
-        return out
-
     def driver(t, x, y, z, i):
         return -(r * y + lam * np.exp((r + tau**2) * (T - t)) * mark_msq)
 
@@ -240,8 +231,7 @@ def bsb_jumps(
         intensity=lam,
         mark_dim=dim,
         drift=lambda t, x: r * x,
-        diffusion=diffusion,
-        diffusion_diag=lambda t, x: tau * x,
+        diffusion=lambda t, x: tau * x,
         jump_size=lambda t, x, e: e,
         sample_marks=_normal_mark_sampler(mark_mean, mark_std),
         compensator=lambda t, x: np.full_like(x, lam * mark_mean),

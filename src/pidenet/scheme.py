@@ -157,11 +157,7 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
     x_curr = x_stack[:split]
     t_curr = t_stack[:split]
 
-    if problem.diffusion_diag is not None:
-        z = tape.mul(grad_curr, tape.constant(problem.diffusion_diag(t_curr, x_curr)))
-    else:
-        sigma_t = np.transpose(problem.diffusion(t_curr, x_curr), (0, 2, 1))
-        z = tape.batch_matvec(sigma_t, grad_curr)
+    z = tape.mul(grad_curr, tape.constant(problem.diffusion(t_curr, x_curr)))
 
     event_rows = batch.event_intervals * n_rows + batch.event_paths
     counts_stack = batch.counts.T.ravel()

@@ -72,6 +72,14 @@ class TestTrainAndEval:
         assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_nan_coefficient_exits_two(self, tmp_path, capsys):
+        # json reads NaN; the held-out batch is simulated before the first
+        # iteration, so its path states turn non-finite at interval 1
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({**TINY, "problem": {"name": "pide_1d", "eps": float("nan")}}))
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith("numerical abort")
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):

@@ -121,7 +121,7 @@ class TestCoefficients:
     def test_bsb_diffusion_is_state_diagonal(self):
         prob = problems.bsb_jumps(dim=2, tau=0.4)
         sig = prob.diffusion(0.0, np.array([[1.0, 2.0]]))
-        np.testing.assert_allclose(sig[0], 0.4 * np.diag([1.0, 2.0]), atol=1e-15)
+        np.testing.assert_allclose(sig, 0.4 * np.array([[1.0, 2.0]]), atol=1e-15)
 
     def test_vector_compensator_value(self):
         prob = problems.highdim_pide(dim=3, lam=0.3, mark_mean=0.01)

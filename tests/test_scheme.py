@@ -303,8 +303,7 @@ def one_step_reference(problem, params, batch, n):
     tape = Tape()
     _, g_var = nn.bind(tape, params).value_and_grad(t, x)
     grad = g_var.value
-    sigma = problem.diffusion(t, x)
-    z = np.einsum("bji,bj->bi", sigma, grad)
+    z = problem.diffusion(t, x) * grad
     z_dw = np.sum(z * batch.brownian[:, n, :], axis=1, keepdims=True)
 
     ids, marks = batch.events(n)
@@ -357,8 +356,7 @@ def test_transfer_matches_benchmark_recursions(problem):
         tape = Tape()
         net = nn.bind(tape, params)
         y, g = net.value_and_grad(t, x)
-        sigma_t = np.transpose(problem.diffusion(t, x), (0, 2, 1))
-        z = tape.batch_matvec(sigma_t, g)
+        z = tape.mul(g, tape.constant(problem.diffusion(t, x)))
         ids, marks = batch.events(n)
         i_term = scheme.integral_term(
             net, t, x, ids, marks, batch.counts[:, n], y, g, problem, batch.grid.dt
@@ -368,6 +366,88 @@ def test_transfer_matches_benchmark_recursions(problem):
         )
         reference = one_step_reference(problem, params, batch, n)
         np.testing.assert_allclose(prediction.value, reference, atol=1e-12)
+
+
+def oracle_residuals(problem, n_steps, batch_size=1000, seed=0):
+    """One-step residuals of the exact solution, with no training involved.
+
+    Returns the squared residual summed over intervals, as the loss
+    computes it, and the batch-mean residual summed over intervals with
+    the compensator's Taylor remainder added back.  The integral term pairs
+    the gradient with the jump-size integral, a first-order Taylor
+    expansion of lam * E[u(x + G) - u(x)], so even the exact solution
+    leaves lam * E[u(x + G) - u(x) - grad u . G] * dt in every interval;
+    the remainder is estimated from sampled marks.
+    """
+    batch = jumpsim.simulate_forward(
+        problem, TimeGrid(problem.total_time, n_steps), batch_size, seed
+    )
+    tape = Tape()
+    net = scheme.OracleNetwork(tape, problem)
+    _, breakdown = scheme.loss(net, batch, problem)
+    dt = batch.grid.dt
+    rng = np.random.default_rng(seed)
+    mean_sum = 0.0
+    for n in range(n_steps):
+        t, x = batch.grid.times[n], batch.states[:, n, :]
+        y, g = net.value_and_grad(t, x)
+        z = tape.mul(g, tape.constant(problem.diffusion(t, x)))
+        ids, marks = batch.events(n)
+        i_term = scheme.integral_term(net, t, x, ids, marks, batch.counts[:, n], y, g, problem, dt)
+        prediction = scheme.transfer(
+            t, x, y, z, i_term, batch.brownian[:, n, :], problem.driver, dt
+        )
+        exact_next = problem.exact(batch.grid.times[n + 1], batch.states[:, n + 1, :])
+        rows = np.repeat(x, 8, axis=0)
+        sizes = problem.jump_size(
+            t, rows, problem.sample_marks(rng.uniform(size=(rows.shape[0], problem.mark_dim)))
+        )
+        remainder = (
+            problem.exact(t, rows + sizes)
+            - problem.exact(t, rows)
+            - np.sum(problem.exact_grad(t, rows) * sizes, axis=1, keepdims=True)
+        )
+        mean_sum += np.mean(exact_next - prediction.value)
+        mean_sum += problem.intensity * remainder.mean() * dt
+    return float(breakdown.interval_terms.sum()), mean_sum
+
+
+class TestOracleDiscretisation:
+    """The exact solution in place of the network: the loss measures the scheme alone.
+
+    Bounds come from seeds 0-9 at B=1000 over N = 8..64: squared-residual
+    orders 0.82-1.27 per doubling, and the remainder-corrected mean sum
+    falling at order 0.6-2.5 from N=8 to N=64 (noisier on bsb_jumps).
+    """
+
+    STEPS = (8, 16, 32, 64)
+    NONLINEAR = [problems.highdim_pide(dim=4), problems.bsb_jumps(dim=4)]
+
+    def test_linear_solution_leaves_rounding_only(self):
+        # u(t, x) = x: Ito and Taylor terms vanish, so every diffusive,
+        # drift, jump and compensator term must cancel exactly
+        prob = problems.pide_1d()
+        for n_steps in self.STEPS:
+            batch = jumpsim.simulate_forward(prob, TimeGrid(1.0, n_steps), 1000, seed=0)
+            _, breakdown = scheme.loss(scheme.OracleNetwork(Tape(), prob), batch, prob)
+            assert breakdown.terminal_term == 0.0
+            assert breakdown.interval_terms.max() <= 1e-28
+
+    @pytest.mark.parametrize("problem", NONLINEAR, ids=lambda p: p.name)
+    def test_squared_residual_falls_at_first_order(self, problem):
+        # a wrong diffusion pairing leaves an O(sqrt(dt)) term in each
+        # residual, and the summed square then stops falling
+        sums = np.array([oracle_residuals(problem, n)[0] for n in self.STEPS])
+        orders = np.log2(sums[:-1] / sums[1:])
+        assert np.all((orders >= 0.7) & (orders <= 1.5)), orders
+
+    @pytest.mark.parametrize("problem", NONLINEAR, ids=lambda p: p.name)
+    def test_mean_residual_shrinks_faster_than_dt(self, problem):
+        # a sign error in a driver, compensator or jump integral leaves an
+        # O(dt) mean per interval, whose sum over [0, T] does not fall with N
+        coarse = abs(oracle_residuals(problem, self.STEPS[0])[1])
+        fine = abs(oracle_residuals(problem, self.STEPS[-1])[1])
+        assert np.log2(coarse / fine) / 3 >= 0.4, (coarse, fine)
 
 
 class TestEvaluateSolution:
