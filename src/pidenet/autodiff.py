@@ -6,7 +6,11 @@ accumulate gradients of a scalar objective with respect to any recorded
 variables.  A network's value together with its input gradient is one
 fused primitive, ``Tape.mlp``, whose hand-written VJP differentiates the
 input gradient with respect to the parameters, so losses that contain
-the gradient need no higher-order machinery.
+the gradient need no higher-order machinery.  The network lives only
+inside that node; the other primitives are the elementwise ``add``,
+``sub``, ``mul``, ``smul`` and ``square``, the reductions ``sum``,
+``mean``, ``row_dot``, ``segment_sum`` and ``block_mean``, and the 2-D
+``slice``.
 
 Tensors are plain ``numpy.ndarray`` objects in float64; they are treated
 as immutable once recorded.  VJP closures hold arrays and shapes, never
@@ -181,39 +185,6 @@ class Tape:
         return self._append("square", (a,), av * av, lambda g: (g * (2.0 * av),))
 
     # ------------------------------------------------------------------
-    # linear algebra
-
-    def matmul(self, a: Variable, b: Variable) -> Variable:
-        na, nb = self._check(a, "matmul"), self._check(b, "matmul")
-        ra, rb, av, bv = na.requires_grad, nb.requires_grad, na.value, nb.value
-        if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-            raise ShapeMismatchError(f"matmul: shapes {av.shape} and {bv.shape}")
-
-        def vjp(g):
-            return (g @ bv.T if ra else None, av.T @ g if rb else None)
-
-        return self._append("matmul", (a, b), av @ bv, vjp)
-
-    def affine(self, x: Variable, w: Variable, b: Variable) -> Variable:
-        """x @ w + b with the bias broadcast across rows."""
-        nx, nw, nb = self._check(x, "affine"), self._check(w, "affine"), self._check(b, "affine")
-        xv, wv, bv = nx.value, nw.value, nb.value
-        rx, rw, rb = nx.requires_grad, nw.requires_grad, nb.requires_grad
-        if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0] or bv.shape != (wv.shape[1],):
-            raise ShapeMismatchError(
-                f"affine: x {xv.shape}, w {wv.shape}, b {bv.shape}"
-            )
-
-        def vjp(g):
-            return (
-                g @ wv.T if rx else None,
-                xv.T @ g if rw else None,
-                g.sum(axis=0) if rb else None,
-            )
-
-        return self._append("affine", (x, w, b), xv @ wv + bv, vjp)
-
-    # ------------------------------------------------------------------
     # reductions and slices
 
     def sum(self, a: Variable) -> Variable:
@@ -279,29 +250,6 @@ class Tape:
         val = av.reshape(n_blocks, block).mean(axis=1, keepdims=True)
         return self._append(
             "block_mean", (a,), val, lambda g: (np.repeat(g / block, block, axis=0),)
-        )
-
-    # ------------------------------------------------------------------
-    # activations
-
-    def _unary(self, op, a, val, slope):
-        """Elementwise node whose local derivative ``slope()`` is built only in backward."""
-        return self._append(op, (a,), val, lambda g: (g * slope(),))
-
-    def tanh(self, a: Variable) -> Variable:
-        y = np.tanh(self._check(a, "tanh").value)
-        return self._unary("tanh", a, y, lambda: 1.0 - y * y)
-
-    def relu(self, a: Variable) -> Variable:
-        x = self._check(a, "relu").value
-        return self._unary("relu", a, np.maximum(x, 0.0), lambda: (x > 0.0).astype(np.float64))
-
-    def leaky_relu(self, a: Variable, alpha: float) -> Variable:
-        x = self._check(a, "leaky_relu").value
-        alpha = float(alpha)
-        return self._unary(
-            "leaky_relu", a, np.where(x > 0.0, x, alpha * x),
-            lambda: np.where(x > 0.0, 1.0, alpha),
         )
 
     # ------------------------------------------------------------------

@@ -247,6 +247,8 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
     Every iteration simulates a fresh path batch, assembles the loss on a
     new tape, backpropagates and applies one Adam step.  Held-out metrics
     come from a dedicated evaluation batch on its own generator stream.
+    A numerical abort, also one while simulating that batch, writes
+    ``abort.json`` with the iteration (0 before the first) and the error.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -254,30 +256,30 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
 
     params = nn.init(config.architecture, seed=config.seed_init)
     state = AdamState.for_params(params.flat_list(), **config.adam)
-    eval_batch = jumpsim.simulate_forward(
-        problem, grid, config.eval_batch_size, config.seed_evaluation, stream=EVAL_STREAM
-    )
 
     reports: list[metrics.MetricsReport] = []
-    started = time.perf_counter()
-    lr = optim.lr_at(config.schedule, 0)
-    with open(out / "breakdown.jsonl", "w") as breakdown_log:
-        for it in range(1, config.iterations + 1):
-            lr = optim.lr_at(config.schedule, it - 1)
-            try:
+    it = 0  # an abort before the first iteration is recorded as iteration 0
+    try:
+        eval_batch = jumpsim.simulate_forward(
+            problem, grid, config.eval_batch_size, config.seed_evaluation, stream=EVAL_STREAM
+        )
+        started = time.perf_counter()
+        with open(out / "breakdown.jsonl", "w") as breakdown_log:
+            for it in range(1, config.iterations + 1):
+                lr = optim.lr_at(config.schedule, it - 1)
                 params, breakdown = _train_step(config, params, state, it, lr)
-            except (NumericalAbortError, SimulationError, NonFiniteGradientError) as exc:
-                _dump_abort(out, it, exc)
-                raise NumericalAbortError(
-                    f"aborted at iteration {it}: {exc}",
-                    interval=getattr(exc, "interval", None),
-                    breakdown=getattr(exc, "breakdown", None),
-                ) from exc
-            breakdown_log.write(
-                json.dumps({"iteration": it, **breakdown.to_dict()}) + "\n"
-            )
-            if it % config.checkpoint_interval == 0 or it == config.iterations:
-                reports.append(_evaluate(config, params, eval_batch, it, lr, started))
+                breakdown_log.write(
+                    json.dumps({"iteration": it, **breakdown.to_dict()}) + "\n"
+                )
+                if it % config.checkpoint_interval == 0 or it == config.iterations:
+                    reports.append(_evaluate(config, params, eval_batch, it, lr, started))
+    except (NumericalAbortError, SimulationError, NonFiniteGradientError) as exc:
+        _dump_abort(out, it, exc)
+        raise NumericalAbortError(
+            f"aborted at iteration {it}: {exc}",
+            interval=getattr(exc, "interval", None),
+            breakdown=getattr(exc, "breakdown", None),
+        ) from exc
 
     metrics.write_metrics_csv(out / "metrics.csv", reports)
     final = reports[-1]

@@ -55,6 +55,10 @@ _KIND_BROWNIAN = 1
 _KIND_COUNT = 2
 _KIND_MARK = 3
 
+# largest float64 below 1: 53-bit uniforms that round up to 1.0 are
+# clamped here, which keeps the inverse-CDF transforms finite
+_U_MAX = 1.0 - 2.0**-53
+
 
 def _mix64(x):
     x = x + _GOLD
@@ -74,7 +78,8 @@ def keyed_uniforms(seed: int, kind: int, path, step, slot) -> np.ndarray:
         h = _mix64(h ^ np.asarray(path, dtype=np.uint64))
         h = _mix64(h ^ np.asarray(step, dtype=np.uint64))
         h = _mix64(h ^ np.asarray(slot, dtype=np.uint64))
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, _U_MAX, out=u)
 
 
 def _kind(stream: int, draw_kind: int) -> int:
@@ -82,7 +87,11 @@ def _kind(stream: int, draw_kind: int) -> int:
 
 
 def poisson_from_uniforms(u: np.ndarray, mean: float) -> np.ndarray:
-    """Inverse-CDF Poisson transform, exact for the small means used here."""
+    """Inverse-CDF Poisson transform, exact for the small means used here.
+
+    The float CDF can settle just below 1; a draw above it stops at the
+    first count whose probability no longer moves the CDF.
+    """
     if mean < 0:
         raise ValueError(f"Poisson mean must be >= 0, got {mean}")
     k = np.zeros(u.shape, dtype=np.int64)
@@ -94,8 +103,9 @@ def poisson_from_uniforms(u: np.ndarray, mean: float) -> np.ndarray:
     while pending.any():
         k[pending] += 1
         pmf = np.where(pending, pmf * (mean / np.maximum(k, 1)), pmf)
-        cdf = np.where(pending, cdf + pmf, cdf)
-        pending = u >= cdf
+        grown = np.where(pending, cdf + pmf, cdf)
+        pending = (u >= grown) & (grown > cdf)
+        cdf = grown
     return k
 
 

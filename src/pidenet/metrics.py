@@ -76,27 +76,19 @@ def _network_and_exact(params: nn.MlpParams, batch: PathBatch, problem: ProblemS
 def evaluation_errors(
     params: nn.MlpParams, batch: PathBatch, problem: ProblemSpec
 ) -> tuple[float, np.ndarray, float]:
-    """``mean_relative_error``, ``error_by_time`` and ``max_square_error`` from one network pass."""
+    """Three error figures of the network against u from one network pass.
+
+    - mean relative error: mean over paths and time nodes of
+      |net - u| / max(floor, |u|);
+    - error by time: the same per node, length N+1;
+    - max square error: max over nodes of the batch-mean squared gap
+      (net - u)^2.
+    """
     _require_exact(problem)
     approx, exact = _network_and_exact(params, batch, problem)
     rel = np.abs(approx - exact) / np.maximum(REL_ERR_FLOOR, np.abs(exact))
     max_sq = float(np.max(np.mean((approx - exact) ** 2, axis=0)))
     return float(rel.mean()), rel.mean(axis=0), max_sq
-
-
-def mean_relative_error(params: nn.MlpParams, batch: PathBatch, problem: ProblemSpec) -> float:
-    """Mean over paths and time nodes of |net - u| / max(floor, |u|)."""
-    return evaluation_errors(params, batch, problem)[0]
-
-
-def error_by_time(params: nn.MlpParams, batch: PathBatch, problem: ProblemSpec) -> np.ndarray:
-    """Per-node mean relative error, length N+1."""
-    return evaluation_errors(params, batch, problem)[1]
-
-
-def max_square_error(params: nn.MlpParams, batch: PathBatch, problem: ProblemSpec) -> float:
-    """Max over nodes of the batch-mean squared gap to the exact solution."""
-    return evaluation_errors(params, batch, problem)[2]
 
 
 def error_grid(

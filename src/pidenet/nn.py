@@ -1,9 +1,11 @@
 """Scalar-output MLP on (t, x) inputs with tape-expressible input gradients.
 
-The value and spatial gradient of the network come from one fused tape
-primitive, ``Tape.mlp``, whose VJP differentiates the gradient as well,
-so any loss containing it remains differentiable with respect to the
-parameters in a single reverse pass.
+On a tape the network has one entry point, ``TapeMlp.value_and_grad``:
+the value and spatial gradient come from one fused tape primitive,
+``Tape.mlp``, whose VJP differentiates the gradient as well, so any loss
+containing it remains differentiable with respect to the parameters in a
+single reverse pass.  ``evaluate`` is the tape-free forward pass used
+for reporting.
 """
 
 from __future__ import annotations
@@ -115,20 +117,6 @@ class TapeMlp:
         for w, b in zip(self._w_vars, self._b_vars):
             out.extend((w, b))
         return out
-
-    def value(self, t_in, x: np.ndarray) -> Variable:
-        """Network value as a (B, 1) tape variable."""
-        tape = self.tape
-        h = tape.constant(_assemble_input(self.arch, t_in, x))
-        for w, b in zip(self._w_vars[:-1], self._b_vars[:-1]):
-            z = tape.affine(h, w, b)
-            if self.arch.activation == "tanh":
-                h = tape.tanh(z)
-            elif self.arch.activation == "relu":
-                h = tape.relu(z)
-            else:
-                h = tape.leaky_relu(z, self.arch.alpha)
-        return tape.affine(h, self._w_vars[-1], self._b_vars[-1])
 
     def value_and_grad(self, t_in, x: np.ndarray) -> tuple[Variable, Variable]:
         """Value plus the gradient in the spatial coordinates, both on tape.

@@ -2,15 +2,17 @@
 
 For each time node the network supplies its value and spatial gradient;
 the gradient yields the diffusion pairing term, and the non-local jump
-integral combines network re-evaluations at jumped states with the
+integral combines network values at the jumped states with the
 closed-form compensator paired against the gradient.  The one-step map
 propagates node n's quantities to a prediction for node n+1, and the
 loss averages the squared one-step residuals together with the terminal
 misfit.
 
-The loss evaluates the network once over all (node, path) pairs stacked
-node-major into a single tall batch; the one-step residuals then reduce
-to row-wise arithmetic plus one segment sum over all jump events, which
+The loss makes one network pass per batch: every (node, path) pair,
+stacked node-major, and below them the jumped state of every jump
+event go through a single ``value_and_grad`` call, one ``Tape.mlp``
+node.  The one-step residuals then reduce to row slices of that node,
+row-wise arithmetic and one segment sum over all jump events, which
 keeps the tape small and the matrix products large.
 """
 
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
 from .autodiff import Tape, Variable
 from .jumpsim import PathBatch
 from .problems import ProblemSpec
@@ -72,9 +73,6 @@ class OracleNetwork:
     def param_vars(self) -> list[Variable]:
         return []
 
-    def value(self, t, x: np.ndarray) -> Variable:
-        return self.tape.constant(self._problem.exact(t, x))
-
     def value_and_grad(self, t, x: np.ndarray) -> tuple[Variable, Variable]:
         return (
             self.tape.constant(self._problem.exact(t, x)),
@@ -99,11 +97,10 @@ def transfer(t, x: np.ndarray, y: Variable, z: Variable, i_term: Variable,
 
 
 def integral_term(
-    net,
+    jumped: Variable,
     t,
     x: np.ndarray,
     event_ids: np.ndarray,
-    event_marks: np.ndarray,
     counts: np.ndarray,
     y_base: Variable,
     grad_x: Variable,
@@ -112,21 +109,24 @@ def integral_term(
 ) -> Variable:
     """Non-local integral as a differentiable expression, one row per state.
 
-    The jump part re-enters the same network at the jumped states and
-    subtracts the base value once per event; the compensator part pairs
-    the input gradient with the closed-form jump-size integral, so rows
-    without events reduce to the compensator term alone.
+    ``jumped`` holds the network's value at the jumped state of each
+    event, in the order of ``event_ids``.  The jump part sums them per
+    state and subtracts the base value once per event; the compensator
+    part pairs the input gradient with the closed-form jump-size
+    integral, so rows without events reduce to the compensator term
+    alone.
+
+    That pairing is the first-order Taylor expansion of the compensator
+    lam * E[u(x + G) - u(x)].  For a u that is not linear in x, even the
+    exact solution keeps lam * E[u(x + G) - u(x) - grad u . G] * dt in
+    every interval, an O(dt) term that does not fall with the step size.
     """
-    tape = net.tape
+    tape = y_base.tape
     comp_dot = tape.row_dot(grad_x, tape.constant(problem.compensator(t, x)))
     if event_ids.size == 0:
         return tape.smul(comp_dot, -1.0)
-    t_ev = t[event_ids] if isinstance(t, np.ndarray) else t
-    x_ev = x[event_ids]
-    sizes = problem.jump_size(t_ev, x_ev, event_marks)
-    shifted_values = net.value(t_ev, x_ev + sizes)
     jump_sum = tape.sub(
-        tape.segment_sum(shifted_values, event_ids, x.shape[0]),
+        tape.segment_sum(jumped, event_ids, x.shape[0]),
         tape.mul(y_base, tape.constant(np.asarray(counts, dtype=np.float64)[:, None])),
     )
     return tape.sub(tape.smul(jump_sum, 1.0 / dt), comp_dot)
@@ -135,34 +135,43 @@ def integral_term(
 def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBreakdown]:
     """Scalar objective over a path batch, plus its per-term breakdown.
 
-    Expectations are realized as batch means.  A non-finite term aborts
-    with the offending interval index and the breakdown gathered so far.
+    ``net`` offers ``tape``, ``param_vars`` and ``value_and_grad``; the
+    loss calls ``value_and_grad`` once.  Expectations are realized as
+    batch means.  A non-finite term aborts with the offending interval
+    index and the breakdown gathered so far.
     """
     tape = net.tape
     grid = batch.grid
     n_steps, n_rows = grid.steps, batch.batch_size
     dt = grid.dt
-
-    # stack nodes 0..N on top of each other, node-major
-    x_stack = np.ascontiguousarray(np.transpose(batch.states, (1, 0, 2))).reshape(
-        (n_steps + 1) * n_rows, batch.dim
-    )
-    t_stack = np.repeat(grid.times, n_rows)[:, None]
     split = n_steps * n_rows
+    n_nodes = split + n_rows
 
-    value_all, grad_all = net.value_and_grad(t_stack, x_stack)
+    # rows: nodes 0..N stacked node-major, then the jumped state of every
+    # jump event, so that one network pass serves the whole loss
+    event_rows = batch.event_intervals * n_rows + batch.event_paths
+    x_all = np.empty((n_nodes + event_rows.size, batch.dim))
+    t_all = np.empty((n_nodes + event_rows.size, 1))
+    x_all[:n_nodes].reshape(n_steps + 1, n_rows, batch.dim)[...] = np.transpose(
+        batch.states, (1, 0, 2)
+    )
+    t_all[:n_nodes, 0] = np.repeat(grid.times, n_rows)
+    x_curr = x_all[:split]
+    t_curr = t_all[:split]
+    if event_rows.size:
+        t_ev, x_ev = t_curr[event_rows], x_curr[event_rows]
+        x_all[n_nodes:] = x_ev + problem.jump_size(t_ev, x_ev, batch.event_marks)
+        t_all[n_nodes:] = t_ev
+
+    value_all, grad_all = net.value_and_grad(t_all, x_all)
     y_curr = tape.slice(value_all, rows=(0, split))
-    y_next = tape.slice(value_all, rows=(n_rows, split + n_rows))
+    y_next = tape.slice(value_all, rows=(n_rows, n_nodes))
+    y_jumped = tape.slice(value_all, rows=(n_nodes, n_nodes + event_rows.size))
     grad_curr = tape.slice(grad_all, rows=(0, split))
-    x_curr = x_stack[:split]
-    t_curr = t_stack[:split]
 
     z = tape.mul(grad_curr, tape.constant(problem.diffusion(t_curr, x_curr)))
-
-    event_rows = batch.event_intervals * n_rows + batch.event_paths
-    counts_stack = batch.counts.T.ravel()
     i_term = integral_term(
-        net, t_curr, x_curr, event_rows, batch.event_marks, counts_stack,
+        y_jumped, t_curr, x_curr, event_rows, batch.counts.T.ravel(),
         y_curr, grad_curr, problem, dt,
     )
     dw_stack = np.ascontiguousarray(np.transpose(batch.brownian, (1, 0, 2))).reshape(
@@ -180,7 +189,7 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
             breakdown=LossBreakdown(interval_terms, float("nan"), float("nan")),
         )
 
-    y_term = tape.slice(value_all, rows=(split, split + n_rows))
+    y_term = tape.slice(value_all, rows=(split, n_nodes))
     target = tape.constant(problem.terminal(batch.states[:, n_steps, :]))
     terminal = tape.mean(tape.square(tape.sub(y_term, target)))
     if not np.isfinite(terminal.value):
@@ -197,15 +206,3 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
         total=float(total.value),
     )
     return total, breakdown
-
-
-def evaluate_solution(params: nn.MlpParams, t, x: np.ndarray):
-    """Tape-free network evaluation for reporting.
-
-    A single point (scalar t, 1-d x) comes back as a float; batched
-    inputs come back as a (B, 1) array.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    out = nn.evaluate(params, t, x)
-    return float(out[0, 0]) if single else out

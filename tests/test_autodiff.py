@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pidenet.autodiff import ShapeMismatchError, Tape, TapeError, Variable, grad_check
+from pidenet.autodiff import ShapeMismatchError, Tape, TapeError, grad_check
 
 
 def finite_diff(value_fn, point, h=1e-5):
@@ -32,33 +32,12 @@ class TestPrimitives:
         out = t.add(t.constant([1.0, 2.0]), t.constant([3.0, 4.0]))
         np.testing.assert_array_equal(out.value, [4.0, 6.0])
 
-    def test_matmul_identity(self):
-        t = Tape()
-        v = np.array([[2.5], [-1.0]])
-        out = t.matmul(t.constant(np.eye(2)), t.constant(v))
-        np.testing.assert_array_equal(out.value, v)
-
-    def test_tanh_origin_value_and_slope(self):
-        t = Tape()
-        x = t.param(np.zeros(()))
-        y = t.tanh(x)
-        assert float(y.value) == 0.0
-        (g,) = t.backward(y, [x])
-        assert float(g) == 1.0
-
     def test_shape_mismatch_names_op_and_shapes(self):
         t = Tape()
-        with pytest.raises(ShapeMismatchError, match=r"matmul.*\(2, 3\).*\(2, 3\)"):
-            t.matmul(t.constant(np.ones((2, 3))), t.constant(np.ones((2, 3))))
+        with pytest.raises(ShapeMismatchError, match=r"row_dot.*\(2, 3\).*\(3, 2\)"):
+            t.row_dot(t.constant(np.ones((2, 3))), t.constant(np.ones((3, 2))))
         with pytest.raises(ShapeMismatchError, match="add"):
             t.add(t.constant(np.ones(2)), t.constant(np.ones(3)))
-
-    def test_affine_matches_manual(self):
-        t = Tape()
-        x = np.array([[0.5, 0.25]])
-        w = np.array([[1.0], [1.0]])
-        out = t.affine(t.constant(x), t.constant(w), t.constant(np.zeros(1)))
-        assert float(out.value[0, 0]) == 0.75
 
     def test_segment_sum_and_backward(self):
         t = Tape()
@@ -98,6 +77,8 @@ class TestBackward:
         np.testing.assert_array_equal(g, [[5.0, 7.0]])
 
     def test_two_layer_mlp_loss_matches_finite_differences(self):
+        # the loss reads only the value column, so the gradient columns
+        # pass a zero adjoint, as the jumped rows of the training loss do
         rng = np.random.default_rng(0)
         w1 = rng.normal(size=(3, 5))
         b1 = rng.normal(size=5)
@@ -107,10 +88,8 @@ class TestBackward:
         def loss_of_w1(w):
             t = Tape()
             wv = t.param(w)
-            z1 = t.affine(t.constant(x), wv, t.constant(b1))
-            h1 = t.tanh(z1)
-            out = t.matmul(h1, t.constant(w2))
-            return t, wv, t.mean(t.square(out))
+            packed = t.mlp(x, [wv, t.constant(w2)], [t.constant(b1), t.constant(np.zeros(1))], "tanh")
+            return t, wv, t.mean(t.square(t.slice(packed, cols=(0, 1))))
 
         t, wv, obj = loss_of_w1(w1)
         (g,) = t.backward(obj, [wv])
@@ -141,24 +120,30 @@ class TestBackward:
     def test_backward_is_deterministic(self):
         rng = np.random.default_rng(3)
         t = Tape()
-        a = t.param(rng.normal(size=(6, 4)))
-        b = t.param(rng.normal(size=(4, 3)))
-        obj = t.mean(t.square(t.tanh(t.matmul(a, b))))
-        g1 = t.backward(obj, [a, b])
-        g2 = t.backward(obj, [a, b])
+        w0 = t.param(rng.normal(size=(4, 6)))
+        w1 = t.param(rng.normal(size=(6, 1)))
+        bs = [t.param(rng.normal(size=6)), t.param(rng.normal(size=1))]
+        packed = t.mlp(rng.normal(size=(5, 4)), [w0, w1], bs, "tanh")
+        obj = t.mean(t.square(t.block_mean(t.slice(packed, cols=(0, 1)), 5)))
+        g1 = t.backward(obj, [w0, w1, *bs])
+        g2 = t.backward(obj, [w0, w1, *bs])
         for x, y in zip(g1, g2):
             assert np.array_equal(x, y)
 
     def test_linearity_of_backward(self):
         rng = np.random.default_rng(5)
         x0 = rng.normal(size=4)
+        inp = rng.normal(size=(3, 2))
+        w0, w1 = rng.normal(size=(2, 4)), rng.normal(size=(4, 1))
         alpha, beta = 0.7, -1.3
 
         def parts(x_arr):
+            # x enters f through a square and g as the hidden bias of a
+            # tanh network, whose value and gradient columns g sums
             t = Tape()
             x = t.param(x_arr)
             f = t.sum(t.square(x))
-            g = t.sum(t.tanh(x))
+            g = t.sum(t.mlp(inp, [t.constant(w0), t.constant(w1)], [x, t.constant(np.zeros(1))], "tanh"))
             combo = t.add(t.smul(f, alpha), t.smul(g, beta))
             gf = t.backward(f, [x])[0]
             gg = t.backward(g, [x])[0]
@@ -175,14 +160,19 @@ class TestGradCheck:
         assert disc <= 1e-9
 
     def test_leaky_relu_negative_branch(self):
-        def f(t, x):
-            return t.sum(t.leaky_relu(x, 0.01))
+        # one leaky-relu unit at input -2: d/dw of alpha * w * x is alpha * x
+        inp = np.array([[0.0, -2.0]])
+
+        def f(t, w):
+            ones = [t.constant(np.ones((1, 1)))]
+            zeros = [t.constant(np.zeros(1)), t.constant(np.zeros(1))]
+            return t.sum(t.slice(t.mlp(inp, [w, *ones], zeros, "leaky_relu", 0.01), cols=(0, 1)))
 
         t = Tape()
-        x = t.param(np.array(-2.0))
-        (g,) = t.backward(f(t, x), [x])
-        assert float(g) == 0.01
-        assert grad_check(f, np.array(-2.0)) <= 1e-9
+        w = t.param(np.array([[0.0], [1.0]]))
+        (g,) = t.backward(f(t, w), [w])
+        np.testing.assert_array_equal(g, [[0.0], [-0.02]])
+        assert grad_check(f, np.array([[0.0], [1.0]])) <= 1e-9
 
 
 class TestFusedMlp:
@@ -260,10 +250,14 @@ class TestFusedMlp:
             t.mlp(np.ones((2, 3)), ws, bs, "tanh")
 
 
-# Random compositions: a chain of elementwise/matmul/reduction ops whose
-# gradient must agree with central differences away from activation kinks.
-_UNARY = ("tanh", "square", "leaky", "identity")
+# Random compositions: a fused network node followed by a chain of
+# elementwise, slice and reduction ops, whose gradient with respect to
+# the first-layer weights must agree with central differences away from
+# activation kinks.
+_ACTIVATIONS = ("tanh", "relu", "leaky_relu")
+_UNARY = ("square", "slice", "identity")
 _BINARY = ("add", "sub", "mul")
+_REDUCE = ("mean", "block_mean", "segment_sum")
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,38 +265,42 @@ _BINARY = ("add", "sub", "mul")
 def test_random_composition_gradients_match_fd(seed):
     rng = np.random.default_rng(seed)
     rows = int(rng.integers(1, 8))
-    cols = int(rng.integers(1, 8))
-    inner = int(rng.integers(1, 8))
-    x0 = rng.uniform(0.1, 1.5, size=(rows, inner)) * rng.choice([-1.0, 1.0], size=(rows, inner))
-    m = rng.normal(size=(inner, cols))
-    other = rng.uniform(0.2, 1.0, size=(rows, cols))
+    k = int(rng.integers(2, 6))
+    width = int(rng.integers(1, 8))
+    inp = rng.uniform(-1.0, 1.0, size=(rows, k))
+    w0 = rng.normal(size=(k, width))
+    b0 = rng.normal(scale=0.5, size=width)
+    w1 = rng.normal(size=(width, 1))
+    b1 = rng.normal(size=1)
+    other = rng.uniform(0.2, 1.0, size=(rows, k))
+    activation = str(rng.choice(_ACTIVATIONS))
     ops = [str(rng.choice(_UNARY)), str(rng.choice(_BINARY)), str(rng.choice(_UNARY))]
+    reduce = str(rng.choice(_REDUCE))
+    ids = rng.integers(0, 3, size=rows)
+    blocks = int(rng.choice([b for b in range(1, rows + 1) if rows % b == 0]))
+    weights = rng.uniform(-1.0, 1.0, size=(7, 1))
 
-    def build(tape, x):
-        y = tape.matmul(x, tape.constant(m))
+    def build(tape, w):
+        y = tape.mlp(inp, [w, tape.constant(w1)], [tape.constant(b0), tape.constant(b1)],
+                     activation, 0.2)
         for op in ops:
-            if op == "tanh":
-                y = tape.tanh(y)
-            elif op == "square":
+            if op == "square":
                 y = tape.square(y)
-            elif op == "leaky":
-                y = tape.leaky_relu(y, 0.2)
-            elif op == "add":
-                y = tape.add(y, tape.constant(other))
-            elif op == "sub":
-                y = tape.sub(y, tape.constant(other))
-            elif op == "mul":
-                y = tape.mul(y, tape.constant(other))
-        return tape.mean(y)
+            elif op == "slice":
+                y = tape.slice(y, cols=(y.shape[1] - 1, y.shape[1]))
+            elif op in _BINARY:
+                fn = {"add": tape.add, "sub": tape.sub, "mul": tape.mul}[op]
+                y = fn(y, tape.constant(other[:, : y.shape[1]]))
+        col = tape.row_dot(y, tape.constant(other[:, : y.shape[1]]))
+        # unequal weights per block or segment make the routing count
+        if reduce == "block_mean":
+            col = tape.mul(tape.block_mean(col, blocks), tape.constant(weights[:blocks]))
+        elif reduce == "segment_sum":
+            col = tape.mul(tape.segment_sum(col, ids, 3), tape.constant(weights[:3]))
+        return tape.mean(col)
 
-    # reject draws where a leaky-relu input sits close to its kink,
+    # reject draws where a pre-activation sits close to a relu kink,
     # where central differences are meaningless
-    probe = Tape()
-    build(probe, probe.param(x0))
-    for node in probe._nodes:
-        if node.op == "leaky_relu":
-            parent_val = probe._nodes[node.parents[0]].value
-            if np.min(np.abs(parent_val)) < 1e-3:
-                return
-
-    assert grad_check(build, x0, h=1e-5) <= 1e-6
+    if activation != "tanh" and np.min(np.abs(inp @ w0 + b0)) < 1e-3:
+        return
+    assert grad_check(build, w0, h=1e-5) <= 1e-6

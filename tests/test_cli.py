@@ -74,11 +74,15 @@ class TestTrainAndEval:
 
     def test_nan_coefficient_exits_two(self, tmp_path, capsys):
         # json reads NaN; the held-out batch is simulated before the first
-        # iteration, so its path states turn non-finite at interval 1
+        # iteration, so its path states turn non-finite at interval 1 and
+        # the abort is recorded as iteration 0
         path = tmp_path / "nan.json"
         path.write_text(json.dumps({**TINY, "problem": {"name": "pide_1d", "eps": float("nan")}}))
         assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith("numerical abort")
+        abort = json.loads((tmp_path / "run" / "abort.json").read_text())
+        assert abort["iteration"] == 0
+        assert abort["error"] == "non-finite state at interval 1, path 0"
 
 
 class TestCheckpoint:

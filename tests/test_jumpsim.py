@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from pidenet import jumpsim, problems
 from pidenet.jumpsim import TimeGrid
@@ -47,6 +48,27 @@ class TestCounts:
         k = jumpsim.poisson_from_uniforms(u, 0.006)
         assert k[0] == 0 and k[1] == 1
         assert k[2] >= 2
+
+    def test_all_ones_hash_stays_below_one(self, monkeypatch):
+        # ((2**53 - 1) + 0.5) * 2**-53 rounds up to 1.0, where the normal
+        # inverse CDF is infinite and the Poisson transform used to loop
+        monkeypatch.setattr(
+            jumpsim, "_mix64", lambda x: np.full(np.shape(x), 2**64 - 1, dtype=np.uint64)
+        )
+        u = jumpsim.keyed_uniforms(3, 1, np.arange(4), 0, 0)
+        assert u.shape == (4,)
+        assert np.all(u < 1.0)
+        assert np.all(np.isfinite(ndtri(u)))
+        k = jumpsim.poisson_from_uniforms(u, 0.006)
+        assert np.all((k >= 1) & (k <= 20))
+
+    @pytest.mark.parametrize("mean", [0.02, 0.1])
+    def test_draws_above_the_float_cdf_give_a_finite_count(self, mean):
+        # the summed float CDF of Poisson(0.02) settles at 1 - 2**-53 and
+        # that of Poisson(0.1) at 1 - 2**-52, at or below the largest draws
+        u = np.array([1.0 - 2.0**-52, 1.0 - 2.0**-53])
+        k = jumpsim.poisson_from_uniforms(u, mean)
+        assert np.all((k >= 1) & (k <= 20))
 
 
 class TestSimulateForward:

@@ -32,20 +32,21 @@ class TestPointwiseMetrics:
     def test_perfect_fit_is_zero(self, pure_jump_batch):
         prob, batch = pure_jump_batch
         params = identity_params()
-        assert metrics.mean_relative_error(params, batch, prob) == 0.0
-        assert metrics.max_square_error(params, batch, prob) == 0.0
-        assert np.all(metrics.error_by_time(params, batch, prob) == 0.0)
+        mean_rel, by_time, max_sq = metrics.evaluation_errors(params, batch, prob)
+        assert mean_rel == 0.0
+        assert max_sq == 0.0
+        assert np.all(by_time == 0.0)
 
     def test_uniform_inflation(self, pure_jump_batch):
         # net = 1.01 u with u bounded away from zero gives exactly 1%
         prob, batch = pure_jump_batch
         assert batch.states.min() > 0.01
-        err = metrics.mean_relative_error(scaled_params(1.01), batch, prob)
+        err, _, _ = metrics.evaluation_errors(scaled_params(1.01), batch, prob)
         assert err == pytest.approx(0.01, rel=1e-9)
 
     def test_constant_offset_squared(self, pure_jump_batch):
         prob, batch = pure_jump_batch
-        err = metrics.max_square_error(offset_params(0.1), batch, prob)
+        _, _, err = metrics.evaluation_errors(offset_params(0.1), batch, prob)
         assert err == pytest.approx(0.01, rel=1e-9)
 
     def test_node_zero_is_initial_state_error(self, pure_jump_batch):
@@ -53,7 +54,7 @@ class TestPointwiseMetrics:
         # relative error at (0, x0)
         prob, batch = pure_jump_batch
         params = scaled_params(1.05)
-        by_time = metrics.error_by_time(params, batch, prob)
+        _, by_time, _ = metrics.evaluation_errors(params, batch, prob)
         x0 = prob.x0[None, :]
         expected = abs(nn.evaluate(params, 0.0, x0)[0, 0] - 1.0) / 1.0
         assert by_time[0] == pytest.approx(expected, rel=1e-12)
@@ -62,7 +63,7 @@ class TestPointwiseMetrics:
     def test_max_square_dominates_single_node_mean(self, pure_jump_batch):
         prob, batch = pure_jump_batch
         params = scaled_params(0.9)
-        approx_err = metrics.max_square_error(params, batch, prob)
+        _, _, approx_err = metrics.evaluation_errors(params, batch, prob)
         # batch-mean absolute gap at any single node, squared, is a lower bound
         for n in (0, 5, 10):
             vals = nn.evaluate(params, batch.grid.times[n], batch.states[:, n, :])[:, 0]
@@ -74,12 +75,10 @@ class TestPointwiseMetrics:
         params = scaled_params(1.2)
         perm = np.random.default_rng(1).permutation(batch.batch_size)
         shuffled = batch.permuted(perm)
-        a = metrics.mean_relative_error(params, batch, prob)
-        b = metrics.mean_relative_error(params, shuffled, prob)
-        assert a == pytest.approx(b, abs=1e-12)
-        assert metrics.max_square_error(params, batch, prob) == pytest.approx(
-            metrics.max_square_error(params, shuffled, prob), abs=1e-12
-        )
+        a_rel, _, a_sq = metrics.evaluation_errors(params, batch, prob)
+        b_rel, _, b_sq = metrics.evaluation_errors(params, shuffled, prob)
+        assert a_rel == pytest.approx(b_rel, abs=1e-12)
+        assert a_sq == pytest.approx(b_sq, abs=1e-12)
 
     def test_missing_exact_solution(self, pure_jump_batch):
         prob, batch = pure_jump_batch
@@ -99,7 +98,7 @@ class TestPointwiseMetrics:
             terminal=prob.terminal,
         )
         with pytest.raises(metrics.MissingExactSolutionError):
-            metrics.mean_relative_error(identity_params(), batch, stripped)
+            metrics.evaluation_errors(identity_params(), batch, stripped)
 
 
 class TestErrorGrid:

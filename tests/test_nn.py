@@ -84,24 +84,7 @@ class TestForward:
         with pytest.raises(ShapeMismatchError):
             nn.evaluate(params, 0.0, np.ones((4, 3)))
 
-    def test_tape_value_matches_plain_evaluate(self):
-        params = nn.init(small_arch(d=2, activation="leaky_relu"), seed=9)
-        x = np.random.default_rng(2).normal(size=(7, 2))
-        tape = Tape()
-        net = nn.bind(tape, params)
-        assert np.array_equal(net.value(0.2, x).value, nn.evaluate(params, 0.2, x))
-
-
 class TestInputGradient:
-    def test_value_channel_bit_identical(self):
-        params = nn.init(small_arch(d=3), seed=11)
-        x = np.random.default_rng(3).normal(size=(5, 3))
-        tape = Tape()
-        net = nn.bind(tape, params)
-        v1 = net.value(0.6, x)
-        v2, _ = net.value_and_grad(0.6, x)
-        assert np.array_equal(v1.value, v2.value)
-
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
     def test_fused_value_column_bit_identical_to_evaluate(self, activation):
         params = nn.init(small_arch(d=3, hidden=(7, 5, 6), activation=activation), seed=13)

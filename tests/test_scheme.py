@@ -30,6 +30,21 @@ def toy_batch(problem, n_steps=2, batch_size=4, seed=101, require_jumps=True):
     return batch
 
 
+def jumped_values(net, problem, t, x, ids, marks):
+    """Network values at the jumped states of the events ``ids``, ``marks``."""
+    x_ev = x[ids]
+    value, _ = net.value_and_grad(t, x_ev + problem.jump_size(t, x_ev, marks))
+    return value
+
+
+BENCHMARKS = [
+    problems.pure_jump_1d(),
+    problems.pide_1d(),
+    problems.highdim_pide(dim=3),
+    problems.bsb_jumps(dim=3),
+]
+
+
 class TestTransfer:
     def setup_method(self):
         self.tape = Tape()
@@ -69,8 +84,9 @@ class TestIntegralTerm:
         tape = Tape()
         net = nn.bind(tape, params)
         y, g = net.value_and_grad(0.5, x)
+        ids = np.zeros(0, dtype=int)
         out = scheme.integral_term(
-            net, 0.5, x, np.zeros(0, dtype=int), np.zeros((0, 1)),
+            jumped_values(net, prob, 0.5, x, ids, np.zeros((0, 1))), 0.5, x, ids,
             np.zeros(2, dtype=int), y, g, prob, 0.02,
         )
         expected = -2.0 * prob.compensator(0.5, x)
@@ -83,8 +99,9 @@ class TestIntegralTerm:
         tape = Tape()
         net = nn.bind(tape, params)
         y, g = net.value_and_grad(0.5, x)
+        ids = np.array([0, 1])
         out = scheme.integral_term(
-            net, 0.5, x, np.array([0, 1]), np.array([[0.3], [-0.2]]),
+            jumped_values(net, prob, 0.5, x, ids, np.array([[0.3], [-0.2]])), 0.5, x, ids,
             np.array([1, 1]), y, g, prob, 0.02,
         )
         np.testing.assert_allclose(out.value, 0.0, atol=1e-12)
@@ -99,8 +116,9 @@ class TestIntegralTerm:
         tape = Tape()
         net = nn.bind(tape, params)
         y, g = net.value_and_grad(0.5, x)
+        ids = np.array([0])
         out = scheme.integral_term(
-            net, 0.5, x, np.array([0]), mark, np.array([1]), y, g, prob, dt
+            jumped_values(net, prob, 0.5, x, ids, mark), 0.5, x, ids, np.array([1]), y, g, prob, dt
         )
         beta = 1.0 * (np.exp(0.4) - 1.0)
         expected = w_x * beta / dt - w_x * prob.compensator(0.5, x)[0, 0]
@@ -122,8 +140,8 @@ class TestIntegralTerm:
             net = nn.bind(tape, params)
             y, g = net.value_and_grad(batch.grid.times[n], x)
             out = scheme.integral_term(
-                net, batch.grid.times[n], x, ids, marks,
-                batch.counts[:, n], y, g, prob, dt,
+                jumped_values(net, prob, batch.grid.times[n], x, ids, marks),
+                batch.grid.times[n], x, ids, batch.counts[:, n], y, g, prob, dt,
             )
             jump_dot = np.zeros((32, 1))
             if ids.size:
@@ -335,16 +353,7 @@ def one_step_reference(problem, params, batch, n):
     return y + source * dt + z_dw + jump_sum - comp_dot * dt
 
 
-@pytest.mark.parametrize(
-    "problem",
-    [
-        problems.pure_jump_1d(),
-        problems.pide_1d(),
-        problems.highdim_pide(dim=3),
-        problems.bsb_jumps(dim=3),
-    ],
-    ids=lambda p: p.name,
-)
+@pytest.mark.parametrize("problem", BENCHMARKS, ids=lambda p: p.name)
 def test_transfer_matches_benchmark_recursions(problem):
     # the stored drivers negate each benchmark's source term, so the
     # generic one-step map must reproduce the explicit recursions
@@ -359,13 +368,50 @@ def test_transfer_matches_benchmark_recursions(problem):
         z = tape.mul(g, tape.constant(problem.diffusion(t, x)))
         ids, marks = batch.events(n)
         i_term = scheme.integral_term(
-            net, t, x, ids, marks, batch.counts[:, n], y, g, problem, batch.grid.dt
+            jumped_values(net, problem, t, x, ids, marks), t, x, ids, batch.counts[:, n],
+            y, g, problem, batch.grid.dt,
         )
         prediction = scheme.transfer(
             t, x, y, z, i_term, batch.brownian[:, n, :], problem.driver, batch.grid.dt
         )
         reference = one_step_reference(problem, params, batch, n)
         np.testing.assert_allclose(prediction.value, reference, atol=1e-12)
+
+
+class TestOneNetworkPass:
+    """The loss evaluates the network once, jumped states included."""
+
+    # row-wise arithmetic, reductions and slices: everything but the network
+    NON_NETWORK = {"param", "constant", "slice", "add", "sub", "mul", "smul", "square",
+                   "sum", "mean", "row_dot", "segment_sum", "block_mean"}
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_loss_tape_holds_one_network_node(self, activation):
+        prob = problems.bsb_jumps(dim=2)
+        params = nn.init(nn.MlpArchitecture(3, (6, 6), activation), seed=9)
+        batch = toy_batch(prob, n_steps=3, batch_size=16, seed=77)
+        tape = Tape()
+        scheme.loss(nn.bind(tape, params), batch, prob)
+        network = [node for node in tape._nodes if node.op == "mlp"]
+        assert len(network) == 1
+        assert network[0].value.shape == (4 * 16 + batch.event_paths.size, 3)
+        ops = {node.op for node in tape._nodes}
+        assert ops - {"mlp"} <= self.NON_NETWORK, ops
+
+    @pytest.mark.parametrize("problem", BENCHMARKS, ids=lambda p: p.name)
+    def test_interval_terms_match_benchmark_recursions(self, problem):
+        # the jumped rows of the one network pass must line up with their
+        # events: a slice off by a row or a jumped state at the wrong time
+        # moves the interval terms far beyond rounding
+        params = nn.init(nn.MlpArchitecture(1 + problem.dim, (6,), "tanh"), seed=55)
+        batch = toy_batch(problem, n_steps=3, batch_size=32, seed=91)
+        _, breakdown = scheme.loss(nn.bind(Tape(), params), batch, problem)
+        expected = [
+            np.mean((nn.evaluate(params, batch.grid.times[n + 1], batch.states[:, n + 1, :])
+                     - one_step_reference(problem, params, batch, n)) ** 2)
+            for n in range(3)
+        ]
+        np.testing.assert_allclose(breakdown.interval_terms, expected, rtol=1e-12, atol=0)
 
 
 def oracle_residuals(problem, n_steps, batch_size=1000, seed=0):
@@ -393,7 +439,10 @@ def oracle_residuals(problem, n_steps, batch_size=1000, seed=0):
         y, g = net.value_and_grad(t, x)
         z = tape.mul(g, tape.constant(problem.diffusion(t, x)))
         ids, marks = batch.events(n)
-        i_term = scheme.integral_term(net, t, x, ids, marks, batch.counts[:, n], y, g, problem, dt)
+        i_term = scheme.integral_term(
+            jumped_values(net, problem, t, x, ids, marks), t, x, ids, batch.counts[:, n],
+            y, g, problem, dt,
+        )
         prediction = scheme.transfer(
             t, x, y, z, i_term, batch.brownian[:, n, :], problem.driver, dt
         )
@@ -448,17 +497,3 @@ class TestOracleDiscretisation:
         coarse = abs(oracle_residuals(problem, self.STEPS[0])[1])
         fine = abs(oracle_residuals(problem, self.STEPS[-1])[1])
         assert np.log2(coarse / fine) / 3 >= 0.4, (coarse, fine)
-
-
-class TestEvaluateSolution:
-    def test_matches_tape_forward_bitwise(self):
-        params = nn.init(nn.MlpArchitecture(3, (7, 7), "leaky_relu"), seed=2)
-        x = np.random.default_rng(1).normal(size=(9, 2))
-        tape = Tape()
-        out = nn.bind(tape, params).value(0.3, x)
-        assert np.array_equal(scheme.evaluate_solution(params, 0.3, x), out.value)
-
-    def test_single_point_returns_float(self):
-        params = nn.init(nn.MlpArchitecture(2, (4,), "tanh"), seed=0)
-        val = scheme.evaluate_solution(params, 0.1, np.array([0.5]))
-        assert isinstance(val, float)
