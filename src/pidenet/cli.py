@@ -103,6 +103,11 @@ class TrainConfig:
             raise ConfigError("checkpoint_interval must be >= 1")
         if self.eval_batch_size < 1:
             raise ConfigError("eval_batch_size must be >= 1")
+        try:  # what run_experiment builds first, so bad settings fail at load
+            self.architecture
+            AdamState.for_params([], **self.adam)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad model or optimiser settings: {exc}") from exc
 
     @property
     def grid(self) -> TimeGrid:
@@ -193,23 +198,28 @@ def load_config(spec: str, seed_override: int | None = None) -> TrainConfig:
 # ----------------------------------------------------------------------
 # training
 
+def _simulate_eval_batch(config: TrainConfig):
+    """The held-out batch: its own seed on its own generator stream."""
+    return jumpsim.simulate_forward(config.problem, config.grid, config.eval_batch_size,
+                                    config.seed_evaluation, stream=EVAL_STREAM)
+
+
 def _evaluate(config: TrainConfig, params: nn.MlpParams, eval_batch, iteration, lr, started):
-    total, _ = scheme.loss(nn.bind(Tape(), params), eval_batch, config.problem)
-    loss = float(total.value)
-    del total  # frees the tape before the error pass
+    """Held-out report from the loss's one network pass, and that pass's (B, N+1) values."""
+    breakdown = scheme.loss(nn.bind(Tape(), params), eval_batch, config.problem)[1]
     mean_rel_err, node_errors, max_sq_err = metrics.evaluation_errors(
-        params, eval_batch, config.problem
+        breakdown.values, eval_batch, config.problem
     )
     return metrics.MetricsReport(
         iteration=iteration,
-        loss=loss,
+        loss=breakdown.total,
         mean_rel_err=mean_rel_err,
         rel_err_t0=float(node_errors[0]),
         node_errors=node_errors,
         max_sq_err=max_sq_err,
         lr=lr,
         wall_clock=time.perf_counter() - started,
-    )
+    ), breakdown.values
 
 
 def save_checkpoint(path, params: nn.MlpParams, iteration: int, lr: float) -> None:
@@ -220,15 +230,18 @@ def save_checkpoint(path, params: nn.MlpParams, iteration: int, lr: float) -> No
 
 def load_checkpoint(path) -> tuple[nn.MlpParams, int, float]:
     with open(path) as fh:
-        payload = json.load(fh)
-    return nn.params_from_dict(payload["model"]), int(payload["iteration"]), float(payload["lr"])
+        try:
+            payload = json.load(fh)
+            return nn.params_from_dict(payload["model"]), int(payload["iteration"]), float(payload["lr"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"checkpoint {path} is unreadable: {exc!r}") from exc
 
 
 def _train_step(config: TrainConfig, params: nn.MlpParams, state: AdamState, it: int, lr: float):
     """One iteration: fresh batch, loss on a new tape, backward, Adam step.
 
-    The tape and everything on it die when this returns, before the next
-    iteration builds its own.
+    The tape and everything on it, the breakdown's values included, die
+    when this returns, before the next iteration builds its own.
     """
     batch = jumpsim.simulate_forward(
         config.problem, config.grid, config.batch_size, config.seed_simulation + it,
@@ -238,7 +251,8 @@ def _train_step(config: TrainConfig, params: nn.MlpParams, state: AdamState, it:
     net = nn.bind(tape, params)
     total, breakdown = scheme.loss(net, batch, config.problem)
     grads = tape.backward(total, net.param_vars)
-    return params.replace_flat(optim.adam_step(params.flat_list(), grads, state, lr)), breakdown
+    new_params = params.replace_flat(optim.adam_step(params.flat_list(), grads, state, lr))
+    return new_params, breakdown.to_dict()
 
 
 def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsReport], nn.MlpParams]:
@@ -260,19 +274,19 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
     reports: list[metrics.MetricsReport] = []
     it = 0  # an abort before the first iteration is recorded as iteration 0
     try:
-        eval_batch = jumpsim.simulate_forward(
-            problem, grid, config.eval_batch_size, config.seed_evaluation, stream=EVAL_STREAM
-        )
+        eval_batch = _simulate_eval_batch(config)
         started = time.perf_counter()
         with open(out / "breakdown.jsonl", "w") as breakdown_log:
             for it in range(1, config.iterations + 1):
                 lr = optim.lr_at(config.schedule, it - 1)
                 params, breakdown = _train_step(config, params, state, it, lr)
-                breakdown_log.write(
-                    json.dumps({"iteration": it, **breakdown.to_dict()}) + "\n"
-                )
-                if it % config.checkpoint_interval == 0 or it == config.iterations:
-                    reports.append(_evaluate(config, params, eval_batch, it, lr, started))
+                breakdown_log.write(json.dumps({"iteration": it, **breakdown}) + "\n")
+                if it % config.checkpoint_interval == 0 and it < config.iterations:
+                    reports.append(_evaluate(config, params, eval_batch, it, lr, started)[0])
+        # only the last evaluation keeps its values, for error_grid.csv: values
+        # held across iterations fragment the heap the next tapes reuse
+        final, values = _evaluate(config, params, eval_batch, it, lr, started)
+        reports.append(final)
     except (NumericalAbortError, SimulationError, NonFiniteGradientError) as exc:
         _dump_abort(out, it, exc)
         raise NumericalAbortError(
@@ -282,11 +296,10 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
         ) from exc
 
     metrics.write_metrics_csv(out / "metrics.csv", reports)
-    final = reports[-1]
     metrics.write_error_by_time_csv(out / "error_by_time.csv", grid.times, final.node_errors)
     if problem.dim == 1 and problem.exact is not None:
         metrics.write_error_grid_csv(
-            out / "error_grid.csv", metrics.error_grid(params, eval_batch, problem)
+            out / "error_grid.csv", metrics.error_grid(values, eval_batch, problem)
         )
     save_checkpoint(out / "checkpoint.json", params, final.iteration, final.lr)
     return reports, params
@@ -377,11 +390,8 @@ def _cmd_eval(args) -> int:
         raise ConfigError(
             f"checkpoint architecture {params.arch} does not match config {config.architecture}"
         )
-    eval_batch = jumpsim.simulate_forward(
-        config.problem, config.grid, config.eval_batch_size,
-        config.seed_evaluation, stream=EVAL_STREAM,
-    )
-    report = _evaluate(config, params, eval_batch, iteration, lr, time.perf_counter())
+    eval_batch = _simulate_eval_batch(config)
+    report, _ = _evaluate(config, params, eval_batch, iteration, lr, time.perf_counter())
     print(metrics.METRICS_CSV_HEADER)
     print(report.csv_row())
     if args.out:

@@ -303,14 +303,3 @@ def compensator_residual(
     """Batch mean of the compensated jump increments, shape (N, d)."""
     return compensator_residual_paths(problem, grid, batch_size, seed, stream).mean(axis=0)
 
-
-def dump_csv(batch: PathBatch, path) -> None:
-    """Inspection dump: one row per (path, node) with the state coordinates."""
-    times = batch.grid.times
-    with open(path, "w") as fh:
-        cols = ",".join(f"x_{j + 1}" for j in range(batch.dim))
-        fh.write(f"path,n,t,{cols}\n")
-        for p in range(batch.batch_size):
-            for n in range(batch.grid.steps + 1):
-                vals = ",".join(repr(float(v)) for v in batch.states[p, n])
-                fh.write(f"{p},{n},{float(times[n])!r},{vals}\n")

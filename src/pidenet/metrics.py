@@ -1,4 +1,4 @@
-"""Error measurement against exact solutions and experiment report files."""
+"""Errors of given network values against exact solutions, and experiment report files."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import nn
 from .jumpsim import PathBatch
 from .problems import ProblemSpec
 
@@ -60,23 +59,20 @@ def _require_exact(problem: ProblemSpec):
         raise MissingExactSolutionError(f"problem {problem.name} has no exact solution")
 
 
-def _network_and_exact(params: nn.MlpParams, batch: PathBatch, problem: ProblemSpec):
-    """Values of the network and of u at every (node, path), shape (B, N+1)."""
+def _exact_values(batch: PathBatch, problem: ProblemSpec) -> np.ndarray:
+    """Values of u at every (path, node), shape (B, N+1)."""
+    _require_exact(problem)
     times = batch.grid.times
-    n_nodes = batch.grid.steps + 1
-    approx = np.empty((batch.batch_size, n_nodes))
-    exact = np.empty_like(approx)
-    for n in range(n_nodes):
-        x = batch.states[:, n, :]
-        approx[:, n] = nn.evaluate(params, times[n], x)[:, 0]
-        exact[:, n] = problem.exact(times[n], x)[:, 0]
-    return approx, exact
+    exact = np.empty((batch.batch_size, batch.grid.steps + 1))
+    for n in range(batch.grid.steps + 1):
+        exact[:, n] = problem.exact(times[n], batch.states[:, n, :])[:, 0]
+    return exact
 
 
 def evaluation_errors(
-    params: nn.MlpParams, batch: PathBatch, problem: ProblemSpec
+    values: np.ndarray, batch: PathBatch, problem: ProblemSpec
 ) -> tuple[float, np.ndarray, float]:
-    """Three error figures of the network against u from one network pass.
+    """Three error figures against u of the loss's network values (B, N+1) on ``batch``.
 
     - mean relative error: mean over paths and time nodes of
       |net - u| / max(floor, |u|);
@@ -84,25 +80,23 @@ def evaluation_errors(
     - max square error: max over nodes of the batch-mean squared gap
       (net - u)^2.
     """
-    _require_exact(problem)
-    approx, exact = _network_and_exact(params, batch, problem)
-    rel = np.abs(approx - exact) / np.maximum(REL_ERR_FLOOR, np.abs(exact))
-    max_sq = float(np.max(np.mean((approx - exact) ** 2, axis=0)))
+    exact = _exact_values(batch, problem)
+    rel = np.abs(values - exact) / np.maximum(REL_ERR_FLOOR, np.abs(exact))
+    max_sq = float(np.max(np.mean((values - exact) ** 2, axis=0)))
     return float(rel.mean()), rel.mean(axis=0), max_sq
 
 
 def error_grid(
-    params: nn.MlpParams, batch: PathBatch, problem: ProblemSpec, bins: int = 40
+    values: np.ndarray, batch: PathBatch, problem: ProblemSpec, bins: int = 40
 ) -> list[tuple[float, float, float]]:
     """(t, x-bin center, mean absolute error) triples for scalar problems.
 
-    Feeds heat-map style postprocessing; only defined for dim 1.
+    Heat-map input from the ``evaluation_errors`` values; only defined for dim 1.
     """
     _require_exact(problem)
     if problem.dim != 1:
         raise ValueError("error_grid is only defined for one-dimensional problems")
-    approx, exact = _network_and_exact(params, batch, problem)
-    abs_err = np.abs(approx - exact)
+    abs_err = np.abs(values - _exact_values(batch, problem))
     xs = batch.states[:, :, 0]
     edges = np.linspace(xs.min(), xs.max() + 1e-12, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])

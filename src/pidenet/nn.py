@@ -4,8 +4,8 @@ On a tape the network has one entry point, ``TapeMlp.value_and_grad``:
 the value and spatial gradient come from one fused tape primitive,
 ``Tape.mlp``, whose VJP differentiates the gradient as well, so any loss
 containing it remains differentiable with respect to the parameters in a
-single reverse pass.  ``evaluate`` is the tape-free forward pass used
-for reporting.
+single reverse pass.  ``evaluate``, a plain tape-free forward pass, is
+the tests' reference for its value column; the program never calls it.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def bind(tape: Tape, params: MlpParams) -> TapeMlp:
 
 
 def evaluate(params: MlpParams, t, x: np.ndarray) -> np.ndarray:
-    """Plain forward pass, bit-identical to the tape value channel."""
+    """Plain forward pass, equal to the tape value column up to BLAS blocking."""
     h = _assemble_input(params.arch, t, x)
     act = params.arch.activation
     alpha = params.arch.alpha

@@ -19,7 +19,7 @@ keeps the tape small and the matrix products large.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,11 +39,16 @@ class NumericalAbortError(FloatingPointError):
 
 @dataclass
 class LossBreakdown:
-    """Plain-number record of the per-interval and terminal loss terms."""
+    """Plain-number record of the per-interval and terminal loss terms.
+
+    ``values`` copies the network's value at every (path, node), shape
+    (B, N+1); held-out errors read it, and ``to_dict`` leaves it out.
+    """
 
     interval_terms: np.ndarray
     terminal_term: float
     total: float
+    values: np.ndarray | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -204,5 +209,6 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
         interval_terms=interval_terms,
         terminal_term=float(terminal.value),
         total=float(total.value),
+        values=value_all.value[:n_nodes, 0].reshape(n_steps + 1, n_rows).T.copy(),
     )
     return total, breakdown

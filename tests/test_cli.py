@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pidenet import cli, metrics, nn
+from pidenet.scheme import NumericalAbortError
 
 TINY = {
     "problem": {"name": "pide_1d"},
@@ -26,16 +27,23 @@ def config_path(tmp_path):
     return path
 
 
+RUN_FILES = ("metrics.csv", "breakdown.jsonl", "checkpoint.json",
+             "error_by_time.csv", "error_grid.csv")
+
+
 def last_row(path):
     return path.read_text().splitlines()[-1]
+
+
+def train(config_path, out, *extra):
+    return cli.main(["train", "--config", str(config_path), "--out", str(out), *extra])
 
 
 class TestTrainAndEval:
     def test_train_exits_zero_and_writes_its_files(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli.main(["train", "--config", str(config_path), "--out", str(out)]) == 0
-        for name in ("metrics.csv", "breakdown.jsonl", "checkpoint.json",
-                     "error_by_time.csv", "error_grid.csv"):
+        for name in RUN_FILES:
             assert (out / name).is_file(), name
         rows = (out / "metrics.csv").read_text().splitlines()
         assert rows[0] == metrics.METRICS_CSV_HEADER
@@ -59,18 +67,41 @@ class TestTrainAndEval:
                   "--out", str(unseeded)])
         assert last_row(unseeded) != last_row(out / "metrics.csv")
 
+    def test_same_seed_writes_identical_files(self, config_path, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert train(config_path, first) == 0
+        assert train(config_path, second) == 0
+        for name in RUN_FILES:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_train_and_eval_run_the_network_only_in_the_loss(self, config_path, tmp_path,
+                                                             monkeypatch):
+        def second_pass(*args, **kwargs):
+            raise AssertionError("nn.evaluate called outside the loss")
+
+        monkeypatch.setattr(nn, "evaluate", second_pass)
+        out = tmp_path / "run"
+        assert train(config_path, out) == 0
+        code = cli.main(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                         "--config", str(config_path)])
+        assert code == 0
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
         assert cli.main(["train", "--config", str(missing), "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["{not json", json.dumps({**TINY, "steps": 0}),
-                                      json.dumps({k: v for k, v in TINY.items() if k != "seeds"})])
+                                      json.dumps({k: v for k, v in TINY.items() if k != "seeds"}),
+                                      json.dumps({**TINY, "activation": "swish"}),
+                                      json.dumps({**TINY, "hidden": []}),
+                                      json.dumps({**TINY, "adam": {"beta3": 0.5}})])
     def test_bad_config_exits_one(self, tmp_path, text, capsys):
         path = tmp_path / "bad.json"
         path.write_text(text)
-        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+        assert train(path, tmp_path / "run") == 1
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_nan_coefficient_exits_two(self, tmp_path, capsys):
         # json reads NaN; the held-out batch is simulated before the first
@@ -85,6 +116,31 @@ class TestTrainAndEval:
         assert abort["error"] == "non-finite state at interval 1, path 0"
 
 
+class TestConverge:
+    def test_failed_run_is_left_out(self, config_path, tmp_path, monkeypatch):
+        run_experiment = cli.run_experiment
+
+        def failing_once(config, out_dir):
+            if config.name.endswith("_N4_run1"):
+                raise NumericalAbortError("injected failure")
+            return run_experiment(config, out_dir)
+
+        monkeypatch.setattr(cli, "run_experiment", failing_once)
+        out = tmp_path / "study"
+        code = cli.main(["converge", "--config", str(config_path), "--steps", "2,4",
+                         "--runs", "2", "--keep", "2", "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in (out / "convergence.csv").read_text().splitlines()]
+        assert [row[0] for row in rows[1:]] == ["2", "4"]
+
+        def max_sq_err(steps, run):
+            return float(last_row(out / f"N{steps}" / f"run{run}" / "metrics.csv").split(",")[4])
+
+        # N=2 keeps the mean of both runs, N=4 only the run that finished
+        assert float(rows[1][2]) == np.mean(np.sort([max_sq_err(2, 0), max_sq_err(2, 1)]))
+        assert float(rows[2][2]) == max_sq_err(4, 0)
+
+
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         arch = nn.MlpArchitecture(input_dim=4, hidden=(9, 5), activation="leaky_relu")
@@ -96,3 +152,18 @@ class TestCheckpoint:
         assert (iteration, lr) == (17, 3.5e-4)
         for a, b in zip(params.flat_list(), loaded.flat_list()):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("damage", ["not json", "no weights", "wrong shape"])
+    def test_unreadable_checkpoint_exits_one(self, config_path, tmp_path, damage, capsys):
+        path = tmp_path / "checkpoint.json"
+        cli.save_checkpoint(path, nn.init(cli.load_config(str(config_path)).architecture, 5),
+                            iteration=4, lr=1e-2)
+        payload = json.loads(path.read_text())
+        if damage == "no weights":
+            del payload["model"]["weights"]
+        elif damage == "wrong shape":
+            payload["model"]["weights"][0] = [[1.0, 2.0]]
+        path.write_text("{not json" if damage == "not json" else json.dumps(payload))
+        code = cli.main(["eval", "--checkpoint", str(path), "--config", str(config_path)])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err

@@ -234,15 +234,3 @@ class TestCompensatorResidual:
         sigma = paths.std(axis=0) / np.sqrt(paths.shape[0])
         assert np.all(np.abs(mean) <= 4.0 * sigma)
 
-
-class TestCsvDump:
-    def test_dump_schema(self, tmp_path):
-        prob = problems.highdim_pide(dim=2)
-        batch = jumpsim.simulate_forward(prob, TimeGrid(1.0, 3), 2, seed=0)
-        out = tmp_path / "paths.csv"
-        jumpsim.dump_csv(batch, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "path,n,t,x_1,x_2"
-        assert len(lines) == 1 + 2 * 4
-        first = lines[1].split(",")
-        assert first[0] == "0" and float(first[2]) == 0.0

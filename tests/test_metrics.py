@@ -22,6 +22,18 @@ def offset_params(offset):
     return linear_net(1, [0.0, 1.0], bias=offset)
 
 
+def network_values(params, batch):
+    """The (B, N+1) values the metrics take, from the plain reference pass."""
+    return np.stack(
+        [nn.evaluate(params, t, batch.states[:, n, :])[:, 0] for n, t in enumerate(batch.grid.times)],
+        axis=1,
+    )
+
+
+def errors(params, batch, prob):
+    return metrics.evaluation_errors(network_values(params, batch), batch, prob)
+
+
 @pytest.fixture(scope="module")
 def pure_jump_batch():
     prob = problems.pure_jump_1d()
@@ -32,7 +44,7 @@ class TestPointwiseMetrics:
     def test_perfect_fit_is_zero(self, pure_jump_batch):
         prob, batch = pure_jump_batch
         params = identity_params()
-        mean_rel, by_time, max_sq = metrics.evaluation_errors(params, batch, prob)
+        mean_rel, by_time, max_sq = errors(params, batch, prob)
         assert mean_rel == 0.0
         assert max_sq == 0.0
         assert np.all(by_time == 0.0)
@@ -41,12 +53,12 @@ class TestPointwiseMetrics:
         # net = 1.01 u with u bounded away from zero gives exactly 1%
         prob, batch = pure_jump_batch
         assert batch.states.min() > 0.01
-        err, _, _ = metrics.evaluation_errors(scaled_params(1.01), batch, prob)
+        err, _, _ = errors(scaled_params(1.01), batch, prob)
         assert err == pytest.approx(0.01, rel=1e-9)
 
     def test_constant_offset_squared(self, pure_jump_batch):
         prob, batch = pure_jump_batch
-        _, _, err = metrics.evaluation_errors(offset_params(0.1), batch, prob)
+        _, _, err = errors(offset_params(0.1), batch, prob)
         assert err == pytest.approx(0.01, rel=1e-9)
 
     def test_node_zero_is_initial_state_error(self, pure_jump_batch):
@@ -54,7 +66,7 @@ class TestPointwiseMetrics:
         # relative error at (0, x0)
         prob, batch = pure_jump_batch
         params = scaled_params(1.05)
-        _, by_time, _ = metrics.evaluation_errors(params, batch, prob)
+        _, by_time, _ = errors(params, batch, prob)
         x0 = prob.x0[None, :]
         expected = abs(nn.evaluate(params, 0.0, x0)[0, 0] - 1.0) / 1.0
         assert by_time[0] == pytest.approx(expected, rel=1e-12)
@@ -63,7 +75,7 @@ class TestPointwiseMetrics:
     def test_max_square_dominates_single_node_mean(self, pure_jump_batch):
         prob, batch = pure_jump_batch
         params = scaled_params(0.9)
-        _, _, approx_err = metrics.evaluation_errors(params, batch, prob)
+        _, _, approx_err = errors(params, batch, prob)
         # batch-mean absolute gap at any single node, squared, is a lower bound
         for n in (0, 5, 10):
             vals = nn.evaluate(params, batch.grid.times[n], batch.states[:, n, :])[:, 0]
@@ -75,8 +87,8 @@ class TestPointwiseMetrics:
         params = scaled_params(1.2)
         perm = np.random.default_rng(1).permutation(batch.batch_size)
         shuffled = batch.permuted(perm)
-        a_rel, _, a_sq = metrics.evaluation_errors(params, batch, prob)
-        b_rel, _, b_sq = metrics.evaluation_errors(params, shuffled, prob)
+        a_rel, _, a_sq = errors(params, batch, prob)
+        b_rel, _, b_sq = errors(params, shuffled, prob)
         assert a_rel == pytest.approx(b_rel, abs=1e-12)
         assert a_sq == pytest.approx(b_sq, abs=1e-12)
 
@@ -98,13 +110,13 @@ class TestPointwiseMetrics:
             terminal=prob.terminal,
         )
         with pytest.raises(metrics.MissingExactSolutionError):
-            metrics.evaluation_errors(identity_params(), batch, stripped)
+            errors(identity_params(), batch, stripped)
 
 
 class TestErrorGrid:
     def test_grid_rows_cover_time_nodes(self, pure_jump_batch):
         prob, batch = pure_jump_batch
-        rows = metrics.error_grid(identity_params(), batch, prob, bins=8)
+        rows = metrics.error_grid(network_values(identity_params(), batch), batch, prob, bins=8)
         ts = {r[0] for r in rows}
         assert ts == set(float(t) for t in batch.grid.times)
         assert all(r[2] >= 0 for r in rows)
@@ -114,7 +126,7 @@ class TestErrorGrid:
         batch = jumpsim.simulate_forward(prob, TimeGrid(1.0, 2), 8, seed=0)
         params = nn.init(nn.MlpArchitecture(3, (4,)), seed=0)
         with pytest.raises(ValueError):
-            metrics.error_grid(params, batch, prob)
+            metrics.error_grid(network_values(params, batch), batch, prob)
 
 
 class TestConvergenceTable:

@@ -413,6 +413,22 @@ class TestOneNetworkPass:
         ]
         np.testing.assert_allclose(breakdown.interval_terms, expected, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("problem", BENCHMARKS, ids=lambda p: p.name)
+    def test_breakdown_values_are_the_network_at_every_node(self, problem):
+        # held-out errors read this column in place of a second pass; a
+        # node-major reshape read as path-major scrambles it
+        params = nn.init(nn.MlpArchitecture(1 + problem.dim, (6,), "tanh"), seed=55)
+        batch = toy_batch(problem, n_steps=3, batch_size=32, seed=91)
+        _, breakdown = scheme.loss(nn.bind(Tape(), params), batch, problem)
+        expected = np.stack(
+            [nn.evaluate(params, t, batch.states[:, n, :])[:, 0]
+             for n, t in enumerate(batch.grid.times)],
+            axis=1,
+        )
+        assert breakdown.values.shape == (32, 4)
+        np.testing.assert_allclose(breakdown.values, expected, rtol=1e-12, atol=1e-15)
+        assert "values" not in breakdown.to_dict()
+
 
 def oracle_residuals(problem, n_steps, batch_size=1000, seed=0):
     """One-step residuals of the exact solution, with no training involved.
