@@ -16,13 +16,37 @@ Tensors are plain ``numpy.ndarray`` objects in float64; they are treated
 as immutable once recorded.  VJP closures hold arrays and shapes, never
 variables or the tape, so a tape holds no reference cycle and its memory
 goes as soon as the last variable on it is dropped.
+
+``Tape.mlp`` splits its rows into contiguous chunks of at most
+``CHUNK_ROWS`` rows and runs their forward passes and VJPs on one
+process-wide thread pool, one worker per usable core; numpy releases the
+GIL inside its GEMMs and ufuncs, so the chunks run in parallel while
+BLAS itself stays single-threaded.  The chunk edges depend only on the
+row count, and the parameter gradients are summed in chunk order, so no
+result depends on the number of workers or cores.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Callable, Sequence
 
 import numpy as np
+
+# Largest row chunk of one ``Tape.mlp`` pass.  A fixed constant, so chunk
+# edges, and with them every result, depend only on the row count.
+CHUNK_ROWS = 2048
+# Chunk edges fall on multiples of this many rows, and CHUNK_ROWS is one.
+# BLAS matrix-vector kernels sum the last few rows of a matrix in another
+# order than the rest (OpenBLAS's dgemv in blocks of 4 rows), so an edge
+# inside such a block would change the value column by rounding.
+ROW_ALIGN = 64
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
 
 class ShapeMismatchError(ValueError):
@@ -96,7 +120,9 @@ class Tape:
 
     Nodes only ever reference earlier nodes, so a single reverse sweep
     over ids visits each node exactly once.  Construction and backward
-    are single-threaded; independent tapes may run concurrently.
+    run on the calling thread, apart from the row chunks of ``mlp``,
+    which only compute numpy arrays on the pool; independent tapes may
+    run concurrently.
     """
 
     def __init__(self):
@@ -264,6 +290,11 @@ class Tape:
         (rows, k).  The hidden layers apply ``activation`` ("tanh",
         "relu" or "leaky_relu" with slope ``alpha``), the last layer is
         linear with one output.  Gradients flow to every weight and bias.
+
+        The rows go in ``ceil(rows / CHUNK_ROWS)`` near-equal contiguous
+        chunks with edges on multiples of ``ROW_ALIGN``.  Each row of the
+        value then comes out as in one pass over all rows; the parameter
+        gradients are the chunks' gradients summed in chunk order.
         """
         ws = [self._check(w, "mlp").value for w in weights]
         bs = [self._check(b, "mlp").value for b in biases]
@@ -274,65 +305,23 @@ class Tape:
             raise ShapeMismatchError(
                 f"mlp: input {h.shape}, weights {[w.shape for w in ws]}, biases {[b.shape for b in bs]}"
             )
-        n_hidden = len(ws) - 1
-        tanh = activation == "tanh"
-
-        # value chain: hs[j] is the input of layer j, slopes[j] the
-        # activation derivative at layer j's pre-activation
-        hs, slopes = [h], []
-        for w, b in zip(ws[:-1], bs[:-1]):
-            z = h @ w
-            z += b
-            h, s = _activate(z, activation, alpha)
-            hs.append(h)
-            slopes.append(s)
-        packed = np.empty((h.shape[0], ws[0].shape[0]))
-        packed[:, :1] = h @ ws[-1] + bs[-1]
-
-        # input-gradient chain: v_j is the adjoint of hidden output j,
-        # q_j = v_j * slopes[j] that of its pre-activation
-        v, vs, qs = ws[-1].T, [], []
-        for j in range(n_hidden - 1, -1, -1):
-            q = v * slopes[j]
-            qs.insert(0, q)
-            if tanh:  # only tanh has a second derivative, which needs v_j
-                vs.insert(0, v)
-            if j:
-                v = q @ ws[j].T
-        packed[:, 1:] = qs[0] @ ws[0][1:].T
+        rows = h.shape[0]
+        n = max(1, -(-rows // CHUNK_ROWS))
+        step = -(-rows // (n * ROW_ALIGN)) * ROW_ALIGN  # ceil(rows / n), rounded up
+        spans = [(i * step, min(rows, (i + 1) * step)) for i in range(n)]
+        packed = np.empty((rows, ws[0].shape[0]))
+        chunk_vjps = _run_chunks([
+            functools.partial(_mlp_chunk, h[lo:hi], ws, bs, activation, alpha, packed[lo:hi])
+            for lo, hi in spans
+        ])
 
         def vjp(g):
-            g_u, g_grad = g[:, :1], g[:, 1:]
-            gws = [None] * len(ws)
-            # through the gradient chain, input side first; for tanh keep
-            # the adjoint of each slope, d(slope)/dz = -2 h slope
-            gw0 = np.zeros_like(ws[0])
-            gw0[1:] = g_grad.T @ qs[0]
-            gws[0] = gw0
-            g_q = g_grad @ ws[0][1:]
-            g_slopes = []
-            for j in range(n_hidden):
-                if tanh:
-                    g_slopes.append(g_q * vs[j])
-                g_v = g_q * slopes[j]
-                if j + 1 < n_hidden:
-                    gws[j + 1] = g_v.T @ qs[j + 1]
-                    g_q = g_v @ ws[j + 1]
-                else:
-                    gws[-1] = g_v.sum(axis=0)[:, None]
-            # through the value chain, output side first
-            gws[-1] += hs[-1].T @ g_u
-            gbs = [None] * n_hidden + [g_u.sum(axis=0)]
-            g_h = g_u @ ws[-1].T
-            for j in range(n_hidden - 1, -1, -1):
-                if tanh:
-                    g_h -= 2.0 * hs[j + 1] * g_slopes[j]
-                g_z = g_h * slopes[j]
-                gws[j] += hs[j].T @ g_z
-                gbs[j] = g_z.sum(axis=0)
-                if j:
-                    g_h = g_z @ ws[j].T
-            return (*gws, *gbs)
+            parts = _run_chunks([functools.partial(f, g[lo:hi])
+                                 for f, (lo, hi) in zip(chunk_vjps, spans)])
+            for part in parts[1:]:  # in chunk order, so the sums never depend on the workers
+                for total, a in zip(parts[0], part):
+                    total += a
+            return parts[0]
 
         return self._append("mlp", (*weights, *biases), packed, vjp)
 
@@ -373,6 +362,101 @@ class Tape:
                 g = np.zeros(self._nodes[v.id].value.shape)
             out.append(np.asarray(g, dtype=np.float64))
         return out
+
+
+def _chunk_pool() -> ThreadPoolExecutor:
+    """The process-wide pool of chunk workers, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            affinity = getattr(os, "sched_getaffinity", None)
+            workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="pidenet-mlp")
+        return _pool
+
+
+def _run_chunks(tasks: list[Callable]) -> list:
+    """Results of zero-argument tasks in order; a lone task runs inline.
+
+    Every task has finished before any error is raised, so none is left
+    writing into arrays that the caller drops.
+    """
+    if len(tasks) == 1:
+        return [tasks[0]()]
+    pool = _chunk_pool()
+    futures = [pool.submit(task) for task in tasks]
+    wait(futures)
+    return [future.result() for future in futures]
+
+
+def _mlp_chunk(h, ws, bs, activation, alpha, packed) -> Callable:
+    """Forward pass of one row chunk of ``Tape.mlp``, written into ``packed``.
+
+    ``h`` and ``packed`` are the chunk's rows of the node's input and
+    value.  Returns the chunk's VJP: its rows of the adjoint to the
+    parameter gradients of these rows alone, weights then biases.  Only
+    numpy runs here, so a worker thread can run it.
+    """
+    n_hidden = len(ws) - 1
+    tanh = activation == "tanh"
+
+    # value chain: hs[j] is the input of layer j, slopes[j] the
+    # activation derivative at layer j's pre-activation
+    hs, slopes = [h], []
+    for w, b in zip(ws[:-1], bs[:-1]):
+        z = h @ w
+        z += b
+        h, s = _activate(z, activation, alpha)
+        hs.append(h)
+        slopes.append(s)
+    packed[:, :1] = h @ ws[-1] + bs[-1]
+
+    # input-gradient chain: v_j is the adjoint of hidden output j,
+    # q_j = v_j * slopes[j] that of its pre-activation
+    v, vs, qs = ws[-1].T, [], []
+    for j in range(n_hidden - 1, -1, -1):
+        q = v * slopes[j]
+        qs.insert(0, q)
+        if tanh:  # only tanh has a second derivative, which needs v_j
+            vs.insert(0, v)
+        if j:
+            v = q @ ws[j].T
+    packed[:, 1:] = qs[0] @ ws[0][1:].T
+
+    def vjp(g):
+        g_u, g_grad = g[:, :1], g[:, 1:]
+        gws = [None] * len(ws)
+        # through the gradient chain, input side first; for tanh keep
+        # the adjoint of each slope, d(slope)/dz = -2 h slope
+        gw0 = np.zeros_like(ws[0])
+        gw0[1:] = g_grad.T @ qs[0]
+        gws[0] = gw0
+        g_q = g_grad @ ws[0][1:]
+        g_slopes = []
+        for j in range(n_hidden):
+            if tanh:
+                g_slopes.append(g_q * vs[j])
+            g_v = g_q * slopes[j]
+            if j + 1 < n_hidden:
+                gws[j + 1] = g_v.T @ qs[j + 1]
+                g_q = g_v @ ws[j + 1]
+            else:
+                gws[-1] = g_v.sum(axis=0)[:, None]
+        # through the value chain, output side first
+        gws[-1] += hs[-1].T @ g_u
+        gbs = [None] * n_hidden + [g_u.sum(axis=0)]
+        g_h = g_u @ ws[-1].T
+        for j in range(n_hidden - 1, -1, -1):
+            if tanh:
+                g_h -= 2.0 * hs[j + 1] * g_slopes[j]
+            g_z = g_h * slopes[j]
+            gws[j] += hs[j].T @ g_z
+            gbs[j] = g_z.sum(axis=0)
+            if j:
+                g_h = g_z @ ws[j].T
+        return (*gws, *gbs)
+
+    return vjp
 
 
 def _activate(z: np.ndarray, activation: str, alpha: float) -> tuple[np.ndarray, np.ndarray]:

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import os
 
-# Single-threaded BLAS: the matrices here are far below the size where
-# threading wins, and it keeps outputs independent of the host's core
-# count.  Must happen before numpy initializes.
+# Single-threaded BLAS: threaded BLAS splits a product in ways that
+# depend on the thread count, so outputs would depend on the host's cores.
+# The network node uses every core through its own row chunks instead
+# (``autodiff.CHUNK_ROWS``), which run one-thread BLAS calls in parallel.
+# Must happen before numpy initializes.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
@@ -25,7 +27,10 @@ def _retain_freed_heap() -> None:
     Each iteration frees and reallocates the same tape buffers.  glibc
     would unmap large ones on free and fault them in again page by page;
     raising the mmap threshold to its 32 MiB cap and the trim threshold
-    to 1 GiB stops that.  Does nothing without glibc's ``mallopt``.
+    to 1 GiB stops that.  One arena for all threads: the network node's
+    worker threads would each get an arena of their own, which the trim
+    threshold would then keep too.  Does nothing without glibc's
+    ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -33,9 +38,10 @@ def _retain_freed_heap() -> None:
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    m_trim_threshold, m_mmap_threshold = -1, -3  # from glibc's malloc.h
+    m_trim_threshold, m_mmap_threshold, m_arena_max = -1, -3, -8  # from glibc's malloc.h
     mallopt(m_mmap_threshold, 32 << 20)
     mallopt(m_trim_threshold, 1 << 30)
+    mallopt(m_arena_max, 1)
 
 
 _retain_freed_heap()
@@ -225,7 +231,7 @@ def _evaluate(config: TrainConfig, params: nn.MlpParams, eval_batch, iteration, 
 def save_checkpoint(path, params: nn.MlpParams, iteration: int, lr: float) -> None:
     payload = {"iteration": iteration, "lr": lr, "model": nn.params_to_dict(params)}
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        fh.write(json.dumps(payload))  # the C encoder; json.dump runs the Python one
 
 
 def load_checkpoint(path) -> tuple[nn.MlpParams, int, float]:
@@ -436,10 +442,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: a missing or unreadable file
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (NumericalAbortError, SimulationError, NonFiniteGradientError) as exc:

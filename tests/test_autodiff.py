@@ -1,8 +1,13 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pidenet import autodiff, nn
 from pidenet.autodiff import ShapeMismatchError, Tape, TapeError, grad_check
 
 
@@ -248,6 +253,113 @@ class TestFusedMlp:
         bs = [t.param(np.zeros(4)), t.param(np.zeros(1))]
         with pytest.raises(ShapeMismatchError, match="mlp"):
             t.mlp(np.ones((2, 3)), ws, bs, "tanh")
+
+
+class TestChunkedMlp:
+    """``Tape.mlp`` split into row chunks and run on the worker pool."""
+
+    CHUNK = 128  # a multiple of ROW_ALIGN; 100, 250 and 600 rows give 1, 2 and 5 chunks
+    ROWS = (100, 250, 600)
+
+    @staticmethod
+    def run(rows, activation, d=3, hidden=(16, 16)):
+        """Value and parameter gradients of sum(c * packed**2) at fixed data."""
+        rng = np.random.default_rng(rows)
+        arch = nn.MlpArchitecture(input_dim=1 + d, hidden=hidden, activation=activation, alpha=0.1)
+        params = nn.init(arch, seed=3)
+        params = params.replace_flat([a + rng.normal(scale=0.1, size=a.shape)
+                                      for a in params.flat_list()])
+        inp = rng.uniform(-1.0, 1.0, size=(rows, 1 + d))
+        coef = rng.normal(size=(rows, 1 + d))
+        tape = Tape()
+        ws, bs = [tape.param(w) for w in params.weights], [tape.param(b) for b in params.biases]
+        packed = tape.mlp(inp, ws, bs, activation, arch.alpha)
+        grads = tape.backward(tape.sum(tape.mul(tape.square(packed), tape.constant(coef))), ws + bs)
+        return packed.value, grads, params, inp
+
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_results_do_not_depend_on_the_workers(self, activation, rows, monkeypatch,
+                                                  chunk_workers):
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # let the workers interleave as finely as they can
+        try:
+            for workers in (1, 2, 3):
+                chunk_workers(workers)
+                runs.append(self.run(rows, activation)[:2])
+        finally:
+            sys.setswitchinterval(interval)
+        for value, grads in runs[1:]:
+            assert np.array_equal(value, runs[0][0])
+            for g, g0 in zip(grads, runs[0][1]):
+                assert np.array_equal(g, g0)
+
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_value_column_is_the_plain_forward_pass(self, activation, rows, monkeypatch):
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
+        value, _, params, inp = self.run(rows, activation)
+        assert np.array_equal(value[:, :1], nn.evaluate(params, inp[:, 0], inp[:, 1:]))
+
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_chunked_gradients_match_one_chunk(self, activation, rows, monkeypatch):
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
+        value, grads, _, _ = self.run(rows, activation)
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", 10**9)
+        whole_value, whole_grads, _, _ = self.run(rows, activation)
+        assert np.array_equal(value, whole_value)
+        for g, g0 in zip(grads, whole_grads):
+            assert np.max(np.abs(g - g0)) <= 1e-12 * np.max(np.abs(g0))
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_chunked_gradients_match_finite_differences(self, activation, monkeypatch):
+        # 13 rows in chunks of 3, 3, 3, 3 and 1
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", 3)
+        monkeypatch.setattr(autodiff, "ROW_ALIGN", 1)
+        arrays = TestFusedMlp.layers(2, width=4, seed=5)
+        rng = np.random.default_rng(6)
+        inp = rng.uniform(-1.0, 1.0, size=(13, 3))
+        coef = rng.normal(size=(13, 3))
+
+        def build(tape, arrs):
+            params = [tape.param(a) for a in arrs]
+            packed = tape.mlp(inp, params[:3], params[3:], activation, 0.1)
+            return tape.sum(tape.mul(tape.square(packed), tape.constant(coef))), params
+
+        tape = Tape()
+        objective, params = build(tape, arrays)
+        grads = tape.backward(objective, params)
+        for k, base in enumerate(arrays):
+            fd = finite_diff(
+                lambda arr, k=k: float(
+                    build(Tape(), [arr if j == k else a for j, a in enumerate(arrays)])[0].value
+                ),
+                base,
+            )
+            assert rel_gap(grads[k], fd) <= 1e-6, (activation, k)
+
+
+def test_concurrent_blas_calls_equal_serial_ones():
+    # the chunk workers call one-thread BLAS at the same time; its results
+    # must not depend on what the other thread runs
+    rng = np.random.default_rng(0)
+    a, b = rng.normal(size=(4000, 64)), rng.normal(size=(64, 64))
+    c = rng.normal(size=(4000, 64))
+    serial = (a @ b, a.T @ c)
+    start = threading.Barrier(2)
+
+    def products(_):
+        start.wait(timeout=60)
+        return a @ b, a.T @ c
+
+    with ThreadPoolExecutor(2) as pool:
+        for _ in range(5):
+            for results in pool.map(products, range(2)):
+                for product, reference in zip(results, serial):
+                    assert np.array_equal(product, reference)
 
 
 # Random compositions: a fused network node followed by a chain of

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pidenet import cli, metrics, nn
+from pidenet import autodiff, cli, metrics, nn
 from pidenet.scheme import NumericalAbortError
 
 TINY = {
@@ -74,6 +74,18 @@ class TestTrainAndEval:
         for name in RUN_FILES:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
+    def test_worker_count_does_not_change_the_files(self, config_path, tmp_path, monkeypatch,
+                                                    chunk_workers):
+        # 64-row chunks: 3 in each training pass, 4 in the held-out pass
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", 64)
+        runs = []
+        for workers in (1, 2):
+            chunk_workers(workers)
+            runs.append(tmp_path / f"workers{workers}")
+            assert train(config_path, runs[-1]) == 0
+        for name in RUN_FILES:
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+
     def test_train_and_eval_run_the_network_only_in_the_loss(self, config_path, tmp_path,
                                                              monkeypatch):
         def second_pass(*args, **kwargs):
@@ -90,6 +102,13 @@ class TestTrainAndEval:
         missing = tmp_path / "absent.json"
         assert cli.main(["train", "--config", str(missing), "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_directory_as_config_or_checkpoint_exits_one(self, tmp_path, capsys):
+        assert train(tmp_path, tmp_path / "run") == 1
+        assert cli.main(["eval", "--checkpoint", str(tmp_path), "--config", "pide1d"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("config error") == 2
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("text", ["{not json", json.dumps({**TINY, "steps": 0}),
                                       json.dumps({k: v for k, v in TINY.items() if k != "seeds"}),
@@ -152,6 +171,15 @@ class TestCheckpoint:
         assert (iteration, lr) == (17, 3.5e-4)
         for a, b in zip(params.flat_list(), loaded.flat_list()):
             assert np.array_equal(a, b)
+
+    def test_file_is_what_json_dump_writes(self, tmp_path):
+        params = nn.init(nn.MlpArchitecture(input_dim=3, hidden=(7,), activation="relu"), seed=4)
+        path = tmp_path / "checkpoint.json"
+        cli.save_checkpoint(path, params, iteration=9, lr=1e-3 / 3)
+        reference = tmp_path / "reference.json"
+        with open(reference, "w") as fh:
+            json.dump({"iteration": 9, "lr": 1e-3 / 3, "model": nn.params_to_dict(params)}, fh)
+        assert path.read_bytes() == reference.read_bytes()
 
     @pytest.mark.parametrize("damage", ["not json", "no weights", "wrong shape"])
     def test_unreadable_checkpoint_exits_one(self, config_path, tmp_path, damage, capsys):
