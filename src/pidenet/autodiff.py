@@ -21,9 +21,15 @@ goes as soon as the last variable on it is dropped.
 ``CHUNK_ROWS`` rows and runs their forward passes and VJPs on one
 process-wide thread pool, one worker per usable core; numpy releases the
 GIL inside its GEMMs and ufuncs, so the chunks run in parallel while
-BLAS itself stays single-threaded.  The chunk edges depend only on the
-row count, and the parameter gradients are summed in chunk order, so no
-result depends on the number of workers or cores.
+BLAS itself stays single-threaded.  With one usable core no pool is
+made and the chunks run inline, in chunk order.  The chunk edges depend
+only on the row count, and the parameter gradients are summed in chunk
+order, so no result depends on the number of workers or cores.
+
+A chunk keeps its VJP state (hidden outputs, slopes, gradient chain)
+only when some weight or bias of the node needs a gradient.  A node
+over constant parameters, such as the held-out pass's, drops each
+chunk's state as soon as that chunk's forward pass ends.
 """
 
 from __future__ import annotations
@@ -289,7 +295,8 @@ class Tape:
         is left out of the gradient; the node's value has shape
         (rows, k).  The hidden layers apply ``activation`` ("tanh",
         "relu" or "leaky_relu" with slope ``alpha``), the last layer is
-        linear with one output.  Gradients flow to every weight and bias.
+        linear with one output.  Gradients flow to every weight and bias
+        that needs one; if none does, the node keeps no VJP.
 
         The rows go in ``ceil(rows / CHUNK_ROWS)`` near-equal contiguous
         chunks with edges on multiples of ``ROW_ALIGN``.  Each row of the
@@ -310,10 +317,14 @@ class Tape:
         step = -(-rows // (n * ROW_ALIGN)) * ROW_ALIGN  # ceil(rows / n), rounded up
         spans = [(i * step, min(rows, (i + 1) * step)) for i in range(n)]
         packed = np.empty((rows, ws[0].shape[0]))
+        differentiated = any(self._nodes[v.id].requires_grad for v in (*weights, *biases))
         chunk_vjps = _run_chunks([
-            functools.partial(_mlp_chunk, h[lo:hi], ws, bs, activation, alpha, packed[lo:hi])
+            functools.partial(_mlp_chunk, h[lo:hi], ws, bs, activation, alpha, packed[lo:hi],
+                              differentiated)
             for lo, hi in spans
         ])
+        if not differentiated:
+            return self._append("mlp", (*weights, *biases), packed, None)
 
         def vjp(g):
             parts = _run_chunks([functools.partial(f, g[lo:hi])
@@ -364,38 +375,46 @@ class Tape:
         return out
 
 
-def _chunk_pool() -> ThreadPoolExecutor:
-    """The process-wide pool of chunk workers, created on first use."""
+def _chunk_pool() -> ThreadPoolExecutor | None:
+    """The process-wide pool of chunk workers, created on first use.
+
+    None while only one core is usable: a one-worker pool would only add
+    a thread hop per chunk.
+    """
     global _pool
     with _pool_lock:
         if _pool is None:
             affinity = getattr(os, "sched_getaffinity", None)
             workers = len(affinity(0)) if affinity else os.cpu_count() or 1
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="pidenet-mlp")
+            if workers > 1:
+                _pool = ThreadPoolExecutor(workers, thread_name_prefix="pidenet-mlp")
         return _pool
 
 
 def _run_chunks(tasks: list[Callable]) -> list:
-    """Results of zero-argument tasks in order; a lone task runs inline.
+    """Results of zero-argument tasks in order.
 
-    Every task has finished before any error is raised, so none is left
-    writing into arrays that the caller drops.
+    A lone task, or every task while one core is usable, runs inline in
+    task order.  Every task has finished before any error is raised, so
+    none is left writing into arrays that the caller drops.
     """
-    if len(tasks) == 1:
-        return [tasks[0]()]
-    pool = _chunk_pool()
+    pool = _chunk_pool() if len(tasks) > 1 else None
+    if pool is None:
+        return [task() for task in tasks]
     futures = [pool.submit(task) for task in tasks]
     wait(futures)
     return [future.result() for future in futures]
 
 
-def _mlp_chunk(h, ws, bs, activation, alpha, packed) -> Callable:
+def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable | None:
     """Forward pass of one row chunk of ``Tape.mlp``, written into ``packed``.
 
     ``h`` and ``packed`` are the chunk's rows of the node's input and
-    value.  Returns the chunk's VJP: its rows of the adjoint to the
-    parameter gradients of these rows alone, weights then biases.  Only
-    numpy runs here, so a worker thread can run it.
+    value.  If ``differentiated``, returns the chunk's VJP: its rows of
+    the adjoint to the parameter gradients of these rows alone, weights
+    then biases.  Otherwise returns None, and the forward pass's
+    intermediates are freed on return.  Only numpy runs here, so a
+    worker thread can run it.
     """
     n_hidden = len(ws) - 1
     tanh = activation == "tanh"
@@ -422,6 +441,8 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed) -> Callable:
         if j:
             v = q @ ws[j].T
     packed[:, 1:] = qs[0] @ ws[0][1:].T
+    if not differentiated:
+        return None
 
     def vjp(g):
         g_u, g_grad = g[:, :1], g[:, 1:]
@@ -478,37 +499,3 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
     if g.shape == shape:
         return g
     return np.asarray(g.sum()) if shape == () else np.broadcast_to(g, shape).copy()
-
-
-def grad_check(
-    f: Callable[[Tape, Variable], Variable],
-    point,
-    h: float = 1e-5,
-) -> float:
-    """Max relative gap between tape gradients and central differences.
-
-    ``f`` must build a scalar objective from a single tape variable.  The
-    reported discrepancy is max over coordinates of
-    ``|analytic - central| / max(1, |analytic|)``; callers assert against
-    their own tolerance.
-    """
-    point = _as_array(point)
-    tape = Tape()
-    x = tape.param(point)
-    (analytic,) = tape.backward(f(tape, x), [x])
-
-    def value_at(q: np.ndarray) -> float:
-        t = Tape()
-        return float(f(t, t.param(q)).value)
-
-    fd = np.empty_like(point)
-    flat = point.ravel()
-    for i in range(flat.size):
-        bump = np.zeros_like(flat)
-        bump[i] = h
-        hi = value_at((flat + bump).reshape(point.shape))
-        lo = value_at((flat - bump).reshape(point.shape))
-        fd.ravel()[i] = (hi - lo) / (2.0 * h)
-
-    denom = np.maximum(1.0, np.abs(analytic))
-    return float(np.max(np.abs(analytic - fd) / denom)) if flat.size else 0.0

@@ -211,8 +211,16 @@ def _simulate_eval_batch(config: TrainConfig):
 
 
 def _evaluate(config: TrainConfig, params: nn.MlpParams, eval_batch, iteration, lr, started):
-    """Held-out report from the loss's one network pass, and that pass's (B, N+1) values."""
-    breakdown = scheme.loss(nn.bind(Tape(), params), eval_batch, config.problem)[1]
+    """Held-out report from the loss's one network pass, and that pass's (B, N+1) values.
+
+    Nothing differentiates this loss, so the params go on its tape as
+    constants: the network node then keeps no VJP state, and the pass
+    peaks at its values, not at every chunk's gradient chain.  The
+    forward arithmetic, and with it every figure, is the training
+    tape's.
+    """
+    breakdown = scheme.loss(nn.bind(Tape(), params, trainable=False), eval_batch,
+                            config.problem)[1]
     mean_rel_err, node_errors, max_sq_err = metrics.evaluation_errors(
         breakdown.values, eval_batch, config.problem
     )

@@ -164,21 +164,6 @@ class PathBatch:
         lo, hi = self._bounds[n], self._bounds[n + 1]
         return self.event_paths[lo:hi], self.event_marks[lo:hi]
 
-    def permuted(self, perm: np.ndarray) -> "PathBatch":
-        """Reindex paths; used to check permutation invariance of reductions."""
-        inverse = np.argsort(perm)
-        return PathBatch(
-            grid=self.grid,
-            states=self.states[perm],
-            brownian=self.brownian[perm],
-            counts=self.counts[perm],
-            event_paths=inverse[self.event_paths],
-            event_intervals=self.event_intervals,
-            event_marks=self.event_marks,
-            seed=self.seed,
-            stream=self.stream,
-        )
-
 
 def _draw_noise(problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int, stream: int):
     n_steps, d, m = grid.steps, problem.dim, problem.mark_dim
@@ -278,28 +263,3 @@ def simulate_forward(
             )
         x_all[:, n + 1, :] = nxt
     return batch
-
-
-def compensator_residual_paths(
-    problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int, stream: int = 0
-) -> np.ndarray:
-    """Per-path compensated jump increments, shape (B, N, d).
-
-    Each entry is the interval's jump-size sum minus compensator * dt; the
-    compensation makes these mean-zero, which the moment tests check.
-    """
-    batch = simulate_forward(problem, grid, batch_size, seed, stream)
-    out = np.empty_like(batch.brownian)
-    for n in range(grid.steps):
-        t = grid.times[n]
-        x = batch.states[:, n, :]
-        out[:, n, :] = _jump_sum(problem, batch, n, t, x) - problem.compensator(t, x) * grid.dt
-    return out
-
-
-def compensator_residual(
-    problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int, stream: int = 0
-) -> np.ndarray:
-    """Batch mean of the compensated jump increments, shape (N, d)."""
-    return compensator_residual_paths(problem, grid, batch_size, seed, stream).mean(axis=0)
-

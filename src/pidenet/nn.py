@@ -4,8 +4,11 @@ On a tape the network has one entry point, ``TapeMlp.value_and_grad``:
 the value and spatial gradient come from one fused tape primitive,
 ``Tape.mlp``, whose VJP differentiates the gradient as well, so any loss
 containing it remains differentiable with respect to the parameters in a
-single reverse pass.  ``evaluate``, a plain tape-free forward pass, is
-the tests' reference for its value column; the program never calls it.
+single reverse pass.  A pass that nothing differentiates, such as the
+held-out one, binds the parameters with ``trainable=False``: they are
+then tape constants, and the node keeps no VJP state.  ``evaluate``, a
+plain tape-free forward pass, is the tests' reference for its value
+column; the program never calls it.
 """
 
 from __future__ import annotations
@@ -102,14 +105,21 @@ def _assemble_input(arch: MlpArchitecture, t, x: np.ndarray) -> np.ndarray:
 
 
 class TapeMlp:
-    """Network bound to one tape; parameters registered once as leaves."""
+    """Network bound to one tape; parameters registered once as leaves.
 
-    def __init__(self, tape: Tape, params: MlpParams):
+    ``trainable=False`` registers them as constants: nothing on the tape
+    can then be differentiated with respect to them, and the network
+    node keeps no VJP state, so a pass that is never differentiated
+    holds only its values.
+    """
+
+    def __init__(self, tape: Tape, params: MlpParams, trainable: bool = True):
         self.tape = tape
         self.params = params
         self.arch = params.arch
-        self._w_vars = [tape.param(w) for w in params.weights]
-        self._b_vars = [tape.param(b) for b in params.biases]
+        leaf = tape.param if trainable else tape.constant
+        self._w_vars = [leaf(w) for w in params.weights]
+        self._b_vars = [leaf(b) for b in params.biases]
 
     @property
     def param_vars(self) -> list[Variable]:
@@ -133,8 +143,9 @@ class TapeMlp:
         return tape.slice(packed, cols=(0, 1)), tape.slice(packed, cols=(1, self.arch.input_dim))
 
 
-def bind(tape: Tape, params: MlpParams) -> TapeMlp:
-    return TapeMlp(tape, params)
+def bind(tape: Tape, params: MlpParams, trainable: bool = True) -> TapeMlp:
+    """``params`` on ``tape``: as gradient leaves, or as constants if not ``trainable``."""
+    return TapeMlp(tape, params, trainable)
 
 
 def evaluate(params: MlpParams, t, x: np.ndarray) -> np.ndarray:

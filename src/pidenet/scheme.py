@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Variable
+from .autodiff import Variable
 from .jumpsim import PathBatch
 from .problems import ProblemSpec
 
@@ -59,30 +59,6 @@ class LossBreakdown:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-
-class OracleNetwork:
-    """Exact solution presented through the network interface.
-
-    Values and gradients enter the tape as constants, which turns the
-    loss into a pure measurement of the one-step recursion residuals.
-    """
-
-    def __init__(self, tape: Tape, problem: ProblemSpec):
-        if problem.exact is None or problem.exact_grad is None:
-            raise ValueError(f"problem {problem.name} has no exact solution to wrap")
-        self.tape = tape
-        self._problem = problem
-
-    @property
-    def param_vars(self) -> list[Variable]:
-        return []
-
-    def value_and_grad(self, t, x: np.ndarray) -> tuple[Variable, Variable]:
-        return (
-            self.tape.constant(self._problem.exact(t, x)),
-            self.tape.constant(self._problem.exact_grad(t, x)),
-        )
 
 
 def transfer(t, x: np.ndarray, y: Variable, z: Variable, i_term: Variable,

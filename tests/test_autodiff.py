@@ -1,5 +1,7 @@
+import os
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pidenet import autodiff, nn
-from pidenet.autodiff import ShapeMismatchError, Tape, TapeError, grad_check
+from pidenet.autodiff import ShapeMismatchError, Tape, TapeError
+
+from reference import grad_check
 
 
 def finite_diff(value_fn, point, h=1e-5):
@@ -262,8 +266,8 @@ class TestChunkedMlp:
     ROWS = (100, 250, 600)
 
     @staticmethod
-    def run(rows, activation, d=3, hidden=(16, 16)):
-        """Value and parameter gradients of sum(c * packed**2) at fixed data."""
+    def data(rows, activation, d=3, hidden=(16, 16)):
+        """Perturbed params, input and adjoint coefficients, fixed by the row count."""
         rng = np.random.default_rng(rows)
         arch = nn.MlpArchitecture(input_dim=1 + d, hidden=hidden, activation=activation, alpha=0.1)
         params = nn.init(arch, seed=3)
@@ -271,10 +275,21 @@ class TestChunkedMlp:
                                       for a in params.flat_list()])
         inp = rng.uniform(-1.0, 1.0, size=(rows, 1 + d))
         coef = rng.normal(size=(rows, 1 + d))
+        return params, inp, coef
+
+    @staticmethod
+    def node(tape, params, inp, leaf):
+        """The ``mlp`` node of ``params`` over ``inp``, its weights and biases made by ``leaf``."""
+        ws, bs = [leaf(w) for w in params.weights], [leaf(b) for b in params.biases]
+        return tape.mlp(inp, ws, bs, params.arch.activation, params.arch.alpha), ws + bs
+
+    @classmethod
+    def run(cls, rows, activation, d=3, hidden=(16, 16)):
+        """Value and parameter gradients of sum(c * packed**2) at fixed data."""
+        params, inp, coef = cls.data(rows, activation, d, hidden)
         tape = Tape()
-        ws, bs = [tape.param(w) for w in params.weights], [tape.param(b) for b in params.biases]
-        packed = tape.mlp(inp, ws, bs, activation, arch.alpha)
-        grads = tape.backward(tape.sum(tape.mul(tape.square(packed), tape.constant(coef))), ws + bs)
+        packed, leaves = cls.node(tape, params, inp, tape.param)
+        grads = tape.backward(tape.sum(tape.mul(tape.square(packed), tape.constant(coef))), leaves)
         return packed.value, grads, params, inp
 
     @pytest.mark.parametrize("rows", ROWS)
@@ -313,6 +328,59 @@ class TestChunkedMlp:
         assert np.array_equal(value, whole_value)
         for g, g0 in zip(grads, whole_grads):
             assert np.max(np.abs(g - g0)) <= 1e-12 * np.max(np.abs(g0))
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_one_usable_core_runs_the_chunks_inline(self, activation, monkeypatch,
+                                                    chunk_workers):
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
+        chunk_workers(2)
+        value, grads, _, _ = self.run(600, activation)  # 5 chunks
+        monkeypatch.setattr(autodiff, "_pool", None)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        inline_value, inline_grads, _, _ = self.run(600, activation)
+        assert autodiff._pool is None
+        assert np.array_equal(inline_value, value)
+        for g, g0 in zip(inline_grads, grads):
+            assert np.array_equal(g, g0)
+
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_constant_weights_give_a_forward_only_node(self, activation, rows, monkeypatch,
+                                                       chunk_workers):
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
+        params, inp, _ = self.data(rows, activation)
+        for workers in (1, 2, 3):
+            chunk_workers(workers)
+            trained = Tape()
+            differentiated = self.node(trained, params, inp, trained.param)[0]
+            tape = Tape()
+            forward_only = self.node(tape, params, inp, tape.constant)[0]
+            assert trained._nodes[differentiated.id].vjp is not None
+            assert tape._nodes[forward_only.id].vjp is None
+            assert np.array_equal(forward_only.value, differentiated.value)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_forward_only_node_keeps_one_chunk_of_state_per_worker(self, workers, monkeypatch,
+                                                                   chunk_workers):
+        # 40 chunks of 128 rows through 3x64 tanh: the differentiated node
+        # keeps every chunk's hidden outputs, slopes and gradient chain
+        # (27.8 MiB), the forward-only one at most a chunk's per worker
+        # (0.9, 1.6 and 2.0 MiB at 1, 2 and 3 workers)
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
+        chunk_workers(workers)
+        params, inp, _ = self.data(40 * self.CHUNK, "tanh", hidden=(64, 64, 64))
+
+        def peak(trainable):
+            tape = Tape()
+            tracemalloc.start()
+            try:
+                self.node(tape, params, inp, tape.param if trainable else tape.constant)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        trainable, constant = peak(True), peak(False)
+        assert constant < trainable / 4, (constant, trainable)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
     def test_chunked_gradients_match_finite_differences(self, activation, monkeypatch):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pidenet import autodiff, cli, metrics, nn
+from pidenet import autodiff, cli, metrics, nn, scheme
 from pidenet.scheme import NumericalAbortError
 
 TINY = {
@@ -97,6 +97,37 @@ class TestTrainAndEval:
         code = cli.main(["eval", "--checkpoint", str(out / "checkpoint.json"),
                          "--config", str(config_path)])
         assert code == 0
+
+    def test_held_out_pass_keeps_no_gradient_state(self, config_path, monkeypatch):
+        # 64-row chunks: the held-out pass's network node has 4 of them
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", 64)
+        config = cli.load_config(str(config_path))
+        params = nn.init(config.architecture, seed=5)
+        params = params.replace_flat([a + 0.1 for a in params.flat_list()])
+        eval_batch = cli._simulate_eval_batch(config)
+        loss, nets = scheme.loss, []
+
+        def recording(net, *args):
+            nets.append(net)
+            return loss(net, *args)
+
+        def evaluate():
+            report, values = cli._evaluate(config, params, eval_batch, 4, 1e-2, 0.0)
+            (node,) = [n for n in nets.pop().tape._nodes if n.op == "mlp"]
+            assert node.value.shape[0] > 3 * 64
+            return report, values, node
+
+        monkeypatch.setattr(scheme, "loss", recording)
+        report, values, node = evaluate()
+        assert node.vjp is None
+        # the same pass with the params bound as gradient leaves
+        monkeypatch.setattr(nn, "bind", lambda tape, p, trainable=True: nn.TapeMlp(tape, p))
+        trained_report, trained_values, trained_node = evaluate()
+        assert trained_node.vjp is not None
+        assert report.csv_row() == trained_report.csv_row()
+        assert np.array_equal(report.node_errors, trained_report.node_errors)
+        assert values.shape == (config.eval_batch_size, config.steps + 1)
+        assert np.array_equal(values, trained_values)
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"

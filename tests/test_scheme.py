@@ -8,6 +8,7 @@ from pidenet import jumpsim, nn, problems, scheme
 from pidenet.autodiff import Tape
 from pidenet.jumpsim import TimeGrid
 
+from reference import OracleNetwork, permuted
 from test_autodiff import finite_diff, rel_gap
 
 
@@ -197,7 +198,7 @@ class TestLoss:
         perm = np.random.default_rng(0).permutation(32)
         t1, t2 = Tape(), Tape()
         l1, _ = scheme.loss(nn.bind(t1, params), batch, prob)
-        l2, _ = scheme.loss(nn.bind(t2, params), batch.permuted(perm), prob)
+        l2, _ = scheme.loss(nn.bind(t2, params), permuted(batch, perm), prob)
         assert float(l1.value) == pytest.approx(float(l2.value), abs=1e-12)
 
     def test_tape_dies_without_the_garbage_collector(self):
@@ -225,7 +226,7 @@ class TestLoss:
         prob = problems.pure_jump_1d()
         batch = toy_batch(prob, n_steps=8, batch_size=256, seed=5)
         tape = Tape()
-        total, breakdown = scheme.loss(scheme.OracleNetwork(tape, prob), batch, prob)
+        total, breakdown = scheme.loss(OracleNetwork(tape, prob), batch, prob)
         assert breakdown.terminal_term == 0.0
         assert float(total.value) <= 1e-25
 
@@ -445,7 +446,7 @@ def oracle_residuals(problem, n_steps, batch_size=1000, seed=0):
         problem, TimeGrid(problem.total_time, n_steps), batch_size, seed
     )
     tape = Tape()
-    net = scheme.OracleNetwork(tape, problem)
+    net = OracleNetwork(tape, problem)
     _, breakdown = scheme.loss(net, batch, problem)
     dt = batch.grid.dt
     rng = np.random.default_rng(seed)
@@ -494,7 +495,7 @@ class TestOracleDiscretisation:
         prob = problems.pide_1d()
         for n_steps in self.STEPS:
             batch = jumpsim.simulate_forward(prob, TimeGrid(1.0, n_steps), 1000, seed=0)
-            _, breakdown = scheme.loss(scheme.OracleNetwork(Tape(), prob), batch, prob)
+            _, breakdown = scheme.loss(OracleNetwork(Tape(), prob), batch, prob)
             assert breakdown.terminal_term == 0.0
             assert breakdown.interval_terms.max() <= 1e-28
 
