@@ -30,6 +30,14 @@ A chunk keeps its VJP state (hidden outputs, slopes, gradient chain)
 only when some weight or bias of the node needs a gradient.  A node
 over constant parameters, such as the held-out pass's, drops each
 chunk's state as soon as that chunk's forward pass ends.
+
+The VJP differentiates ``<g_u, u> + <g_grad, grad u>``.  For relu and
+leaky relu the slopes do not depend on the pre-activations, so the
+value's adjoint at a layer's pre-activation is ``g_u`` times that
+layer's row of the input-gradient chain, which the forward pass already
+holds: each weight takes one product, and the value needs no chain of
+its own.  tanh's slopes do depend on the pre-activations, so its VJP
+also carries the slopes' adjoints and runs a separate value chain.
 """
 
 from __future__ import annotations
@@ -257,7 +265,11 @@ class Tape:
 
     def slice(self, a: Variable, rows: tuple[int, int] | None = None,
               cols: tuple[int, int] | None = None) -> Variable:
-        """Rectangular block ``a[r0:r1, c0:c1]`` of a 2-D array; None takes the whole axis."""
+        """Rectangular block ``a[r0:r1, c0:c1]`` of a 2-D array; None takes the whole axis.
+
+        The value is a view into ``a``'s, which no op writes into once
+        recorded; the VJP reads only the shape.
+        """
         av = self._check(a, "slice").value
         if av.ndim != 2:
             raise ShapeMismatchError(f"slice: shape {av.shape} is not 2-D")
@@ -271,7 +283,7 @@ class Tape:
             out[r0:r1, c0:c1] = g
             return (out,)
 
-        return self._append("slice", (a,), av[r0:r1, c0:c1].copy(), vjp)
+        return self._append("slice", (a,), av[r0:r1, c0:c1], vjp)
 
     def block_mean(self, a: Variable, n_blocks: int) -> Variable:
         """Means over consecutive equal-size row blocks of a column."""
@@ -415,6 +427,16 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
     then biases.  Otherwise returns None, and the forward pass's
     intermediates are freed on return.  Only numpy runs here, so a
     worker thread can run it.
+
+    The VJP's product for weight j is ``left.T @ q_j``, ``q_j``
+    (``qs[j]``) being the input-gradient chain at layer j's
+    pre-activation.  ``left`` is the adjoint of the chain at layer j's
+    input (``g_grad`` for the input layer) plus, for relu and leaky relu,
+    ``g_u * h_j``: their slopes do not depend on z, so the value's
+    adjoint at pre-activation j is ``g_u * q_j``, and a hidden bias takes
+    ``g_u.T @ q_j``.  tanh's slopes do depend on z, so tanh adds
+    ``h_j.T @ g_z`` from a value chain run back from ``g_u``, which also
+    takes the slopes' adjoints.
     """
     n_hidden = len(ws) - 1
     tanh = activation == "tanh"
@@ -446,30 +468,36 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
 
     def vjp(g):
         g_u, g_grad = g[:, :1], g[:, 1:]
-        gws = [None] * len(ws)
         # through the gradient chain, input side first; for tanh keep
         # the adjoint of each slope, d(slope)/dz = -2 h slope
-        gw0 = np.zeros_like(ws[0])
-        gw0[1:] = g_grad.T @ qs[0]
-        gws[0] = gw0
+        if tanh:
+            gws = [np.zeros_like(ws[0])]
+            gws[0][1:] = g_grad.T @ qs[0]
+        else:
+            left = g_u * hs[0]
+            left[:, 1:] += g_grad
+            gws = [left.T @ qs[0]]
         g_q = g_grad @ ws[0][1:]
         g_slopes = []
         for j in range(n_hidden):
             if tanh:
                 g_slopes.append(g_q * vs[j])
             g_v = g_q * slopes[j]
+            left = g_v if tanh else g_v + g_u * hs[j + 1]
             if j + 1 < n_hidden:
-                gws[j + 1] = g_v.T @ qs[j + 1]
+                gws.append(left.T @ qs[j + 1])
                 g_q = g_v @ ws[j + 1]
             else:
-                gws[-1] = g_v.sum(axis=0)[:, None]
+                gws.append(left.sum(axis=0)[:, None])
+        gbs = [None] * n_hidden + [g_u.sum(axis=0)]
+        if not tanh:
+            gbs[:n_hidden] = [(g_u.T @ q)[0] for q in qs]
+            return (*gws, *gbs)
         # through the value chain, output side first
         gws[-1] += hs[-1].T @ g_u
-        gbs = [None] * n_hidden + [g_u.sum(axis=0)]
         g_h = g_u @ ws[-1].T
         for j in range(n_hidden - 1, -1, -1):
-            if tanh:
-                g_h -= 2.0 * hs[j + 1] * g_slopes[j]
+            g_h -= 2.0 * hs[j + 1] * g_slopes[j]
             g_z = g_h * slopes[j]
             gws[j] += hs[j].T @ g_z
             gbs[j] = g_z.sum(axis=0)

@@ -237,7 +237,19 @@ def _evaluate(config: TrainConfig, params: nn.MlpParams, eval_batch, iteration, 
 
 
 def save_checkpoint(path, params: nn.MlpParams, iteration: int, lr: float) -> None:
-    payload = {"iteration": iteration, "lr": lr, "model": nn.params_to_dict(params)}
+    """Iteration, lr and the model (architecture header, nested float lists) as JSON.
+
+    Python's repr-based float serialization round-trips each weight's
+    exact bit pattern.
+    """
+    arch = params.arch
+    model = {
+        "architecture": {"input_dim": arch.input_dim, "hidden": list(arch.hidden),
+                         "activation": arch.activation, "alpha": arch.alpha},
+        "weights": [w.tolist() for w in params.weights],
+        "biases": [b.tolist() for b in params.biases],
+    }
+    payload = {"iteration": iteration, "lr": lr, "model": model}
     with open(path, "w") as fh:
         fh.write(json.dumps(payload))  # the C encoder; json.dump runs the Python one
 
@@ -246,7 +258,19 @@ def load_checkpoint(path) -> tuple[nn.MlpParams, int, float]:
     with open(path) as fh:
         try:
             payload = json.load(fh)
-            return nn.params_from_dict(payload["model"]), int(payload["iteration"]), float(payload["lr"])
+            model = payload["model"]
+            arch = model["architecture"]
+            params = nn.MlpParams(
+                nn.MlpArchitecture(
+                    input_dim=int(arch["input_dim"]),
+                    hidden=tuple(arch["hidden"]),
+                    activation=arch["activation"],
+                    alpha=float(arch.get("alpha", 0.01)),
+                ),
+                [np.asarray(w, dtype=np.float64) for w in model["weights"]],
+                [np.asarray(b, dtype=np.float64) for b in model["biases"]],
+            )
+            return params, int(payload["iteration"]), float(payload["lr"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"checkpoint {path} is unreadable: {exc!r}") from exc
 
@@ -297,10 +321,12 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
                 breakdown_log.write(json.dumps({"iteration": it, **breakdown}) + "\n")
                 if it % config.checkpoint_interval == 0 and it < config.iterations:
                     reports.append(_evaluate(config, params, eval_batch, it, lr, started)[0])
+                    _log_progress(reports, config.iterations)
         # only the last evaluation keeps its values, for error_grid.csv: values
         # held across iterations fragment the heap the next tapes reuse
         final, values = _evaluate(config, params, eval_batch, it, lr, started)
         reports.append(final)
+        _log_progress(reports, config.iterations)
     except (NumericalAbortError, SimulationError, NonFiniteGradientError) as exc:
         _dump_abort(out, it, exc)
         raise NumericalAbortError(
@@ -317,6 +343,16 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
         )
     save_checkpoint(out / "checkpoint.json", params, final.iteration, final.lr)
     return reports, params
+
+
+def _log_progress(reports: list[metrics.MetricsReport], iterations: int) -> None:
+    """One line for the latest report, timed per iteration since the one before it."""
+    last = reports[-1]
+    prev = reports[-2] if len(reports) > 1 else None
+    prev_it, prev_clock = (prev.iteration, prev.wall_clock) if prev else (0, 0.0)
+    ms_per_iter = 1e3 * (last.wall_clock - prev_clock) / (last.iteration - prev_it)
+    log.info("iteration %d/%d loss %.6e mean_rel_err %.4e %.1f ms/iter",
+             last.iteration, iterations, last.loss, last.mean_rel_err, ms_per_iter)
 
 
 def _dump_abort(out: Path, iteration: int, exc) -> None:

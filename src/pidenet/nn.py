@@ -164,32 +164,3 @@ def evaluate(params: MlpParams, t, x: np.ndarray) -> np.ndarray:
             h = np.where(z > 0.0, z, alpha * z)
     return h @ params.weights[-1] + params.biases[-1]
 
-
-# ----------------------------------------------------------------------
-# model part of the checkpoint (``cli.save_checkpoint``): architecture
-# header plus nested float lists; Python's repr-based float
-# serialization round-trips the exact bit pattern.
-
-def params_to_dict(params: MlpParams) -> dict:
-    return {
-        "architecture": {
-            "input_dim": params.arch.input_dim,
-            "hidden": list(params.arch.hidden),
-            "activation": params.arch.activation,
-            "alpha": params.arch.alpha,
-        },
-        "weights": [w.tolist() for w in params.weights],
-        "biases": [b.tolist() for b in params.biases],
-    }
-
-
-def params_from_dict(data: dict) -> MlpParams:
-    arch = MlpArchitecture(
-        input_dim=int(data["architecture"]["input_dim"]),
-        hidden=tuple(data["architecture"]["hidden"]),
-        activation=data["architecture"]["activation"],
-        alpha=float(data["architecture"].get("alpha", 0.01)),
-    )
-    weights = [np.asarray(w, dtype=np.float64) for w in data["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in data["biases"]]
-    return MlpParams(arch, weights, biases)

@@ -7,6 +7,66 @@ from pidenet.jumpsim import PathBatch, TimeGrid, _jump_sum, simulate_forward
 from pidenet.problems import ProblemSpec
 
 
+def mlp_param_grads(h, ws, bs, activation: str, alpha: float, g: np.ndarray) -> list[np.ndarray]:
+    """Parameter gradients of <g_u, u> + <g_grad, grad_x u> over the rows of ``h``, weights then biases.
+
+    ``g`` is (rows, k): the adjoint of the network's value column, then of
+    its input-gradient columns (all but the first, time, input).  Two
+    chains: the input-gradient adjoint runs back through the gradient
+    chain, the value's adjoint through a value chain of its own (which
+    for tanh also takes the slopes' adjoints), and every weight takes one
+    product from each.  The tanh forward arithmetic is ``Tape.mlp``'s,
+    so tanh gradients compare bit for bit.
+    """
+    n_hidden = len(ws) - 1
+    tanh = activation == "tanh"
+    hs, slopes = [h], []
+    for w, b in zip(ws[:-1], bs[:-1]):
+        z = h @ w
+        z += b
+        if tanh:
+            h = np.tanh(z)
+            s = 1.0 - h * h
+        else:
+            s = np.where(z > 0.0, 1.0, 0.0 if activation == "relu" else alpha)
+            h = z * s
+        hs.append(h)
+        slopes.append(s)
+    # gradient chain: v_j is the adjoint of hidden output j, q_j that of
+    # its pre-activation
+    v, vs, qs = ws[-1].T, [], []
+    for j in range(n_hidden - 1, -1, -1):
+        vs.insert(0, v)
+        qs.insert(0, v * slopes[j])
+        v = qs[0] @ ws[j].T
+
+    g_u, g_grad = g[:, :1], g[:, 1:]
+    gws = [np.zeros_like(ws[0])]
+    gws[0][1:] = g_grad.T @ qs[0]
+    g_q = g_grad @ ws[0][1:]
+    g_slopes = []
+    for j in range(n_hidden):
+        g_slopes.append(g_q * vs[j])
+        g_v = g_q * slopes[j]
+        if j + 1 < n_hidden:
+            gws.append(g_v.T @ qs[j + 1])
+            g_q = g_v @ ws[j + 1]
+        else:
+            gws.append(g_v.sum(axis=0)[:, None])
+    gws[-1] += hs[-1].T @ g_u
+    gbs = [None] * n_hidden + [g_u.sum(axis=0)]
+    g_h = g_u @ ws[-1].T
+    for j in range(n_hidden - 1, -1, -1):
+        if tanh:  # d(slope)/dz = -2 h slope
+            g_h -= 2.0 * hs[j + 1] * g_slopes[j]
+        g_z = g_h * slopes[j]
+        gws[j] += hs[j].T @ g_z
+        gbs[j] = g_z.sum(axis=0)
+        if j:
+            g_h = g_z @ ws[j].T
+    return gws + gbs
+
+
 def grad_check(f, point, h: float = 1e-5) -> float:
     """Max relative gap between tape gradients and central differences.
 

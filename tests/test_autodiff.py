@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from pidenet import autodiff, nn
 from pidenet.autodiff import ShapeMismatchError, Tape, TapeError
 
-from reference import grad_check
+from reference import grad_check, mlp_param_grads
 
 
 def finite_diff(value_fn, point, h=1e-5):
@@ -328,6 +328,32 @@ class TestChunkedMlp:
         assert np.array_equal(value, whole_value)
         for g, g0 in zip(grads, whole_grads):
             assert np.max(np.abs(g - g0)) <= 1e-12 * np.max(np.abs(g0))
+
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_gradients_match_the_two_chain_reference(self, activation, rows, monkeypatch,
+                                                     chunk_workers):
+        # relu and leaky relu take one product per weight, with the value's
+        # adjoint read from the gradient chain, so they agree up to rounding;
+        # tanh keeps the reference's products and order, so it agrees bit for bit
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
+        params, inp, coef = self.data(rows, activation, hidden=(16, 12, 8))
+        expected = None
+        for lo in range(0, rows, self.CHUNK):  # the node's chunk edges at these row counts
+            part = mlp_param_grads(inp[lo:lo + self.CHUNK], params.weights, params.biases,
+                                   activation, params.arch.alpha, coef[lo:lo + self.CHUNK])
+            expected = part if expected is None else [e + p for e, p in zip(expected, part)]
+        for workers in (1, 2, 3):
+            chunk_workers(workers)
+            tape = Tape()
+            packed, leaves = self.node(tape, params, inp, tape.param)
+            grads = tape.backward(tape.sum(tape.mul(packed, tape.constant(coef))), leaves)
+            for k, (g, e) in enumerate(zip(grads, expected)):
+                assert g.shape == e.shape, (workers, k)
+                if activation == "tanh":
+                    assert np.array_equal(g, e), (workers, k)
+                else:
+                    assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e)), (workers, k)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
     def test_one_usable_core_runs_the_chunks_inline(self, activation, monkeypatch,

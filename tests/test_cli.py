@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -66,6 +67,17 @@ class TestTrainAndEval:
         cli.main(["eval", "--checkpoint", checkpoint, "--config", str(config_path),
                   "--out", str(unseeded)])
         assert last_row(unseeded) != last_row(out / "metrics.csv")
+
+    def test_each_evaluation_logs_a_progress_line(self, config_path, tmp_path, caplog):
+        with caplog.at_level(logging.INFO, logger="pidenet.cli"):
+            reports, _ = cli.run_experiment(cli.load_config(str(config_path)), tmp_path / "run")
+        lines = [r.getMessage().split() for r in caplog.records if r.name == "pidenet.cli"]
+        assert [words[1] for words in lines] == ["2/4", "4/4"]
+        for words, report in zip(lines, reports):
+            assert [words[2], words[4], words[7]] == ["loss", "mean_rel_err", "ms/iter"]
+            assert float(words[3]) == pytest.approx(report.loss, rel=1e-6)
+            assert float(words[5]) == pytest.approx(report.mean_rel_err, rel=1e-4)
+            assert float(words[6]) > 0.0
 
     def test_same_seed_writes_identical_files(self, config_path, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
@@ -209,7 +221,12 @@ class TestCheckpoint:
         cli.save_checkpoint(path, params, iteration=9, lr=1e-3 / 3)
         reference = tmp_path / "reference.json"
         with open(reference, "w") as fh:
-            json.dump({"iteration": 9, "lr": 1e-3 / 3, "model": nn.params_to_dict(params)}, fh)
+            model = {
+                "architecture": {"input_dim": 3, "hidden": [7], "activation": "relu", "alpha": 0.01},
+                "weights": [w.tolist() for w in params.weights],
+                "biases": [b.tolist() for b in params.biases],
+            }
+            json.dump({"iteration": 9, "lr": 1e-3 / 3, "model": model}, fh)
         assert path.read_bytes() == reference.read_bytes()
 
     @pytest.mark.parametrize("damage", ["not json", "no weights", "wrong shape"])

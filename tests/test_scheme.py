@@ -1,10 +1,11 @@
+import dataclasses
 import gc
 import weakref
 
 import numpy as np
 import pytest
 
-from pidenet import jumpsim, nn, problems, scheme
+from pidenet import autodiff, cli, jumpsim, nn, problems, scheme
 from pidenet.autodiff import Tape
 from pidenet.jumpsim import TimeGrid
 
@@ -398,6 +399,30 @@ class TestOneNetworkPass:
         assert network[0].value.shape == (4 * 16 + batch.event_paths.size, 3)
         ops = {node.op for node in tape._nodes}
         assert ops - {"mlp"} <= self.NON_NETWORK, ops
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_backward_writes_into_no_recorded_value(self, activation, monkeypatch,
+                                                    chunk_workers):
+        # slices are views into their parent's value, so a write into any
+        # recorded value, forward or backward, would change another node's
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", 128)
+        chunk_workers(2)
+        config = cli.load_config("highdim_d10")
+        arch = dataclasses.replace(config.architecture, activation=activation)
+        batch = jumpsim.simulate_forward(config.problem, config.grid, 8, config.seed_simulation)
+        assert batch.counts.sum() > 0
+        tape = Tape()
+        net = nn.bind(tape, nn.init(arch, seed=4))
+        total, _ = scheme.loss(net, batch, config.problem)
+        mlp = next(node for node in tape._nodes if node.op == "mlp")
+        assert mlp.value.shape[0] > 3 * 128  # four chunks or more
+        before = [node.value.tobytes() for node in tape._nodes]
+        tape.backward(total, net.param_vars)
+        assert [node.value.tobytes() for node in tape._nodes] == before
+        slices = [node for node in tape._nodes if node.op == "slice"]
+        assert slices
+        for node in slices:
+            assert np.shares_memory(node.value, tape._nodes[node.parents[0]].value)
 
     @pytest.mark.parametrize("problem", BENCHMARKS, ids=lambda p: p.name)
     def test_interval_terms_match_benchmark_recursions(self, problem):
