@@ -13,9 +13,14 @@ inside that node; the other primitives are the elementwise ``add``,
 ``slice``.
 
 Tensors are plain ``numpy.ndarray`` objects in float64; they are treated
-as immutable once recorded.  VJP closures hold arrays and shapes, never
-variables or the tape, so a tape holds no reference cycle and its memory
-goes as soon as the last variable on it is dropped.
+as immutable once recorded.  A ``Variable`` owns its value; the tape keeps
+only each node's op, parents, gradient flag and VJP.  A recorded value
+therefore lives while a Variable or a VJP closure holds it: a constant
+built inline on a tape with no gradient leaf is freed as soon as the op
+that consumes it returns.  VJP closures hold only the arrays and shapes
+that their adjoints read, never variables or the tape, so a tape holds
+no reference cycle and its memory goes as soon as the last variable on
+it is dropped.
 
 ``Tape.mlp`` splits its rows into contiguous chunks of at most
 ``CHUNK_ROWS`` rows and runs their forward passes and VJPs on one
@@ -28,8 +33,9 @@ order, so no result depends on the number of workers or cores.
 
 A chunk keeps its VJP state (hidden outputs, slopes, gradient chain)
 only when some weight or bias of the node needs a gradient.  A node
-over constant parameters, such as the held-out pass's, drops each
-chunk's state as soon as that chunk's forward pass ends.
+over constant parameters, such as the held-out pass's, keeps one hidden
+layer at a time, forms the gradient chain in place over the slopes, and
+drops each chunk's state as soon as that chunk's forward pass ends.
 
 The VJP differentiates ``<g_u, u> + <g_grad, grad u>``.  For relu and
 leaky relu the slopes do not depend on the pre-activations, so the
@@ -77,18 +83,22 @@ def _as_array(x) -> np.ndarray:
 
 
 class Variable:
-    """Handle to a node on a tape: an id plus the node's shape."""
+    """A recorded value and the id of its node on a tape.
 
-    __slots__ = ("tape", "id", "shape")
+    The Variable, not the tape, holds the value: once no Variable and no
+    VJP closure refers to it, it is freed.
+    """
 
-    def __init__(self, tape: "Tape", node_id: int, shape: tuple):
+    __slots__ = ("tape", "id", "value")
+
+    def __init__(self, tape: "Tape", node_id: int, value: np.ndarray):
         self.tape = tape
         self.id = node_id
-        self.shape = shape
+        self.value = value
 
     @property
-    def value(self) -> np.ndarray:
-        return self.tape.node_value(self)
+    def shape(self) -> tuple:
+        return self.value.shape
 
     # Arithmetic sugar so problem drivers read naturally.  Non-Variable
     # operands are wrapped as tape constants (or scalar multiplications).
@@ -117,12 +127,11 @@ class Variable:
 
 
 class _Node:
-    __slots__ = ("op", "parents", "value", "requires_grad", "vjp")
+    __slots__ = ("op", "parents", "requires_grad", "vjp")
 
-    def __init__(self, op, parents, value, requires_grad, vjp):
+    def __init__(self, op, parents, requires_grad, vjp):
         self.op = op
         self.parents = parents
-        self.value = value
         self.requires_grad = requires_grad
         # vjp: adjoint -> one contribution per parent, aligned with
         # ``parents``; None where the parent needs no gradient.
@@ -132,11 +141,13 @@ class _Node:
 class Tape:
     """Topologically ordered record of primitive operations.
 
-    Nodes only ever reference earlier nodes, so a single reverse sweep
-    over ids visits each node exactly once.  Construction and backward
-    run on the calling thread, apart from the row chunks of ``mlp``,
-    which only compute numpy arrays on the pool; independent tapes may
-    run concurrently.
+    A node holds its op, its parents' ids, whether it needs a gradient
+    and its VJP, but no value: values belong to the Variables that the
+    ops return.  Nodes only ever reference earlier nodes, so a single
+    reverse sweep over ids visits each node exactly once.  Construction
+    and backward run on the calling thread, apart from the row chunks of
+    ``mlp``, which only compute numpy arrays on the pool; independent
+    tapes may run concurrently.
     """
 
     def __init__(self):
@@ -148,30 +159,26 @@ class Tape:
     def _append(self, op, parents: Sequence[Variable], value, vjp) -> Variable:
         ids = tuple(p.id for p in parents)
         rg = vjp is not None and any(self._nodes[i].requires_grad for i in ids)
-        self._nodes.append(_Node(op, ids, value, rg, vjp if rg else None))
-        return Variable(self, len(self._nodes) - 1, value.shape)
+        self._nodes.append(_Node(op, ids, rg, vjp if rg else None))
+        return Variable(self, len(self._nodes) - 1, value)
 
-    def _check(self, var: Variable, op: str) -> _Node:
+    def _check(self, var: Variable, op: str) -> bool:
+        """Whether ``var``, a Variable of this tape, needs a gradient."""
         if var.tape is not self:
             raise TapeError(f"op '{op}': variable belongs to a different tape")
-        return self._nodes[var.id]
+        return self._nodes[var.id].requires_grad
 
-    def node_value(self, var: Variable) -> np.ndarray:
-        return self._check(var, "value").value
+    def _leaf(self, op: str, value, requires_grad: bool) -> Variable:
+        self._nodes.append(_Node(op, (), requires_grad, None))
+        return Variable(self, len(self._nodes) - 1, _as_array(value))
 
     def constant(self, value) -> Variable:
         """Leaf that never receives a gradient."""
-        v = _as_array(value)
-        node = _Node("constant", (), v, False, None)
-        self._nodes.append(node)
-        return Variable(self, len(self._nodes) - 1, v.shape)
+        return self._leaf("constant", value, False)
 
     def param(self, value) -> Variable:
         """Leaf tracked for gradients."""
-        v = _as_array(value)
-        node = _Node("param", (), v, True, None)
-        self._nodes.append(node)
-        return Variable(self, len(self._nodes) - 1, v.shape)
+        return self._leaf("param", value, True)
 
     def lift(self, x) -> Variable:
         return x if isinstance(x, Variable) else self.constant(x)
@@ -179,83 +186,89 @@ class Tape:
     # ------------------------------------------------------------------
     # elementwise arithmetic
 
-    def _binary_shapes(self, op, a, b):
-        na, nb = self._check(a, op), self._check(b, op)
-        if na.value.shape != nb.value.shape and na.value.shape != () and nb.value.shape != ():
-            raise ShapeMismatchError(f"{op}: shapes {na.value.shape} and {nb.value.shape}")
-        return na, nb
+    def _binary(self, op, a, b) -> tuple[bool, bool]:
+        ra, rb = self._check(a, op), self._check(b, op)
+        if a.shape != b.shape and a.shape != () and b.shape != ():
+            raise ShapeMismatchError(f"{op}: shapes {a.shape} and {b.shape}")
+        return ra, rb
 
     def add(self, a: Variable, b: Variable) -> Variable:
-        na, nb = self._binary_shapes("add", a, b)
-        ra, rb, sa, sb = na.requires_grad, nb.requires_grad, na.value.shape, nb.value.shape
+        ra, rb = self._binary("add", a, b)
+        sa, sb = a.shape, b.shape
 
         def vjp(g):
             return (_reduce_to(g, sa) if ra else None, _reduce_to(g, sb) if rb else None)
 
-        return self._append("add", (a, b), na.value + nb.value, vjp)
+        return self._append("add", (a, b), a.value + b.value, vjp)
 
     def sub(self, a: Variable, b: Variable) -> Variable:
-        na, nb = self._binary_shapes("sub", a, b)
-        ra, rb, sa, sb = na.requires_grad, nb.requires_grad, na.value.shape, nb.value.shape
+        ra, rb = self._binary("sub", a, b)
+        sa, sb = a.shape, b.shape
 
         def vjp(g):
             return (_reduce_to(g, sa) if ra else None, _reduce_to(-g, sb) if rb else None)
 
-        return self._append("sub", (a, b), na.value - nb.value, vjp)
+        return self._append("sub", (a, b), a.value - b.value, vjp)
 
     def mul(self, a: Variable, b: Variable) -> Variable:
-        na, nb = self._binary_shapes("mul", a, b)
-        ra, rb, av, bv = na.requires_grad, nb.requires_grad, na.value, nb.value
+        ra, rb = self._binary("mul", a, b)
+        sa, sb = a.shape, b.shape
+        # each adjoint reads the other operand, so the VJP holds only those
+        by_a, by_b = b.value if ra else None, a.value if rb else None
 
         def vjp(g):
             return (
-                _reduce_to(g * bv, av.shape) if ra else None,
-                _reduce_to(g * av, bv.shape) if rb else None,
+                _reduce_to(g * by_a, sa) if ra else None,
+                _reduce_to(g * by_b, sb) if rb else None,
             )
 
-        return self._append("mul", (a, b), av * bv, vjp)
+        return self._append("mul", (a, b), a.value * b.value, vjp)
 
     def smul(self, a: Variable, c: float) -> Variable:
-        na = self._check(a, "smul")
+        self._check(a, "smul")
         c = float(c)
-        return self._append("smul", (a,), na.value * c, lambda g: (g * c,))
+        return self._append("smul", (a,), a.value * c, lambda g: (g * c,))
 
     def square(self, a: Variable) -> Variable:
-        av = self._check(a, "square").value
+        self._check(a, "square")
+        av = a.value
         return self._append("square", (a,), av * av, lambda g: (g * (2.0 * av),))
 
     # ------------------------------------------------------------------
     # reductions and slices
 
     def sum(self, a: Variable) -> Variable:
-        av = self._check(a, "sum").value
-        shape = av.shape
+        self._check(a, "sum")
+        shape = a.shape
         return self._append(
-            "sum", (a,), np.asarray(av.sum()), lambda g: (np.broadcast_to(g, shape).copy(),)
+            "sum", (a,), np.asarray(a.value.sum()), lambda g: (np.broadcast_to(g, shape).copy(),)
         )
 
     def mean(self, a: Variable) -> Variable:
-        av = self._check(a, "mean").value
-        shape, n = av.shape, av.size
+        self._check(a, "mean")
+        shape, n = a.shape, a.value.size
         return self._append(
-            "mean", (a,), np.asarray(av.mean()), lambda g: (np.broadcast_to(g / n, shape).copy(),)
+            "mean", (a,), np.asarray(a.value.mean()),
+            lambda g: (np.broadcast_to(g / n, shape).copy(),),
         )
 
     def row_dot(self, a: Variable, b: Variable) -> Variable:
         """Row-wise inner product of two (B, d) arrays, yielding (B, 1)."""
-        na, nb = self._check(a, "row_dot"), self._check(b, "row_dot")
-        ra, rb, av, bv = na.requires_grad, nb.requires_grad, na.value, nb.value
+        ra, rb = self._check(a, "row_dot"), self._check(b, "row_dot")
+        av, bv = a.value, b.value
         if av.shape != bv.shape or av.ndim != 2:
             raise ShapeMismatchError(f"row_dot: shapes {av.shape} and {bv.shape}")
+        by_a, by_b = bv if ra else None, av if rb else None
 
         def vjp(g):
-            return (g * bv if ra else None, g * av if rb else None)
+            return (g * by_a if ra else None, g * by_b if rb else None)
 
         return self._append("row_dot", (a, b), np.einsum("bj,bj->b", av, bv)[:, None], vjp)
 
     def segment_sum(self, a: Variable, segment_ids: np.ndarray, num_segments: int) -> Variable:
         """Sum (K, 1) rows into (num_segments, 1) buckets given per-row ids."""
-        av = self._check(a, "segment_sum").value
+        self._check(a, "segment_sum")
+        av = a.value
         ids = np.asarray(segment_ids, dtype=np.int64)
         if av.ndim != 2 or av.shape[1] != 1 or ids.shape != (av.shape[0],):
             raise ShapeMismatchError(f"segment_sum: values {av.shape}, ids {ids.shape}")
@@ -270,7 +283,8 @@ class Tape:
         The value is a view into ``a``'s, which no op writes into once
         recorded; the VJP reads only the shape.
         """
-        av = self._check(a, "slice").value
+        self._check(a, "slice")
+        av = a.value
         if av.ndim != 2:
             raise ShapeMismatchError(f"slice: shape {av.shape} is not 2-D")
         (r0, r1), (c0, c1) = rows or (0, av.shape[0]), cols or (0, av.shape[1])
@@ -287,7 +301,8 @@ class Tape:
 
     def block_mean(self, a: Variable, n_blocks: int) -> Variable:
         """Means over consecutive equal-size row blocks of a column."""
-        av = self._check(a, "block_mean").value
+        self._check(a, "block_mean")
+        av = a.value
         if av.ndim != 2 or av.shape[1] != 1 or n_blocks < 1 or av.shape[0] % n_blocks:
             raise ShapeMismatchError(f"block_mean: shape {av.shape} into {n_blocks} blocks")
         block = av.shape[0] // n_blocks
@@ -315,8 +330,8 @@ class Tape:
         value then comes out as in one pass over all rows; the parameter
         gradients are the chunks' gradients summed in chunk order.
         """
-        ws = [self._check(w, "mlp").value for w in weights]
-        bs = [self._check(b, "mlp").value for b in biases]
+        differentiated = any([self._check(v, "mlp") for v in (*weights, *biases)])
+        ws, bs = [w.value for w in weights], [b.value for b in biases]
         h = _as_array(inp)
         fan_in = [h.shape[-1]] + [w.shape[-1] for w in ws[:-1]]
         if (h.ndim != 2 or len(ws) < 2 or len(bs) != len(ws) or ws[-1].shape[-1] != 1
@@ -329,7 +344,6 @@ class Tape:
         step = -(-rows // (n * ROW_ALIGN)) * ROW_ALIGN  # ceil(rows / n), rounded up
         spans = [(i * step, min(rows, (i + 1) * step)) for i in range(n)]
         packed = np.empty((rows, ws[0].shape[0]))
-        differentiated = any(self._nodes[v.id].requires_grad for v in (*weights, *biases))
         chunk_vjps = _run_chunks([
             functools.partial(_mlp_chunk, h[lo:hi], ws, bs, activation, alpha, packed[lo:hi],
                               differentiated)
@@ -358,9 +372,9 @@ class Tape:
         Each adjoint is freed once its node has passed it on, so the peak
         holds the adjoints of one frontier, not of the whole tape.
         """
-        obj_node = self._check(objective, "backward")
-        if obj_node.value.shape != ():
-            raise TapeError(f"backward: objective has shape {obj_node.value.shape}, expected scalar")
+        self._check(objective, "backward")
+        if objective.shape != ():
+            raise TapeError(f"backward: objective has shape {objective.shape}, expected scalar")
         for v in wrt:
             self._check(v, "backward")
         keep = {v.id for v in wrt}
@@ -382,7 +396,7 @@ class Tape:
         for v in wrt:
             g = adjoint.get(v.id)
             if g is None:
-                g = np.zeros(self._nodes[v.id].value.shape)
+                g = np.zeros(v.shape)
             out.append(np.asarray(g, dtype=np.float64))
         return out
 
@@ -428,6 +442,13 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
     intermediates are freed on return.  Only numpy runs here, so a
     worker thread can run it.
 
+    A forward-only chunk runs the same arithmetic but keeps less: it
+    holds one hidden output at a time, not every layer's, and forms each
+    ``q_j`` in place over ``slopes[j]`` (the same product as
+    ``v_j * slopes[j]``), keeping no ``qs``; the last ``q``, ``q_0``,
+    gives the gradient columns.  Its state is then the slopes plus one
+    layer's output.
+
     The VJP's product for weight j is ``left.T @ q_j``, ``q_j``
     (``qs[j]``) being the input-gradient chain at layer j's
     pre-activation.  ``left`` is the adjoint of the chain at layer j's
@@ -445,24 +466,29 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
     # activation derivative at layer j's pre-activation
     hs, slopes = [h], []
     for w, b in zip(ws[:-1], bs[:-1]):
-        z = h @ w
-        z += b
-        h, s = _activate(z, activation, alpha)
-        hs.append(h)
+        h = h @ w
+        h += b
+        h, s = _activate(h, activation, alpha)
+        if differentiated:
+            hs.append(h)
         slopes.append(s)
     packed[:, :1] = h @ ws[-1] + bs[-1]
+    del h  # the gradient chain reads only the slopes
 
     # input-gradient chain: v_j is the adjoint of hidden output j,
     # q_j = v_j * slopes[j] that of its pre-activation
     v, vs, qs = ws[-1].T, [], []
     for j in range(n_hidden - 1, -1, -1):
-        q = v * slopes[j]
-        qs.insert(0, q)
-        if tanh:  # only tanh has a second derivative, which needs v_j
-            vs.insert(0, v)
+        if differentiated:
+            q = v * slopes[j]
+            qs.insert(0, q)
+            if tanh:  # only tanh has a second derivative, which needs v_j
+                vs.insert(0, v)
+        else:
+            q = np.multiply(v, slopes[j], out=slopes[j])
         if j:
             v = q @ ws[j].T
-    packed[:, 1:] = qs[0] @ ws[0][1:].T
+    packed[:, 1:] = q @ ws[0][1:].T
     if not differentiated:
         return None
 

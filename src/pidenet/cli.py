@@ -49,6 +49,7 @@ _retain_freed_heap()
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -161,6 +162,14 @@ def config_from_dict(data: dict, name: str = "experiment") -> TrainConfig:
         raise ConfigError(f"bad config: {exc}") from exc
 
 
+def _finite_number(token: str) -> float:
+    """A JSON number of a config; NaN, Infinity and out-of-range literals are config errors."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {token} is not finite")
+    return value
+
+
 def preset_names() -> list[str]:
     root = resources.files("pidenet").joinpath("configs")
     return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
@@ -168,6 +177,9 @@ def preset_names() -> list[str]:
 
 def load_config(spec: str, seed_override: int | None = None) -> TrainConfig:
     """Load a config from a file path or a packaged preset name.
+
+    A number that is not finite (``NaN``, ``Infinity``, ``1e999``) is a
+    config error.
 
     A seed override S replaces the three seeds with (S, S+1, S+2); the
     evaluation batch still cannot collide with training batches because
@@ -187,7 +199,7 @@ def load_config(spec: str, seed_override: int | None = None) -> TrainConfig:
         text = res.read_text()
         name = stem
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {spec!r} is not valid JSON: {exc}") from exc
     cfg = config_from_dict(data, name=name)

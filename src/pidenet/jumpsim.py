@@ -59,6 +59,12 @@ _KIND_MARK = 3
 # clamped here, which keeps the inverse-CDF transforms finite
 _U_MAX = 1.0 - 2.0**-53
 
+# Most Brownian draws made in one block of whole paths (at least one
+# path per block).  A block's hash chain and inverse CDF then run on
+# arrays that stay in cache; every draw is keyed by its own counters, so
+# the block size changes no value.
+NOISE_BLOCK = 2**15
+
 
 def _mix64(x):
     x = x + _GOLD
@@ -167,14 +173,21 @@ class PathBatch:
 
 def _draw_noise(problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int, stream: int):
     n_steps, d, m = grid.steps, problem.dim, problem.mark_dim
-    path_idx = np.arange(batch_size)[:, None, None]
     step_idx = np.arange(n_steps)[None, :, None]
+    slot_idx = np.arange(d)[None, None, :]
 
-    u = keyed_uniforms(
-        seed, _kind(stream, _KIND_BROWNIAN),
-        path_idx, step_idx, np.arange(d)[None, None, :],
-    )
-    brownian = ndtri(u) * np.sqrt(grid.dt)
+    # Brownian increments, NOISE_BLOCK draws of whole paths at a time
+    brownian = np.empty((batch_size, n_steps, d))
+    scale = np.sqrt(grid.dt)
+    block_paths = max(1, NOISE_BLOCK // (n_steps * d))
+    for lo in range(0, batch_size, block_paths):
+        hi = min(batch_size, lo + block_paths)
+        u = keyed_uniforms(
+            seed, _kind(stream, _KIND_BROWNIAN),
+            np.arange(lo, hi)[:, None, None], step_idx, slot_idx,
+        )
+        block = ndtri(u, out=brownian[lo:hi])
+        block *= scale
 
     counts = sample_poisson_counts(seed, problem.intensity, grid.dt, batch_size, n_steps, stream)
 

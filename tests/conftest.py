@@ -29,3 +29,26 @@ def chunk_workers(monkeypatch):
     yield use
     for pool in pools:
         pool.shutdown()
+
+
+@pytest.fixture
+def tape_variables(monkeypatch):
+    """Every Variable that a tape returns from here on, in the order made.
+
+    Values belong to the Variables, not the tape, so tests that inspect
+    recorded values read them here.  Holding the Variables keeps their
+    values alive.
+    """
+    made = []
+
+    def recording(method):
+        def wrapper(*args, **kwargs):
+            var = method(*args, **kwargs)
+            made.append(var)
+            return var
+
+        return wrapper
+
+    for name in ("_append", "constant", "param"):
+        monkeypatch.setattr(autodiff.Tape, name, recording(getattr(autodiff.Tape, name)))
+    return made

@@ -1,9 +1,11 @@
 """Reference code the tests check the package against; the program never calls it."""
 
 import numpy as np
+from scipy.special import ndtri
 
 from pidenet.autodiff import Tape, Variable
-from pidenet.jumpsim import PathBatch, TimeGrid, _jump_sum, simulate_forward
+from pidenet import jumpsim
+from pidenet.jumpsim import PathBatch, TimeGrid, _jump_sum, keyed_uniforms, simulate_forward
 from pidenet.problems import ProblemSpec
 
 
@@ -159,3 +161,37 @@ def permuted(batch: PathBatch, perm: np.ndarray) -> PathBatch:
         seed=batch.seed,
         stream=batch.stream,
     )
+
+
+def draw_noise_one_call(problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int,
+                        stream: int):
+    """``jumpsim._draw_noise`` with every Brownian draw of the batch made in one call.
+
+    Returns (brownian, counts, event paths, event intervals, event marks);
+    events are flattened interval-major, paths ascending within an
+    interval.
+    """
+    n_steps, d, m = grid.steps, problem.dim, problem.mark_dim
+    u = keyed_uniforms(
+        seed, jumpsim._kind(stream, jumpsim._KIND_BROWNIAN),
+        np.arange(batch_size)[:, None, None], np.arange(n_steps)[None, :, None],
+        np.arange(d)[None, None, :],
+    )
+    brownian = ndtri(u) * np.sqrt(grid.dt)
+    u = keyed_uniforms(
+        seed, jumpsim._kind(stream, jumpsim._KIND_COUNT),
+        np.arange(batch_size)[:, None], np.arange(n_steps)[None, :], 0,
+    )
+    counts = jumpsim.poisson_from_uniforms(u, problem.intensity * grid.dt)
+    paths, intervals, marks = [], [], []
+    for n in range(n_steps):
+        for p in range(batch_size):
+            for k in range(counts[p, n]):
+                paths.append(p)
+                intervals.append(n)
+                marks.append(keyed_uniforms(
+                    seed, jumpsim._kind(stream, jumpsim._KIND_MARK), p, n, k * m + np.arange(m)
+                ))
+    marks = problem.sample_marks(np.array(marks).reshape(-1, m))
+    return (brownian, counts, np.array(paths, dtype=np.int64),
+            np.array(intervals, dtype=np.int64), marks)

@@ -2,6 +2,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -161,6 +162,31 @@ class TestBackward:
 
         gf, gg, gc = parts(x0)
         np.testing.assert_allclose(gc, alpha * gf + beta * gg, atol=1e-12)
+
+
+class TestValueOwnership:
+    """Variables own their values; the tape keeps none."""
+
+    def test_inline_constant_dies_with_its_op_on_a_constant_tape(self):
+        tape = Tape()
+        x = tape.constant(np.full(5, 2.0))
+        arr = np.arange(5.0)
+        ref = weakref.ref(arr)
+        out = tape.mul(x, tape.constant(arr))
+        del arr
+        assert ref() is None
+        np.testing.assert_array_equal(out.value, 2.0 * np.arange(5.0))
+
+    def test_inline_constant_lives_in_the_vjp_of_a_trainable_operand(self):
+        tape = Tape()
+        x = tape.param(np.full(5, 2.0))
+        arr = np.arange(5.0)
+        ref = weakref.ref(arr)
+        out = tape.mul(x, tape.constant(arr))
+        del arr
+        assert ref() is not None
+        (g,) = tape.backward(tape.sum(out), [x])
+        np.testing.assert_array_equal(g, np.arange(5.0))
 
 
 class TestGradCheck:
@@ -390,8 +416,11 @@ class TestChunkedMlp:
                                                                    chunk_workers):
         # 40 chunks of 128 rows through 3x64 tanh: the differentiated node
         # keeps every chunk's hidden outputs, slopes and gradient chain
-        # (27.8 MiB), the forward-only one at most a chunk's per worker
-        # (0.9, 1.6 and 2.0 MiB at 1, 2 and 3 workers)
+        # (27.8 MiB), the forward-only one at most a chunk's slopes and one
+        # layer per worker: measured 0.56, 0.68-0.87 and 0.68-1.19 MiB at 1,
+        # 2 and 3 workers; 0.74, 1.18-1.25 and 1.37-1.75 MiB with every
+        # layer's output kept; 0.94, 1.50-1.62 and 1.69-2.19 MiB with the
+        # gradient chain kept as well
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
         chunk_workers(workers)
         params, inp, _ = self.data(40 * self.CHUNK, "tanh", hidden=(64, 64, 64))
@@ -406,7 +435,7 @@ class TestChunkedMlp:
                 tracemalloc.stop()
 
         trainable, constant = peak(True), peak(False)
-        assert constant < trainable / 4, (constant, trainable)
+        assert constant < trainable * (workers + 1) / 80, (constant, trainable)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
     def test_chunked_gradients_match_finite_differences(self, activation, monkeypatch):

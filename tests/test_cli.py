@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pidenet import autodiff, cli, metrics, nn, scheme
+from pidenet import autodiff, cli, metrics, nn
 from pidenet.scheme import NumericalAbortError
 
 TINY = {
@@ -110,26 +112,22 @@ class TestTrainAndEval:
                          "--config", str(config_path)])
         assert code == 0
 
-    def test_held_out_pass_keeps_no_gradient_state(self, config_path, monkeypatch):
+    def test_held_out_pass_keeps_no_gradient_state(self, config_path, monkeypatch,
+                                                   tape_variables):
         # 64-row chunks: the held-out pass's network node has 4 of them
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 64)
         config = cli.load_config(str(config_path))
         params = nn.init(config.architecture, seed=5)
         params = params.replace_flat([a + 0.1 for a in params.flat_list()])
         eval_batch = cli._simulate_eval_batch(config)
-        loss, nets = scheme.loss, []
-
-        def recording(net, *args):
-            nets.append(net)
-            return loss(net, *args)
 
         def evaluate():
+            tape_variables.clear()
             report, values = cli._evaluate(config, params, eval_batch, 4, 1e-2, 0.0)
-            (node,) = [n for n in nets.pop().tape._nodes if n.op == "mlp"]
-            assert node.value.shape[0] > 3 * 64
-            return report, values, node
+            (var,) = [v for v in tape_variables if v.tape._nodes[v.id].op == "mlp"]
+            assert var.shape[0] > 3 * 64
+            return report, values, var.tape._nodes[var.id]
 
-        monkeypatch.setattr(scheme, "loss", recording)
         report, values, node = evaluate()
         assert node.vjp is None
         # the same pass with the params bound as gradient leaves
@@ -140,6 +138,25 @@ class TestTrainAndEval:
         assert np.array_equal(report.node_errors, trained_report.node_errors)
         assert values.shape == (config.eval_batch_size, config.steps + 1)
         assert np.array_equal(values, trained_values)
+
+    def test_held_out_pass_peaks_near_one_chunk(self, chunk_workers):
+        # highdim_d10 (d=10, 2x64 leaky relu) at B=200: 10200 node rows in
+        # five 2048-row chunks on one worker; one hidden layer of one chunk
+        # is 1 MiB.  Peak above the batch measured at 5.28 MiB; 8.65 MiB
+        # while the tape held every constant and each forward-only chunk
+        # kept every layer's output and its gradient chain
+        chunk_workers(1)
+        config = dataclasses.replace(cli.load_config("highdim_d10"), eval_batch_size=200)
+        params = nn.init(config.architecture, seed=config.seed_init)
+        eval_batch = cli._simulate_eval_batch(config)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cli._evaluate(config, params, eval_batch, 0, 1e-3, 0.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, peak / 2**20
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
@@ -157,7 +174,12 @@ class TestTrainAndEval:
                                       json.dumps({k: v for k, v in TINY.items() if k != "seeds"}),
                                       json.dumps({**TINY, "activation": "swish"}),
                                       json.dumps({**TINY, "hidden": []}),
-                                      json.dumps({**TINY, "adam": {"beta3": 0.5}})])
+                                      json.dumps({**TINY, "adam": {"beta3": 0.5}}),
+                                      json.dumps({**TINY, "leaky_alpha": float("nan")}),
+                                      json.dumps({**TINY, "problem": {"name": "pide_1d",
+                                                                      "eps": float("inf")}}),
+                                      json.dumps({**TINY, "leaky_alpha": 0.5}).replace(
+                                          "0.5", "1e999")])
     def test_bad_config_exits_one(self, tmp_path, text, capsys):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -165,12 +187,15 @@ class TestTrainAndEval:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nan_coefficient_exits_two(self, tmp_path, capsys):
-        # json reads NaN; the held-out batch is simulated before the first
+        # finite coefficients whose drift overflows (a NaN in the config is a
+        # config error); the held-out batch is simulated before the first
         # iteration, so its path states turn non-finite at interval 1 and
         # the abort is recorded as iteration 0
         path = tmp_path / "nan.json"
-        path.write_text(json.dumps({**TINY, "problem": {"name": "pide_1d", "eps": float("nan")}}))
+        path.write_text(json.dumps({**TINY, "problem": {"name": "pide_1d", "eps": 10.0,
+                                                        "x0": 1e308}}))
         assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith("numerical abort")
         abort = json.loads((tmp_path / "run" / "abort.json").read_text())

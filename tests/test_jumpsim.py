@@ -5,7 +5,7 @@ from scipy.special import ndtri
 from pidenet import jumpsim, problems
 from pidenet.jumpsim import TimeGrid
 
-from reference import compensator_residual, compensator_residual_paths
+from reference import compensator_residual, compensator_residual_paths, draw_noise_one_call
 
 
 class TestTimeGrid:
@@ -178,6 +178,20 @@ class TestSimulateForward:
                         - prob.compensator(t, x) * dt
                     )
                     assert np.array_equal(batch.states[:, n + 1, :], x), (seed, stream, n)
+
+    @pytest.mark.parametrize("stream", [0, 1])
+    @pytest.mark.parametrize("dim", [1, 100])
+    @pytest.mark.parametrize("batch_size", [1, 7, 65, 700])
+    def test_blocked_draws_equal_one_call(self, batch_size, dim, stream):
+        # d=100, N=50: 6 paths per block; d=1: 655, so 700 paths take two
+        prob = problems.highdim_pide(dim)
+        grid = TimeGrid(1.0, 50)
+        drawn = jumpsim._draw_noise(prob, grid, batch_size, 11, stream)
+        expected = draw_noise_one_call(prob, grid, batch_size, 11, stream)
+        assert drawn[1].sum() > 0 or batch_size < 65
+        for got, want in zip(drawn, expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
 
     def test_event_layout_matches_counts(self):
         prob = problems.highdim_pide(dim=2, lam=2.0)

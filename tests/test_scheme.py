@@ -388,21 +388,22 @@ class TestOneNetworkPass:
                    "sum", "mean", "row_dot", "segment_sum", "block_mean"}
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_loss_tape_holds_one_network_node(self, activation):
+    def test_loss_tape_holds_one_network_node(self, activation, tape_variables):
         prob = problems.bsb_jumps(dim=2)
         params = nn.init(nn.MlpArchitecture(3, (6, 6), activation), seed=9)
         batch = toy_batch(prob, n_steps=3, batch_size=16, seed=77)
         tape = Tape()
         scheme.loss(nn.bind(tape, params), batch, prob)
-        network = [node for node in tape._nodes if node.op == "mlp"]
+        assert len(tape_variables) == len(tape._nodes)
+        network = [v for v in tape_variables if tape._nodes[v.id].op == "mlp"]
         assert len(network) == 1
-        assert network[0].value.shape == (4 * 16 + batch.event_paths.size, 3)
+        assert network[0].shape == (4 * 16 + batch.event_paths.size, 3)
         ops = {node.op for node in tape._nodes}
         assert ops - {"mlp"} <= self.NON_NETWORK, ops
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
     def test_backward_writes_into_no_recorded_value(self, activation, monkeypatch,
-                                                    chunk_workers):
+                                                    chunk_workers, tape_variables):
         # slices are views into their parent's value, so a write into any
         # recorded value, forward or backward, would change another node's
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 128)
@@ -414,15 +415,18 @@ class TestOneNetworkPass:
         tape = Tape()
         net = nn.bind(tape, nn.init(arch, seed=4))
         total, _ = scheme.loss(net, batch, config.problem)
-        mlp = next(node for node in tape._nodes if node.op == "mlp")
-        assert mlp.value.shape[0] > 3 * 128  # four chunks or more
-        before = [node.value.tobytes() for node in tape._nodes]
+        # every node's value, read through the Variable that owns it
+        assert [v.id for v in tape_variables] == list(range(len(tape._nodes)))
+        mlp = next(v for v in tape_variables if tape._nodes[v.id].op == "mlp")
+        assert mlp.shape[0] > 3 * 128  # four chunks or more
+        before = [v.value.tobytes() for v in tape_variables]
         tape.backward(total, net.param_vars)
-        assert [node.value.tobytes() for node in tape._nodes] == before
-        slices = [node for node in tape._nodes if node.op == "slice"]
+        assert [v.value.tobytes() for v in tape_variables] == before
+        slices = [v for v in tape_variables if tape._nodes[v.id].op == "slice"]
         assert slices
-        for node in slices:
-            assert np.shares_memory(node.value, tape._nodes[node.parents[0]].value)
+        for v in slices:
+            parent = tape_variables[tape._nodes[v.id].parents[0]]
+            assert np.shares_memory(v.value, parent.value)
 
     @pytest.mark.parametrize("problem", BENCHMARKS, ids=lambda p: p.name)
     def test_interval_terms_match_benchmark_recursions(self, problem):
