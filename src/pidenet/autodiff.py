@@ -10,7 +10,8 @@ the gradient need no higher-order machinery.  The network lives only
 inside that node; the other primitives are the elementwise ``add``,
 ``sub``, ``mul``, ``smul`` and ``square``, the reductions ``sum``,
 ``mean``, ``row_dot``, ``segment_sum`` and ``block_mean``, and the 2-D
-``slice``.
+``slice``, whose adjoint fills its block of the parent's adjoint in
+place rather than a zero-filled array of the parent's shape.
 
 Tensors are plain ``numpy.ndarray`` objects in float64; they are treated
 as immutable once recorded.  A ``Variable`` owns its value; the tape keeps
@@ -281,7 +282,8 @@ class Tape:
         """Rectangular block ``a[r0:r1, c0:c1]`` of a 2-D array; None takes the whole axis.
 
         The value is a view into ``a``'s, which no op writes into once
-        recorded; the VJP reads only the shape.
+        recorded.  The VJP returns ``(a's shape, block index, adjoint)``:
+        ``backward`` adds the adjoint into that block of ``a``'s adjoint.
         """
         self._check(a, "slice")
         av = a.value
@@ -290,14 +292,8 @@ class Tape:
         (r0, r1), (c0, c1) = rows or (0, av.shape[0]), cols or (0, av.shape[1])
         if not (0 <= r0 <= r1 <= av.shape[0] and 0 <= c0 <= c1 <= av.shape[1]):
             raise ShapeMismatchError(f"slice: shape {av.shape}, rows [{r0}:{r1}], cols [{c0}:{c1}]")
-        shape = av.shape
-
-        def vjp(g):
-            out = np.zeros(shape)
-            out[r0:r1, c0:c1] = g
-            return (out,)
-
-        return self._append("slice", (a,), av[r0:r1, c0:c1], vjp)
+        shape, block = av.shape, (slice(r0, r1), slice(c0, c1))
+        return self._append("slice", (a,), av[block], lambda g: ((shape, block, g),))
 
     def block_mean(self, a: Variable, n_blocks: int) -> Variable:
         """Means over consecutive equal-size row blocks of a column."""
@@ -371,6 +367,10 @@ class Tape:
         Variables not reachable from the objective get exact zero arrays.
         Each adjoint is freed once its node has passed it on, so the peak
         holds the adjoints of one frontier, not of the whole tape.
+        A slice's adjoint is added in place into its block of an adjoint
+        that ``backward`` allocated: zeros, or a copy of one from another
+        op, which ``add`` and ``sub`` may share between parents.  Other
+        contributions sum as ``prev + contrib``.
         """
         self._check(objective, "backward")
         if objective.shape != ():
@@ -380,6 +380,7 @@ class Tape:
         keep = {v.id for v in wrt}
 
         adjoint: dict[int, np.ndarray] = {objective.id: np.ones(())}
+        owned: set[int] = set()  # ids whose adjoint backward allocated for slices
         for nid in range(objective.id, -1, -1):
             node = self._nodes[nid]
             if node.vjp is None:
@@ -388,8 +389,16 @@ class Tape:
             if g is None:
                 continue
             for pid, contrib in zip(node.parents, node.vjp(g)):
-                if contrib is not None:
-                    prev = adjoint.get(pid)
+                if contrib is None:
+                    continue
+                prev = adjoint.get(pid)
+                if node.op == "slice":
+                    shape, block, part = contrib
+                    if pid not in owned:
+                        prev = adjoint[pid] = np.zeros(shape) if prev is None else prev.copy()
+                        owned.add(pid)
+                    prev[block] += part
+                else:
                     adjoint[pid] = contrib if prev is None else prev + contrib
 
         out = []

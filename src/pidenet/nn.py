@@ -1,14 +1,16 @@
 """Scalar-output MLP on (t, x) inputs with tape-expressible input gradients.
 
-On a tape the network has one entry point, ``TapeMlp.value_and_grad``:
-the value and spatial gradient come from one fused tape primitive,
-``Tape.mlp``, whose VJP differentiates the gradient as well, so any loss
-containing it remains differentiable with respect to the parameters in a
-single reverse pass.  A pass that nothing differentiates, such as the
-held-out one, binds the parameters with ``trainable=False``: they are
-then tape constants, and the node keeps no VJP state.  ``evaluate``, a
-plain tape-free forward pass, is the tests' reference for its value
-column; the program never calls it.
+The network reads one (rows, 1+d) input array per pass: time in column
+0, the state in the d columns after it.  On a tape the network has one
+entry point, ``TapeMlp.value_and_grad``: the value and spatial gradient
+come from one fused tape primitive, ``Tape.mlp``, whose VJP
+differentiates the gradient as well, so any loss containing it remains
+differentiable with respect to the parameters in a single reverse pass.
+A pass that nothing differentiates, such as the held-out one, binds the
+parameters with ``trainable=False``: they are then tape constants, and
+the node keeps no VJP state.  ``evaluate``, a plain tape-free forward
+pass, is the tests' reference for its value column; the program never
+calls it.
 """
 
 from __future__ import annotations
@@ -90,20 +92,6 @@ def init(arch: MlpArchitecture, seed: int) -> MlpParams:
     return MlpParams(arch, weights, biases)
 
 
-def _assemble_input(arch: MlpArchitecture, t, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != arch.input_dim - 1:
-        raise ShapeMismatchError(
-            f"mlp input: x has width {x.shape[1]}, architecture expects {arch.input_dim - 1}"
-        )
-    t_col = np.full((x.shape[0], 1), float(t)) if np.ndim(t) == 0 else np.asarray(t, dtype=np.float64).reshape(-1, 1)
-    if t_col.shape[0] != x.shape[0]:
-        raise ShapeMismatchError(f"mlp input: t rows {t_col.shape[0]} vs x rows {x.shape[0]}")
-    return np.concatenate([t_col, x], axis=1)
-
-
 class TapeMlp:
     """Network bound to one tape; parameters registered once as leaves.
 
@@ -128,18 +116,16 @@ class TapeMlp:
             out.extend((w, b))
         return out
 
-    def value_and_grad(self, t_in, x: np.ndarray) -> tuple[Variable, Variable]:
+    def value_and_grad(self, inp: np.ndarray) -> tuple[Variable, Variable]:
         """Value plus the gradient in the spatial coordinates, both on tape.
 
-        Both are column blocks of one fused ``Tape.mlp`` node.  The
-        gradient covers only the x part of the (t, x) input; nothing in
+        ``inp`` is the (rows, 1+d) input, time first.  Both results are
+        column blocks of one fused ``Tape.mlp`` node, which rejects any
+        other width.  The gradient covers only the x columns; nothing in
         the scheme differentiates with respect to time.
         """
         tape = self.tape
-        packed = tape.mlp(
-            _assemble_input(self.arch, t_in, x), self._w_vars, self._b_vars,
-            self.arch.activation, self.arch.alpha,
-        )
+        packed = tape.mlp(inp, self._w_vars, self._b_vars, self.arch.activation, self.arch.alpha)
         return tape.slice(packed, cols=(0, 1)), tape.slice(packed, cols=(1, self.arch.input_dim))
 
 
@@ -148,19 +134,22 @@ def bind(tape: Tape, params: MlpParams, trainable: bool = True) -> TapeMlp:
     return TapeMlp(tape, params, trainable)
 
 
-def evaluate(params: MlpParams, t, x: np.ndarray) -> np.ndarray:
-    """Plain forward pass, equal to the tape value column up to BLAS blocking."""
-    h = _assemble_input(params.arch, t, x)
-    act = params.arch.activation
-    alpha = params.arch.alpha
-    n_hidden = len(params.arch.hidden)
-    for i in range(n_hidden):
-        z = h @ params.weights[i] + params.biases[i]
-        if act == "tanh":
+def evaluate(params: MlpParams, inp: np.ndarray) -> np.ndarray:
+    """Plain forward pass over the (rows, 1+d) input, time first.
+
+    Bit-identical to the value column of the tape's ``Tape.mlp`` node, as
+    ``test_fused_value_column_bit_identical_to_evaluate`` asserts.
+    """
+    h, arch = np.asarray(inp, dtype=np.float64), params.arch
+    if h.ndim != 2 or h.shape[1] != arch.input_dim:
+        raise ShapeMismatchError(f"evaluate: input {h.shape}, expected width {arch.input_dim}")
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = h @ w + b
+        if arch.activation == "tanh":
             h = np.tanh(z)
-        elif act == "relu":
+        elif arch.activation == "relu":
             h = np.maximum(z, 0.0)
         else:
-            h = np.where(z > 0.0, z, alpha * z)
+            h = np.where(z > 0.0, z, arch.alpha * z)
     return h @ params.weights[-1] + params.biases[-1]
 

@@ -18,7 +18,6 @@ keeps the tape small and the matrix products large.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,23 +56,23 @@ class LossBreakdown:
             "total": float(self.total),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
 
 def transfer(t, x: np.ndarray, y: Variable, z: Variable, i_term: Variable,
              dw: np.ndarray, driver, dt: float) -> Variable:
-    """One-step prediction: y - f*dt + <z, dw> + i*dt.
+    """One-step prediction: y - f*dt + <z, dw> + i*dt, summed in that order.
 
     ``t`` is a scalar or per-row column; rows may span one node or a
-    whole node-stacked batch.
+    whole node-stacked batch.  ``<z, dw>`` is formed first, so a pass with
+    no gradient frees ``dw`` before the driver's temporaries exist.
     """
     tape = y.tape
+    noise = tape.row_dot(z, tape.constant(dw))
+    del dw
     acc = y
     f_val = driver(t, x, y, z, i_term)
     if not (np.isscalar(f_val) and float(f_val) == 0.0):
         acc = tape.sub(acc, tape.smul(tape.lift(f_val), dt))
-    acc = tape.add(acc, tape.row_dot(z, tape.constant(dw)))
+    acc = tape.add(acc, noise)
     return tape.add(acc, tape.smul(i_term, dt))
 
 
@@ -117,9 +116,11 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
     """Scalar objective over a path batch, plus its per-term breakdown.
 
     ``net`` offers ``tape``, ``param_vars`` and ``value_and_grad``; the
-    loss calls ``value_and_grad`` once.  Expectations are realized as
-    batch means.  A non-finite term aborts with the offending interval
-    index and the breakdown gathered so far.
+    loss calls ``value_and_grad`` once, on one (rows, 1+d) input that it
+    writes in place, time first; ``t_all`` and ``x_all`` are its column
+    views.  Expectations are realized as batch means.  A non-finite term
+    aborts with the offending interval index and the breakdown gathered
+    so far.
     """
     tape = net.tape
     grid = batch.grid
@@ -131,20 +132,19 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
     # rows: nodes 0..N stacked node-major, then the jumped state of every
     # jump event, so that one network pass serves the whole loss
     event_rows = batch.event_intervals * n_rows + batch.event_paths
-    x_all = np.empty((n_nodes + event_rows.size, batch.dim))
-    t_all = np.empty((n_nodes + event_rows.size, 1))
-    x_all[:n_nodes].reshape(n_steps + 1, n_rows, batch.dim)[...] = np.transpose(
-        batch.states, (1, 0, 2)
-    )
-    t_all[:n_nodes, 0] = np.repeat(grid.times, n_rows)
-    x_curr = x_all[:split]
-    t_curr = t_all[:split]
+    inp = np.empty((n_nodes + event_rows.size, 1 + batch.dim))
+    t_all, x_all = inp[:, :1], inp[:, 1:]
+    # reshaped from the contiguous row block, so the writes land in inp
+    nodes = inp[:n_nodes].reshape(n_steps + 1, n_rows, 1 + batch.dim)
+    nodes[..., 0] = grid.times[:, None]
+    nodes[..., 1:] = np.transpose(batch.states, (1, 0, 2))
+    t_curr, x_curr = t_all[:split], x_all[:split]
     if event_rows.size:
         t_ev, x_ev = t_curr[event_rows], x_curr[event_rows]
         x_all[n_nodes:] = x_ev + problem.jump_size(t_ev, x_ev, batch.event_marks)
         t_all[n_nodes:] = t_ev
 
-    value_all, grad_all = net.value_and_grad(t_all, x_all)
+    value_all, grad_all = net.value_and_grad(inp)
     y_curr = tape.slice(value_all, rows=(0, split))
     y_next = tape.slice(value_all, rows=(n_rows, n_nodes))
     y_jumped = tape.slice(value_all, rows=(n_nodes, n_nodes + event_rows.size))
@@ -155,10 +155,11 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
         y_jumped, t_curr, x_curr, event_rows, batch.counts.T.ravel(),
         y_curr, grad_curr, problem, dt,
     )
-    dw_stack = np.ascontiguousarray(np.transpose(batch.brownian, (1, 0, 2))).reshape(
-        split, batch.dim
+    prediction = transfer(
+        t_curr, x_curr, y_curr, z, i_term,
+        np.ascontiguousarray(np.transpose(batch.brownian, (1, 0, 2))).reshape(split, batch.dim),
+        problem.driver, dt,
     )
-    prediction = transfer(t_curr, x_curr, y_curr, z, i_term, dw_stack, problem.driver, dt)
     interval_vec = tape.block_mean(tape.square(tape.sub(y_next, prediction)), n_steps)
 
     interval_terms = interval_vec.value[:, 0].copy()

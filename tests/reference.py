@@ -99,6 +99,15 @@ def grad_check(f, point, h: float = 1e-5) -> float:
     return float(np.max(np.abs(analytic - fd) / denom)) if flat.size else 0.0
 
 
+def network_input(t, x) -> np.ndarray:
+    """The (rows, 1+d) network input: ``t``, a scalar or a column, then the rows of ``x``."""
+    x = np.asarray(x, dtype=np.float64)
+    inp = np.empty((x.shape[0], 1 + x.shape[1]))
+    inp[:, :1] = np.reshape(t, (-1, 1))
+    inp[:, 1:] = x
+    return inp
+
+
 class OracleNetwork:
     """Exact solution presented through the network interface.
 
@@ -116,7 +125,8 @@ class OracleNetwork:
     def param_vars(self) -> list[Variable]:
         return []
 
-    def value_and_grad(self, t, x: np.ndarray) -> tuple[Variable, Variable]:
+    def value_and_grad(self, inp: np.ndarray) -> tuple[Variable, Variable]:
+        t, x = inp[:, :1], inp[:, 1:]
         return (
             self.tape.constant(self._problem.exact(t, x)),
             self.tape.constant(self._problem.exact_grad(t, x)),

@@ -71,6 +71,50 @@ class TestPrimitives:
         with pytest.raises(ShapeMismatchError, match="slice"):
             t.slice(a, rows=(2, 5))
 
+    def test_slice_block_goes_into_a_copy_of_a_shared_adjoint(self):
+        # backward reaches the add before the slice, and the add hands p
+        # and q one adjoint array; the slice's block must go into p's own
+        # copy of it, or q's gradient takes p's block as well
+        rng = np.random.default_rng(3)
+        p0, q0 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+        t = Tape()
+        p, q = t.param(p0), t.param(q0)
+        s1 = t.slice(p, rows=(1, 3))
+        s = t.add(p, q)
+        dp, dq = t.backward(t.add(t.sum(t.square(s)), t.sum(t.square(s1))), [p, q])
+        np.testing.assert_array_equal(dq, 2.0 * (p0 + q0))
+        expected = 2.0 * (p0 + q0)
+        expected[1:3] += 2.0 * p0[1:3]
+        np.testing.assert_array_equal(dp, expected)
+
+    def test_slice_adjoints_fill_their_parents_block_without_zero_fills(self):
+        # the loss's pattern: value and gradient columns of one (rows, 1+d)
+        # node, then row slices of each.  Backward holds the node's adjoint
+        # and the gradient block's, two parent-sized arrays (2.01x the
+        # node's bytes, measured); a zero-filled parent-shaped array per
+        # slice took it to 3.01x
+        t = Tape()
+        a = t.param(np.ones((20000, 101)))
+        value, grad = t.slice(a, cols=(0, 1)), t.slice(a, cols=(1, 101))
+        parts = [t.slice(value, rows=r)
+                 for r in ((0, 15000), (1000, 16000), (16000, 20000), (15000, 16000))]
+        parts.append(t.slice(grad, rows=(0, 15000)))
+        total = t.sum(t.square(parts[0]))
+        for part in parts[1:]:
+            total = t.add(total, t.sum(t.square(part)))
+        tracemalloc.start()
+        try:
+            (g,) = t.backward(total, [a])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = np.zeros((20000, 101))
+        expected[:, 0] = 2.0
+        expected[1000:16000, 0] = 4.0
+        expected[:15000, 1:] = 2.0
+        assert np.array_equal(g, expected)
+        assert peak < 2.5 * a.value.nbytes, peak / a.value.nbytes
+
 
 class TestBackward:
     def test_sum_of_squares_gradient(self):
@@ -342,7 +386,7 @@ class TestChunkedMlp:
     def test_value_column_is_the_plain_forward_pass(self, activation, rows, monkeypatch):
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
         value, _, params, inp = self.run(rows, activation)
-        assert np.array_equal(value[:, :1], nn.evaluate(params, inp[:, 0], inp[:, 1:]))
+        assert np.array_equal(value[:, :1], nn.evaluate(params, inp))
 
     @pytest.mark.parametrize("rows", ROWS)
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])

@@ -4,6 +4,7 @@ import pytest
 from pidenet import nn
 from pidenet.autodiff import ShapeMismatchError, Tape
 
+from reference import network_input
 from test_autodiff import finite_diff, rel_gap
 
 
@@ -56,7 +57,7 @@ class TestForward:
         )
         zeroed.biases[-1][:] = 3.25
         x = np.random.default_rng(0).normal(size=(5, 2))
-        out = nn.evaluate(zeroed, 0.7, x)
+        out = nn.evaluate(zeroed, network_input(0.7, x))
         assert np.all(out == 3.25)
 
     def test_relu_identity_trick_gives_affine_map(self):
@@ -68,7 +69,7 @@ class TestForward:
             [np.eye(2), np.array([[1.0], [1.0]])],
             [np.zeros(2), np.zeros(1)],
         )
-        out = nn.evaluate(params, 0.5, np.array([[0.25]]))
+        out = nn.evaluate(params, network_input(0.5, np.array([[0.25]])))
         assert float(out[0, 0]) == 0.75
 
     def test_batch_of_identical_inputs(self):
@@ -76,13 +77,14 @@ class TestForward:
         # one ulp, so equality is asserted up to that
         params = nn.init(small_arch(d=3), seed=5)
         x = np.tile([[0.3, -0.2, 1.1]], (6, 1))
-        out = nn.evaluate(params, 0.4, x)
+        out = nn.evaluate(params, network_input(0.4, x))
         np.testing.assert_allclose(out, np.full_like(out, out[0, 0]), atol=1e-14, rtol=0)
 
     def test_dimension_mismatch(self):
         params = nn.init(small_arch(d=2), seed=0)
-        with pytest.raises(ShapeMismatchError):
-            nn.evaluate(params, 0.0, np.ones((4, 3)))
+        for forward in (nn.evaluate, lambda p, inp: nn.bind(Tape(), p).value_and_grad(inp)):
+            with pytest.raises(ShapeMismatchError):
+                forward(params, network_input(0.0, np.ones((4, 3))))
 
 class TestInputGradient:
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
@@ -91,8 +93,8 @@ class TestInputGradient:
         params.biases[0][:] = np.linspace(-0.5, 0.5, 7)
         x = np.random.default_rng(6).normal(size=(9, 3))
         tape = Tape()
-        value, _ = nn.bind(tape, params).value_and_grad(0.4, x)
-        assert np.array_equal(value.value, nn.evaluate(params, 0.4, x))
+        value, _ = nn.bind(tape, params).value_and_grad(network_input(0.4, x))
+        assert np.array_equal(value.value, nn.evaluate(params, network_input(0.4, x)))
 
     def test_linear_network_gradient_is_weight_row(self):
         arch = nn.MlpArchitecture(input_dim=3, hidden=(3,), activation="relu")
@@ -100,7 +102,7 @@ class TestInputGradient:
         params = nn.MlpParams(arch, [np.eye(3), w_out], [np.zeros(3), np.zeros(1)])
         x = np.array([[0.5, 1.5], [2.0, 0.25]])  # positive inputs keep relu linear
         tape = Tape()
-        _, grad = nn.bind(tape, params).value_and_grad(0.9, x)
+        _, grad = nn.bind(tape, params).value_and_grad(network_input(0.9, x))
         np.testing.assert_array_equal(grad.value, np.tile(w_out[1:].T, (2, 1)))
 
     @pytest.mark.parametrize("activation", ["tanh", "leaky_relu"])
@@ -109,10 +111,10 @@ class TestInputGradient:
         x0 = np.random.default_rng(4).uniform(0.2, 1.0, size=4)
 
         def value_of_x(x):
-            return float(nn.evaluate(params, 0.3, x[None, :])[0, 0])
+            return float(nn.evaluate(params, network_input(0.3, x[None, :]))[0, 0])
 
         tape = Tape()
-        _, grad = nn.bind(tape, params).value_and_grad(0.3, x0[None, :])
+        _, grad = nn.bind(tape, params).value_and_grad(network_input(0.3, x0[None, :]))
         fd = finite_diff(value_of_x, x0)
         assert rel_gap(grad.value[0], fd) <= 1e-6
 
@@ -123,8 +125,8 @@ class TestInputGradient:
             b[:] = 0.0
         x = np.array([[0.7, -0.4]])
         t1, t2 = Tape(), Tape()
-        _, g_pos = nn.bind(t1, params).value_and_grad(0.5, x)
-        _, g_neg = nn.bind(t2, params).value_and_grad(-0.5, -x)
+        _, g_pos = nn.bind(t1, params).value_and_grad(network_input(0.5, x))
+        _, g_neg = nn.bind(t2, params).value_and_grad(network_input(-0.5, -x))
         np.testing.assert_allclose(g_pos.value, g_neg.value, atol=1e-15)
 
     def test_gradient_of_input_gradient_wrt_params(self):
@@ -136,12 +138,12 @@ class TestInputGradient:
 
         def objective(p: nn.MlpParams) -> float:
             tape = Tape()
-            _, grad = nn.bind(tape, p).value_and_grad(0.25, x)
+            _, grad = nn.bind(tape, p).value_and_grad(network_input(0.25, x))
             return float(tape.sum(grad).value)
 
         tape = Tape()
         net = nn.bind(tape, params)
-        _, grad = net.value_and_grad(0.25, x)
+        _, grad = net.value_and_grad(network_input(0.25, x))
         grads = tape.backward(tape.sum(grad), net.param_vars)
 
         flat = params.flat_list()

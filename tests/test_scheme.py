@@ -9,7 +9,7 @@ from pidenet import autodiff, cli, jumpsim, nn, problems, scheme
 from pidenet.autodiff import Tape
 from pidenet.jumpsim import TimeGrid
 
-from reference import OracleNetwork, permuted
+from reference import OracleNetwork, network_input, permuted
 from test_autodiff import finite_diff, rel_gap
 
 
@@ -35,7 +35,7 @@ def toy_batch(problem, n_steps=2, batch_size=4, seed=101, require_jumps=True):
 def jumped_values(net, problem, t, x, ids, marks):
     """Network values at the jumped states of the events ``ids``, ``marks``."""
     x_ev = x[ids]
-    value, _ = net.value_and_grad(t, x_ev + problem.jump_size(t, x_ev, marks))
+    value, _ = net.value_and_grad(network_input(t, x_ev + problem.jump_size(t, x_ev, marks)))
     return value
 
 
@@ -85,7 +85,7 @@ class TestIntegralTerm:
         x = np.array([[1.0], [2.0]])
         tape = Tape()
         net = nn.bind(tape, params)
-        y, g = net.value_and_grad(0.5, x)
+        y, g = net.value_and_grad(network_input(0.5, x))
         ids = np.zeros(0, dtype=int)
         out = scheme.integral_term(
             jumped_values(net, prob, 0.5, x, ids, np.zeros((0, 1))), 0.5, x, ids,
@@ -100,7 +100,7 @@ class TestIntegralTerm:
         x = np.array([[1.0], [2.0]])
         tape = Tape()
         net = nn.bind(tape, params)
-        y, g = net.value_and_grad(0.5, x)
+        y, g = net.value_and_grad(network_input(0.5, x))
         ids = np.array([0, 1])
         out = scheme.integral_term(
             jumped_values(net, prob, 0.5, x, ids, np.array([[0.3], [-0.2]])), 0.5, x, ids,
@@ -117,7 +117,7 @@ class TestIntegralTerm:
         mark = np.array([[0.4]])
         tape = Tape()
         net = nn.bind(tape, params)
-        y, g = net.value_and_grad(0.5, x)
+        y, g = net.value_and_grad(network_input(0.5, x))
         ids = np.array([0])
         out = scheme.integral_term(
             jumped_values(net, prob, 0.5, x, ids, mark), 0.5, x, ids, np.array([1]), y, g, prob, dt
@@ -140,7 +140,7 @@ class TestIntegralTerm:
             x = batch.states[:, n, :]
             tape = Tape()
             net = nn.bind(tape, params)
-            y, g = net.value_and_grad(batch.grid.times[n], x)
+            y, g = net.value_and_grad(network_input(batch.grid.times[n], x))
             out = scheme.integral_term(
                 jumped_values(net, prob, batch.grid.times[n], x, ids, marks),
                 batch.grid.times[n], x, ids, batch.counts[:, n], y, g, prob, dt,
@@ -319,9 +319,9 @@ def one_step_reference(problem, params, batch, n):
     grid = batch.grid
     t, dt = grid.times[n], grid.dt
     x = batch.states[:, n, :]
-    y = nn.evaluate(params, t, x)
+    y = nn.evaluate(params, network_input(t, x))
     tape = Tape()
-    _, g_var = nn.bind(tape, params).value_and_grad(t, x)
+    _, g_var = nn.bind(tape, params).value_and_grad(network_input(t, x))
     grad = g_var.value
     z = problem.diffusion(t, x) * grad
     z_dw = np.sum(z * batch.brownian[:, n, :], axis=1, keepdims=True)
@@ -330,8 +330,8 @@ def one_step_reference(problem, params, batch, n):
     jump_sum = np.zeros_like(y)
     if ids.size:
         sizes = problem.jump_size(t, x[ids], marks)
-        shifted = nn.evaluate(params, t, x[ids] + sizes)
-        base = nn.evaluate(params, t, x[ids])
+        shifted = nn.evaluate(params, network_input(t, x[ids] + sizes))
+        base = nn.evaluate(params, network_input(t, x[ids]))
         np.add.at(jump_sum, ids, shifted - base)
 
     p = problem.params
@@ -366,7 +366,7 @@ def test_transfer_matches_benchmark_recursions(problem):
         x = batch.states[:, n, :]
         tape = Tape()
         net = nn.bind(tape, params)
-        y, g = net.value_and_grad(t, x)
+        y, g = net.value_and_grad(network_input(t, x))
         z = tape.mul(g, tape.constant(problem.diffusion(t, x)))
         ids, marks = batch.events(n)
         i_term = scheme.integral_term(
@@ -437,7 +437,8 @@ class TestOneNetworkPass:
         batch = toy_batch(problem, n_steps=3, batch_size=32, seed=91)
         _, breakdown = scheme.loss(nn.bind(Tape(), params), batch, problem)
         expected = [
-            np.mean((nn.evaluate(params, batch.grid.times[n + 1], batch.states[:, n + 1, :])
+            np.mean((nn.evaluate(params,
+                                 network_input(batch.grid.times[n + 1], batch.states[:, n + 1, :]))
                      - one_step_reference(problem, params, batch, n)) ** 2)
             for n in range(3)
         ]
@@ -451,7 +452,7 @@ class TestOneNetworkPass:
         batch = toy_batch(problem, n_steps=3, batch_size=32, seed=91)
         _, breakdown = scheme.loss(nn.bind(Tape(), params), batch, problem)
         expected = np.stack(
-            [nn.evaluate(params, t, batch.states[:, n, :])[:, 0]
+            [nn.evaluate(params, network_input(t, batch.states[:, n, :]))[:, 0]
              for n, t in enumerate(batch.grid.times)],
             axis=1,
         )
@@ -482,7 +483,7 @@ def oracle_residuals(problem, n_steps, batch_size=1000, seed=0):
     mean_sum = 0.0
     for n in range(n_steps):
         t, x = batch.grid.times[n], batch.states[:, n, :]
-        y, g = net.value_and_grad(t, x)
+        y, g = net.value_and_grad(network_input(t, x))
         z = tape.mul(g, tape.constant(problem.diffusion(t, x)))
         ids, marks = batch.events(n)
         i_term = scheme.integral_term(
