@@ -37,12 +37,16 @@ only when some weight or bias of the node needs a gradient.  A node
 over constant parameters, such as the held-out pass's, keeps one hidden
 layer at a time, forms the gradient chain in place over the slopes, and
 drops each chunk's state as soon as that chunk's forward pass ends.
+For relu and leaky relu a layer's slopes are a function of its mask
+``z > 0``, so a differentiated chunk keeps the one-byte masks in place
+of the float64 slopes and of the last layer's gradient-chain row, and
+its VJP rebuilds them one layer at a time.
 
 The VJP differentiates ``<g_u, u> + <g_grad, grad u>``.  For relu and
 leaky relu the slopes do not depend on the pre-activations, so the
 value's adjoint at a layer's pre-activation is ``g_u`` times that
-layer's row of the input-gradient chain, which the forward pass already
-holds: each weight takes one product, and the value needs no chain of
+layer's row of the input-gradient chain, which the forward pass has
+formed: each weight takes one product, and the value needs no chain of
 its own.  tanh's slopes do depend on the pre-activations, so its VJP
 also carries the slopes' adjoints and runs a separate value chain.
 """
@@ -317,9 +321,10 @@ class Tape:
         ``inp`` is a constant (rows, k) array whose first column (time)
         is left out of the gradient; the node's value has shape
         (rows, k).  The hidden layers apply ``activation`` ("tanh",
-        "relu" or "leaky_relu" with slope ``alpha``), the last layer is
-        linear with one output.  Gradients flow to every weight and bias
-        that needs one; if none does, the node keeps no VJP.
+        "relu" or "leaky_relu" with negative slope ``alpha`` in [0, 1]),
+        the last layer is linear with one output.  Gradients flow to
+        every weight and bias that needs one; if none does, the node
+        keeps no VJP.
 
         The rows go in ``ceil(rows / CHUNK_ROWS)`` near-equal contiguous
         chunks with edges on multiples of ``ROW_ALIGN``.  Each row of the
@@ -327,6 +332,8 @@ class Tape:
         gradients are the chunks' gradients summed in chunk order.
         """
         differentiated = any([self._check(v, "mlp") for v in (*weights, *biases)])
+        if activation == "leaky_relu" and not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"mlp: leaky relu slope {alpha} is outside [0, 1]")
         ws, bs = [w.value for w in weights], [b.value for b in biases]
         h = _as_array(inp)
         fan_in = [h.shape[-1]] + [w.shape[-1] for w in ws[:-1]]
@@ -451,110 +458,161 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
     intermediates are freed on return.  Only numpy runs here, so a
     worker thread can run it.
 
-    A forward-only chunk runs the same arithmetic but keeps less: it
-    holds one hidden output at a time, not every layer's, and forms each
-    ``q_j`` in place over ``slopes[j]`` (the same product as
-    ``v_j * slopes[j]``), keeping no ``qs``; the last ``q``, ``q_0``,
-    gives the gradient columns.  Its state is then the slopes plus one
-    layer's output.
+    With n hidden layers, ``q_j`` is the input-gradient chain at layer
+    j's pre-activation; the last one, ``q_{n-1}``, is the output weights'
+    row ``ws[-1].T`` times layer n-1's slopes.  What a chunk keeps:
 
-    The VJP's product for weight j is ``left.T @ q_j``, ``q_j``
-    (``qs[j]``) being the input-gradient chain at layer j's
-    pre-activation.  ``left`` is the adjoint of the chain at layer j's
-    input (``g_grad`` for the input layer) plus, for relu and leaky relu,
-    ``g_u * h_j``: their slopes do not depend on z, so the value's
-    adjoint at pre-activation j is ``g_u * q_j``, and a hidden bias takes
-    ``g_u.T @ q_j``.  tanh's slopes do depend on z, so tanh adds
-    ``h_j.T @ g_z`` from a value chain run back from ``g_u``, which also
-    takes the slopes' adjoints.
+    - differentiated tanh: the n hidden outputs, the n slopes, every
+      ``q_j`` and the adjoints ``v_j`` that the second derivative reads;
+    - differentiated relu or leaky relu: the n hidden outputs,
+      ``q_0 .. q_{n-2}`` and each layer's one-byte mask ``z > 0``.
+      Their slopes are a function of the mask, so the VJP rebuilds
+      layer j's slopes where it multiplies by them, and ``q_{n-1}``
+      only for the weight and bias products that read it (with one
+      hidden layer that row is ``q_0``, which the input weights read);
+    - forward-only, any activation: the n float slopes and one hidden
+      output at a time.  Each ``q_j`` is formed in place over
+      ``slopes[j]`` (the same product as ``v_j * slopes[j]``), and the
+      last one formed, ``q_0``, gives the gradient columns.
+
+    The VJP's product for weight j is ``left.T @ q_j``.  ``left`` is the
+    adjoint of the chain at layer j's input (``g_grad`` for the input
+    layer) plus, for relu and leaky relu, ``g_u * h_j``: their slopes do
+    not depend on z, so the value's adjoint at pre-activation j is
+    ``g_u * q_j``, and a hidden bias takes ``g_u.T @ q_j``.  tanh's
+    slopes do depend on z, so tanh adds ``h_j.T @ g_z`` from a value
+    chain run back from ``g_u``, which also takes the slopes' adjoints.
     """
     n_hidden = len(ws) - 1
     tanh = activation == "tanh"
+    masked = differentiated and not tanh
 
-    # value chain: hs[j] is the input of layer j, slopes[j] the
-    # activation derivative at layer j's pre-activation
-    hs, slopes = [h], []
+    # value chain: hs[j] is the input of layer j, states[j] the slopes at
+    # layer j's pre-activation, or its mask in a masked chunk
+    hs, states = [h], []
     for w, b in zip(ws[:-1], bs[:-1]):
         h = h @ w
         h += b
-        h, s = _activate(h, activation, alpha)
+        h, state = _activate(h, activation, alpha, masked)
         if differentiated:
             hs.append(h)
-        slopes.append(s)
+        states.append(state)
     packed[:, :1] = h @ ws[-1] + bs[-1]
     del h  # the gradient chain reads only the slopes
+
+    def slope(j):
+        """Layer j's slopes, which the caller may overwrite: rebuilt, or a forward-only chunk's."""
+        return _slopes(states[j], activation, alpha) if masked else states[j]
 
     # input-gradient chain: v_j is the adjoint of hidden output j,
     # q_j = v_j * slopes[j] that of its pre-activation
     v, vs, qs = ws[-1].T, [], []
     for j in range(n_hidden - 1, -1, -1):
-        if differentiated:
-            q = v * slopes[j]
-            qs.insert(0, q)
-            if tanh:  # only tanh has a second derivative, which needs v_j
-                vs.insert(0, v)
+        if tanh and differentiated:  # only tanh has a second derivative, which needs v_j
+            q = v * states[j]
+            vs.insert(0, v)
         else:
-            q = np.multiply(v, slopes[j], out=slopes[j])
+            s = slope(j)
+            q = np.multiply(v, s, out=s)
+        if differentiated and (tanh or j < n_hidden - 1):
+            qs.insert(0, q)
         if j:
             v = q @ ws[j].T
     packed[:, 1:] = q @ ws[0][1:].T
     if not differentiated:
         return None
 
-    def vjp(g):
+    def tanh_vjp(g):
         g_u, g_grad = g[:, :1], g[:, 1:]
-        # through the gradient chain, input side first; for tanh keep
-        # the adjoint of each slope, d(slope)/dz = -2 h slope
-        if tanh:
-            gws = [np.zeros_like(ws[0])]
-            gws[0][1:] = g_grad.T @ qs[0]
-        else:
-            left = g_u * hs[0]
-            left[:, 1:] += g_grad
-            gws = [left.T @ qs[0]]
+        # through the gradient chain, input side first, keeping the
+        # adjoint of each slope, d(slope)/dz = -2 h slope
+        gws = [np.zeros_like(ws[0])]
+        gws[0][1:] = g_grad.T @ qs[0]
         g_q = g_grad @ ws[0][1:]
         g_slopes = []
         for j in range(n_hidden):
-            if tanh:
-                g_slopes.append(g_q * vs[j])
-            g_v = g_q * slopes[j]
-            left = g_v if tanh else g_v + g_u * hs[j + 1]
+            g_slopes.append(g_q * vs[j])
+            g_v = g_q * states[j]
             if j + 1 < n_hidden:
-                gws.append(left.T @ qs[j + 1])
+                gws.append(g_v.T @ qs[j + 1])
                 g_q = g_v @ ws[j + 1]
             else:
-                gws.append(left.sum(axis=0)[:, None])
+                gws.append(g_v.sum(axis=0)[:, None])
         gbs = [None] * n_hidden + [g_u.sum(axis=0)]
-        if not tanh:
-            gbs[:n_hidden] = [(g_u.T @ q)[0] for q in qs]
-            return (*gws, *gbs)
         # through the value chain, output side first
         gws[-1] += hs[-1].T @ g_u
         g_h = g_u @ ws[-1].T
         for j in range(n_hidden - 1, -1, -1):
             g_h -= 2.0 * hs[j + 1] * g_slopes[j]
-            g_z = g_h * slopes[j]
+            g_z = g_h * states[j]
             gws[j] += hs[j].T @ g_z
             gbs[j] = g_z.sum(axis=0)
             if j:
                 g_h = g_z @ ws[j].T
         return (*gws, *gbs)
 
-    return vjp
+    def piecewise_vjp(g):
+        g_u, g_grad = g[:, :1], g[:, 1:]
+        # through the gradient chain, input side first; left is the
+        # adjoint at layer j's input, g_q that of layer j's chain row
+        left = g_u * hs[0]
+        left[:, 1:] += g_grad
+        g_q = g_grad @ ws[0][1:]
+        gws, gbs = [], []
+        for j in range(n_hidden):
+            if j < n_hidden - 1:
+                q = qs[j]
+            else:  # the last chain row, rebuilt for its two products only
+                s = slope(j)
+                q = np.multiply(ws[-1].T, s, out=s)
+            gws.append(left.T @ q)
+            gbs.append((g_u.T @ q)[0])
+            del q, left
+            # g_v = g_q * slopes[j], the adjoint at layer j's output, then
+            # left for layer j + 1, formed in place over the rebuilt slopes
+            left = slope(j)
+            np.multiply(g_q, left, out=left)
+            if j + 1 < n_hidden:
+                g_q = left @ ws[j + 1]
+            left += g_u * hs[j + 1]
+        gws.append(left.sum(axis=0)[:, None])
+        gbs.append(g_u.sum(axis=0))
+        return (*gws, *gbs)
+
+    return tanh_vjp if tanh else piecewise_vjp
 
 
-def _activate(z: np.ndarray, activation: str, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Activation written over ``z``, and its derivative, each computed once."""
+def _activate(z: np.ndarray, activation: str, alpha: float,
+              masked: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Activation written over ``z``, and its slopes, each computed once.
+
+    For relu and leaky relu, ``masked`` returns the mask ``z > 0`` in
+    place of the slopes, which ``_slopes`` rebuilds from it.
+    """
     if activation == "tanh":
         h = np.tanh(z, out=z)
         return h, 1.0 - h * h
+    mask = z > 0.0
     if activation == "relu":
-        s = (z > 0.0).astype(np.float64)
-        return np.maximum(z, 0.0, out=z), s
+        return np.maximum(z, 0.0, out=z), mask if masked else _slopes(mask, activation, alpha)
     if activation == "leaky_relu":
-        s = np.where(z > 0.0, 1.0, float(alpha))
-        return np.multiply(z, s, out=z), s
+        s = _slopes(mask, activation, alpha)
+        return np.multiply(z, s, out=z), mask if masked else s
     raise ValueError(f"unknown activation {activation!r}")
+
+
+def _slopes(mask: np.ndarray, activation: str, alpha: float) -> np.ndarray:
+    """relu or leaky relu slopes from the mask ``z > 0``: 1 where it holds, else 0 or ``alpha``.
+
+    Byte for byte ``np.where(z > 0.0, 1.0, alpha)`` for 0 <= alpha <= 1,
+    the range ``Tape.mlp`` accepts, and it allocates only its output; a
+    table lookup such as ``np.take(table, mask)`` would first copy the
+    mask to int64.
+    """
+    s = mask.astype(np.float64)
+    if activation == "leaky_relu":
+        np.maximum(s, alpha, out=s)
+    return s
 
 
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:

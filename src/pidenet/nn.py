@@ -26,7 +26,12 @@ _ACTIVATIONS = ("tanh", "relu", "leaky_relu")
 
 @dataclass(frozen=True)
 class MlpArchitecture:
-    """Layer plan: input width 1+d, hidden widths, scalar output."""
+    """Layer plan: input width 1+d, hidden widths, scalar output.
+
+    ``alpha``, leaky relu's negative slope, must lie in [0, 1] whatever
+    the activation: on that range ``Tape.mlp`` rebuilds the slopes from
+    one-byte masks exactly.
+    """
 
     input_dim: int
     hidden: tuple[int, ...]
@@ -41,6 +46,8 @@ class MlpArchitecture:
             raise ValueError(f"need at least one hidden layer of width >= 1, got {self.hidden}")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        if not 0.0 <= self.alpha <= 1.0:  # NaN fails too
+            raise ValueError(f"leaky relu alpha must be in [0, 1], got {self.alpha}")
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:

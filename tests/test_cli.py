@@ -178,6 +178,8 @@ class TestTrainAndEval:
                                       json.dumps({**TINY, "hidden": []}),
                                       json.dumps({**TINY, "adam": {"beta3": 0.5}}),
                                       json.dumps({**TINY, "leaky_alpha": float("nan")}),
+                                      json.dumps({**TINY, "leaky_alpha": 1.5}),
+                                      json.dumps({**TINY, "leaky_alpha": -0.1}),
                                       json.dumps({**TINY, "problem": {"name": "pide_1d",
                                                                       "eps": float("inf")}}),
                                       json.dumps({**TINY, "leaky_alpha": 0.5}).replace(
