@@ -39,16 +39,15 @@ layer at a time, forms the gradient chain in place over the slopes, and
 drops each chunk's state as soon as that chunk's forward pass ends.
 For relu and leaky relu a layer's slopes are a function of its mask
 ``z > 0``, so a differentiated chunk keeps the one-byte masks in place
-of the float64 slopes and of the last layer's gradient-chain row, and
-its VJP rebuilds them one layer at a time.
+of the float64 slopes, and its VJP rebuilds them one layer at a time.
 
-The VJP differentiates ``<g_u, u> + <g_grad, grad u>``.  For relu and
-leaky relu the slopes do not depend on the pre-activations, so the
-value's adjoint at a layer's pre-activation is ``g_u`` times that
-layer's row of the input-gradient chain, which the forward pass has
-formed: each weight takes one product, and the value needs no chain of
-its own.  tanh's slopes do depend on the pre-activations, so its VJP
-also carries the slopes' adjoints and runs a separate value chain.
+The VJP differentiates ``<g_u, u> + <g_grad, grad u>`` with one sweep
+for every activation.  The value's adjoint at a layer's pre-activation
+is ``g_u`` times that layer's row of the input-gradient chain, which
+the forward pass has formed, so each weight takes one product and the
+value needs no chain of its own.  tanh's slopes also depend on the
+pre-activations: their adjoints go back to the input in one more sweep,
+which adds one product per weight.
 """
 
 from __future__ import annotations
@@ -459,29 +458,28 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
     worker thread can run it.
 
     With n hidden layers, ``q_j`` is the input-gradient chain at layer
-    j's pre-activation; the last one, ``q_{n-1}``, is the output weights'
-    row ``ws[-1].T`` times layer n-1's slopes.  What a chunk keeps:
+    j's pre-activation, du/dz_j; the last one, ``q_{n-1}``, is the output
+    weights' row ``ws[-1].T`` times layer n-1's slopes.  A differentiated
+    chunk keeps, for every activation, the n hidden outputs, ``q_0 ..
+    q_{n-2}`` and each layer's slope state: tanh's float slopes, or the
+    one-byte masks ``z > 0`` of relu and leaky relu, from which the VJP
+    rebuilds layer j's slopes where it multiplies by them.  ``q_{n-1}``
+    is rebuilt only for the products that read it (with one hidden layer
+    that row is ``q_0``, which the input weights read).  A forward-only
+    chunk keeps the n float slopes and one hidden output at a time; each
+    ``q_j`` is formed in place over ``slopes[j]``, and the last one
+    formed, ``q_0``, gives the gradient columns.
 
-    - differentiated tanh: the n hidden outputs, the n slopes, every
-      ``q_j`` and the adjoints ``v_j`` that the second derivative reads;
-    - differentiated relu or leaky relu: the n hidden outputs,
-      ``q_0 .. q_{n-2}`` and each layer's one-byte mask ``z > 0``.
-      Their slopes are a function of the mask, so the VJP rebuilds
-      layer j's slopes where it multiplies by them, and ``q_{n-1}``
-      only for the weight and bias products that read it (with one
-      hidden layer that row is ``q_0``, which the input weights read);
-    - forward-only, any activation: the n float slopes and one hidden
-      output at a time.  Each ``q_j`` is formed in place over
-      ``slopes[j]`` (the same product as ``v_j * slopes[j]``), and the
-      last one formed, ``q_0``, gives the gradient columns.
-
-    The VJP's product for weight j is ``left.T @ q_j``.  ``left`` is the
-    adjoint of the chain at layer j's input (``g_grad`` for the input
-    layer) plus, for relu and leaky relu, ``g_u * h_j``: their slopes do
-    not depend on z, so the value's adjoint at pre-activation j is
-    ``g_u * q_j``, and a hidden bias takes ``g_u.T @ q_j``.  tanh's
-    slopes do depend on z, so tanh adds ``h_j.T @ g_z`` from a value
-    chain run back from ``g_u``, which also takes the slopes' adjoints.
+    The VJP's product for weight j is ``left.T @ q_j``, and bias j takes
+    ``g_u.T @ q_j``.  ``left`` is the adjoint of the chain at layer j's
+    input (``g_grad`` for the input layer) plus ``g_u * h_j``: the
+    value's adjoint at pre-activation j is ``g_u * q_j``.  tanh's slopes
+    also depend on z, d(slope)/dz = -2 h slope, so layer j's slopes send
+    ``src_j = -2 g_q_j h_{j+1} q_j`` to z_j, where ``g_q_j`` is the
+    adjoint of ``q_j``.  One more sweep carries these back to the input:
+    ``c_{n-1} = src_{n-1}``, ``c_{j-1} = (c_j @ W_j.T) * slopes_{j-1} +
+    src_{j-1}``, and weight j adds ``h_j.T @ c_j``, bias j ``c_j``'s
+    column sums.
     """
     n_hidden = len(ws) - 1
     tanh = activation == "tanh"
@@ -501,20 +499,18 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
     del h  # the gradient chain reads only the slopes
 
     def slope(j):
-        """Layer j's slopes, which the caller may overwrite: rebuilt, or a forward-only chunk's."""
-        return _slopes(states[j], activation, alpha) if masked else states[j]
+        """Layer j's slopes, which the caller may overwrite: rebuilt, copied, or a forward-only chunk's."""
+        if masked:
+            return _slopes(states[j], activation, alpha)
+        return states[j].copy() if differentiated else states[j]
 
-    # input-gradient chain: v_j is the adjoint of hidden output j,
-    # q_j = v_j * slopes[j] that of its pre-activation
-    v, vs, qs = ws[-1].T, [], []
+    # input-gradient chain: v is the adjoint of hidden output j,
+    # q_j = v * slopes[j] that of its pre-activation
+    v, qs = ws[-1].T, []
     for j in range(n_hidden - 1, -1, -1):
-        if tanh and differentiated:  # only tanh has a second derivative, which needs v_j
-            q = v * states[j]
-            vs.insert(0, v)
-        else:
-            s = slope(j)
-            q = np.multiply(v, s, out=s)
-        if differentiated and (tanh or j < n_hidden - 1):
+        s = slope(j)
+        q = np.multiply(v, s, out=s)
+        if differentiated and j < n_hidden - 1:
             qs.insert(0, q)
         if j:
             v = q @ ws[j].T
@@ -522,54 +518,27 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
     if not differentiated:
         return None
 
-    def tanh_vjp(g):
-        g_u, g_grad = g[:, :1], g[:, 1:]
-        # through the gradient chain, input side first, keeping the
-        # adjoint of each slope, d(slope)/dz = -2 h slope
-        gws = [np.zeros_like(ws[0])]
-        gws[0][1:] = g_grad.T @ qs[0]
-        g_q = g_grad @ ws[0][1:]
-        g_slopes = []
-        for j in range(n_hidden):
-            g_slopes.append(g_q * vs[j])
-            g_v = g_q * states[j]
-            if j + 1 < n_hidden:
-                gws.append(g_v.T @ qs[j + 1])
-                g_q = g_v @ ws[j + 1]
-            else:
-                gws.append(g_v.sum(axis=0)[:, None])
-        gbs = [None] * n_hidden + [g_u.sum(axis=0)]
-        # through the value chain, output side first
-        gws[-1] += hs[-1].T @ g_u
-        g_h = g_u @ ws[-1].T
-        for j in range(n_hidden - 1, -1, -1):
-            g_h -= 2.0 * hs[j + 1] * g_slopes[j]
-            g_z = g_h * states[j]
-            gws[j] += hs[j].T @ g_z
-            gbs[j] = g_z.sum(axis=0)
-            if j:
-                g_h = g_z @ ws[j].T
-        return (*gws, *gbs)
-
-    def piecewise_vjp(g):
+    def vjp(g):
         g_u, g_grad = g[:, :1], g[:, 1:]
         # through the gradient chain, input side first; left is the
         # adjoint at layer j's input, g_q that of layer j's chain row
         left = g_u * hs[0]
         left[:, 1:] += g_grad
         g_q = g_grad @ ws[0][1:]
-        gws, gbs = [], []
+        gws, gbs, srcs = [], [], []
         for j in range(n_hidden):
             if j < n_hidden - 1:
                 q = qs[j]
-            else:  # the last chain row, rebuilt for its two products only
+            else:  # the last chain row, rebuilt for its products only
                 s = slope(j)
                 q = np.multiply(ws[-1].T, s, out=s)
             gws.append(left.T @ q)
             gbs.append((g_u.T @ q)[0])
+            if tanh:
+                srcs.append(-2.0 * g_q * hs[j + 1] * q)
             del q, left
             # g_v = g_q * slopes[j], the adjoint at layer j's output, then
-            # left for layer j + 1, formed in place over the rebuilt slopes
+            # left for layer j + 1, formed in place over the slopes
             left = slope(j)
             np.multiply(g_q, left, out=left)
             if j + 1 < n_hidden:
@@ -577,9 +546,18 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
             left += g_u * hs[j + 1]
         gws.append(left.sum(axis=0)[:, None])
         gbs.append(g_u.sum(axis=0))
+        if tanh:  # the slopes' adjoints back through the value chain, output side first
+            c = srcs.pop()
+            for j in range(n_hidden - 1, -1, -1):
+                gws[j] += hs[j].T @ c
+                gbs[j] += c.sum(axis=0)
+                if j:
+                    c = c @ ws[j].T
+                    c *= states[j - 1]
+                    c += srcs.pop()
         return (*gws, *gbs)
 
-    return tanh_vjp if tanh else piecewise_vjp
+    return vjp
 
 
 def _activate(z: np.ndarray, activation: str, alpha: float,

@@ -432,7 +432,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_converge(args) -> int:
     config = load_config(args.config, seed_override=args.seed)
-    steps_list = [int(s) for s in args.steps.split(",") if s]
+    try:
+        steps_list = [int(s) for s in args.steps.split(",") if s]
+    except ValueError as exc:
+        raise ConfigError(f"bad --steps list: {args.steps!r}") from exc
     if not steps_list or any(s < 1 for s in steps_list):
         raise ConfigError(f"bad --steps list: {args.steps!r}")
     out_dir = args.out or f"runs/{config.name}_convergence"

@@ -1,0 +1,128 @@
+"""Equality harness: losses, held-out figures and gradients of one source tree, for comparing two.
+
+    python tests/equality.py --src <tree>/src --out A.npz
+    python tests/equality.py --compare A.npz B.npz
+
+The first form imports ``pidenet`` from ``--src`` and stores, per case,
+the training loss (``loss``), its interval terms (``terms``), the
+network values of ``LossBreakdown.values`` (``values``), the held-out
+pass's total, terms and values (``heldout_*``) and the gradient of the
+loss for every parameter (``grad0``, ``grad1``, ..., weights and biases
+interleaved).  The cases are every packaged preset under each activation,
+at B = 64 and 300 paths and with 1, 2 and 3 hidden layers of the
+preset's first width, from fixed seeds and with perturbed parameters, so
+that no bias is zero.
+
+The second form prints, per field and activation, how many cases are
+byte-identical and the worst gap relative to each array's max |x|.
+
+BLAS is pinned to one thread before numpy loads, as the package and the
+tests do.  pytest does not collect this file.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse
+import re
+import sys
+from collections import defaultdict
+from pathlib import Path
+
+import numpy as np
+
+ACTIVATIONS = ("tanh", "relu", "leaky_relu")
+BATCHES = (64, 300)
+DEPTHS = (1, 2, 3)
+
+
+def cases(src: Path) -> dict[str, np.ndarray]:
+    """Every case's fields of the tree under ``src``, keyed ``<case>/<field>``."""
+    sys.path.insert(0, str(src.resolve()))
+    from pidenet import cli, jumpsim, nn, scheme
+    from pidenet.autodiff import Tape
+
+    print(f"pidenet from {Path(cli.__file__).parent}", flush=True)
+
+    out = {}
+    for preset in cli.preset_names():
+        config = cli.load_config(preset)
+        for activation in ACTIVATIONS:
+            for n_hidden in DEPTHS:
+                arch = nn.MlpArchitecture(input_dim=1 + config.problem.dim,
+                                          hidden=(config.hidden[0],) * n_hidden,
+                                          activation=activation, alpha=0.1)
+                rng = np.random.default_rng(n_hidden)
+                params = nn.init(arch, seed=config.seed_init)
+                params = params.replace_flat([a + rng.normal(scale=0.1, size=a.shape)
+                                              for a in params.flat_list()])
+                for batch_size in BATCHES:
+                    case = f"{preset}-{activation}-h{n_hidden}-B{batch_size}"
+                    batch = jumpsim.simulate_forward(config.problem, config.grid, batch_size,
+                                                     config.seed_simulation, stream=0)
+                    tape = Tape()
+                    net = nn.bind(tape, params)
+                    total, breakdown = scheme.loss(net, batch, config.problem)
+                    grads = tape.backward(total, net.param_vars)
+                    del tape, net, total
+                    held_out = jumpsim.simulate_forward(config.problem, config.grid, batch_size,
+                                                        config.seed_evaluation, stream=1)
+                    heldout = scheme.loss(nn.bind(Tape(), params, trainable=False), held_out,
+                                          config.problem)[1]
+                    fields = {
+                        "loss": np.float64(breakdown.total),
+                        "terms": breakdown.interval_terms,
+                        "values": breakdown.values,
+                        "heldout_loss": np.float64(heldout.total),
+                        "heldout_terms": heldout.interval_terms,
+                        "heldout_values": heldout.values,
+                        **{f"grad{k}": g for k, g in enumerate(grads)},
+                    }
+                    out.update({f"{case}/{name}": np.asarray(a) for name, a in fields.items()})
+                    print(case, f"loss {breakdown.total:.17g}", flush=True)
+    return out
+
+
+def compare(a_path: Path, b_path: Path) -> int:
+    """Print the per-field, per-activation tally; 1 if the two files hold different keys."""
+    a, b = np.load(a_path), np.load(b_path)
+    if set(a.files) != set(b.files):
+        print(f"different cases or fields: {sorted(set(a.files) ^ set(b.files))[:10]}")
+        return 1
+    same, total, worst = defaultdict(int), defaultdict(int), defaultdict(float)
+    for key in sorted(a.files):
+        case, name = key.split("/")
+        activation = next(act for act in ACTIVATIONS if f"-{act}-" in case)
+        group = (re.sub(r"\d+$", "", name), activation)
+        x, y = a[key], b[key]
+        total[group] += 1
+        if x.shape == y.shape and x.tobytes() == y.tobytes():
+            same[group] += 1
+            continue
+        scale = np.max(np.abs(x)) if x.size else 0.0
+        gap = np.max(np.abs(x - y)) / scale if x.shape == y.shape and scale else np.inf
+        worst[group] = max(worst[group], float(gap))
+    print(f"{'field':<16}{'activation':<12}{'identical':>12}  worst gap / max|x|")
+    for group in sorted(total):
+        print(f"{group[0]:<16}{group[1]:<12}{same[group]:>6} / {total[group]:<4} {worst[group]:.3g}")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, help="the tree's src directory, holding pidenet")
+    parser.add_argument("--out", type=Path, help="the .npz file to write")
+    parser.add_argument("--compare", type=Path, nargs=2, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if not (args.src and args.out):
+        parser.error("give --src and --out, or --compare A B")
+    np.savez(args.out, **cases(args.src))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

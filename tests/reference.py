@@ -17,8 +17,8 @@ def mlp_param_grads(h, ws, bs, activation: str, alpha: float, g: np.ndarray) -> 
     chains: the input-gradient adjoint runs back through the gradient
     chain, the value's adjoint through a value chain of its own (which
     for tanh also takes the slopes' adjoints), and every weight takes one
-    product from each.  The tanh forward arithmetic is ``Tape.mlp``'s,
-    so tanh gradients compare bit for bit.
+    product from each.  ``Tape.mlp`` reads the value's adjoint from the
+    gradient chain instead, so the gradients agree up to rounding.
     """
     n_hidden = len(ws) - 1
     tanh = activation == "tanh"

@@ -265,7 +265,7 @@ class TestFusedMlp:
         bs = [rng.normal(scale=0.3, size=b) for b in dims[1:]]
         return ws + bs
 
-    @pytest.mark.parametrize("n_hidden", [1, 3])
+    @pytest.mark.parametrize("n_hidden", [1, 2, 3])
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
     def test_parameter_gradients_match_finite_differences(self, activation, n_hidden):
         arrays = self.layers(n_hidden)
@@ -437,9 +437,10 @@ class TestChunkedMlp:
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
     def test_gradients_match_the_two_chain_reference(self, activation, rows, monkeypatch,
                                                      chunk_workers):
-        # relu and leaky relu take one product per weight, with the value's
-        # adjoint read from the gradient chain, so they agree up to rounding;
-        # tanh keeps the reference's products and order, so it agrees bit for bit
+        # the node takes one product per weight, with the value's adjoint
+        # read from the gradient chain, and tanh's slope adjoints in a sweep
+        # of their own, so it agrees with the reference's two chains up to
+        # rounding
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
         params, inp, coef = self.data(rows, activation, hidden=(16, 12, 8))
         expected = None
@@ -454,10 +455,7 @@ class TestChunkedMlp:
             grads = tape.backward(tape.sum(tape.mul(packed, tape.constant(coef))), leaves)
             for k, (g, e) in enumerate(zip(grads, expected)):
                 assert g.shape == e.shape, (workers, k)
-                if activation == "tanh":
-                    assert np.array_equal(g, e), (workers, k)
-                else:
-                    assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e)), (workers, k)
+                assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e)), (workers, k)
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
     def test_one_usable_core_runs_the_chunks_inline(self, activation, monkeypatch,
@@ -492,28 +490,25 @@ class TestChunkedMlp:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_forward_only_node_keeps_one_chunk_of_state_per_worker(self, workers, monkeypatch,
                                                                    chunk_workers):
-        # 40 chunks of 128 rows through 3x64 tanh: the differentiated node
-        # keeps every chunk's hidden outputs, slopes and gradient chain
-        # (27.8 MiB), the forward-only one at most a chunk's slopes and one
-        # layer per worker: measured 0.56, 0.68-0.87 and 0.68-1.19 MiB at 1,
-        # 2 and 3 workers; 0.74, 1.18-1.25 and 1.37-1.75 MiB with every
-        # layer's output kept; 0.94, 1.50-1.62 and 1.69-2.19 MiB with the
-        # gradient chain kept as well
+        # 40 chunks of 128 rows through 3x64 tanh: the forward-only node
+        # keeps at most a chunk's slopes and one layer per worker, where a
+        # chunk's layer is 64 KiB.  Measured 0.56, 0.68-0.87 and 0.68-1.19
+        # MiB at 1, 2 and 3 workers, against bounds of 0.69, 1.03 and 1.38
+        # MiB; 0.74, 1.18-1.25 and 1.37-1.75 MiB with every layer's output
+        # kept; 0.94, 1.50-1.62 and 1.69-2.19 MiB with the gradient chain
+        # kept as well
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
         chunk_workers(workers)
         params, inp, _ = self.data(40 * self.CHUNK, "tanh", hidden=(64, 64, 64))
-
-        def peak(trainable):
-            tape = Tape()
-            tracemalloc.start()
-            try:
-                self.node(tape, params, inp, tape.param if trainable else tape.constant)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        trainable, constant = peak(True), peak(False)
-        assert constant < trainable * (workers + 1) / 80, (constant, trainable)
+        layer = self.CHUNK * 64 * 8
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            self.node(tape, params, inp, tape.constant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (workers + 1) * 5.5 * layer, peak / 2**20
 
     @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
     def test_piecewise_linear_node_keeps_masks_not_slopes(self, activation, monkeypatch,
@@ -536,6 +531,27 @@ class TestChunkedMlp:
             tracemalloc.stop()
         assert tape._nodes[node.id].vjp is not None
         assert held < 7 * layer, held / 2**20
+
+    def test_tanh_node_keeps_slopes_and_the_chain_but_its_last_row(self, monkeypatch,
+                                                                   chunk_workers):
+        # 40 chunks of 128 rows through 3x64 tanh, in 2.5 MiB layers of
+        # every chunk: keeping the hidden outputs, the slopes, the whole
+        # gradient chain and its output-side adjoints held 11.1 layers;
+        # the hidden outputs, float slopes and the chain but its last row
+        # hold 8.1, at 1, 2 and 3 workers alike
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
+        chunk_workers(2)
+        params, inp, _ = self.data(40 * self.CHUNK, "tanh", hidden=(64, 64, 64))
+        layer = 40 * self.CHUNK * 64 * 8
+        tape = Tape()
+        tracemalloc.start()
+        try:
+            node = self.node(tape, params, inp, tape.param)[0]
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert tape._nodes[node.id].vjp is not None
+        assert held < 9 * layer, held / layer
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
     def test_chunked_gradients_match_finite_differences(self, activation, monkeypatch):

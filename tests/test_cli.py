@@ -231,6 +231,14 @@ class TestConverge:
         assert float(rows[1][2]) == np.mean(np.sort([max_sq_err(2, 0), max_sq_err(2, 1)]))
         assert float(rows[2][2]) == max_sq_err(4, 0)
 
+    @pytest.mark.parametrize("args", [["--steps", "2,x"], ["--steps", "0"], ["--steps", "2,-4"],
+                                      ["--steps", "2", "--runs", "1", "--keep", "2"]])
+    def test_bad_arguments_exit_one(self, config_path, tmp_path, args, capsys):
+        out = tmp_path / "study"
+        assert cli.main(["converge", "--config", str(config_path), "--out", str(out), *args]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
