@@ -11,7 +11,10 @@ inside that node; the other primitives are the elementwise ``add``,
 ``sub``, ``mul``, ``smul`` and ``square``, the reductions ``sum``,
 ``mean``, ``row_dot``, ``segment_sum`` and ``block_mean``, and the 2-D
 ``slice``, whose adjoint fills its block of the parent's adjoint in
-place rather than a zero-filled array of the parent's shape.
+place rather than a zero-filled array of the parent's shape.  ``add``,
+``sub``, ``mul`` and ``row_dot`` accept an operand that broadcasts to
+the other's shape, such as the (1, d) row of a coefficient that does not
+depend on the state; its adjoint is summed over the broadcast axes.
 
 Tensors are plain ``numpy.ndarray`` objects in float64; they are treated
 as immutable once recorded.  A ``Variable`` owns its value; the tape keeps
@@ -191,9 +194,9 @@ class Tape:
     # elementwise arithmetic
 
     def _binary(self, op, a, b) -> tuple[bool, bool]:
+        """Whether ``a`` and ``b`` need gradients; one's shape must broadcast to the other's."""
         ra, rb = self._check(a, op), self._check(b, op)
-        if a.shape != b.shape and a.shape != () and b.shape != ():
-            raise ShapeMismatchError(f"{op}: shapes {a.shape} and {b.shape}")
+        _check_broadcast(op, a.shape, b.shape)
         return ra, rb
 
     def add(self, a: Variable, b: Variable) -> Variable:
@@ -257,15 +260,24 @@ class Tape:
         )
 
     def row_dot(self, a: Variable, b: Variable) -> Variable:
-        """Row-wise inner product of two (B, d) arrays, yielding (B, 1)."""
+        """Row-wise inner product of two (B, d) arrays, yielding (B, 1).
+
+        Either operand may be a 2-D array that broadcasts to the other's
+        shape, such as one (1, d) row.
+        """
         ra, rb = self._check(a, "row_dot"), self._check(b, "row_dot")
         av, bv = a.value, b.value
-        if av.shape != bv.shape or av.ndim != 2:
-            raise ShapeMismatchError(f"row_dot: shapes {av.shape} and {bv.shape}")
+        sa, sb = av.shape, bv.shape
+        if av.ndim != 2 or bv.ndim != 2:
+            raise ShapeMismatchError(f"row_dot: shapes {sa} and {sb}")
+        _check_broadcast("row_dot", sa, sb)
         by_a, by_b = bv if ra else None, av if rb else None
 
         def vjp(g):
-            return (g * by_a if ra else None, g * by_b if rb else None)
+            return (
+                _reduce_to(g * by_a, sa) if ra else None,
+                _reduce_to(g * by_b, sb) if rb else None,
+            )
 
         return self._append("row_dot", (a, b), np.einsum("bj,bj->b", av, bv)[:, None], vjp)
 
@@ -593,8 +605,24 @@ def _slopes(mask: np.ndarray, activation: str, alpha: float) -> np.ndarray:
     return s
 
 
+def _check_broadcast(op: str, sa: tuple, sb: tuple) -> None:
+    """Raise unless one of two operand shapes broadcasts to the other."""
+    if sa == sb:  # the common case, without numpy's ~3 us shape arithmetic
+        return
+    try:
+        if np.broadcast_shapes(sa, sb) in (sa, sb):
+            return
+    except ValueError:
+        pass
+    raise ShapeMismatchError(f"{op}: shapes {sa} and {sb}")
+
+
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Collapse a broadcast adjoint back to the operand's shape."""
+    """Sum a broadcast adjoint over the axes that broadcasting added or stretched."""
     if g.shape == shape:
         return g
-    return np.asarray(g.sum()) if shape == () else np.broadcast_to(g, shape).copy()
+    if shape == ():
+        return np.asarray(g.sum())
+    lead = g.ndim - len(shape)
+    axes = (*range(lead), *(lead + i for i, n in enumerate(shape) if n == 1))
+    return g.sum(axis=axes).reshape(shape)

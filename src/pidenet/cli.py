@@ -216,14 +216,16 @@ def load_config(spec: str, seed_override: int | None = None) -> TrainConfig:
 # ----------------------------------------------------------------------
 # training
 
-def _simulate_eval_batch(config: TrainConfig):
-    """The held-out batch: its own seed on its own generator stream."""
-    return jumpsim.simulate_forward(config.problem, config.grid, config.eval_batch_size,
-                                    config.seed_evaluation, stream=EVAL_STREAM)
+def _evaluate(config: TrainConfig, params: nn.MlpParams, iteration, lr, started,
+              error_grid: bool = False):
+    """Held-out report from the loss's one network pass, and the error grid if asked for.
 
-
-def _evaluate(config: TrainConfig, params: nn.MlpParams, eval_batch, iteration, lr, started):
-    """Held-out report from the loss's one network pass, and that pass's (B, N+1) values.
+    The held-out batch has its own seed on its own generator stream.  It
+    is simulated here, at every call, and dies on return: the keyed
+    generator gives the same batch each time, so no caller holds it
+    between evaluations.  ``error_grid`` asks for
+    ``metrics.error_grid``'s rows on that batch (a 1-D problem with an
+    exact solution); otherwise the second result is None.
 
     Nothing differentiates this loss, so the params go on its tape as
     constants: the network node then keeps no VJP state, and the pass
@@ -231,12 +233,14 @@ def _evaluate(config: TrainConfig, params: nn.MlpParams, eval_batch, iteration, 
     forward arithmetic, and with it every figure, is the training
     tape's.
     """
-    breakdown = scheme.loss(nn.bind(Tape(), params, trainable=False), eval_batch,
+    batch = jumpsim.simulate_forward(config.problem, config.grid, config.eval_batch_size,
+                                     config.seed_evaluation, stream=EVAL_STREAM)
+    breakdown = scheme.loss(nn.bind(Tape(), params, trainable=False), batch,
                             config.problem)[1]
     mean_rel_err, node_errors, max_sq_err = metrics.evaluation_errors(
-        breakdown.values, eval_batch, config.problem
+        breakdown.values, batch, config.problem
     )
-    return metrics.MetricsReport(
+    report = metrics.MetricsReport(
         iteration=iteration,
         loss=breakdown.total,
         mean_rel_err=mean_rel_err,
@@ -245,7 +249,9 @@ def _evaluate(config: TrainConfig, params: nn.MlpParams, eval_batch, iteration, 
         max_sq_err=max_sq_err,
         lr=lr,
         wall_clock=time.perf_counter() - started,
-    ), breakdown.values
+    )
+    rows = metrics.error_grid(breakdown.values, batch, config.problem) if error_grid else None
+    return report, rows
 
 
 def save_checkpoint(path, params: nn.MlpParams, iteration: int, lr: float) -> None:
@@ -310,9 +316,11 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
 
     Every iteration simulates a fresh path batch, assembles the loss on a
     new tape, backpropagates and applies one Adam step.  Held-out metrics
-    come from a dedicated evaluation batch on its own generator stream.
-    A numerical abort, also one while simulating that batch, writes
-    ``abort.json`` with the iteration (0 before the first) and the error.
+    come from an evaluation batch on its own generator stream, which each
+    evaluation simulates afresh and drops, so the run holds no held-out
+    batch between evaluations.  A numerical abort writes ``abort.json``
+    with the error and the iteration: the training batch's, or the
+    evaluation's when simulating its held-out batch fails.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -322,9 +330,7 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
     state = AdamState.for_params(params.flat_list(), **config.adam)
 
     reports: list[metrics.MetricsReport] = []
-    it = 0  # an abort before the first iteration is recorded as iteration 0
     try:
-        eval_batch = _simulate_eval_batch(config)
         started = time.perf_counter()
         with open(out / "breakdown.jsonl", "w") as breakdown_log:
             for it in range(1, config.iterations + 1):
@@ -332,11 +338,10 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
                 params, breakdown = _train_step(config, params, state, it, lr)
                 breakdown_log.write(json.dumps({"iteration": it, **breakdown}) + "\n")
                 if it % config.checkpoint_interval == 0 and it < config.iterations:
-                    reports.append(_evaluate(config, params, eval_batch, it, lr, started)[0])
+                    reports.append(_evaluate(config, params, it, lr, started)[0])
                     _log_progress(reports, config.iterations)
-        # only the last evaluation keeps its values, for error_grid.csv: values
-        # held across iterations fragment the heap the next tapes reuse
-        final, values = _evaluate(config, params, eval_batch, it, lr, started)
+        final, grid_rows = _evaluate(config, params, it, lr, started,
+                                     error_grid=problem.dim == 1 and problem.exact is not None)
         reports.append(final)
         _log_progress(reports, config.iterations)
     except (NumericalAbortError, SimulationError, NonFiniteGradientError) as exc:
@@ -349,10 +354,8 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
 
     metrics.write_metrics_csv(out / "metrics.csv", reports)
     metrics.write_error_by_time_csv(out / "error_by_time.csv", grid.times, final.node_errors)
-    if problem.dim == 1 and problem.exact is not None:
-        metrics.write_error_grid_csv(
-            out / "error_grid.csv", metrics.error_grid(values, eval_batch, problem)
-        )
+    if grid_rows is not None:
+        metrics.write_error_grid_csv(out / "error_grid.csv", grid_rows)
     save_checkpoint(out / "checkpoint.json", params, final.iteration, final.lr)
     return reports, params
 
@@ -455,8 +458,7 @@ def _cmd_eval(args) -> int:
         raise ConfigError(
             f"checkpoint architecture {params.arch} does not match config {config.architecture}"
         )
-    eval_batch = _simulate_eval_batch(config)
-    report, _ = _evaluate(config, params, eval_batch, iteration, lr, time.perf_counter())
+    report, _ = _evaluate(config, params, iteration, lr, time.perf_counter())
     print(metrics.METRICS_CSV_HEADER)
     print(report.csv_row())
     if args.out:

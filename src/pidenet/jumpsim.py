@@ -138,7 +138,10 @@ class PathBatch:
     """Simulated forward trajectories plus every random draw they consumed.
 
     Jump events are stored flat in interval-major order; ``events(n)``
-    slices out the paths and marks of interval n.
+    slices out the paths and marks of interval n.  ``simulate_forward``
+    stores the Brownian increments node-major, as a C-contiguous
+    (N, B, d) array; ``brownian`` is its (B, N, d) transposed view, so
+    ``np.transpose(brownian, (1, 0, 2))`` reads them in place.
     """
 
     grid: TimeGrid
@@ -173,21 +176,23 @@ class PathBatch:
 
 def _draw_noise(problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int, stream: int):
     n_steps, d, m = grid.steps, problem.dim, problem.mark_dim
-    step_idx = np.arange(n_steps)[None, :, None]
+    step_idx = np.arange(n_steps)[:, None, None]
     slot_idx = np.arange(d)[None, None, :]
 
-    # Brownian increments, NOISE_BLOCK draws of whole paths at a time
-    brownian = np.empty((batch_size, n_steps, d))
+    # Brownian increments stored node-major, NOISE_BLOCK draws of whole
+    # paths at a time; every draw is keyed, so the layout changes no value
+    by_node = np.empty((n_steps, batch_size, d))
     scale = np.sqrt(grid.dt)
     block_paths = max(1, NOISE_BLOCK // (n_steps * d))
     for lo in range(0, batch_size, block_paths):
         hi = min(batch_size, lo + block_paths)
         u = keyed_uniforms(
             seed, _kind(stream, _KIND_BROWNIAN),
-            np.arange(lo, hi)[:, None, None], step_idx, slot_idx,
+            np.arange(lo, hi)[None, :, None], step_idx, slot_idx,
         )
-        block = ndtri(u, out=brownian[lo:hi])
+        block = ndtri(u, out=by_node[:, lo:hi])
         block *= scale
+    brownian = np.transpose(by_node, (1, 0, 2))
 
     counts = sample_poisson_counts(seed, problem.intensity, grid.dt, batch_size, n_steps, stream)
 

@@ -5,7 +5,8 @@ diffusion, jump size), the jump intensity with its mark sampler and the
 closed-form compensator integral of the jump size, the backward driver,
 the terminal condition, and (when known) the exact solution used only
 for error reporting.  All four problems have a diagonal diffusion, so a
-problem stores only its (rows, d) diagonal.
+problem stores only its diagonal.  A coefficient that does not depend on
+the state comes back as one (1, d) row, which broadcasts over the rows.
 
 Drivers follow the sign convention of the backward one-step map
 ``Y_next = Y - f*dt + Z.dW + I*dt``: the source term that the benchmark
@@ -29,9 +30,12 @@ class ProblemSpec:
 
     Coefficient callables receive the state as (rows, d) and the time as
     either a scalar or a (rows, 1) column; implementations must broadcast
-    over both.  ``diffusion`` returns the (rows, d) diagonal of the
-    diffusion matrix; the forward step multiplies it elementwise with the
-    Brownian increment and the loss with the network's input gradient.
+    over both.  ``drift``, ``diffusion`` and ``compensator`` return
+    arrays that broadcast to (rows, d): a coefficient that does not
+    depend on the state may return one (1, d) row.  ``diffusion`` gives
+    the diagonal of the diffusion matrix; the forward step multiplies it
+    elementwise with the Brownian increment and the loss with the
+    network's input gradient.
     """
 
     name: str
@@ -70,8 +74,22 @@ def _normal_mark_sampler(mean: float, std: float) -> Callable[[np.ndarray], np.n
     return sample
 
 
+# Elements per row block of ``_squared_radius``: its temporary stays near 32 KiB.
+_RADIUS_BLOCK = 2**12
+
+
 def _squared_radius(x: np.ndarray) -> np.ndarray:
-    return np.sum(x * x, axis=1, keepdims=True)
+    """|x|^2 per row as a (rows, 1) column, summed one row block at a time.
+
+    Each row's sum is ``np.sum(x * x, axis=1)``'s bit for bit, but no
+    (rows, d) temporary exists; ``einsum`` would sum in another order.
+    """
+    out = np.empty((x.shape[0], 1))
+    block = max(1, _RADIUS_BLOCK // x.shape[1])
+    for lo in range(0, x.shape[0], block):
+        xb = x[lo:lo + block]
+        np.sum(xb * xb, axis=1, keepdims=True, out=out[lo:lo + block])
+    return out
 
 
 def pure_jump_1d(
@@ -97,8 +115,8 @@ def pure_jump_1d(
         total_time=total_time,
         intensity=lam,
         mark_dim=1,
-        drift=lambda t, x: np.zeros_like(x),
-        diffusion=lambda t, x: np.zeros_like(x),
+        drift=lambda t, x: np.zeros((1, 1)),
+        diffusion=lambda t, x: np.zeros((1, 1)),
         jump_size=lambda t, x, z: x * (np.exp(z) - 1.0),
         sample_marks=_normal_mark_sampler(mark_mean, mark_std),
         compensator=lambda t, x: lam * kappa * x,
@@ -136,7 +154,7 @@ def pide_1d(
         intensity=lam,
         mark_dim=1,
         drift=lambda t, x: eps * x,
-        diffusion=lambda t, x: np.full_like(x, tau),
+        diffusion=lambda t, x: np.full((1, 1), tau),
         jump_size=lambda t, x, z: x * (np.exp(z) - 1.0),
         sample_marks=_normal_mark_sampler(mark_mean, mark_std),
         compensator=lambda t, x: lam * kappa * x,
@@ -180,10 +198,10 @@ def highdim_pide(
         intensity=lam,
         mark_dim=dim,
         drift=lambda t, x: 0.5 * eps * x,
-        diffusion=lambda t, x: np.full_like(x, tau),
+        diffusion=lambda t, x: np.full((1, dim), tau),
         jump_size=lambda t, x, e: e,
         sample_marks=_normal_mark_sampler(mark_mean, mark_std),
-        compensator=lambda t, x: np.full_like(x, lam * mark_mean),
+        compensator=lambda t, x: np.full((1, dim), lam * mark_mean),
         driver=driver,
         terminal=lambda x: _squared_radius(x) / dim,
         exact=lambda t, x: _squared_radius(x) / dim,
@@ -234,7 +252,7 @@ def bsb_jumps(
         diffusion=lambda t, x: tau * x,
         jump_size=lambda t, x, e: e,
         sample_marks=_normal_mark_sampler(mark_mean, mark_std),
-        compensator=lambda t, x: np.full_like(x, lam * mark_mean),
+        compensator=lambda t, x: np.full((1, dim), lam * mark_mean),
         driver=driver,
         terminal=lambda x: _squared_radius(x) / dim,
         exact=exact,

@@ -62,12 +62,12 @@ def transfer(t, x: np.ndarray, y: Variable, z: Variable, i_term: Variable,
     """One-step prediction: y - f*dt + <z, dw> + i*dt, summed in that order.
 
     ``t`` is a scalar or per-row column; rows may span one node or a
-    whole node-stacked batch.  ``<z, dw>`` is formed first, so a pass with
-    no gradient frees ``dw`` before the driver's temporaries exist.
+    whole node-stacked batch.  ``dw`` goes on the tape as it is, so the
+    loss passes a view of the batch's node-major Brownian stack and no
+    copy of it exists.
     """
     tape = y.tape
     noise = tape.row_dot(z, tape.constant(dw))
-    del dw
     acc = y
     f_val = driver(t, x, y, z, i_term)
     if not (np.isscalar(f_val) and float(f_val) == 0.0):
@@ -155,6 +155,7 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
         y_jumped, t_curr, x_curr, event_rows, batch.counts.T.ravel(),
         y_curr, grad_curr, problem, dt,
     )
+    # node-major dW: a view of a simulated batch's stack, a copy of any other
     prediction = transfer(
         t_curr, x_curr, y_curr, z, i_term,
         np.ascontiguousarray(np.transpose(batch.brownian, (1, 0, 2))).reshape(split, batch.dim),

@@ -1,4 +1,4 @@
-"""Equality harness: losses, held-out figures and gradients of one source tree, for comparing two.
+"""Equality harness: batches, losses, held-out figures and gradients of one source tree, for comparing two.
 
     python tests/equality.py --src <tree>/src --out A.npz
     python tests/equality.py --compare A.npz B.npz
@@ -11,10 +11,14 @@ loss for every parameter (``grad0``, ``grad1``, ..., weights and biases
 interleaved).  The cases are every packaged preset under each activation,
 at B = 64 and 300 paths and with 1, 2 and 3 hidden layers of the
 preset's first width, from fixed seeds and with perturbed parameters, so
-that no bias is zero.
+that no bias is zero.  The training and held-out batches that the cases
+of one preset and B share are stored once, under ``<preset>-B<B>``
+(``train_*`` and ``heldout_*``): states, the (B, N, d) Brownian
+increments, counts, event paths, event intervals and event marks.
 
-The second form prints, per field and activation, how many cases are
-byte-identical and the worst gap relative to each array's max |x|.
+The second form prints, per field and activation (``-`` for the
+batches), how many cases are byte-identical and the worst gap relative
+to each array's max |x|.
 
 BLAS is pinned to one thread before numpy loads, as the package and the
 tests do.  pytest does not collect this file.
@@ -36,6 +40,7 @@ import numpy as np
 ACTIVATIONS = ("tanh", "relu", "leaky_relu")
 BATCHES = (64, 300)
 DEPTHS = (1, 2, 3)
+BATCH_FIELDS = ("states", "brownian", "counts", "event_paths", "event_intervals", "event_marks")
 
 
 def cases(src: Path) -> dict[str, np.ndarray]:
@@ -49,6 +54,15 @@ def cases(src: Path) -> dict[str, np.ndarray]:
     out = {}
     for preset in cli.preset_names():
         config = cli.load_config(preset)
+        batches = {}
+        for batch_size in BATCHES:
+            batches[batch_size] = pair = [
+                jumpsim.simulate_forward(config.problem, config.grid, batch_size, seed, stream)
+                for seed, stream in ((config.seed_simulation, 0), (config.seed_evaluation, 1))
+            ]
+            for prefix, batch in zip(("train", "heldout"), pair):
+                for name in BATCH_FIELDS:
+                    out[f"{preset}-B{batch_size}/{prefix}_{name}"] = np.asarray(getattr(batch, name))
         for activation in ACTIVATIONS:
             for n_hidden in DEPTHS:
                 arch = nn.MlpArchitecture(input_dim=1 + config.problem.dim,
@@ -60,15 +74,12 @@ def cases(src: Path) -> dict[str, np.ndarray]:
                                               for a in params.flat_list()])
                 for batch_size in BATCHES:
                     case = f"{preset}-{activation}-h{n_hidden}-B{batch_size}"
-                    batch = jumpsim.simulate_forward(config.problem, config.grid, batch_size,
-                                                     config.seed_simulation, stream=0)
+                    batch, held_out = batches[batch_size]
                     tape = Tape()
                     net = nn.bind(tape, params)
                     total, breakdown = scheme.loss(net, batch, config.problem)
                     grads = tape.backward(total, net.param_vars)
                     del tape, net, total
-                    held_out = jumpsim.simulate_forward(config.problem, config.grid, batch_size,
-                                                        config.seed_evaluation, stream=1)
                     heldout = scheme.loss(nn.bind(Tape(), params, trainable=False), held_out,
                                           config.problem)[1]
                     fields = {
@@ -94,7 +105,7 @@ def compare(a_path: Path, b_path: Path) -> int:
     same, total, worst = defaultdict(int), defaultdict(int), defaultdict(float)
     for key in sorted(a.files):
         case, name = key.split("/")
-        activation = next(act for act in ACTIVATIONS if f"-{act}-" in case)
+        activation = next((act for act in ACTIVATIONS if f"-{act}-" in case), "-")
         group = (re.sub(r"\d+$", "", name), activation)
         x, y = a[key], b[key]
         total[group] += 1
@@ -104,9 +115,9 @@ def compare(a_path: Path, b_path: Path) -> int:
         scale = np.max(np.abs(x)) if x.size else 0.0
         gap = np.max(np.abs(x - y)) / scale if x.shape == y.shape and scale else np.inf
         worst[group] = max(worst[group], float(gap))
-    print(f"{'field':<16}{'activation':<12}{'identical':>12}  worst gap / max|x|")
+    print(f"{'field':<24}{'activation':<12}{'identical':>12}  worst gap / max|x|")
     for group in sorted(total):
-        print(f"{group[0]:<16}{group[1]:<12}{same[group]:>6} / {total[group]:<4} {worst[group]:.3g}")
+        print(f"{group[0]:<24}{group[1]:<12}{same[group]:>6} / {total[group]:<4} {worst[group]:.3g}")
     return 0
 
 

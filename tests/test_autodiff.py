@@ -116,6 +116,59 @@ class TestPrimitives:
         assert peak < 2.5 * a.value.nbytes, peak / a.value.nbytes
 
 
+class TestBroadcastOperand:
+    """``add``, ``sub``, ``mul`` and ``row_dot`` take a (1, d) row for a (rows, d) operand."""
+
+    OPS = ("add", "sub", "mul", "row_dot")
+
+    @staticmethod
+    def operands(op):
+        rng = np.random.default_rng(len(op))
+        full, row = rng.normal(size=(7, 4)), rng.normal(size=(1, 4))
+        weights = rng.normal(size=(7, 1) if op == "row_dot" else (7, 4))
+        return full, row, weights
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_value_and_other_gradient_equal_the_full_operands(self, op):
+        full, row, weights = self.operands(op)
+
+        def run(second):
+            t = Tape()
+            a = t.param(full)
+            out = getattr(t, op)(a, t.constant(second))
+            (g,) = t.backward(t.sum(t.mul(out, t.constant(weights))), [a])
+            return out.value, g
+
+        value, grad = run(row)
+        full_value, full_grad = run(np.repeat(row, 7, axis=0))
+        assert value.tobytes() == full_value.tobytes()
+        assert grad.tobytes() == full_grad.tobytes()
+
+    @pytest.mark.parametrize("row_first", [False, True])
+    @pytest.mark.parametrize("op", OPS)
+    def test_row_gradient_sums_the_full_gradient_over_rows(self, op, row_first):
+        full, row, weights = self.operands(op)
+
+        def build(t, x):
+            pair = (x, t.constant(full)) if row_first else (t.constant(full), x)
+            return t.sum(t.mul(getattr(t, op)(*pair), t.constant(weights)))
+
+        grads = []
+        for point in (row, np.repeat(row, 7, axis=0)):
+            t = Tape()
+            x = t.param(point)
+            grads.extend(t.backward(build(t, x), [x]))
+        assert grads[0].shape == (1, 4)
+        np.testing.assert_allclose(grads[0], grads[1].sum(axis=0, keepdims=True), rtol=1e-12)
+        assert grad_check(build, row) <= 1e-8
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_shapes_that_only_broadcast_together_are_rejected(self, op):
+        t = Tape()
+        with pytest.raises(ShapeMismatchError, match=rf"{op}.*\(7, 1\).*\(1, 4\)"):
+            getattr(t, op)(t.constant(np.ones((7, 1))), t.constant(np.ones((1, 4))))
+
+
 class TestBackward:
     def test_sum_of_squares_gradient(self):
         t = Tape()

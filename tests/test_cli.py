@@ -2,11 +2,13 @@ import dataclasses
 import json
 import logging
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from pidenet import autodiff, cli, metrics, nn
+from pidenet import autodiff, cli, jumpsim, metrics, nn
+from pidenet.jumpsim import SimulationError
 from pidenet.scheme import NumericalAbortError
 
 TINY = {
@@ -119,14 +121,13 @@ class TestTrainAndEval:
         config = cli.load_config(str(config_path))
         params = nn.init(config.architecture, seed=5)
         params = params.replace_flat([a + 0.1 for a in params.flat_list()])
-        eval_batch = cli._simulate_eval_batch(config)
 
         def evaluate():
             tape_variables.clear()
-            report, values = cli._evaluate(config, params, eval_batch, 4, 1e-2, 0.0)
+            report, _ = cli._evaluate(config, params, 4, 1e-2, 0.0)
             (var,) = [v for v in tape_variables if v.tape._nodes[v.id].op == "mlp"]
             assert var.shape[0] > 3 * 64
-            return report, values, var.tape._nodes[var.id]
+            return report, var.value, var.tape._nodes[var.id]
 
         report, values, node = evaluate()
         assert node.vjp is None
@@ -136,13 +137,14 @@ class TestTrainAndEval:
         assert trained_node.vjp is not None
         assert report.csv_row() == trained_report.csv_row()
         assert np.array_equal(report.node_errors, trained_report.node_errors)
-        assert values.shape == (config.eval_batch_size, config.steps + 1)
         assert np.array_equal(values, trained_values)
 
-    def test_held_out_pass_peaks_near_one_chunk(self, chunk_workers):
+    def test_held_out_pass_peaks_near_one_chunk(self, chunk_workers, monkeypatch):
         # highdim_d10 (d=10, 2x64 leaky relu) at B=200: 10200 node rows in
         # five 2048-row chunks on one worker; one hidden layer of one chunk
-        # is 1 MiB.  Peak above the batch measured at 4.42 MiB; 5.28 MiB
+        # is 1 MiB.  Peak above the batch measured at 4.42 MiB, inside the
+        # network node, also before sigma and the compensator became (1, d)
+        # rows and the loss read the Brownian stack in place; 5.28 MiB
         # while the loss copied the network input and held the Brownian
         # stack through the driver; 8.65 MiB while the tape held every
         # constant and each forward-only chunk kept every layer's output
@@ -150,11 +152,14 @@ class TestTrainAndEval:
         chunk_workers(1)
         config = dataclasses.replace(cli.load_config("highdim_d10"), eval_batch_size=200)
         params = nn.init(config.architecture, seed=config.seed_init)
-        eval_batch = cli._simulate_eval_batch(config)
+        # simulated before the trace starts, so the peak is the pass's own
+        eval_batch = jumpsim.simulate_forward(config.problem, config.grid, 200,
+                                              config.seed_evaluation, stream=cli.EVAL_STREAM)
+        monkeypatch.setattr(jumpsim, "simulate_forward", lambda *args, **kwargs: eval_batch)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            cli._evaluate(config, params, eval_batch, 0, 1e-3, 0.0)
+            cli._evaluate(config, params, 0, 1e-3, 0.0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -194,17 +199,56 @@ class TestTrainAndEval:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_nan_coefficient_exits_two(self, tmp_path, capsys):
         # finite coefficients whose drift overflows (a NaN in the config is a
-        # config error); the held-out batch is simulated before the first
-        # iteration, so its path states turn non-finite at interval 1 and
-        # the abort is recorded as iteration 0
+        # config error): the first training batch's path states turn
+        # non-finite at interval 1, so the abort is recorded as iteration 1
         path = tmp_path / "nan.json"
         path.write_text(json.dumps({**TINY, "problem": {"name": "pide_1d", "eps": 10.0,
                                                         "x0": 1e308}}))
         assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err.startswith("numerical abort")
         abort = json.loads((tmp_path / "run" / "abort.json").read_text())
-        assert abort["iteration"] == 0
+        assert abort["iteration"] == 1
         assert abort["error"] == "non-finite state at interval 1, path 0"
+
+    def test_held_out_simulation_abort_exits_two_at_its_iteration(self, config_path, tmp_path,
+                                                                  monkeypatch, capsys):
+        simulate = jumpsim.simulate_forward
+
+        def failing_held_out(problem, grid, batch_size, seed, stream=0):
+            if stream == cli.EVAL_STREAM:
+                raise SimulationError("non-finite state at interval 3, path 5")
+            return simulate(problem, grid, batch_size, seed, stream)
+
+        monkeypatch.setattr(jumpsim, "simulate_forward", failing_held_out)
+        assert train(config_path, tmp_path / "run") == 2
+        assert capsys.readouterr().err.startswith("numerical abort")
+        abort = json.loads((tmp_path / "run" / "abort.json").read_text())
+        # TINY evaluates first after iteration 2 of 4
+        assert abort == {"iteration": 2, "error": "non-finite state at interval 3, path 5"}
+        assert len((tmp_path / "run" / "breakdown.jsonl").read_text().splitlines()) == 2
+
+    def test_run_holds_no_held_out_batch_after_its_evaluation(self, config_path, tmp_path,
+                                                              monkeypatch):
+        simulate, evaluate = jumpsim.simulate_forward, cli._evaluate
+        held_out = []
+
+        def recording(problem, grid, batch_size, seed, stream=0):
+            batch = simulate(problem, grid, batch_size, seed, stream)
+            if stream == cli.EVAL_STREAM:
+                held_out.append(weakref.ref(batch))
+            return batch
+
+        def checked(*args, **kwargs):
+            out = evaluate(*args, **kwargs)
+            assert held_out and held_out[-1]() is None
+            return out
+
+        monkeypatch.setattr(jumpsim, "simulate_forward", recording)
+        monkeypatch.setattr(cli, "_evaluate", checked)
+        reports, _ = cli.run_experiment(cli.load_config(str(config_path)), tmp_path / "run")
+        assert [r.iteration for r in reports] == [2, 4]
+        assert len(held_out) == 2
+        assert (tmp_path / "run" / "error_grid.csv").is_file()
 
 
 class TestConverge:

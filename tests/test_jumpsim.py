@@ -85,6 +85,11 @@ class TestSimulateForward:
         batch = jumpsim.simulate_forward(prob, TimeGrid(1.0, 5), 8, seed=0)
         assert np.all(batch.states[:, 0, :] == prob.x0)
 
+    def test_brownian_is_a_view_of_node_major_storage(self):
+        batch = jumpsim.simulate_forward(problems.highdim_pide(3), TimeGrid(1.0, 5), 7, seed=4)
+        assert batch.brownian.shape == (7, 5, 3)
+        assert np.transpose(batch.brownian, (1, 0, 2)).flags.c_contiguous
+
     def test_bit_reproducible(self):
         prob = problems.pide_1d()
         grid = TimeGrid(1.0, 20)

@@ -38,7 +38,7 @@ class TestCompensators:
             quad, _ = integrate.quad(lambda z: z * phi(z), mean - 12 * std, mean + 12 * std)
             x = np.random.default_rng(0).normal(size=(3, 4))
             np.testing.assert_allclose(
-                prob.compensator(0.2, x),
+                np.broadcast_to(prob.compensator(0.2, x), x.shape),
                 prob.intensity * quad * np.ones_like(x),
                 rtol=1e-3,
             )
@@ -125,8 +125,9 @@ class TestCoefficients:
 
     def test_vector_compensator_value(self):
         prob = problems.highdim_pide(dim=3, lam=0.3, mark_mean=0.01)
+        x = np.ones((2, 3))
         np.testing.assert_allclose(
-            prob.compensator(0.0, np.ones((2, 3))), np.full((2, 3), 0.003), rtol=1e-15
+            np.broadcast_to(prob.compensator(0.0, x), x.shape), np.full((2, 3), 0.003), rtol=1e-15
         )
 
     def test_driver_arrays_and_validation(self):

@@ -428,6 +428,21 @@ class TestOneNetworkPass:
             parent = tape_variables[tape._nodes[v.id].parents[0]]
             assert np.shares_memory(v.value, parent.value)
 
+    def test_training_tape_reads_coefficient_rows_and_the_brownian_stack(self, tape_variables):
+        # highdim_d10's sigma and compensator do not depend on the state:
+        # they go on the tape as (1, d) rows, and the one (rows, d)
+        # constant is dW, a view of the batch's node-major stack
+        config = cli.load_config("highdim_d10")
+        batch = jumpsim.simulate_forward(config.problem, config.grid, 64, config.seed_simulation)
+        tape = Tape()
+        scheme.loss(nn.bind(tape, nn.init(config.architecture, seed=4)), batch, config.problem)
+        d = config.problem.dim
+        constants = [v for v in tape_variables if tape._nodes[v.id].op == "constant"]
+        rows_by_d = [v for v in constants if v.shape == (config.steps * 64, d)]
+        assert len(rows_by_d) == 1
+        assert np.shares_memory(rows_by_d[0].value, batch.brownian)
+        assert sum(v.shape == (1, d) for v in constants) == 2
+
     @pytest.mark.parametrize("problem", BENCHMARKS, ids=lambda p: p.name)
     def test_interval_terms_match_benchmark_recursions(self, problem):
         # the jumped rows of the one network pass must line up with their
