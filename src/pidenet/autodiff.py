@@ -97,6 +97,7 @@ class Variable:
     """
 
     __slots__ = ("tape", "id", "value")
+    __array_ufunc__ = None  # so ``ndarray + Variable`` calls __radd__, not an object-array ufunc
 
     def __init__(self, tape: "Tape", node_id: int, value: np.ndarray):
         self.tape = tape

@@ -81,7 +81,10 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything one training run depends on, seeds included."""
+    """Everything one training run depends on, seeds included.
+
+    ``checkpoint_interval`` only sets how often the held-out evaluation
+    runs; the one checkpoint is written after the last iteration."""
 
     problem: ProblemSpec
     steps: int
@@ -411,7 +414,7 @@ def run_convergence_study(
             try:
                 reports, _ = run_experiment(cfg, run_dir)
                 errors[n_steps].append(reports[-1].max_sq_err)
-            except (NumericalAbortError, SimulationError) as exc:
+            except NumericalAbortError as exc:
                 log.warning("run %s failed and is excluded: %s", run_dir, exc)
                 errors[n_steps].append(float("nan"))
     rows = metrics.convergence_table(errors, config.problem.total_time, keep)

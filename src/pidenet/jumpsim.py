@@ -118,14 +118,14 @@ def poisson_from_uniforms(u: np.ndarray, mean: float) -> np.ndarray:
 def sample_poisson_counts(
     seed: int, lam: float, dt: float, paths: int, steps: int, stream: int = 0
 ) -> np.ndarray:
-    """Per-path, per-interval jump counts, Poisson(lam * dt) distributed."""
+    """Per-interval, per-path jump counts, Poisson(lam * dt), shape (steps, paths)."""
     if lam < 0:
         raise ValueError(f"jump intensity must be >= 0, got {lam}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     u = keyed_uniforms(
         seed, _kind(stream, _KIND_COUNT),
-        np.arange(paths)[:, None], np.arange(steps)[None, :], 0,
+        np.arange(paths)[None, :], np.arange(steps)[:, None], 0,
     )
     return poisson_from_uniforms(u, lam * dt)
 
@@ -137,17 +137,17 @@ def sample_poisson_counts(
 class PathBatch:
     """Simulated forward trajectories plus every random draw they consumed.
 
-    Jump events are stored flat in interval-major order; ``events(n)``
-    slices out the paths and marks of interval n.  ``simulate_forward``
-    stores the Brownian increments node-major, as a C-contiguous
-    (N, B, d) array; ``brownian`` is its (B, N, d) transposed view, so
-    ``np.transpose(brownian, (1, 0, 2))`` reads them in place.
+    Every per-(node, path) array is node-major: axis 0 indexes the time
+    node or interval, axis 1 the path, and ``simulate_forward`` stores
+    each one C-contiguous, so a (N*B, d) reshape of ``brownian`` is a
+    view.  Jump events are stored flat in interval-major order;
+    ``events(n)`` slices out the paths and marks of interval n.
     """
 
     grid: TimeGrid
-    states: np.ndarray          # (B, N+1, d)
-    brownian: np.ndarray        # (B, N, d), increments with variance dt
-    counts: np.ndarray          # (B, N) integer jump counts
+    states: np.ndarray          # (N+1, B, d)
+    brownian: np.ndarray        # (N, B, d), increments with variance dt
+    counts: np.ndarray          # (N, B) integer jump counts
     event_paths: np.ndarray     # (E,) path index per jump event
     event_intervals: np.ndarray  # (E,) interval index per jump event
     event_marks: np.ndarray     # (E, mark_dim)
@@ -163,7 +163,7 @@ class PathBatch:
 
     @property
     def batch_size(self) -> int:
-        return self.states.shape[0]
+        return self.states.shape[1]
 
     @property
     def dim(self) -> int:
@@ -179,9 +179,9 @@ def _draw_noise(problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int
     step_idx = np.arange(n_steps)[:, None, None]
     slot_idx = np.arange(d)[None, None, :]
 
-    # Brownian increments stored node-major, NOISE_BLOCK draws of whole
-    # paths at a time; every draw is keyed, so the layout changes no value
-    by_node = np.empty((n_steps, batch_size, d))
+    # Brownian increments drawn NOISE_BLOCK at a time, in blocks of whole
+    # paths; every draw is keyed, so the blocking changes no value
+    brownian = np.empty((n_steps, batch_size, d))
     scale = np.sqrt(grid.dt)
     block_paths = max(1, NOISE_BLOCK // (n_steps * d))
     for lo in range(0, batch_size, block_paths):
@@ -190,15 +190,14 @@ def _draw_noise(problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int
             seed, _kind(stream, _KIND_BROWNIAN),
             np.arange(lo, hi)[None, :, None], step_idx, slot_idx,
         )
-        block = ndtri(u, out=by_node[:, lo:hi])
+        block = ndtri(u, out=brownian[:, lo:hi])
         block *= scale
-    brownian = np.transpose(by_node, (1, 0, 2))
 
     counts = sample_poisson_counts(seed, problem.intensity, grid.dt, batch_size, n_steps, stream)
 
     # flatten events interval-major: all of interval 0 (paths ascending),
     # then interval 1, ...
-    counts_by_interval = counts.T.ravel()  # index = n * B + p
+    counts_by_interval = counts.ravel()  # index = n * B + p
     total = int(counts_by_interval.sum())
     if total:
         cell = np.repeat(np.arange(n_steps * batch_size), counts_by_interval)
@@ -251,7 +250,7 @@ def simulate_forward(
     )
     batch = PathBatch(
         grid=grid,
-        states=np.empty((batch_size, grid.steps + 1, problem.dim)),
+        states=np.empty((grid.steps + 1, batch_size, problem.dim)),
         brownian=brownian,
         counts=counts,
         event_paths=ev_path,
@@ -261,16 +260,16 @@ def simulate_forward(
         stream=stream,
     )
     x_all = batch.states
-    x_all[:, 0, :] = problem.x0
+    x_all[0] = problem.x0
     dt = grid.dt
     times = grid.times
     for n in range(grid.steps):
         t = times[n]
-        x = x_all[:, n, :]
+        x = x_all[n]
         nxt = (
             x
             + problem.drift(t, x) * dt
-            + problem.diffusion(t, x) * brownian[:, n, :]
+            + problem.diffusion(t, x) * brownian[n]
             + _jump_sum(problem, batch, n, t, x)
             - problem.compensator(t, x) * dt
         )
@@ -279,5 +278,5 @@ def simulate_forward(
             raise SimulationError(
                 f"non-finite state at interval {n + 1}, path {int(bad[0])}"
             )
-        x_all[:, n + 1, :] = nxt
+        x_all[n + 1] = nxt
     return batch

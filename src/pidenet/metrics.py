@@ -1,4 +1,4 @@
-"""Errors of given network values against exact solutions, and experiment report files."""
+"""Errors of node-major (node, path) network values against exact solutions, and report files."""
 
 from __future__ import annotations
 
@@ -60,19 +60,19 @@ def _require_exact(problem: ProblemSpec):
 
 
 def _exact_values(batch: PathBatch, problem: ProblemSpec) -> np.ndarray:
-    """Values of u at every (path, node), shape (B, N+1)."""
+    """Values of u at every (node, path), shape (N+1, B)."""
     _require_exact(problem)
     times = batch.grid.times
-    exact = np.empty((batch.batch_size, batch.grid.steps + 1))
+    exact = np.empty((batch.grid.steps + 1, batch.batch_size))
     for n in range(batch.grid.steps + 1):
-        exact[:, n] = problem.exact(times[n], batch.states[:, n, :])[:, 0]
+        exact[n] = problem.exact(times[n], batch.states[n])[:, 0]
     return exact
 
 
 def evaluation_errors(
     values: np.ndarray, batch: PathBatch, problem: ProblemSpec
 ) -> tuple[float, np.ndarray, float]:
-    """Three error figures against u of the loss's network values (B, N+1) on ``batch``.
+    """Three error figures against u of the loss's network values (N+1, B) on ``batch``.
 
     - mean relative error: mean over paths and time nodes of
       |net - u| / max(floor, |u|);
@@ -82,8 +82,8 @@ def evaluation_errors(
     """
     exact = _exact_values(batch, problem)
     rel = np.abs(values - exact) / np.maximum(REL_ERR_FLOOR, np.abs(exact))
-    max_sq = float(np.max(np.mean((values - exact) ** 2, axis=0)))
-    return float(rel.mean()), rel.mean(axis=0), max_sq
+    max_sq = float(np.max(np.mean((values - exact) ** 2, axis=1)))
+    return float(rel.mean()), rel.mean(axis=1), max_sq
 
 
 def error_grid(
@@ -97,17 +97,17 @@ def error_grid(
     if problem.dim != 1:
         raise ValueError("error_grid is only defined for one-dimensional problems")
     abs_err = np.abs(values - _exact_values(batch, problem))
-    xs = batch.states[:, :, 0]
+    xs = batch.states[:, :, 0]  # (N+1, B)
     edges = np.linspace(xs.min(), xs.max() + 1e-12, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     rows = []
     times = batch.grid.times
     for n in range(batch.grid.steps + 1):
-        which = np.clip(np.digitize(xs[:, n], edges) - 1, 0, bins - 1)
+        which = np.clip(np.digitize(xs[n], edges) - 1, 0, bins - 1)
         for b in range(bins):
             mask = which == b
             if mask.any():
-                rows.append((float(times[n]), float(centers[b]), float(abs_err[mask, n].mean())))
+                rows.append((float(times[n]), float(centers[b]), float(abs_err[n, mask].mean())))
     return rows
 
 

@@ -8,9 +8,9 @@ propagates node n's quantities to a prediction for node n+1, and the
 loss averages the squared one-step residuals together with the terminal
 misfit.
 
-The loss makes one network pass per batch: every (node, path) pair,
-stacked node-major, and below them the jumped state of every jump
-event go through a single ``value_and_grad`` call, one ``Tape.mlp``
+The loss makes one network pass per batch: every (node, path) pair, in
+the batch's node-major order, and below them the jumped state of every
+jump event go through a single ``value_and_grad`` call, one ``Tape.mlp``
 node.  The one-step residuals then reduce to row slices of that node,
 row-wise arithmetic and one segment sum over all jump events, which
 keeps the tape small and the matrix products large.
@@ -40,8 +40,8 @@ class NumericalAbortError(FloatingPointError):
 class LossBreakdown:
     """Plain-number record of the per-interval and terminal loss terms.
 
-    ``values`` copies the network's value at every (path, node), shape
-    (B, N+1); held-out errors read it, and ``to_dict`` leaves it out.
+    ``values`` copies the network's value at every (node, path), shape
+    (N+1, B) like the batch; held-out errors read it, ``to_dict`` does not.
     """
 
     interval_terms: np.ndarray
@@ -63,7 +63,7 @@ def transfer(t, x: np.ndarray, y: Variable, z: Variable, i_term: Variable,
 
     ``t`` is a scalar or per-row column; rows may span one node or a
     whole node-stacked batch.  ``dw`` goes on the tape as it is, so the
-    loss passes a view of the batch's node-major Brownian stack and no
+    loss passes a (N*B, d) view of the batch's Brownian stack and no
     copy of it exists.
     """
     tape = y.tape
@@ -137,7 +137,7 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
     # reshaped from the contiguous row block, so the writes land in inp
     nodes = inp[:n_nodes].reshape(n_steps + 1, n_rows, 1 + batch.dim)
     nodes[..., 0] = grid.times[:, None]
-    nodes[..., 1:] = np.transpose(batch.states, (1, 0, 2))
+    nodes[..., 1:] = batch.states
     t_curr, x_curr = t_all[:split], x_all[:split]
     if event_rows.size:
         t_ev, x_ev = t_curr[event_rows], x_curr[event_rows]
@@ -151,16 +151,10 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
     grad_curr = tape.slice(grad_all, rows=(0, split))
 
     z = tape.mul(grad_curr, tape.constant(problem.diffusion(t_curr, x_curr)))
-    i_term = integral_term(
-        y_jumped, t_curr, x_curr, event_rows, batch.counts.T.ravel(),
-        y_curr, grad_curr, problem, dt,
-    )
-    # node-major dW: a view of a simulated batch's stack, a copy of any other
-    prediction = transfer(
-        t_curr, x_curr, y_curr, z, i_term,
-        np.ascontiguousarray(np.transpose(batch.brownian, (1, 0, 2))).reshape(split, batch.dim),
-        problem.driver, dt,
-    )
+    i_term = integral_term(y_jumped, t_curr, x_curr, event_rows, batch.counts.ravel(),
+                           y_curr, grad_curr, problem, dt)
+    prediction = transfer(t_curr, x_curr, y_curr, z, i_term,
+                          batch.brownian.reshape(split, batch.dim), problem.driver, dt)
     interval_vec = tape.block_mean(tape.square(tape.sub(y_next, prediction)), n_steps)
 
     interval_terms = interval_vec.value[:, 0].copy()
@@ -173,7 +167,7 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
         )
 
     y_term = tape.slice(value_all, rows=(split, n_nodes))
-    target = tape.constant(problem.terminal(batch.states[:, n_steps, :]))
+    target = tape.constant(problem.terminal(batch.states[n_steps]))
     terminal = tape.mean(tape.square(tape.sub(y_term, target)))
     if not np.isfinite(terminal.value):
         raise NumericalAbortError(
@@ -187,6 +181,6 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
         interval_terms=interval_terms,
         terminal_term=float(terminal.value),
         total=float(total.value),
-        values=value_all.value[:n_nodes, 0].reshape(n_steps + 1, n_rows).T.copy(),
+        values=value_all.value[:n_nodes, 0].reshape(n_steps + 1, n_rows).copy(),
     )
     return total, breakdown

@@ -13,8 +13,16 @@ at B = 64 and 300 paths and with 1, 2 and 3 hidden layers of the
 preset's first width, from fixed seeds and with perturbed parameters, so
 that no bias is zero.  The training and held-out batches that the cases
 of one preset and B share are stored once, under ``<preset>-B<B>``
-(``train_*`` and ``heldout_*``): states, the (B, N, d) Brownian
-increments, counts, event paths, event intervals and event marks.
+(``train_*`` and ``heldout_*``): states, Brownian increments, counts,
+event paths, event intervals and event marks.
+
+Every per-(node, path) array is stored node-major, whatever the tree's
+layout: states (N+1, B, d), Brownian increments (N, B, d), counts
+(N, B), ``values`` and ``heldout_values`` (N+1, B).  A tree whose
+``PathBatch.states`` leads with the path axis (``states.shape[0] ==
+B``) has those arrays' first two axes swapped before they are stored,
+so trees on either side of the change to node-major compare byte for
+byte.
 
 The second form prints, per field and activation (``-`` for the
 batches), how many cases are byte-identical and the worst gap relative
@@ -41,6 +49,12 @@ ACTIVATIONS = ("tanh", "relu", "leaky_relu")
 BATCHES = (64, 300)
 DEPTHS = (1, 2, 3)
 BATCH_FIELDS = ("states", "brownian", "counts", "event_paths", "event_intervals", "event_marks")
+NODE_PATH_FIELDS = ("states", "brownian", "counts")
+
+
+def node_major(a, path_major: bool) -> np.ndarray:
+    """``a`` with its node axis first, a C-contiguous copy when it had to be swapped."""
+    return np.ascontiguousarray(np.swapaxes(a, 0, 1)) if path_major else np.asarray(a)
 
 
 def cases(src: Path) -> dict[str, np.ndarray]:
@@ -60,9 +74,11 @@ def cases(src: Path) -> dict[str, np.ndarray]:
                 jumpsim.simulate_forward(config.problem, config.grid, batch_size, seed, stream)
                 for seed, stream in ((config.seed_simulation, 0), (config.seed_evaluation, 1))
             ]
+            path_major = pair[0].states.shape[0] == batch_size
             for prefix, batch in zip(("train", "heldout"), pair):
                 for name in BATCH_FIELDS:
-                    out[f"{preset}-B{batch_size}/{prefix}_{name}"] = np.asarray(getattr(batch, name))
+                    out[f"{preset}-B{batch_size}/{prefix}_{name}"] = node_major(
+                        getattr(batch, name), path_major and name in NODE_PATH_FIELDS)
         for activation in ACTIVATIONS:
             for n_hidden in DEPTHS:
                 arch = nn.MlpArchitecture(input_dim=1 + config.problem.dim,
@@ -75,6 +91,7 @@ def cases(src: Path) -> dict[str, np.ndarray]:
                 for batch_size in BATCHES:
                     case = f"{preset}-{activation}-h{n_hidden}-B{batch_size}"
                     batch, held_out = batches[batch_size]
+                    path_major = batch.states.shape[0] == batch_size
                     tape = Tape()
                     net = nn.bind(tape, params)
                     total, breakdown = scheme.loss(net, batch, config.problem)
@@ -85,10 +102,10 @@ def cases(src: Path) -> dict[str, np.ndarray]:
                     fields = {
                         "loss": np.float64(breakdown.total),
                         "terms": breakdown.interval_terms,
-                        "values": breakdown.values,
+                        "values": node_major(breakdown.values, path_major),
                         "heldout_loss": np.float64(heldout.total),
                         "heldout_terms": heldout.interval_terms,
-                        "heldout_values": heldout.values,
+                        "heldout_values": node_major(heldout.values, path_major),
                         **{f"grad{k}": g for k, g in enumerate(grads)},
                     }
                     out.update({f"{case}/{name}": np.asarray(a) for name, a in fields.items()})

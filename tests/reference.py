@@ -136,7 +136,7 @@ class OracleNetwork:
 def compensator_residual_paths(
     problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int, stream: int = 0
 ) -> np.ndarray:
-    """Per-path compensated jump increments, shape (B, N, d).
+    """Per-path compensated jump increments, node-major, shape (N, B, d).
 
     Each entry is the interval's jump-size sum minus compensator * dt; the
     compensation makes these mean-zero, which the moment tests check.
@@ -145,8 +145,8 @@ def compensator_residual_paths(
     out = np.empty_like(batch.brownian)
     for n in range(grid.steps):
         t = grid.times[n]
-        x = batch.states[:, n, :]
-        out[:, n, :] = _jump_sum(problem, batch, n, t, x) - problem.compensator(t, x) * grid.dt
+        x = batch.states[n]
+        out[n] = _jump_sum(problem, batch, n, t, x) - problem.compensator(t, x) * grid.dt
     return out
 
 
@@ -154,17 +154,17 @@ def compensator_residual(
     problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int, stream: int = 0
 ) -> np.ndarray:
     """Batch mean of the compensated jump increments, shape (N, d)."""
-    return compensator_residual_paths(problem, grid, batch_size, seed, stream).mean(axis=0)
+    return compensator_residual_paths(problem, grid, batch_size, seed, stream).mean(axis=1)
 
 
 def permuted(batch: PathBatch, perm: np.ndarray) -> PathBatch:
-    """``batch`` with its paths reindexed; checks permutation invariance of reductions."""
+    """``batch`` with its paths (axis 1) reindexed; checks permutation invariance of reductions."""
     inverse = np.argsort(perm)
     return PathBatch(
         grid=batch.grid,
-        states=batch.states[perm],
-        brownian=batch.brownian[perm],
-        counts=batch.counts[perm],
+        states=batch.states[:, perm],
+        brownian=batch.brownian[:, perm],
+        counts=batch.counts[:, perm],
         event_paths=inverse[batch.event_paths],
         event_intervals=batch.event_intervals,
         event_marks=batch.event_marks,
@@ -178,25 +178,25 @@ def draw_noise_one_call(problem: ProblemSpec, grid: TimeGrid, batch_size: int, s
     """``jumpsim._draw_noise`` with every Brownian draw of the batch made in one call.
 
     Returns (brownian, counts, event paths, event intervals, event marks);
-    events are flattened interval-major, paths ascending within an
-    interval.
+    brownian and counts are node-major, and events are flattened
+    interval-major, paths ascending within an interval.
     """
     n_steps, d, m = grid.steps, problem.dim, problem.mark_dim
     u = keyed_uniforms(
         seed, jumpsim._kind(stream, jumpsim._KIND_BROWNIAN),
-        np.arange(batch_size)[:, None, None], np.arange(n_steps)[None, :, None],
+        np.arange(batch_size)[None, :, None], np.arange(n_steps)[:, None, None],
         np.arange(d)[None, None, :],
     )
     brownian = ndtri(u) * np.sqrt(grid.dt)
     u = keyed_uniforms(
         seed, jumpsim._kind(stream, jumpsim._KIND_COUNT),
-        np.arange(batch_size)[:, None], np.arange(n_steps)[None, :], 0,
+        np.arange(batch_size)[None, :], np.arange(n_steps)[:, None], 0,
     )
     counts = jumpsim.poisson_from_uniforms(u, problem.intensity * grid.dt)
     paths, intervals, marks = [], [], []
     for n in range(n_steps):
         for p in range(batch_size):
-            for k in range(counts[p, n]):
+            for k in range(counts[n, p]):
                 paths.append(p)
                 intervals.append(n)
                 marks.append(keyed_uniforms(

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pidenet import autodiff, nn
-from pidenet.autodiff import ShapeMismatchError, Tape, TapeError
+from pidenet.autodiff import ShapeMismatchError, Tape, TapeError, Variable
 
 from reference import grad_check, mlp_param_grads
 
@@ -167,6 +167,18 @@ class TestBroadcastOperand:
         t = Tape()
         with pytest.raises(ShapeMismatchError, match=rf"{op}.*\(7, 1\).*\(1, 4\)"):
             getattr(t, op)(t.constant(np.ones((7, 1))), t.constant(np.ones((1, 4))))
+
+
+def test_numpy_operand_on_the_left_defers_to_the_variable():
+    # numpy would otherwise broadcast the Variable as an object scalar
+    # and return an object ndarray of Variables
+    t = Tape()
+    v = t.param(np.arange(1.0, 4.0)[:, None])
+    c = np.full((3, 1), 2.0)
+    pairs = ((c + v, v + c), (c - v, -(v - c)), (c * v, v * c), (np.float64(3.0) * v, v * 3.0))
+    for got, want in pairs:
+        assert isinstance(got, Variable)
+        assert np.array_equal(got.value, want.value)
 
 
 class TestBackward:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from pidenet import jumpsim, problems
+from pidenet import jumpsim, nn, problems, scheme
+from pidenet.autodiff import Tape
 from pidenet.jumpsim import TimeGrid
 
 from reference import compensator_residual, compensator_residual_paths, draw_noise_one_call
@@ -26,7 +27,7 @@ class TestTimeGrid:
 class TestCounts:
     def test_zero_intensity_never_jumps(self):
         c = jumpsim.sample_poisson_counts(seed=1, lam=0.0, dt=0.5, paths=100, steps=10)
-        assert c.shape == (100, 10)
+        assert c.shape == (10, 100)
         assert np.all(c == 0)
 
     def test_negative_intensity_rejected(self):
@@ -83,12 +84,19 @@ class TestSimulateForward:
     def test_initial_state(self):
         prob = problems.highdim_pide(dim=3)
         batch = jumpsim.simulate_forward(prob, TimeGrid(1.0, 5), 8, seed=0)
-        assert np.all(batch.states[:, 0, :] == prob.x0)
+        assert np.all(batch.states[0] == prob.x0)
 
-    def test_brownian_is_a_view_of_node_major_storage(self):
-        batch = jumpsim.simulate_forward(problems.highdim_pide(3), TimeGrid(1.0, 5), 7, seed=4)
-        assert batch.brownian.shape == (7, 5, 3)
-        assert np.transpose(batch.brownian, (1, 0, 2)).flags.c_contiguous
+    def test_node_major_layout(self):
+        prob, grid = problems.highdim_pide(3, lam=2.0), TimeGrid(1.0, 5)
+        batch = jumpsim.simulate_forward(prob, grid, 7, seed=4)
+        for name, shape in (("states", (6, 7, 3)), ("brownian", (5, 7, 3)), ("counts", (5, 7))):
+            array = getattr(batch, name)
+            assert array.shape == shape, name
+            assert array.flags.c_contiguous, name
+        assert np.shares_memory(batch.brownian.reshape(5 * 7, 3), batch.brownian)
+        assert batch.batch_size == 7 and batch.dim == 3
+        net = nn.bind(Tape(), nn.init(nn.MlpArchitecture(4, (8,)), seed=0), trainable=False)
+        assert scheme.loss(net, batch, prob)[1].values.shape == (6, 7)
 
     def test_bit_reproducible(self):
         prob = problems.pide_1d()
@@ -107,9 +115,9 @@ class TestSimulateForward:
         grid = TimeGrid(1.0, 20)
         small = jumpsim.simulate_forward(prob, grid, 8, seed=5)
         large = jumpsim.simulate_forward(prob, grid, 16, seed=5)
-        assert np.array_equal(small.states, large.states[:8])
-        assert np.array_equal(small.brownian, large.brownian[:8])
-        assert np.array_equal(small.counts, large.counts[:8])
+        assert np.array_equal(small.states, large.states[:, :8])
+        assert np.array_equal(small.brownian, large.brownian[:, :8])
+        assert np.array_equal(small.counts, large.counts[:, :8])
 
     def test_streams_are_independent(self):
         prob = problems.pide_1d()
@@ -135,13 +143,13 @@ class TestSimulateForward:
         batch = jumpsim.simulate_forward(prob, grid, 64, seed=23)
         c = 0.3 * (np.exp(0.4 + 0.5 * 0.25**2) - 1.0)
         assert c == pytest.approx(0.16175, abs=1e-5)
-        jumped = np.zeros((64, 50), dtype=bool)
-        jumped[batch.event_paths, batch.event_intervals] = True
+        jumped = np.zeros((50, 64), dtype=bool)
+        jumped[batch.event_intervals, batch.event_paths] = True
         assert (~jumped).any()
-        for p, n in zip(*np.nonzero(~jumped)):
-            x = batch.states[p, n, 0]
+        for n, p in zip(*np.nonzero(~jumped)):
+            x = batch.states[n, p, 0]
             np.testing.assert_allclose(
-                batch.states[p, n + 1, 0], x - c * x * grid.dt, rtol=1e-14
+                batch.states[n + 1, p, 0], x - c * x * grid.dt, rtol=1e-14
             )
 
     def test_martingale_property_of_pure_jump(self):
@@ -149,7 +157,7 @@ class TestSimulateForward:
         prob = problems.pure_jump_1d()
         grid = TimeGrid(1.0, 50)
         batch = jumpsim.simulate_forward(prob, grid, 10**5, seed=31)
-        final = batch.states[:, -1, 0]
+        final = batch.states[-1, :, 0]
         assert abs(final.mean() - 1.0) <= 3.0 * final.std() / np.sqrt(final.size)
 
     @pytest.mark.parametrize(
@@ -178,11 +186,11 @@ class TestSimulateForward:
                     x = (
                         x
                         + prob.drift(t, x) * dt
-                        + np.einsum("bij,bj->bi", sigma, batch.brownian[:, n, :])
+                        + np.einsum("bij,bj->bi", sigma, batch.brownian[n])
                         + jump_sum
                         - prob.compensator(t, x) * dt
                     )
-                    assert np.array_equal(batch.states[:, n + 1, :], x), (seed, stream, n)
+                    assert np.array_equal(batch.states[n + 1], x), (seed, stream, n)
 
     @pytest.mark.parametrize("stream", [0, 1])
     @pytest.mark.parametrize("dim", [1, 100])
@@ -205,9 +213,9 @@ class TestSimulateForward:
         assert batch.event_marks.shape == (int(batch.counts.sum()), 2)
         for n in range(4):
             ids, marks = batch.events(n)
-            assert len(ids) == int(batch.counts[:, n].sum())
+            assert len(ids) == int(batch.counts[n].sum())
             recount = np.bincount(ids, minlength=50)
-            np.testing.assert_array_equal(recount, batch.counts[:, n])
+            np.testing.assert_array_equal(recount, batch.counts[n])
 
     def test_nonfinite_state_aborts_with_location(self):
         prob = problems.pide_1d()
@@ -241,8 +249,8 @@ class TestCompensatorResidual:
         prob = problems.pure_jump_1d()
         grid = TimeGrid(1.0, 50)
         paths = compensator_residual_paths(prob, grid, 20000, seed=13)
-        mean = paths.mean(axis=0)
-        sigma = paths.std(axis=0) / np.sqrt(paths.shape[0])
+        mean = paths.mean(axis=1)
+        sigma = paths.std(axis=1) / np.sqrt(paths.shape[1])
         assert np.all(np.abs(mean) <= 4.0 * sigma)
 
     def test_state_free_jump_size_centering(self):
@@ -251,7 +259,7 @@ class TestCompensatorResidual:
         prob = problems.highdim_pide(dim=1, lam=2.0, mark_mean=0.05, mark_std=0.02)
         grid = TimeGrid(1.0, 2)
         paths = compensator_residual_paths(prob, grid, 50000, seed=19)
-        mean = paths.mean(axis=0)
-        sigma = paths.std(axis=0) / np.sqrt(paths.shape[0])
+        mean = paths.mean(axis=1)
+        sigma = paths.std(axis=1) / np.sqrt(paths.shape[1])
         assert np.all(np.abs(mean) <= 4.0 * sigma)
 

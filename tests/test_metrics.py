@@ -24,11 +24,10 @@ def offset_params(offset):
 
 
 def network_values(params, batch):
-    """The (B, N+1) values the metrics take, from the plain reference pass."""
+    """The (N+1, B) values the metrics take, from the plain reference pass."""
     return np.stack(
-        [nn.evaluate(params, network_input(t, batch.states[:, n, :]))[:, 0]
-         for n, t in enumerate(batch.grid.times)],
-        axis=1,
+        [nn.evaluate(params, network_input(t, batch.states[n]))[:, 0]
+         for n, t in enumerate(batch.grid.times)]
     )
 
 
@@ -80,9 +79,9 @@ class TestPointwiseMetrics:
         _, _, approx_err = errors(params, batch, prob)
         # batch-mean absolute gap at any single node, squared, is a lower bound
         for n in (0, 5, 10):
-            inp = network_input(batch.grid.times[n], batch.states[:, n, :])
+            inp = network_input(batch.grid.times[n], batch.states[n])
             vals = nn.evaluate(params, inp)[:, 0]
-            exact = prob.exact(batch.grid.times[n], batch.states[:, n, :])[:, 0]
+            exact = prob.exact(batch.grid.times[n], batch.states[n])[:, 0]
             assert approx_err >= np.mean(np.abs(vals - exact)) ** 2 - 1e-15
 
     def test_permutation_invariance(self, pure_jump_batch):

@@ -137,13 +137,13 @@ class TestIntegralTerm:
         w_x = 1.7
         for n in range(4):
             ids, marks = batch.events(n)
-            x = batch.states[:, n, :]
+            x = batch.states[n]
             tape = Tape()
             net = nn.bind(tape, params)
             y, g = net.value_and_grad(network_input(batch.grid.times[n], x))
             out = scheme.integral_term(
                 jumped_values(net, prob, batch.grid.times[n], x, ids, marks),
-                batch.grid.times[n], x, ids, batch.counts[:, n], y, g, prob, dt,
+                batch.grid.times[n], x, ids, batch.counts[n], y, g, prob, dt,
             )
             jump_dot = np.zeros((32, 1))
             if ids.size:
@@ -201,6 +201,24 @@ class TestLoss:
         l1, _ = scheme.loss(nn.bind(t1, params), batch, prob)
         l2, _ = scheme.loss(nn.bind(t2, params), permuted(batch, perm), prob)
         assert float(l1.value) == pytest.approx(float(l2.value), abs=1e-12)
+
+    def test_numpy_operand_first_in_the_driver(self):
+        # a numpy operand first (c + r * y) must give the loss and gradients of r * y + c
+        prob = problems.bsb_jumps(dim=2)
+        r = np.float64(prob.params["r"])
+        params = nn.init(nn.MlpArchitecture(3, (6,), "tanh"), seed=9)
+        batch = toy_batch(prob, n_steps=3, batch_size=16, seed=77)
+        results = []
+        # t is the loss's per-row time column, so 0.03 * np.exp(-t) is an ndarray
+        for driver in (lambda t, x, y, z, i: r * y + 0.03 * np.exp(-t),
+                       lambda t, x, y, z, i: 0.03 * np.exp(-t) + r * y):
+            problem = dataclasses.replace(prob, driver=driver)
+            tape = Tape()
+            net = nn.bind(tape, params)
+            total, _ = scheme.loss(net, batch, problem)
+            results.append([total.value, *tape.backward(total, net.param_vars)])
+        for first, second in zip(*results):
+            assert np.array_equal(first, second)
 
     def test_tape_dies_without_the_garbage_collector(self):
         # VJP closures hold arrays, not variables, so a dropped tape is
@@ -318,13 +336,13 @@ def one_step_reference(problem, params, batch, n):
     """The benchmark's explicit next-step recursion, computed in numpy."""
     grid = batch.grid
     t, dt = grid.times[n], grid.dt
-    x = batch.states[:, n, :]
+    x = batch.states[n]
     y = nn.evaluate(params, network_input(t, x))
     tape = Tape()
     _, g_var = nn.bind(tape, params).value_and_grad(network_input(t, x))
     grad = g_var.value
     z = problem.diffusion(t, x) * grad
-    z_dw = np.sum(z * batch.brownian[:, n, :], axis=1, keepdims=True)
+    z_dw = np.sum(z * batch.brownian[n], axis=1, keepdims=True)
 
     ids, marks = batch.events(n)
     jump_sum = np.zeros_like(y)
@@ -363,18 +381,18 @@ def test_transfer_matches_benchmark_recursions(problem):
     batch = toy_batch(problem, n_steps=3, batch_size=16, seed=91)
     for n in range(3):
         t = batch.grid.times[n]
-        x = batch.states[:, n, :]
+        x = batch.states[n]
         tape = Tape()
         net = nn.bind(tape, params)
         y, g = net.value_and_grad(network_input(t, x))
         z = tape.mul(g, tape.constant(problem.diffusion(t, x)))
         ids, marks = batch.events(n)
         i_term = scheme.integral_term(
-            jumped_values(net, problem, t, x, ids, marks), t, x, ids, batch.counts[:, n],
+            jumped_values(net, problem, t, x, ids, marks), t, x, ids, batch.counts[n],
             y, g, problem, batch.grid.dt,
         )
         prediction = scheme.transfer(
-            t, x, y, z, i_term, batch.brownian[:, n, :], problem.driver, batch.grid.dt
+            t, x, y, z, i_term, batch.brownian[n], problem.driver, batch.grid.dt
         )
         reference = one_step_reference(problem, params, batch, n)
         np.testing.assert_allclose(prediction.value, reference, atol=1e-12)
@@ -453,7 +471,7 @@ class TestOneNetworkPass:
         _, breakdown = scheme.loss(nn.bind(Tape(), params), batch, problem)
         expected = [
             np.mean((nn.evaluate(params,
-                                 network_input(batch.grid.times[n + 1], batch.states[:, n + 1, :]))
+                                 network_input(batch.grid.times[n + 1], batch.states[n + 1]))
                      - one_step_reference(problem, params, batch, n)) ** 2)
             for n in range(3)
         ]
@@ -467,11 +485,10 @@ class TestOneNetworkPass:
         batch = toy_batch(problem, n_steps=3, batch_size=32, seed=91)
         _, breakdown = scheme.loss(nn.bind(Tape(), params), batch, problem)
         expected = np.stack(
-            [nn.evaluate(params, network_input(t, batch.states[:, n, :]))[:, 0]
-             for n, t in enumerate(batch.grid.times)],
-            axis=1,
+            [nn.evaluate(params, network_input(t, batch.states[n]))[:, 0]
+             for n, t in enumerate(batch.grid.times)]
         )
-        assert breakdown.values.shape == (32, 4)
+        assert breakdown.values.shape == (4, 32)
         np.testing.assert_allclose(breakdown.values, expected, rtol=1e-12, atol=1e-15)
         assert "values" not in breakdown.to_dict()
 
@@ -497,18 +514,18 @@ def oracle_residuals(problem, n_steps, batch_size=1000, seed=0):
     rng = np.random.default_rng(seed)
     mean_sum = 0.0
     for n in range(n_steps):
-        t, x = batch.grid.times[n], batch.states[:, n, :]
+        t, x = batch.grid.times[n], batch.states[n]
         y, g = net.value_and_grad(network_input(t, x))
         z = tape.mul(g, tape.constant(problem.diffusion(t, x)))
         ids, marks = batch.events(n)
         i_term = scheme.integral_term(
-            jumped_values(net, problem, t, x, ids, marks), t, x, ids, batch.counts[:, n],
+            jumped_values(net, problem, t, x, ids, marks), t, x, ids, batch.counts[n],
             y, g, problem, dt,
         )
         prediction = scheme.transfer(
-            t, x, y, z, i_term, batch.brownian[:, n, :], problem.driver, dt
+            t, x, y, z, i_term, batch.brownian[n], problem.driver, dt
         )
-        exact_next = problem.exact(batch.grid.times[n + 1], batch.states[:, n + 1, :])
+        exact_next = problem.exact(batch.grid.times[n + 1], batch.states[n + 1])
         rows = np.repeat(x, 8, axis=0)
         sizes = problem.jump_size(
             t, rows, problem.sample_marks(rng.uniform(size=(rows.shape[0], problem.mark_dim)))
