@@ -41,8 +41,8 @@ over constant parameters, such as the held-out pass's, keeps one hidden
 layer at a time, forms the gradient chain in place over the slopes, and
 drops each chunk's state as soon as that chunk's forward pass ends.
 For relu and leaky relu a layer's slopes are a function of its mask
-``z > 0``, so a differentiated chunk keeps the one-byte masks in place
-of the float64 slopes, and its VJP rebuilds them one layer at a time.
+``z > 0``, so every chunk keeps the one-byte masks in place of the
+float64 slopes and rebuilds them one layer at a time where it reads them.
 
 The VJP differentiates ``<g_u, u> + <g_grad, grad u>`` with one sweep
 for every activation.  The value's adjoint at a layer's pre-activation
@@ -479,8 +479,9 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
     rebuilds layer j's slopes where it multiplies by them.  ``q_{n-1}``
     is rebuilt only for the products that read it (with one hidden layer
     that row is ``q_0``, which the input weights read).  A forward-only
-    chunk keeps the n float slopes and one hidden output at a time; each
-    ``q_j`` is formed in place over ``slopes[j]``, and the last one
+    chunk keeps the same n slope states, masks for relu and leaky relu,
+    and one hidden output at a time; each ``q_j`` is formed in place over
+    ``slopes[j]``, tanh's own or rebuilt from the mask, and the last one
     formed, ``q_0``, gives the gradient columns.
 
     The VJP's product for weight j is ``left.T @ q_j``, and bias j takes
@@ -496,15 +497,14 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
     """
     n_hidden = len(ws) - 1
     tanh = activation == "tanh"
-    masked = differentiated and not tanh
 
     # value chain: hs[j] is the input of layer j, states[j] the slopes at
-    # layer j's pre-activation, or its mask in a masked chunk
+    # layer j's pre-activation for tanh, its mask for relu and leaky relu
     hs, states = [h], []
     for w, b in zip(ws[:-1], bs[:-1]):
         h = h @ w
         h += b
-        h, state = _activate(h, activation, alpha, masked)
+        h, state = _activate(h, activation, alpha)
         if differentiated:
             hs.append(h)
         states.append(state)
@@ -512,8 +512,8 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
     del h  # the gradient chain reads only the slopes
 
     def slope(j):
-        """Layer j's slopes, which the caller may overwrite: rebuilt, copied, or a forward-only chunk's."""
-        if masked:
+        """Layer j's slopes, which the caller may overwrite: rebuilt, copied, or a forward-only tanh chunk's."""
+        if not tanh:
             return _slopes(states[j], activation, alpha)
         return states[j].copy() if differentiated else states[j]
 
@@ -573,22 +573,20 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
     return vjp
 
 
-def _activate(z: np.ndarray, activation: str, alpha: float,
-              masked: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Activation written over ``z``, and its slopes, each computed once.
+def _activate(z: np.ndarray, activation: str, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Activation written over ``z``, and the state of its slopes, each computed once.
 
-    For relu and leaky relu, ``masked`` returns the mask ``z > 0`` in
-    place of the slopes, which ``_slopes`` rebuilds from it.
+    tanh's state is its slopes.  relu's and leaky relu's is the mask
+    ``z > 0``, from which ``_slopes`` rebuilds them.
     """
     if activation == "tanh":
         h = np.tanh(z, out=z)
         return h, 1.0 - h * h
     mask = z > 0.0
     if activation == "relu":
-        return np.maximum(z, 0.0, out=z), mask if masked else _slopes(mask, activation, alpha)
+        return np.maximum(z, 0.0, out=z), mask
     if activation == "leaky_relu":
-        s = _slopes(mask, activation, alpha)
-        return np.multiply(z, s, out=z), mask if masked else s
+        return np.multiply(z, _slopes(mask, activation, alpha), out=z), mask
     raise ValueError(f"unknown activation {activation!r}")
 
 

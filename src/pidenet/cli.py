@@ -113,6 +113,9 @@ class TrainConfig:
             raise ConfigError("checkpoint_interval must be >= 1")
         if self.eval_batch_size < 1:
             raise ConfigError("eval_batch_size must be >= 1")
+        for name in ("seed_simulation", "seed_init", "seed_evaluation"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         try:  # what run_experiment builds first, so bad settings fail at load
             self.architecture
             AdamState.for_params([], **self.adam)
@@ -142,6 +145,8 @@ def config_from_dict(data: dict, name: str = "experiment") -> TrainConfig:
         missing = {"simulation", "init", "evaluation"} - set(seeds)
         if missing:
             raise ConfigError(f"seeds must be explicit; missing {sorted(missing)}")
+        if not isinstance(data["hidden"], list):
+            raise ConfigError(f"hidden must be a list of layer widths, got {data['hidden']!r}")
         return TrainConfig(
             problem=problem,
             steps=int(data["steps"]),

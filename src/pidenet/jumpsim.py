@@ -96,13 +96,12 @@ def poisson_from_uniforms(u: np.ndarray, mean: float) -> np.ndarray:
     """Inverse-CDF Poisson transform, exact for the small means used here.
 
     The float CDF can settle just below 1; a draw above it stops at the
-    first count whose probability no longer moves the CDF.
+    first count whose probability no longer moves the CDF.  At mean 0 the
+    CDF starts at 1, above every keyed uniform, so every count is 0.
     """
     if mean < 0:
         raise ValueError(f"Poisson mean must be >= 0, got {mean}")
     k = np.zeros(u.shape, dtype=np.int64)
-    if mean == 0.0:
-        return k
     pmf = np.full(u.shape, np.exp(-mean))
     cdf = pmf.copy()
     pending = u >= cdf
@@ -198,32 +197,24 @@ def _draw_noise(problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int
     # flatten events interval-major: all of interval 0 (paths ascending),
     # then interval 1, ...
     counts_by_interval = counts.ravel()  # index = n * B + p
-    total = int(counts_by_interval.sum())
-    if total:
-        cell = np.repeat(np.arange(n_steps * batch_size), counts_by_interval)
-        ev_interval = cell // batch_size
-        ev_path = cell % batch_size
-        starts = np.cumsum(counts_by_interval) - counts_by_interval
-        within = np.arange(total) - np.repeat(starts, counts_by_interval)
-        mark_u = keyed_uniforms(
-            seed, _kind(stream, _KIND_MARK),
-            ev_path[:, None], ev_interval[:, None],
-            within[:, None] * m + np.arange(m)[None, :],
-        )
-        ev_marks = problem.sample_marks(mark_u)
-    else:
-        ev_interval = np.zeros(0, dtype=np.int64)
-        ev_path = np.zeros(0, dtype=np.int64)
-        ev_marks = np.zeros((0, m))
-    return brownian, counts, ev_path, ev_interval, ev_marks
+    cell = np.repeat(np.arange(n_steps * batch_size), counts_by_interval)
+    ev_interval = cell // batch_size
+    ev_path = cell % batch_size
+    starts = np.cumsum(counts_by_interval) - counts_by_interval
+    within = np.arange(cell.size) - np.repeat(starts, counts_by_interval)
+    mark_u = keyed_uniforms(
+        seed, _kind(stream, _KIND_MARK),
+        ev_path[:, None], ev_interval[:, None],
+        within[:, None] * m + np.arange(m)[None, :],
+    )
+    return brownian, counts, ev_path, ev_interval, problem.sample_marks(mark_u)
 
 
 def _jump_sum(problem: ProblemSpec, batch: PathBatch, n: int, t, x: np.ndarray) -> np.ndarray:
     """Per-path sum of the jump sizes of interval n, zero on paths without events."""
     jump_sum = np.zeros_like(x)
     ids, marks = batch.events(n)
-    if ids.size:
-        np.add.at(jump_sum, ids, problem.jump_size(t, x[ids], marks))
+    np.add.at(jump_sum, ids, problem.jump_size(t, x[ids], marks))
     return jump_sum
 
 

@@ -25,12 +25,16 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: list[np.ndarray], beta1=0.9, beta2=0.999, eps=1e-8) -> "AdamState":
+        beta1, beta2, eps = float(beta1), float(beta2), float(eps)
+        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0 and eps > 0.0):
+            raise ValueError("Adam needs 0 <= beta1, beta2 < 1 and eps > 0, "
+                             f"got beta1={beta1}, beta2={beta2}, eps={eps}")
         return cls(
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
-            beta1=float(beta1),
-            beta2=float(beta2),
-            eps=float(eps),
+            beta1=beta1,
+            beta2=beta2,
+            eps=eps,
         )
 
 
@@ -67,27 +71,23 @@ def adam_step(
 
 @dataclass(frozen=True)
 class LrSchedule:
-    """Constant rate, piecewise-constant decay, or cosine annealing.
+    """Piecewise-constant decay or cosine annealing.
 
-    kind "constant": rate
     kind "piecewise": milestones [(start_step, rate), ...] with the first
         milestone at step 0; each rate applies until the next milestone.
+        A constant rate is one milestone.
     kind "cosine": start rate at step 0 easing to end rate at total_steps,
         clamped to the end rate afterwards.
     """
 
     kind: str
-    rate: float = 0.0
     milestones: tuple[tuple[int, float], ...] = field(default=())
     start: float = 0.0
     end: float = 0.0
     total_steps: int = 0
 
     def __post_init__(self):
-        if self.kind == "constant":
-            if self.rate <= 0:
-                raise ValueError("constant schedule needs a positive rate")
-        elif self.kind == "piecewise":
+        if self.kind == "piecewise":
             ms = tuple((int(s), float(r)) for s, r in self.milestones)
             object.__setattr__(self, "milestones", ms)
             if not ms or ms[0][0] != 0:
@@ -96,7 +96,7 @@ class LrSchedule:
             if any(b <= a for a, b in zip(steps, steps[1:])):
                 raise ValueError("piecewise milestones must be strictly increasing")
             if any(r <= 0 for _, r in ms):
-                raise ValueError("piecewise rates must be positive")
+                raise ValueError("learning rates must be positive")
         elif self.kind == "cosine":
             if self.start <= 0 or self.end <= 0 or self.total_steps < 1:
                 raise ValueError("cosine schedule needs positive rates and total_steps >= 1")
@@ -105,7 +105,7 @@ class LrSchedule:
 
 
 def constant(rate: float) -> LrSchedule:
-    return LrSchedule(kind="constant", rate=float(rate))
+    return piecewise([(0, rate)])
 
 
 def piecewise(milestones) -> LrSchedule:
@@ -120,8 +120,6 @@ def lr_at(schedule: LrSchedule, step: int) -> float:
     """Rate for a 0-based optimizer step."""
     if step < 0:
         raise ValueError(f"step must be >= 0, got {step}")
-    if schedule.kind == "constant":
-        return schedule.rate
     if schedule.kind == "piecewise":
         rate = schedule.milestones[0][1]
         for start_step, r in schedule.milestones:
@@ -135,7 +133,9 @@ def lr_at(schedule: LrSchedule, step: int) -> float:
 
 
 def schedule_from_dict(spec: dict) -> LrSchedule:
-    """Build a schedule from the experiment config encoding."""
+    """Build a schedule from the experiment config encoding; "constant" is one milestone."""
+    if not isinstance(spec, dict):
+        raise TypeError(f"lr_schedule must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind == "constant":
         return constant(spec["rate"])

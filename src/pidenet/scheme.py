@@ -68,10 +68,7 @@ def transfer(t, x: np.ndarray, y: Variable, z: Variable, i_term: Variable,
     """
     tape = y.tape
     noise = tape.row_dot(z, tape.constant(dw))
-    acc = y
-    f_val = driver(t, x, y, z, i_term)
-    if not (np.isscalar(f_val) and float(f_val) == 0.0):
-        acc = tape.sub(acc, tape.smul(tape.lift(f_val), dt))
+    acc = tape.sub(y, tape.smul(tape.lift(driver(t, x, y, z, i_term)), dt))
     acc = tape.add(acc, noise)
     return tape.add(acc, tape.smul(i_term, dt))
 
@@ -103,8 +100,6 @@ def integral_term(
     """
     tape = y_base.tape
     comp_dot = tape.row_dot(grad_x, tape.constant(problem.compensator(t, x)))
-    if event_ids.size == 0:
-        return tape.smul(comp_dot, -1.0)
     jump_sum = tape.sub(
         tape.segment_sum(jumped, event_ids, x.shape[0]),
         tape.mul(y_base, tape.constant(np.asarray(counts, dtype=np.float64)[:, None])),
@@ -139,10 +134,9 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
     nodes[..., 0] = grid.times[:, None]
     nodes[..., 1:] = batch.states
     t_curr, x_curr = t_all[:split], x_all[:split]
-    if event_rows.size:
-        t_ev, x_ev = t_curr[event_rows], x_curr[event_rows]
-        x_all[n_nodes:] = x_ev + problem.jump_size(t_ev, x_ev, batch.event_marks)
-        t_all[n_nodes:] = t_ev
+    t_ev, x_ev = t_curr[event_rows], x_curr[event_rows]
+    x_all[n_nodes:] = x_ev + problem.jump_size(t_ev, x_ev, batch.event_marks)
+    t_all[n_nodes:] = t_ev
 
     value_all, grad_all = net.value_and_grad(inp)
     y_curr = tape.slice(value_all, rows=(0, split))

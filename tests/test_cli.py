@@ -188,11 +188,30 @@ class TestTrainAndEval:
                                       json.dumps({**TINY, "problem": {"name": "pide_1d",
                                                                       "eps": float("inf")}}),
                                       json.dumps({**TINY, "leaky_alpha": 0.5}).replace(
-                                          "0.5", "1e999")])
+                                          "0.5", "1e999"),
+                                      json.dumps({**TINY, "lr_schedule": 0.001}),
+                                      json.dumps({**TINY, "lr_schedule": []}),
+                                      json.dumps({**TINY, "lr_schedule": {"kind": "constant",
+                                                                          "rate": 0.0}}),
+                                      json.dumps({**TINY, "hidden": "16"}),
+                                      json.dumps({**TINY, "adam": {"beta1": 1.0}}),
+                                      json.dumps({**TINY, "adam": {"beta2": 2.0}}),
+                                      json.dumps({**TINY, "adam": {"beta1": -0.1}}),
+                                      json.dumps({**TINY, "adam": {"eps": -1}}),
+                                      json.dumps({**TINY, "adam": {"eps": 0}}),
+                                      json.dumps({**TINY, "seeds": {**TINY["seeds"], "init": -1}})])
     def test_bad_config_exits_one(self, tmp_path, text, capsys):
         path = tmp_path / "bad.json"
         path.write_text(text)
         assert train(path, tmp_path / "run") == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "converge"])
+    def test_negative_seed_override_exits_one(self, config_path, tmp_path, command, capsys):
+        extra = ["--steps", "2"] if command == "converge" else []
+        assert cli.main([command, "--config", str(config_path), "--out", str(tmp_path / "run"),
+                         "--seed", "-5", *extra]) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 

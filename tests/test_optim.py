@@ -39,6 +39,12 @@ class TestAdam:
         with pytest.raises(ValueError):
             optim.adam_step([np.zeros(2)], [np.zeros(3)], state, lr=0.1)
 
+    @pytest.mark.parametrize("settings", [{"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 2.0},
+                                          {"beta2": float("nan")}, {"eps": 0.0}, {"eps": -1.0}])
+    def test_settings_outside_their_range_are_rejected(self, settings):
+        with pytest.raises(ValueError):
+            optim.AdamState.for_params([np.zeros(1)], **settings)
+
     def test_step_counter_increases(self):
         state = optim.AdamState.for_params([np.zeros(1)])
         for k in range(1, 4):
@@ -82,6 +88,12 @@ class TestSchedules:
 
     def test_constant(self):
         assert optim.lr_at(optim.constant(0.01), 12345) == 0.01
+
+    def test_constant_is_one_milestone(self):
+        sched = optim.schedule_from_dict({"kind": "constant", "rate": 0.01})
+        assert sched == optim.constant(0.01) == optim.piecewise([(0, 0.01)])
+        with pytest.raises(ValueError, match="rate"):
+            optim.constant(0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

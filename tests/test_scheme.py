@@ -45,6 +45,17 @@ BENCHMARKS = [
     problems.highdim_pide(dim=3),
     problems.bsb_jumps(dim=3),
 ]
+# the same problems with no jumps: their batches hold no jump event at all
+NO_JUMPS = [
+    problems.pure_jump_1d(lam=0.0),
+    problems.pide_1d(lam=0.0),
+    problems.highdim_pide(dim=3, lam=0.0),
+    problems.bsb_jumps(dim=3, lam=0.0),
+]
+
+
+def problem_id(problem):
+    return problem.name if problem.intensity else f"{problem.name}-no-jumps"
 
 
 class TestTransfer:
@@ -461,13 +472,20 @@ class TestOneNetworkPass:
         assert np.shares_memory(rows_by_d[0].value, batch.brownian)
         assert sum(v.shape == (1, d) for v in constants) == 2
 
-    @pytest.mark.parametrize("problem", BENCHMARKS, ids=lambda p: p.name)
+    @pytest.mark.parametrize("problem", BENCHMARKS + NO_JUMPS, ids=problem_id)
     def test_interval_terms_match_benchmark_recursions(self, problem):
         # the jumped rows of the one network pass must line up with their
         # events: a slice off by a row or a jumped state at the wrong time
-        # moves the interval terms far beyond rounding
+        # moves the interval terms far beyond rounding.  With no events the
+        # same code runs over empty event arrays
         params = nn.init(nn.MlpArchitecture(1 + problem.dim, (6,), "tanh"), seed=55)
-        batch = toy_batch(problem, n_steps=3, batch_size=32, seed=91)
+        batch = toy_batch(problem, n_steps=3, batch_size=32, seed=91,
+                          require_jumps=problem.intensity > 0)
+        if not problem.intensity:
+            assert batch.event_paths.shape == batch.event_intervals.shape == (0,)
+            assert batch.event_marks.shape == (0, problem.mark_dim)
+            assert batch.event_paths.dtype == batch.event_intervals.dtype == np.int64
+            assert batch.event_marks.dtype == np.float64
         _, breakdown = scheme.loss(nn.bind(Tape(), params), batch, problem)
         expected = [
             np.mean((nn.evaluate(params,
