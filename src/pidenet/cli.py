@@ -232,8 +232,8 @@ def _evaluate(config: TrainConfig, params: nn.MlpParams, iteration, lr, started,
     is simulated here, at every call, and dies on return: the keyed
     generator gives the same batch each time, so no caller holds it
     between evaluations.  ``error_grid`` asks for
-    ``metrics.error_grid``'s rows on that batch (a 1-D problem with an
-    exact solution); otherwise the second result is None.
+    ``metrics.error_grid``'s rows on that batch (a 1-D problem);
+    otherwise the second result is None.
 
     Nothing differentiates this loss, so the params go on its tape as
     constants: the network node then keeps no VJP state, and the pass
@@ -243,7 +243,7 @@ def _evaluate(config: TrainConfig, params: nn.MlpParams, iteration, lr, started,
     """
     batch = jumpsim.simulate_forward(config.problem, config.grid, config.eval_batch_size,
                                      config.seed_evaluation, stream=EVAL_STREAM)
-    breakdown = scheme.loss(nn.bind(Tape(), params, trainable=False), batch,
+    breakdown = scheme.loss(nn.TapeMlp(Tape(), params, trainable=False), batch,
                             config.problem)[1]
     mean_rel_err, node_errors, max_sq_err = metrics.evaluation_errors(
         breakdown.values, batch, config.problem
@@ -252,7 +252,6 @@ def _evaluate(config: TrainConfig, params: nn.MlpParams, iteration, lr, started,
         iteration=iteration,
         loss=breakdown.total,
         mean_rel_err=mean_rel_err,
-        rel_err_t0=float(node_errors[0]),
         node_errors=node_errors,
         max_sq_err=max_sq_err,
         lr=lr,
@@ -312,7 +311,7 @@ def _train_step(config: TrainConfig, params: nn.MlpParams, state: AdamState, it:
         stream=TRAIN_STREAM,
     )
     tape = Tape()
-    net = nn.bind(tape, params)
+    net = nn.TapeMlp(tape, params)
     total, breakdown = scheme.loss(net, batch, config.problem)
     grads = tape.backward(total, net.param_vars)
     new_params = params.replace_flat(optim.adam_step(params.flat_list(), grads, state, lr))
@@ -349,7 +348,7 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
                     reports.append(_evaluate(config, params, it, lr, started)[0])
                     _log_progress(reports, config.iterations)
         final, grid_rows = _evaluate(config, params, it, lr, started,
-                                     error_grid=problem.dim == 1 and problem.exact is not None)
+                                     error_grid=problem.dim == 1)
         reports.append(final)
         _log_progress(reports, config.iterations)
     except (NumericalAbortError, SimulationError, NonFiniteGradientError) as exc:

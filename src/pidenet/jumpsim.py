@@ -150,15 +150,11 @@ class PathBatch:
     event_paths: np.ndarray     # (E,) path index per jump event
     event_intervals: np.ndarray  # (E,) interval index per jump event
     event_marks: np.ndarray     # (E, mark_dim)
-    seed: int
     stream: int = 0
-    _bounds: np.ndarray = field(default=None, repr=False)
+    _bounds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self._bounds is None:
-            self._bounds = np.searchsorted(
-                self.event_intervals, np.arange(self.grid.steps + 1)
-            )
+        self._bounds = np.searchsorted(self.event_intervals, np.arange(self.grid.steps + 1))
 
     @property
     def batch_size(self) -> int:
@@ -247,7 +243,6 @@ def simulate_forward(
         event_paths=ev_path,
         event_intervals=ev_interval,
         event_marks=ev_marks,
-        seed=seed,
         stream=stream,
     )
     x_all = batch.states

@@ -16,10 +16,6 @@ log = logging.getLogger(__name__)
 REL_ERR_FLOOR = 1e-8  # denominator floor so zero crossings of u stay finite
 
 
-class MissingExactSolutionError(ValueError):
-    """Requested an error metric for a problem without an exact solution."""
-
-
 @dataclass
 class MetricsReport:
     """One evaluation row: losses and errors of the current parameters."""
@@ -27,11 +23,14 @@ class MetricsReport:
     iteration: int
     loss: float
     mean_rel_err: float
-    rel_err_t0: float
     node_errors: np.ndarray  # length N+1
     max_sq_err: float
     lr: float
     wall_clock: float = 0.0
+
+    @property
+    def rel_err_t0(self) -> float:
+        return float(self.node_errors[0])
 
     def csv_row(self) -> str:
         cols = (self.iteration, self.loss, self.mean_rel_err,
@@ -54,14 +53,8 @@ def _fmt(v) -> str:
     return str(v) if isinstance(v, int) else repr(float(v))
 
 
-def _require_exact(problem: ProblemSpec):
-    if problem.exact is None:
-        raise MissingExactSolutionError(f"problem {problem.name} has no exact solution")
-
-
 def _exact_values(batch: PathBatch, problem: ProblemSpec) -> np.ndarray:
     """Values of u at every (node, path), shape (N+1, B)."""
-    _require_exact(problem)
     times = batch.grid.times
     exact = np.empty((batch.grid.steps + 1, batch.batch_size))
     for n in range(batch.grid.steps + 1):
@@ -93,7 +86,6 @@ def error_grid(
 
     Heat-map input from the ``evaluation_errors`` values; only defined for dim 1.
     """
-    _require_exact(problem)
     if problem.dim != 1:
         raise ValueError("error_grid is only defined for one-dimensional problems")
     abs_err = np.abs(values - _exact_values(batch, problem))

@@ -110,7 +110,6 @@ class TapeMlp:
 
     def __init__(self, tape: Tape, params: MlpParams, trainable: bool = True):
         self.tape = tape
-        self.params = params
         self.arch = params.arch
         leaf = tape.param if trainable else tape.constant
         self._w_vars = [leaf(w) for w in params.weights]
@@ -134,11 +133,6 @@ class TapeMlp:
         tape = self.tape
         packed = tape.mlp(inp, self._w_vars, self._b_vars, self.arch.activation, self.arch.alpha)
         return tape.slice(packed, cols=(0, 1)), tape.slice(packed, cols=(1, self.arch.input_dim))
-
-
-def bind(tape: Tape, params: MlpParams, trainable: bool = True) -> TapeMlp:
-    """``params`` on ``tape``: as gradient leaves, or as constants if not ``trainable``."""
-    return TapeMlp(tape, params, trainable)
 
 
 def evaluate(params: MlpParams, inp: np.ndarray) -> np.ndarray:

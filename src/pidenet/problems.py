@@ -3,10 +3,11 @@
 Each problem bundles the forward-process coefficients (drift, diagonal
 diffusion, jump size), the jump intensity with its mark sampler and the
 closed-form compensator integral of the jump size, the backward driver,
-the terminal condition, and (when known) the exact solution used only
-for error reporting.  All four problems have a diagonal diffusion, so a
-problem stores only its diagonal.  A coefficient that does not depend on
-the state comes back as one (1, d) row, which broadcasts over the rows.
+the terminal condition, and the exact solution and its gradient, which
+every problem carries.  ``pure_jump_1d`` is ``pide_1d`` at tau = eps = 0.
+Every problem has a diagonal diffusion, so it stores only the diagonal.
+A coefficient that does not depend on the state comes back as one (1, d)
+row, which broadcasts over the rows.
 
 Drivers follow the sign convention of the backward one-step map
 ``Y_next = Y - f*dt + Z.dW + I*dt``: the source term that the benchmark
@@ -17,7 +18,7 @@ callable serves simulation-side checks and the differentiable loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,8 +52,8 @@ class ProblemSpec:
     compensator: Callable[[float, np.ndarray], np.ndarray]
     driver: Callable
     terminal: Callable[[np.ndarray], np.ndarray]
-    exact: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    exact_grad: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
+    exact: Callable[[float, np.ndarray], np.ndarray]
+    exact_grad: Callable[[float, np.ndarray], np.ndarray]
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -92,42 +93,6 @@ def _squared_radius(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def pure_jump_1d(
-    lam: float = 0.3,
-    mark_mean: float = 0.4,
-    mark_std: float = 0.25,
-    total_time: float = 1.0,
-    x0: float = 1.0,
-) -> ProblemSpec:
-    """Scalar pure-jump benchmark: no drift or diffusion, multiplicative jumps.
-
-    Jumps send x to x*exp(z) with normal marks z, compensated in closed
-    form; the value function is the identity u(t, x) = x.
-    """
-    if mark_std <= 0:
-        raise ValueError("mark_std must be positive")
-    kappa = np.exp(mark_mean + 0.5 * mark_std**2) - 1.0
-
-    return ProblemSpec(
-        name="pure_jump_1d",
-        dim=1,
-        x0=np.array([x0]),
-        total_time=total_time,
-        intensity=lam,
-        mark_dim=1,
-        drift=lambda t, x: np.zeros((1, 1)),
-        diffusion=lambda t, x: np.zeros((1, 1)),
-        jump_size=lambda t, x, z: x * (np.exp(z) - 1.0),
-        sample_marks=_normal_mark_sampler(mark_mean, mark_std),
-        compensator=lambda t, x: lam * kappa * x,
-        driver=lambda t, x, y, z, i: 0.0,
-        terminal=lambda x: x[:, :1].copy(),
-        exact=lambda t, x: x[:, :1].copy(),
-        exact_grad=lambda t, x: np.ones_like(x),
-        params={"lam": lam, "mark_mean": mark_mean, "mark_std": mark_std},
-    )
-
-
 def pide_1d(
     lam: float = 0.3,
     tau: float = 0.4,
@@ -137,13 +102,16 @@ def pide_1d(
     total_time: float = 1.0,
     x0: float = 1.0,
 ) -> ProblemSpec:
-    """Scalar benchmark with diffusion and convection on top of the jumps.
+    """Scalar benchmark: convection eps*x, diffusion tau, multiplicative jumps.
 
-    The backward recursion adds a source eps*x, so the driver stores its
-    negation; the value function is again u(t, x) = x.
+    Jumps send x to x*exp(z) with normal marks z, compensated in closed
+    form.  The backward recursion adds a source eps*x, so the driver
+    stores its negation; the value function is u(t, x) = x.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if tau < 0:
+        raise ValueError("tau must be >= 0")
+    if mark_std <= 0:
+        raise ValueError("mark_std must be positive")
     kappa = np.exp(mark_mean + 0.5 * mark_std**2) - 1.0
 
     return ProblemSpec(
@@ -164,6 +132,18 @@ def pide_1d(
         exact_grad=lambda t, x: np.ones_like(x),
         params={"lam": lam, "tau": tau, "eps": eps, "mark_mean": mark_mean, "mark_std": mark_std},
     )
+
+
+def pure_jump_1d(
+    lam: float = 0.3,
+    mark_mean: float = 0.4,
+    mark_std: float = 0.25,
+    total_time: float = 1.0,
+    x0: float = 1.0,
+) -> ProblemSpec:
+    """``pide_1d`` at tau = eps = 0: multiplicative jumps alone, u(t, x) = x."""
+    return replace(pide_1d(lam, 0.0, 0.0, mark_mean, mark_std, total_time, x0),
+                   name="pure_jump_1d")
 
 
 def highdim_pide(

@@ -114,11 +114,11 @@ def preset_cases(label: str, config, batch_sizes, depths) -> dict[str, np.ndarra
                 batch, held_out = batches[batch_size]
                 path_major = batch.states.shape[0] == batch_size
                 tape = Tape()
-                net = nn.bind(tape, params)
+                net = nn.TapeMlp(tape, params)
                 total, breakdown = scheme.loss(net, batch, config.problem)
                 grads = tape.backward(total, net.param_vars)
                 del tape, net, total
-                heldout = scheme.loss(nn.bind(Tape(), params, trainable=False), held_out,
+                heldout = scheme.loss(nn.TapeMlp(Tape(), params, trainable=False), held_out,
                                       config.problem)[1]
                 fields = {
                     "loss": np.float64(breakdown.total),

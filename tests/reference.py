@@ -116,8 +116,6 @@ class OracleNetwork:
     """
 
     def __init__(self, tape: Tape, problem: ProblemSpec):
-        if problem.exact is None or problem.exact_grad is None:
-            raise ValueError(f"problem {problem.name} has no exact solution to wrap")
         self.tape = tape
         self._problem = problem
 
@@ -168,7 +166,6 @@ def permuted(batch: PathBatch, perm: np.ndarray) -> PathBatch:
         event_paths=inverse[batch.event_paths],
         event_intervals=batch.event_intervals,
         event_marks=batch.event_marks,
-        seed=batch.seed,
         stream=batch.stream,
     )
 

@@ -132,7 +132,8 @@ class TestTrainAndEval:
         report, values, node = evaluate()
         assert node.vjp is None
         # the same pass with the params bound as gradient leaves
-        monkeypatch.setattr(nn, "bind", lambda tape, p, trainable=True: nn.TapeMlp(tape, p))
+        tape_mlp = nn.TapeMlp
+        monkeypatch.setattr(nn, "TapeMlp", lambda tape, p, trainable=True: tape_mlp(tape, p))
         trained_report, trained_values, trained_node = evaluate()
         assert trained_node.vjp is not None
         assert report.csv_row() == trained_report.csv_row()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -95,7 +97,7 @@ class TestSimulateForward:
             assert array.flags.c_contiguous, name
         assert np.shares_memory(batch.brownian.reshape(5 * 7, 3), batch.brownian)
         assert batch.batch_size == 7 and batch.dim == 3
-        net = nn.bind(Tape(), nn.init(nn.MlpArchitecture(4, (8,)), seed=0), trainable=False)
+        net = nn.TapeMlp(Tape(), nn.init(nn.MlpArchitecture(4, (8,)), seed=0), trainable=False)
         assert scheme.loss(net, batch, prob)[1].values.shape == (6, 7)
 
     def test_bit_reproducible(self):
@@ -218,22 +220,8 @@ class TestSimulateForward:
             np.testing.assert_array_equal(recount, batch.counts[n])
 
     def test_nonfinite_state_aborts_with_location(self):
-        prob = problems.pide_1d()
-        bad = problems.ProblemSpec(
-            name="exploding",
-            dim=1,
-            x0=np.array([1.0]),
-            total_time=1.0,
-            intensity=0.0,
-            mark_dim=1,
-            drift=lambda t, x: x * np.inf,
-            diffusion=prob.diffusion,
-            jump_size=prob.jump_size,
-            sample_marks=prob.sample_marks,
-            compensator=lambda t, x: np.zeros_like(x),
-            driver=prob.driver,
-            terminal=prob.terminal,
-        )
+        bad = dataclasses.replace(problems.pide_1d(lam=0.0), name="exploding",
+                                  drift=lambda t, x: x * np.inf)
         with pytest.raises(jumpsim.SimulationError, match=r"interval 1, path 0"):
             jumpsim.simulate_forward(bad, TimeGrid(1.0, 3), 4, seed=0)
 

@@ -82,7 +82,7 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         params = nn.init(small_arch(d=2), seed=0)
-        for forward in (nn.evaluate, lambda p, inp: nn.bind(Tape(), p).value_and_grad(inp)):
+        for forward in (nn.evaluate, lambda p, inp: nn.TapeMlp(Tape(), p).value_and_grad(inp)):
             with pytest.raises(ShapeMismatchError):
                 forward(params, network_input(0.0, np.ones((4, 3))))
 
@@ -93,7 +93,7 @@ class TestInputGradient:
         params.biases[0][:] = np.linspace(-0.5, 0.5, 7)
         x = np.random.default_rng(6).normal(size=(9, 3))
         tape = Tape()
-        value, _ = nn.bind(tape, params).value_and_grad(network_input(0.4, x))
+        value, _ = nn.TapeMlp(tape, params).value_and_grad(network_input(0.4, x))
         assert np.array_equal(value.value, nn.evaluate(params, network_input(0.4, x)))
 
     def test_linear_network_gradient_is_weight_row(self):
@@ -102,7 +102,7 @@ class TestInputGradient:
         params = nn.MlpParams(arch, [np.eye(3), w_out], [np.zeros(3), np.zeros(1)])
         x = np.array([[0.5, 1.5], [2.0, 0.25]])  # positive inputs keep relu linear
         tape = Tape()
-        _, grad = nn.bind(tape, params).value_and_grad(network_input(0.9, x))
+        _, grad = nn.TapeMlp(tape, params).value_and_grad(network_input(0.9, x))
         np.testing.assert_array_equal(grad.value, np.tile(w_out[1:].T, (2, 1)))
 
     @pytest.mark.parametrize("activation", ["tanh", "leaky_relu"])
@@ -114,7 +114,7 @@ class TestInputGradient:
             return float(nn.evaluate(params, network_input(0.3, x[None, :]))[0, 0])
 
         tape = Tape()
-        _, grad = nn.bind(tape, params).value_and_grad(network_input(0.3, x0[None, :]))
+        _, grad = nn.TapeMlp(tape, params).value_and_grad(network_input(0.3, x0[None, :]))
         fd = finite_diff(value_of_x, x0)
         assert rel_gap(grad.value[0], fd) <= 1e-6
 
@@ -125,8 +125,8 @@ class TestInputGradient:
             b[:] = 0.0
         x = np.array([[0.7, -0.4]])
         t1, t2 = Tape(), Tape()
-        _, g_pos = nn.bind(t1, params).value_and_grad(network_input(0.5, x))
-        _, g_neg = nn.bind(t2, params).value_and_grad(network_input(-0.5, -x))
+        _, g_pos = nn.TapeMlp(t1, params).value_and_grad(network_input(0.5, x))
+        _, g_neg = nn.TapeMlp(t2, params).value_and_grad(network_input(-0.5, -x))
         np.testing.assert_allclose(g_pos.value, g_neg.value, atol=1e-15)
 
     def test_gradient_of_input_gradient_wrt_params(self):
@@ -138,11 +138,11 @@ class TestInputGradient:
 
         def objective(p: nn.MlpParams) -> float:
             tape = Tape()
-            _, grad = nn.bind(tape, p).value_and_grad(network_input(0.25, x))
+            _, grad = nn.TapeMlp(tape, p).value_and_grad(network_input(0.25, x))
             return float(tape.sum(grad).value)
 
         tape = Tape()
-        net = nn.bind(tape, params)
+        net = nn.TapeMlp(tape, params)
         _, grad = net.value_and_grad(network_input(0.25, x))
         grads = tape.backward(tape.sum(grad), net.param_vars)
 

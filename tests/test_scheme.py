@@ -95,7 +95,7 @@ class TestIntegralTerm:
         params = linear_net(1, [0.0, 2.0])
         x = np.array([[1.0], [2.0]])
         tape = Tape()
-        net = nn.bind(tape, params)
+        net = nn.TapeMlp(tape, params)
         y, g = net.value_and_grad(network_input(0.5, x))
         ids = np.zeros(0, dtype=int)
         out = scheme.integral_term(
@@ -110,7 +110,7 @@ class TestIntegralTerm:
         params = linear_net(1, [0.0, 0.0], bias=5.0)
         x = np.array([[1.0], [2.0]])
         tape = Tape()
-        net = nn.bind(tape, params)
+        net = nn.TapeMlp(tape, params)
         y, g = net.value_and_grad(network_input(0.5, x))
         ids = np.array([0, 1])
         out = scheme.integral_term(
@@ -127,7 +127,7 @@ class TestIntegralTerm:
         dt = 0.02
         mark = np.array([[0.4]])
         tape = Tape()
-        net = nn.bind(tape, params)
+        net = nn.TapeMlp(tape, params)
         y, g = net.value_and_grad(network_input(0.5, x))
         ids = np.array([0])
         out = scheme.integral_term(
@@ -150,7 +150,7 @@ class TestIntegralTerm:
             ids, marks = batch.events(n)
             x = batch.states[n]
             tape = Tape()
-            net = nn.bind(tape, params)
+            net = nn.TapeMlp(tape, params)
             y, g = net.value_and_grad(network_input(batch.grid.times[n], x))
             out = scheme.integral_term(
                 jumped_values(net, prob, batch.grid.times[n], x, ids, marks),
@@ -167,26 +167,16 @@ class TestIntegralTerm:
 class TestLoss:
     def test_everything_vanishes(self):
         # zero network, zero terminal, zero driver, one step
-        base = problems.pure_jump_1d(lam=0.0)
-        prob = problems.ProblemSpec(
+        prob = dataclasses.replace(
+            problems.pure_jump_1d(lam=0.0),
             name="null",
-            dim=1,
-            x0=np.array([1.0]),
-            total_time=1.0,
-            intensity=0.0,
-            mark_dim=1,
-            drift=base.drift,
-            diffusion=base.diffusion,
-            jump_size=base.jump_size,
-            sample_marks=base.sample_marks,
-            compensator=base.compensator,
             driver=lambda t, x, y, z, i: 0.0,
             terminal=lambda x: np.zeros((x.shape[0], 1)),
         )
         params = linear_net(1, [0.0, 0.0], bias=0.0)
         batch = jumpsim.simulate_forward(prob, TimeGrid(1.0, 1), 8, seed=0)
         tape = Tape()
-        total, breakdown = scheme.loss(nn.bind(tape, params), batch, prob)
+        total, breakdown = scheme.loss(nn.TapeMlp(tape, params), batch, prob)
         assert float(total.value) == 0.0
         assert breakdown.terminal_term == 0.0
 
@@ -195,7 +185,7 @@ class TestLoss:
         params = nn.init(nn.MlpArchitecture(2, (8, 8), "tanh"), seed=3)
         batch = toy_batch(prob, n_steps=5, batch_size=16, seed=41)
         tape = Tape()
-        total, breakdown = scheme.loss(nn.bind(tape, params), batch, prob)
+        total, breakdown = scheme.loss(nn.TapeMlp(tape, params), batch, prob)
         assert float(total.value) >= 0.0
         assert np.all(breakdown.interval_terms >= 0.0)
         assert breakdown.terminal_term >= 0.0
@@ -209,8 +199,8 @@ class TestLoss:
         batch = toy_batch(prob, n_steps=3, batch_size=32, seed=77)
         perm = np.random.default_rng(0).permutation(32)
         t1, t2 = Tape(), Tape()
-        l1, _ = scheme.loss(nn.bind(t1, params), batch, prob)
-        l2, _ = scheme.loss(nn.bind(t2, params), permuted(batch, perm), prob)
+        l1, _ = scheme.loss(nn.TapeMlp(t1, params), batch, prob)
+        l2, _ = scheme.loss(nn.TapeMlp(t2, params), permuted(batch, perm), prob)
         assert float(l1.value) == pytest.approx(float(l2.value), abs=1e-12)
 
     def test_numpy_operand_first_in_the_driver(self):
@@ -225,7 +215,7 @@ class TestLoss:
                        lambda t, x, y, z, i: 0.03 * np.exp(-t) + r * y):
             problem = dataclasses.replace(prob, driver=driver)
             tape = Tape()
-            net = nn.bind(tape, params)
+            net = nn.TapeMlp(tape, params)
             total, _ = scheme.loss(net, batch, problem)
             results.append([total.value, *tape.backward(total, net.param_vars)])
         for first, second in zip(*results):
@@ -240,7 +230,7 @@ class TestLoss:
         gc.disable()
         try:
             tape = Tape()
-            net = nn.bind(tape, params)
+            net = nn.TapeMlp(tape, params)
             total, _ = scheme.loss(net, batch, prob)
             grads = tape.backward(total, net.param_vars)
             alive = weakref.ref(tape)
@@ -262,28 +252,15 @@ class TestLoss:
 
     def test_nonfinite_loss_aborts_with_interval(self):
         prob = problems.pide_1d()
-        bad = problems.ProblemSpec(
-            name="bad_driver",
-            dim=1,
-            x0=prob.x0,
-            total_time=1.0,
-            intensity=prob.intensity,
-            mark_dim=1,
-            drift=prob.drift,
-            diffusion=prob.diffusion,
-            jump_size=prob.jump_size,
-            sample_marks=prob.sample_marks,
-            compensator=prob.compensator,
+        bad = dataclasses.replace(
+            prob, name="bad_driver",
             driver=lambda t, x, y, z, i: np.full((x.shape[0], 1), np.nan),
-            terminal=prob.terminal,
-            exact=prob.exact,
-            exact_grad=prob.exact_grad,
         )
         params = nn.init(nn.MlpArchitecture(2, (4,), "tanh"), seed=0)
         batch = jumpsim.simulate_forward(bad, TimeGrid(1.0, 3), 4, seed=1)
         with pytest.raises(scheme.NumericalAbortError) as err:
             tape = Tape()
-            scheme.loss(nn.bind(tape, params), batch, bad)
+            scheme.loss(nn.TapeMlp(tape, params), batch, bad)
         assert err.value.interval == 0
         assert err.value.breakdown is not None
 
@@ -297,11 +274,11 @@ class TestLoss:
 
         def loss_value(p: nn.MlpParams) -> float:
             tape = Tape()
-            total, _ = scheme.loss(nn.bind(tape, p), batch, prob)
+            total, _ = scheme.loss(nn.TapeMlp(tape, p), batch, prob)
             return float(total.value)
 
         tape = Tape()
-        net = nn.bind(tape, params)
+        net = nn.TapeMlp(tape, params)
         total, _ = scheme.loss(net, batch, prob)
         grads = tape.backward(total, net.param_vars)
 
@@ -325,11 +302,11 @@ class TestLoss:
 
         def loss_value(p: nn.MlpParams) -> float:
             tape = Tape()
-            total, _ = scheme.loss(nn.bind(tape, p), batch, prob)
+            total, _ = scheme.loss(nn.TapeMlp(tape, p), batch, prob)
             return float(total.value)
 
         tape = Tape()
-        net = nn.bind(tape, params)
+        net = nn.TapeMlp(tape, params)
         total, _ = scheme.loss(net, batch, prob)
         grads = tape.backward(total, net.param_vars)
         flat = params.flat_list()
@@ -350,7 +327,7 @@ def one_step_reference(problem, params, batch, n):
     x = batch.states[n]
     y = nn.evaluate(params, network_input(t, x))
     tape = Tape()
-    _, g_var = nn.bind(tape, params).value_and_grad(network_input(t, x))
+    _, g_var = nn.TapeMlp(tape, params).value_and_grad(network_input(t, x))
     grad = g_var.value
     z = problem.diffusion(t, x) * grad
     z_dw = np.sum(z * batch.brownian[n], axis=1, keepdims=True)
@@ -394,7 +371,7 @@ def test_transfer_matches_benchmark_recursions(problem):
         t = batch.grid.times[n]
         x = batch.states[n]
         tape = Tape()
-        net = nn.bind(tape, params)
+        net = nn.TapeMlp(tape, params)
         y, g = net.value_and_grad(network_input(t, x))
         z = tape.mul(g, tape.constant(problem.diffusion(t, x)))
         ids, marks = batch.events(n)
@@ -422,7 +399,7 @@ class TestOneNetworkPass:
         params = nn.init(nn.MlpArchitecture(3, (6, 6), activation), seed=9)
         batch = toy_batch(prob, n_steps=3, batch_size=16, seed=77)
         tape = Tape()
-        scheme.loss(nn.bind(tape, params), batch, prob)
+        scheme.loss(nn.TapeMlp(tape, params), batch, prob)
         assert len(tape_variables) == len(tape._nodes)
         network = [v for v in tape_variables if tape._nodes[v.id].op == "mlp"]
         assert len(network) == 1
@@ -442,7 +419,7 @@ class TestOneNetworkPass:
         batch = jumpsim.simulate_forward(config.problem, config.grid, 8, config.seed_simulation)
         assert batch.counts.sum() > 0
         tape = Tape()
-        net = nn.bind(tape, nn.init(arch, seed=4))
+        net = nn.TapeMlp(tape, nn.init(arch, seed=4))
         total, _ = scheme.loss(net, batch, config.problem)
         # every node's value, read through the Variable that owns it
         assert [v.id for v in tape_variables] == list(range(len(tape._nodes)))
@@ -464,7 +441,7 @@ class TestOneNetworkPass:
         config = cli.load_config("highdim_d10")
         batch = jumpsim.simulate_forward(config.problem, config.grid, 64, config.seed_simulation)
         tape = Tape()
-        scheme.loss(nn.bind(tape, nn.init(config.architecture, seed=4)), batch, config.problem)
+        scheme.loss(nn.TapeMlp(tape, nn.init(config.architecture, seed=4)), batch, config.problem)
         d = config.problem.dim
         constants = [v for v in tape_variables if tape._nodes[v.id].op == "constant"]
         rows_by_d = [v for v in constants if v.shape == (config.steps * 64, d)]
@@ -486,7 +463,7 @@ class TestOneNetworkPass:
             assert batch.event_marks.shape == (0, problem.mark_dim)
             assert batch.event_paths.dtype == batch.event_intervals.dtype == np.int64
             assert batch.event_marks.dtype == np.float64
-        _, breakdown = scheme.loss(nn.bind(Tape(), params), batch, problem)
+        _, breakdown = scheme.loss(nn.TapeMlp(Tape(), params), batch, problem)
         expected = [
             np.mean((nn.evaluate(params,
                                  network_input(batch.grid.times[n + 1], batch.states[n + 1]))
@@ -501,7 +478,7 @@ class TestOneNetworkPass:
         # node-major reshape read as path-major scrambles it
         params = nn.init(nn.MlpArchitecture(1 + problem.dim, (6,), "tanh"), seed=55)
         batch = toy_batch(problem, n_steps=3, batch_size=32, seed=91)
-        _, breakdown = scheme.loss(nn.bind(Tape(), params), batch, problem)
+        _, breakdown = scheme.loss(nn.TapeMlp(Tape(), params), batch, problem)
         expected = np.stack(
             [nn.evaluate(params, network_input(t, batch.states[n]))[:, 0]
              for n, t in enumerate(batch.grid.times)]
