@@ -527,6 +527,7 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
             qs.insert(0, q)
         if j:
             v = q @ ws[j].T
+            del q, s  # only v goes on; a differentiated chunk keeps q in qs
     packed[:, 1:] = q @ ws[0][1:].T
     if not differentiated:
         return None

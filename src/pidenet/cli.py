@@ -8,16 +8,6 @@ numerical abort.
 
 from __future__ import annotations
 
-import os
-
-# Single-threaded BLAS: threaded BLAS splits a product in ways that
-# depend on the thread count, so outputs would depend on the host's cores.
-# The network node uses every core through its own row chunks instead
-# (``autodiff.CHUNK_ROWS``), which run one-thread BLAS calls in parallel.
-# Must happen before numpy initializes.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import ctypes
 
 
@@ -136,32 +126,50 @@ class TrainConfig:
         )
 
 
+_CONFIG_KEYS = frozenset({
+    "problem", "steps", "batch_size", "hidden", "activation", "leaky_alpha", "adam",
+    "lr_schedule", "iterations", "checkpoint_interval", "eval_batch_size", "seeds",
+})
+_SEED_KEYS = frozenset({"simulation", "init", "evaluation"})
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer of a config; a bool, a string or a float is a config error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_dict(data: dict, name: str = "experiment") -> TrainConfig:
+    """The run a config describes; unknown keys and non-integer counts are config errors."""
     try:
+        unknown = set(data) - _CONFIG_KEYS
+        if unknown:
+            raise ConfigError(f"unknown config keys {sorted(unknown)}")
         prob_spec = dict(data["problem"])
         prob_name = prob_spec.pop("name")
         problem = problems.by_name(prob_name, **prob_spec)
         seeds = data["seeds"]
-        missing = {"simulation", "init", "evaluation"} - set(seeds)
-        if missing:
-            raise ConfigError(f"seeds must be explicit; missing {sorted(missing)}")
+        if set(seeds) != _SEED_KEYS:
+            raise ConfigError(f"seeds must be exactly {sorted(_SEED_KEYS)}, got {sorted(seeds)}")
         if not isinstance(data["hidden"], list):
             raise ConfigError(f"hidden must be a list of layer widths, got {data['hidden']!r}")
         return TrainConfig(
             problem=problem,
-            steps=int(data["steps"]),
-            batch_size=int(data["batch_size"]),
-            hidden=tuple(int(w) for w in data["hidden"]),
+            steps=_integer(data["steps"], "steps"),
+            batch_size=_integer(data["batch_size"], "batch_size"),
+            hidden=tuple(_integer(w, "hidden width") for w in data["hidden"]),
             activation=data.get("activation", "tanh"),
             leaky_alpha=float(data.get("leaky_alpha", 0.01)),
             adam=dict(data.get("adam", {})),
             schedule=optim.schedule_from_dict(data["lr_schedule"]),
-            iterations=int(data["iterations"]),
-            checkpoint_interval=int(data.get("checkpoint_interval", 1000)),
-            eval_batch_size=int(data.get("eval_batch_size", 2000)),
-            seed_simulation=int(seeds["simulation"]),
-            seed_init=int(seeds["init"]),
-            seed_evaluation=int(seeds["evaluation"]),
+            iterations=_integer(data["iterations"], "iterations"),
+            checkpoint_interval=_integer(data.get("checkpoint_interval", 1000),
+                                         "checkpoint_interval"),
+            eval_batch_size=_integer(data.get("eval_batch_size", 2000), "eval_batch_size"),
+            seed_simulation=_integer(seeds["simulation"], "seeds.simulation"),
+            seed_init=_integer(seeds["init"], "seeds.init"),
+            seed_evaluation=_integer(seeds["evaluation"], "seeds.evaluation"),
             name=name,
         )
     except ConfigError:

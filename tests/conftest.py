@@ -1,11 +1,3 @@
-import os
-
-# Pin BLAS to one thread before numpy loads, as the package does: threaded
-# BLAS splits a product by the thread count, so results would depend on the
-# host's cores.  Parallelism comes from ``Tape.mlp``'s row chunks instead.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path

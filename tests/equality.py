@@ -32,8 +32,9 @@ The second form prints, per field and activation (``-`` for the
 batches), how many cases are byte-identical, in shape and dtype too, and
 the worst gap relative to each array's max |x|.
 
-BLAS is pinned to one thread before numpy loads, as the package and the
-tests do.  pytest does not collect this file.
+BLAS is pinned to one thread before numpy loads, as importing the
+package does; older trees pin it only in ``cli``.  pytest does not
+collect this file.
 """
 
 import os

@@ -200,7 +200,25 @@ class TestTrainAndEval:
                                       json.dumps({**TINY, "adam": {"beta1": -0.1}}),
                                       json.dumps({**TINY, "adam": {"eps": -1}}),
                                       json.dumps({**TINY, "adam": {"eps": 0}}),
-                                      json.dumps({**TINY, "seeds": {**TINY["seeds"], "init": -1}})])
+                                      json.dumps({**TINY, "seeds": {**TINY["seeds"], "init": -1}}),
+                                      # integer fields take JSON integers only
+                                      json.dumps({**TINY, "steps": 4.9}),
+                                      json.dumps({**TINY, "steps": 4.0}),
+                                      json.dumps({**TINY, "batch_size": "32"}),
+                                      json.dumps({**TINY, "hidden": [6.7]}),
+                                      json.dumps({**TINY, "hidden": [True]}),
+                                      json.dumps({**TINY, "iterations": True}),
+                                      json.dumps({**TINY, "checkpoint_interval": 2.5}),
+                                      json.dumps({**TINY, "eval_batch_size": "48"}),
+                                      json.dumps({**TINY, "seeds": {**TINY["seeds"],
+                                                                    "simulation": 1.5}}),
+                                      json.dumps({**TINY, "seeds": {**TINY["seeds"], "init": "2"}}),
+                                      json.dumps({**TINY, "seeds": {**TINY["seeds"],
+                                                                    "evaluation": False}}),
+                                      # unknown keys, top-level and under seeds
+                                      json.dumps({**TINY, "activaton": "relu"}),
+                                      json.dumps({**TINY, "eval_batch_sise": 5}),
+                                      json.dumps({**TINY, "seeds": {**TINY["seeds"], "extra": 4}})])
     def test_bad_config_exits_one(self, tmp_path, text, capsys):
         path = tmp_path / "bad.json"
         path.write_text(text)
