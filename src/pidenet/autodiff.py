@@ -84,11 +84,6 @@ class TapeError(ValueError):
     """Raised on structural misuse: foreign variables, non-scalar objectives."""
 
 
-def _as_array(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 class Variable:
     """A recorded value and the id of its node on a tape.
 
@@ -178,7 +173,7 @@ class Tape:
 
     def _leaf(self, op: str, value, requires_grad: bool) -> Variable:
         self._nodes.append(_Node(op, (), requires_grad, None))
-        return Variable(self, len(self._nodes) - 1, _as_array(value))
+        return Variable(self, len(self._nodes) - 1, np.asarray(value, dtype=np.float64))
 
     def constant(self, value) -> Variable:
         """Leaf that never receives a gradient."""
@@ -347,7 +342,7 @@ class Tape:
         if activation == "leaky_relu" and not 0.0 <= alpha <= 1.0:
             raise ValueError(f"mlp: leaky relu slope {alpha} is outside [0, 1]")
         ws, bs = [w.value for w in weights], [b.value for b in biases]
-        h = _as_array(inp)
+        h = np.asarray(inp, dtype=np.float64)
         fan_in = [h.shape[-1]] + [w.shape[-1] for w in ws[:-1]]
         if (h.ndim != 2 or len(ws) < 2 or len(bs) != len(ws) or ws[-1].shape[-1] != 1
                 or any(w.shape != (f, b.size) or b.ndim != 1 for w, b, f in zip(ws, bs, fan_in))):

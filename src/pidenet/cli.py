@@ -51,7 +51,7 @@ import numpy as np
 from . import jumpsim, metrics, nn, optim, problems, scheme
 from .autodiff import Tape
 from .jumpsim import SimulationError, TimeGrid
-from .optim import AdamState, LrSchedule, NonFiniteGradientError
+from .optim import AdamState, NonFiniteGradientError
 from .problems import ProblemSpec
 from .scheme import NumericalAbortError
 
@@ -83,7 +83,7 @@ class TrainConfig:
     activation: str
     leaky_alpha: float
     adam: dict
-    schedule: LrSchedule
+    schedule: optim.Piecewise | optim.Cosine
     iterations: int
     checkpoint_interval: int
     eval_batch_size: int
@@ -93,19 +93,11 @@ class TrainConfig:
     name: str = "experiment"
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
-        if self.checkpoint_interval < 1:
-            raise ConfigError("checkpoint_interval must be >= 1")
-        if self.eval_batch_size < 1:
-            raise ConfigError("eval_batch_size must be >= 1")
-        for name in ("seed_simulation", "seed_init", "seed_evaluation"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name, least in (("steps", 1), ("batch_size", 1), ("iterations", 1),
+                            ("checkpoint_interval", 1), ("eval_batch_size", 1),
+                            ("seed_simulation", 0), ("seed_init", 0), ("seed_evaluation", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         try:  # what run_experiment builds first, so bad settings fail at load
             self.architecture
             AdamState.for_params([], **self.adam)
@@ -140,14 +132,29 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _number(value, what: str) -> float:
+    """A JSON int or float of a config as a float; a bool or a string is a config error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def config_from_dict(data: dict, name: str = "experiment") -> TrainConfig:
-    """The run a config describes; unknown keys and non-integer counts are config errors."""
+    """The run a config describes.
+
+    Unknown keys, counts that are not JSON integers and other numbers that
+    are not JSON numbers are config errors; a problem parameter may also
+    be a list of numbers.
+    """
     try:
         unknown = set(data) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys {sorted(unknown)}")
         prob_spec = dict(data["problem"])
         prob_name = prob_spec.pop("name")
+        for key, value in prob_spec.items():
+            for v in value if isinstance(value, list) else [value]:
+                _number(v, f"problem.{key}")
         problem = problems.by_name(prob_name, **prob_spec)
         seeds = data["seeds"]
         if set(seeds) != _SEED_KEYS:
@@ -160,8 +167,8 @@ def config_from_dict(data: dict, name: str = "experiment") -> TrainConfig:
             batch_size=_integer(data["batch_size"], "batch_size"),
             hidden=tuple(_integer(w, "hidden width") for w in data["hidden"]),
             activation=data.get("activation", "tanh"),
-            leaky_alpha=float(data.get("leaky_alpha", 0.01)),
-            adam=dict(data.get("adam", {})),
+            leaky_alpha=_number(data.get("leaky_alpha", 0.01), "leaky_alpha"),
+            adam={k: _number(v, f"adam.{k}") for k, v in dict(data.get("adam", {})).items()},
             schedule=optim.schedule_from_dict(data["lr_schedule"]),
             iterations=_integer(data["iterations"], "iterations"),
             checkpoint_interval=_integer(data.get("checkpoint_interval", 1000),
@@ -352,13 +359,12 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
                 lr = optim.lr_at(config.schedule, it - 1)
                 params, breakdown = _train_step(config, params, state, it, lr)
                 breakdown_log.write(json.dumps({"iteration": it, **breakdown}) + "\n")
-                if it % config.checkpoint_interval == 0 and it < config.iterations:
-                    reports.append(_evaluate(config, params, it, lr, started)[0])
+                if it % config.checkpoint_interval == 0 or it == config.iterations:
+                    report, grid_rows = _evaluate(
+                        config, params, it, lr, started,
+                        error_grid=problem.dim == 1 and it == config.iterations)
+                    reports.append(report)
                     _log_progress(reports, config.iterations)
-        final, grid_rows = _evaluate(config, params, it, lr, started,
-                                     error_grid=problem.dim == 1)
-        reports.append(final)
-        _log_progress(reports, config.iterations)
     except (NumericalAbortError, SimulationError, NonFiniteGradientError) as exc:
         _dump_abort(out, it, exc)
         raise NumericalAbortError(
@@ -368,10 +374,10 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
         ) from exc
 
     metrics.write_metrics_csv(out / "metrics.csv", reports)
-    metrics.write_error_by_time_csv(out / "error_by_time.csv", grid.times, final.node_errors)
+    metrics.write_error_by_time_csv(out / "error_by_time.csv", grid.times, report.node_errors)
     if grid_rows is not None:
         metrics.write_error_grid_csv(out / "error_grid.csv", grid_rows)
-    save_checkpoint(out / "checkpoint.json", params, final.iteration, final.lr)
+    save_checkpoint(out / "checkpoint.json", params, report.iteration, report.lr)
     return reports, params
 
 
@@ -409,6 +415,8 @@ def run_convergence_study(
     """
     if runs < keep or keep < 1:
         raise ConfigError(f"need runs >= keep >= 1, got runs={runs}, keep={keep}")
+    if len(set(steps_list)) < len(steps_list):
+        raise ConfigError(f"step counts repeat in {steps_list}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     errors: dict[int, list[float]] = {}

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -131,12 +131,8 @@ def convergence_table(
         kept = np.sort(finite)[: min(keep, finite.size)]
         err = float(kept.mean())
         dt = total_time / steps
-        order = None
-        if prev is not None:
-            if err == prev.max_sq_err:
-                order = 0.0
-            else:
-                order = float(np.log(prev.max_sq_err / err) / np.log(prev.dt / dt))
+        order = (None if prev is None
+                 else float(np.log(prev.max_sq_err / err) / np.log(prev.dt / dt)))
         row = ConvergenceRow(steps=steps, dt=dt, max_sq_err=err, order=order)
         rows.append(row)
         prev = row
@@ -146,30 +142,27 @@ def convergence_table(
 # ----------------------------------------------------------------------
 # report files
 
-def write_metrics_csv(path, reports: Sequence[MetricsReport]) -> None:
+def _write_csv(path, header: str, rows: Iterable[str]) -> None:
     with open(path, "w") as fh:
-        fh.write(METRICS_CSV_HEADER + "\n")
-        for rep in reports:
-            fh.write(rep.csv_row() + "\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row + "\n")
+
+
+def write_metrics_csv(path, reports: Sequence[MetricsReport]) -> None:
+    _write_csv(path, METRICS_CSV_HEADER, (rep.csv_row() for rep in reports))
 
 
 def write_error_by_time_csv(path, grid_times: np.ndarray, node_errors: np.ndarray) -> None:
-    with open(path, "w") as fh:
-        fh.write("node,t,rel_err\n")
-        for n, (t, e) in enumerate(zip(grid_times, node_errors)):
-            fh.write(f"{n},{_fmt(float(t))},{_fmt(float(e))}\n")
+    _write_csv(path, "node,t,rel_err", (f"{n},{_fmt(float(t))},{_fmt(float(e))}"
+                                        for n, (t, e) in enumerate(zip(grid_times, node_errors))))
 
 
 def write_convergence_csv(path, rows: Sequence[ConvergenceRow]) -> None:
-    with open(path, "w") as fh:
-        fh.write("N,dt,max_sq_err,order\n")
-        for row in rows:
-            order = "" if row.order is None else _fmt(row.order)
-            fh.write(f"{row.steps},{_fmt(row.dt)},{_fmt(row.max_sq_err)},{order}\n")
+    _write_csv(path, "N,dt,max_sq_err,order",
+               (f"{row.steps},{_fmt(row.dt)},{_fmt(row.max_sq_err)},"
+                + ("" if row.order is None else _fmt(row.order)) for row in rows))
 
 
 def write_error_grid_csv(path, rows: Sequence[tuple[float, float, float]]) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,x_bin,mean_abs_err\n")
-        for t, x, e in rows:
-            fh.write(f"{_fmt(t)},{_fmt(x)},{_fmt(e)}\n")
+    _write_csv(path, "t,x_bin,mean_abs_err", (f"{_fmt(t)},{_fmt(x)},{_fmt(e)}" for t, x, e in rows))

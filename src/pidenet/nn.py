@@ -71,10 +71,6 @@ class MlpParams:
             if w.shape != (fi, fo) or b.shape != (fo,):
                 raise ValueError(f"layer shapes {w.shape}/{b.shape} do not chain as ({fi},{fo})")
 
-    @property
-    def count(self) -> int:
-        return sum((fi + 1) * fo for fi, fo in self.arch.layer_dims)
-
     def flat_list(self) -> list[np.ndarray]:
         """Interleaved [w0, b0, w1, b1, ...]; the order used for gradients."""
         out = []
@@ -112,15 +108,7 @@ class TapeMlp:
         self.tape = tape
         self.arch = params.arch
         leaf = tape.param if trainable else tape.constant
-        self._w_vars = [leaf(w) for w in params.weights]
-        self._b_vars = [leaf(b) for b in params.biases]
-
-    @property
-    def param_vars(self) -> list[Variable]:
-        out = []
-        for w, b in zip(self._w_vars, self._b_vars):
-            out.extend((w, b))
-        return out
+        self.param_vars = [leaf(a) for a in params.flat_list()]  # w0, b0, w1, b1, ...
 
     def value_and_grad(self, inp: np.ndarray) -> tuple[Variable, Variable]:
         """Value plus the gradient in the spatial coordinates, both on tape.
@@ -131,7 +119,8 @@ class TapeMlp:
         the scheme differentiates with respect to time.
         """
         tape = self.tape
-        packed = tape.mlp(inp, self._w_vars, self._b_vars, self.arch.activation, self.arch.alpha)
+        packed = tape.mlp(inp, self.param_vars[0::2], self.param_vars[1::2],
+                          self.arch.activation, self.arch.alpha)
         return tape.slice(packed, cols=(0, 1)), tape.slice(packed, cols=(1, self.arch.input_dim))
 
 

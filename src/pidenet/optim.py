@@ -1,9 +1,15 @@
-"""Adam parameter updates and the learning-rate schedules used by the experiments."""
+"""Adam parameter updates and the learning-rate schedules used by the experiments.
+
+A schedule is one of two frozen records, ``Piecewise`` (piecewise-constant
+milestones; a constant rate is one milestone) or ``Cosine`` (cosine
+annealing); each checks its own fields and gives the rate of a step
+through ``rate``.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,77 +76,75 @@ def adam_step(
 
 
 @dataclass(frozen=True)
-class LrSchedule:
-    """Piecewise-constant decay or cosine annealing.
+class Piecewise:
+    """Piecewise-constant rates: milestones [(start_step, rate), ...].
 
-    kind "piecewise": milestones [(start_step, rate), ...] with the first
-        milestone at step 0; each rate applies until the next milestone.
-        A constant rate is one milestone.
-    kind "cosine": start rate at step 0 easing to end rate at total_steps,
-        clamped to the end rate afterwards.
+    The first milestone is at step 0; each rate applies until the next
+    milestone.  A constant rate is one milestone.  Steps are ints and
+    rates ints or floats, never bools (``type`` is exact, unlike
+    ``isinstance``).
     """
 
-    kind: str
-    milestones: tuple[tuple[int, float], ...] = field(default=())
-    start: float = 0.0
-    end: float = 0.0
-    total_steps: int = 0
+    milestones: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        if self.kind == "piecewise":
-            ms = tuple((int(s), float(r)) for s, r in self.milestones)
-            object.__setattr__(self, "milestones", ms)
-            if not ms or ms[0][0] != 0:
-                raise ValueError("piecewise schedule must start with a milestone at step 0")
-            steps = [s for s, _ in ms]
-            if any(b <= a for a, b in zip(steps, steps[1:])):
-                raise ValueError("piecewise milestones must be strictly increasing")
-            if any(r <= 0 for _, r in ms):
-                raise ValueError("learning rates must be positive")
-        elif self.kind == "cosine":
-            if self.start <= 0 or self.end <= 0 or self.total_steps < 1:
-                raise ValueError("cosine schedule needs positive rates and total_steps >= 1")
-        else:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        ms = tuple((s, r) for s, r in self.milestones)
+        if not all(type(s) is int and type(r) in (int, float) and r > 0 for s, r in ms):
+            raise ValueError(f"piecewise milestones must be [integer step, positive rate], got {ms}")
+        if not ms or ms[0][0] != 0:
+            raise ValueError("piecewise schedule must start with a milestone at step 0")
+        steps = [s for s, _ in ms]
+        if any(b <= a for a, b in zip(steps, steps[1:])):
+            raise ValueError("piecewise milestones must be strictly increasing")
+        object.__setattr__(self, "milestones", tuple((s, float(r)) for s, r in ms))
+
+    def rate(self, step: int) -> float:
+        return next(r for s, r in reversed(self.milestones) if step >= s)
 
 
-def constant(rate: float) -> LrSchedule:
-    return piecewise([(0, rate)])
+@dataclass(frozen=True)
+class Cosine:
+    """Start rate at step 0 easing to the end rate at total_steps, the end rate after.
+
+    Rates are ints or floats and total_steps an int, never bools.
+    """
+
+    start: float
+    end: float
+    total_steps: int
+
+    def __post_init__(self):
+        if not (type(self.start) in (int, float) and type(self.end) in (int, float)
+                and type(self.total_steps) is int
+                and self.start > 0 and self.end > 0 and self.total_steps >= 1):
+            raise ValueError("cosine schedule needs positive rates and an integer total_steps "
+                             f">= 1, got {self.start!r}, {self.end!r}, {self.total_steps!r}")
+
+    def rate(self, step: int) -> float:
+        frac = min(step, self.total_steps) / self.total_steps
+        return self.end + (self.start - self.end) * 0.5 * (1.0 + math.cos(math.pi * frac))
 
 
-def piecewise(milestones) -> LrSchedule:
-    return LrSchedule(kind="piecewise", milestones=tuple(milestones))
-
-
-def cosine(start: float, end: float, total_steps: int) -> LrSchedule:
-    return LrSchedule(kind="cosine", start=float(start), end=float(end), total_steps=int(total_steps))
-
-
-def lr_at(schedule: LrSchedule, step: int) -> float:
+def lr_at(schedule: Piecewise | Cosine, step: int) -> float:
     """Rate for a 0-based optimizer step."""
     if step < 0:
         raise ValueError(f"step must be >= 0, got {step}")
-    if schedule.kind == "piecewise":
-        rate = schedule.milestones[0][1]
-        for start_step, r in schedule.milestones:
-            if step >= start_step:
-                rate = r
-            else:
-                break
-        return rate
-    frac = min(step, schedule.total_steps) / schedule.total_steps
-    return schedule.end + (schedule.start - schedule.end) * 0.5 * (1.0 + math.cos(math.pi * frac))
+    return schedule.rate(step)
 
 
-def schedule_from_dict(spec: dict) -> LrSchedule:
-    """Build a schedule from the experiment config encoding; "constant" is one milestone."""
+def schedule_from_dict(spec: dict) -> Piecewise | Cosine:
+    """Build a schedule from the experiment config encoding; "constant" is one milestone.
+
+    A key that the kind does not read is an error.
+    """
     if not isinstance(spec, dict):
         raise TypeError(f"lr_schedule must be an object, got {spec!r}")
-    kind = spec.get("kind")
+    fields = dict(spec)
+    kind = fields.pop("kind", None)
     if kind == "constant":
-        return constant(spec["rate"])
+        return Piecewise(((0, fields.pop("rate")),), **fields)
     if kind == "piecewise":
-        return piecewise([(int(s), float(r)) for s, r in spec["milestones"]])
+        return Piecewise(**fields)
     if kind == "cosine":
-        return cosine(spec["start"], spec["end"], spec["total_steps"])
+        return Cosine(**fields)
     raise ValueError(f"unknown schedule kind {kind!r}")

@@ -54,7 +54,6 @@ class ProblemSpec:
     terminal: Callable[[np.ndarray], np.ndarray]
     exact: Callable[[float, np.ndarray], np.ndarray]
     exact_grad: Callable[[float, np.ndarray], np.ndarray]
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=np.float64))
@@ -130,7 +129,6 @@ def pide_1d(
         terminal=lambda x: x[:, :1].copy(),
         exact=lambda t, x: x[:, :1].copy(),
         exact_grad=lambda t, x: np.ones_like(x),
-        params={"lam": lam, "tau": tau, "eps": eps, "mark_mean": mark_mean, "mark_std": mark_std},
     )
 
 
@@ -186,10 +184,6 @@ def highdim_pide(
         terminal=lambda x: _squared_radius(x) / dim,
         exact=lambda t, x: _squared_radius(x) / dim,
         exact_grad=lambda t, x: (2.0 / dim) * x,
-        params={
-            "lam": lam, "tau": tau, "eps": eps,
-            "mark_mean": mark_mean, "mark_std": mark_std,
-        },
     )
 
 
@@ -237,10 +231,6 @@ def bsb_jumps(
         terminal=lambda x: _squared_radius(x) / dim,
         exact=exact,
         exact_grad=lambda t, x: (2.0 / dim) * np.exp((r + tau**2) * (T - t)) * x,
-        params={
-            "lam": lam, "r": r, "tau": tau,
-            "mark_mean": mark_mean, "mark_std": mark_std,
-        },
     )
 
 

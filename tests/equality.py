@@ -1,4 +1,4 @@
-"""Equality harness: batches, losses, held-out figures and gradients of one source tree, for comparing two.
+"""Equality harness: batches, losses, gradients and run files of one source tree, for comparing two.
 
     python tests/equality.py --src <tree>/src --out A.npz
     python tests/equality.py --compare A.npz B.npz
@@ -20,13 +20,13 @@ Each preset also runs with jump intensity 0 (``<preset>-nojump``), at B
 = 64 and with 2 hidden layers under each activation, so that its batches
 hold no jump event and every jump-event array is empty.
 
-Every per-(node, path) array is stored node-major, whatever the tree's
-layout: states (N+1, B, d), Brownian increments (N, B, d), counts
-(N, B), ``values`` and ``heldout_values`` (N+1, B).  A tree whose
-``PathBatch.states`` leads with the path axis (``states.shape[0] ==
-B``) has those arrays' first two axes swapped before they are stored,
-so trees on either side of the change to node-major compare byte for
-byte.
+Short training runs store the bytes of the files they write
+(``<preset>-<activation>-run/<file>``, as uint8 arrays): ``metrics.csv``,
+``error_by_time.csv``, ``error_grid.csv`` (1-D problems),
+``breakdown.jsonl``, ``checkpoint.json`` and the CSV that ``pidenet
+eval --out`` writes from that checkpoint.  A two-N, two-run step study
+stores its ``convergence.csv``.  They go through ``config_from_dict``,
+``run_experiment``, ``run_convergence_study`` and ``cli.main``.
 
 The second form prints, per field and activation (``-`` for the
 batches), how many cases are byte-identical, in shape and dtype too, and
@@ -46,6 +46,7 @@ import argparse
 import json
 import re
 import sys
+import tempfile
 from collections import defaultdict
 from importlib import resources
 from pathlib import Path
@@ -58,12 +59,23 @@ DEPTHS = (1, 2, 3)
 NO_JUMP_BATCHES = (64,)
 NO_JUMP_DEPTHS = (2,)
 BATCH_FIELDS = ("states", "brownian", "counts", "event_paths", "event_intervals", "event_marks")
-NODE_PATH_FIELDS = ("states", "brownian", "counts")
-
-
-def node_major(a, path_major: bool) -> np.ndarray:
-    """``a`` with its node axis first, a C-contiguous copy when it had to be swapped."""
-    return np.ascontiguousarray(np.swapaxes(a, 0, 1)) if path_major else np.asarray(a)
+RUN_FILES = ("metrics.csv", "error_by_time.csv", "error_grid.csv", "breakdown.jsonl",
+             "checkpoint.json", "eval.csv")
+# short runs of three presets, each overriding the config keys given: pide1d
+# is relu, piecewise and 1-D (so it writes error_grid.csv), convergence tanh
+# and cosine (clamped from step 3), bsb_d4 leaky relu.  pide1d's evaluation
+# interval divides its iteration count; the others' does not
+RUNS = {
+    "pide1d": {"steps": 5, "batch_size": 32, "iterations": 4, "checkpoint_interval": 2,
+               "eval_batch_size": 40,
+               "lr_schedule": {"kind": "piecewise", "milestones": [[0, 0.001], [2, 0.0005]]}},
+    "convergence": {"batch_size": 32, "iterations": 5, "checkpoint_interval": 2,
+                    "eval_batch_size": 40,
+                    "lr_schedule": {"kind": "cosine", "start": 0.01, "end": 1e-5,
+                                    "total_steps": 3}},
+    "bsb_d4": {"steps": 5, "batch_size": 16, "iterations": 3, "checkpoint_interval": 2,
+               "eval_batch_size": 20},
+}
 
 
 def cases(src: Path) -> dict[str, np.ndarray]:
@@ -77,10 +89,45 @@ def cases(src: Path) -> dict[str, np.ndarray]:
     for preset in cli.preset_names():
         out.update(preset_cases(preset, cli.load_config(preset), BATCHES, DEPTHS))
         # the preset with intensity 0, so that no batch holds a jump event
-        data = json.loads(resources.files("pidenet").joinpath(f"configs/{preset}.json").read_text())
+        data = preset_data(preset)
         data["problem"]["lam"] = 0.0
         out.update(preset_cases(f"{preset}-nojump", cli.config_from_dict(data, preset),
                                 NO_JUMP_BATCHES, NO_JUMP_DEPTHS))
+    with tempfile.TemporaryDirectory() as tmp:
+        out.update(run_files(Path(tmp)))
+    return out
+
+
+def preset_data(preset: str) -> dict:
+    return json.loads(resources.files("pidenet").joinpath(f"configs/{preset}.json").read_text())
+
+
+def file_bytes(path: Path) -> np.ndarray:
+    return np.frombuffer(path.read_bytes(), dtype=np.uint8)
+
+
+def run_files(tmp: Path) -> dict[str, np.ndarray]:
+    """The files of the ``RUNS`` and of a two-N, two-run ``convergence`` study, under ``tmp``."""
+    from pidenet import cli
+
+    out = {}
+    for preset, overrides in RUNS.items():
+        data = {**preset_data(preset), **overrides}
+        config_path = tmp / f"{preset}.json"
+        config_path.write_text(json.dumps(data))
+        run_dir = tmp / preset
+        cli.run_experiment(cli.config_from_dict(data, preset), run_dir)
+        if cli.main(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
+                     "--config", str(config_path), "--out", str(run_dir / "eval.csv")]):
+            raise SystemExit(f"eval of {preset} failed")
+        case = f"{preset}-{data.get('activation', 'tanh')}-run"
+        written = [name for name in RUN_FILES if (run_dir / name).exists()]
+        out.update({f"{case}/{name}": file_bytes(run_dir / name) for name in written})
+        print(case, written, flush=True)
+    data = {**preset_data("convergence"), "batch_size": 16, "iterations": 2, "eval_batch_size": 20}
+    cli.run_convergence_study(cli.config_from_dict(data, "convergence"), [2, 4], runs=2, keep=1,
+                              out_dir=tmp / "study")
+    out["convergence-study/convergence.csv"] = file_bytes(tmp / "study" / "convergence.csv")
     return out
 
 
@@ -96,11 +143,9 @@ def preset_cases(label: str, config, batch_sizes, depths) -> dict[str, np.ndarra
             jumpsim.simulate_forward(config.problem, config.grid, batch_size, seed, stream)
             for seed, stream in ((config.seed_simulation, 0), (config.seed_evaluation, 1))
         ]
-        path_major = pair[0].states.shape[0] == batch_size
         for prefix, batch in zip(("train", "heldout"), pair):
             for name in BATCH_FIELDS:
-                out[f"{label}-B{batch_size}/{prefix}_{name}"] = node_major(
-                    getattr(batch, name), path_major and name in NODE_PATH_FIELDS)
+                out[f"{label}-B{batch_size}/{prefix}_{name}"] = getattr(batch, name)
     for activation in ACTIVATIONS:
         for n_hidden in depths:
             arch = nn.MlpArchitecture(input_dim=1 + config.problem.dim,
@@ -113,7 +158,6 @@ def preset_cases(label: str, config, batch_sizes, depths) -> dict[str, np.ndarra
             for batch_size in batch_sizes:
                 case = f"{label}-{activation}-h{n_hidden}-B{batch_size}"
                 batch, held_out = batches[batch_size]
-                path_major = batch.states.shape[0] == batch_size
                 tape = Tape()
                 net = nn.TapeMlp(tape, params)
                 total, breakdown = scheme.loss(net, batch, config.problem)
@@ -124,10 +168,10 @@ def preset_cases(label: str, config, batch_sizes, depths) -> dict[str, np.ndarra
                 fields = {
                     "loss": np.float64(breakdown.total),
                     "terms": breakdown.interval_terms,
-                    "values": node_major(breakdown.values, path_major),
+                    "values": breakdown.values,
                     "heldout_loss": np.float64(heldout.total),
                     "heldout_terms": heldout.interval_terms,
-                    "heldout_values": node_major(heldout.values, path_major),
+                    "heldout_values": heldout.values,
                     **{f"grad{k}": g for k, g in enumerate(grads)},
                 }
                 out.update({f"{case}/{name}": np.asarray(a) for name, a in fields.items()})
@@ -152,7 +196,9 @@ def compare(a_path: Path, b_path: Path) -> int:
             same[group] += 1
             continue
         scale = np.max(np.abs(x)) if x.size else 0.0
-        gap = np.max(np.abs(x - y)) / scale if x.shape == y.shape and scale else np.inf
+        # in float64, so that the bytes of run files do not wrap around
+        gap = (np.max(np.abs(x.astype(np.float64) - y)) / scale
+               if x.shape == y.shape and scale else np.inf)
         worst[group] = max(worst[group], float(gap))
     print(f"{'field':<24}{'activation':<12}{'identical':>12}  worst gap / max|x|")
     for group in sorted(total):

@@ -218,13 +218,49 @@ class TestTrainAndEval:
                                       # unknown keys, top-level and under seeds
                                       json.dumps({**TINY, "activaton": "relu"}),
                                       json.dumps({**TINY, "eval_batch_sise": 5}),
-                                      json.dumps({**TINY, "seeds": {**TINY["seeds"], "extra": 4}})])
+                                      json.dumps({**TINY, "seeds": {**TINY["seeds"], "extra": 4}}),
+                                      # number fields take JSON ints or floats, never bools
+                                      json.dumps({**TINY, "leaky_alpha": "0.5"}),
+                                      json.dumps({**TINY, "leaky_alpha": True}),
+                                      json.dumps({**TINY, "adam": {"beta1": "0.9"}}),
+                                      json.dumps({**TINY, "adam": {"eps": True}}),
+                                      json.dumps({**TINY, "problem": {"name": "pide_1d",
+                                                                      "lam": True}}),
+                                      json.dumps({**TINY, "problem": {"name": "pide_1d",
+                                                                      "x0": "1.0"}}),
+                                      json.dumps({**TINY, "problem": {"name": "highdim_pide",
+                                                                      "dim": 2,
+                                                                      "x0": [1.0, "2"]}}),
+                                      json.dumps({**TINY, "lr_schedule": {"kind": "constant",
+                                                                          "rate": "0.01"}}),
+                                      json.dumps({**TINY, "lr_schedule": {"kind": "constant",
+                                                                          "rate": True}}),
+                                      # schedule steps take JSON integers
+                                      json.dumps({**TINY, "lr_schedule": {
+                                          "kind": "piecewise", "milestones": [[0.5, 0.001]]}}),
+                                      json.dumps({**TINY, "lr_schedule": {
+                                          "kind": "piecewise", "milestones": [[0, "1e-3"]]}}),
+                                      json.dumps({**TINY, "lr_schedule": {
+                                          "kind": "cosine", "start": 0.01, "end": 1e-5,
+                                          "total_steps": 20.5}}),
+                                      json.dumps({**TINY, "lr_schedule": {
+                                          "kind": "cosine", "start": "0.01", "end": 1e-5,
+                                          "total_steps": 20}}),
+                                      # a schedule key that its kind does not read
+                                      json.dumps({**TINY, "lr_schedule": {
+                                          "kind": "cosine", "start": 0.01, "end": 1e-5,
+                                          "total_steps": 20, "warmup": 5}})])
     def test_bad_config_exits_one(self, tmp_path, text, capsys):
         path = tmp_path / "bad.json"
         path.write_text(text)
         assert train(path, tmp_path / "run") == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_problem_parameter_may_be_a_list_of_numbers(self):
+        config = cli.config_from_dict({**TINY, "problem": {"name": "highdim_pide", "dim": 2,
+                                                           "x0": [0.5, 2]}})
+        np.testing.assert_array_equal(config.problem.x0, [0.5, 2.0])
 
     @pytest.mark.parametrize("command", ["train", "converge"])
     def test_negative_seed_override_exits_one(self, config_path, tmp_path, command, capsys):
@@ -314,7 +350,8 @@ class TestConverge:
         assert float(rows[2][2]) == max_sq_err(4, 0)
 
     @pytest.mark.parametrize("args", [["--steps", "2,x"], ["--steps", "0"], ["--steps", "2,-4"],
-                                      ["--steps", "2", "--runs", "1", "--keep", "2"]])
+                                      ["--steps", "2", "--runs", "1", "--keep", "2"],
+                                      ["--steps", "2,2"]])
     def test_bad_arguments_exit_one(self, config_path, tmp_path, args, capsys):
         out = tmp_path / "study"
         assert cli.main(["converge", "--config", str(config_path), "--out", str(out), *args]) == 1

@@ -36,7 +36,7 @@ class TestInit:
 
     def test_param_count(self):
         params = nn.init(nn.MlpArchitecture(3, (5, 7)), seed=0)
-        assert params.count == (3 + 1) * 5 + (5 + 1) * 7 + (7 + 1) * 1
+        assert sum(a.size for a in params.flat_list()) == (3 + 1) * 5 + (5 + 1) * 7 + (7 + 1) * 1
 
     def test_invalid_architectures(self):
         with pytest.raises(ValueError):

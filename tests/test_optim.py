@@ -70,49 +70,49 @@ class TestAdam:
 
 class TestSchedules:
     def test_cosine_endpoints_and_midpoint(self):
-        sched = optim.cosine(1e-2, 1e-5, 2000)
+        sched = optim.Cosine(1e-2, 1e-5, 2000)
         assert optim.lr_at(sched, 0) == pytest.approx(1e-2, rel=1e-15)
         assert optim.lr_at(sched, 2000) == pytest.approx(1e-5, rel=1e-15)
         assert optim.lr_at(sched, 1000) == pytest.approx((1e-2 + 1e-5) / 2, rel=1e-12)
 
     def test_cosine_clamps_past_total(self):
-        sched = optim.cosine(1e-2, 1e-5, 100)
+        sched = optim.Cosine(1e-2, 1e-5, 100)
         assert optim.lr_at(sched, 5000) == pytest.approx(1e-5, rel=1e-15)
 
     def test_piecewise_segments(self):
-        sched = optim.piecewise([(0, 1e-3), (4000, 5e-4)])
+        sched = optim.Piecewise(((0, 1e-3), (4000, 5e-4)))
         assert optim.lr_at(sched, 0) == 1e-3
         assert optim.lr_at(sched, 3999) == 1e-3
         assert optim.lr_at(sched, 4000) == 5e-4
         assert optim.lr_at(sched, 10**6) == 5e-4
 
     def test_constant(self):
-        assert optim.lr_at(optim.constant(0.01), 12345) == 0.01
+        assert optim.lr_at(optim.Piecewise(((0, 0.01),)), 12345) == 0.01
 
     def test_constant_is_one_milestone(self):
         sched = optim.schedule_from_dict({"kind": "constant", "rate": 0.01})
-        assert sched == optim.constant(0.01) == optim.piecewise([(0, 0.01)])
+        assert sched == optim.Piecewise(((0, 0.01),))
         with pytest.raises(ValueError, match="rate"):
-            optim.constant(0.0)
+            optim.schedule_from_dict({"kind": "constant", "rate": 0.0})
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            optim.piecewise([(5, 1e-3)])  # must start at 0
+            optim.Piecewise(((5, 1e-3),))  # must start at 0
         with pytest.raises(ValueError):
-            optim.piecewise([(0, 1e-3), (0, 1e-4)])
+            optim.Piecewise(((0, 1e-3), (0, 1e-4)))
         with pytest.raises(ValueError):
-            optim.piecewise([(0, 1e-3), (10, -1.0)])
+            optim.Piecewise(((0, 1e-3), (10, -1.0)))
         with pytest.raises(ValueError):
-            optim.cosine(0.0, 1e-5, 10)
+            optim.Cosine(0.0, 1e-5, 10)
         with pytest.raises(ValueError):
-            optim.lr_at(optim.constant(1e-3), -1)
+            optim.lr_at(optim.Piecewise(((0, 1e-3),)), -1)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=5000), st.integers(min_value=0, max_value=5000))
     def test_decaying_schedules_non_increasing(self, a, b):
         lo, hi = min(a, b), max(a, b)
-        cos = optim.cosine(1e-2, 1e-5, 2000)
-        pw = optim.piecewise([(0, 1e-3), (1000, 5e-4), (2500, 1e-5)])
+        cos = optim.Cosine(1e-2, 1e-5, 2000)
+        pw = optim.Piecewise(((0, 1e-3), (1000, 5e-4), (2500, 1e-5)))
         assert optim.lr_at(cos, hi) <= optim.lr_at(cos, lo) + 1e-18
         assert optim.lr_at(pw, hi) <= optim.lr_at(pw, lo)
 

@@ -29,9 +29,9 @@ class TestCompensators:
         assert prob.compensator(0.0, np.array([[1.0]]))[0, 0] == pytest.approx(0.161749, abs=1e-5)
 
     def test_vector_mark_closed_form_matches_quadrature(self):
-        for prob in (problems.highdim_pide(dim=4), problems.bsb_jumps(dim=4)):
-            mean = prob.params["mark_mean"]
-            std = prob.params["mark_std"]
+        for factory, mean, std in ((problems.highdim_pide, 0.01, 0.1),
+                                   (problems.bsb_jumps, 0.02, 0.01)):
+            prob = factory(dim=4, mark_mean=mean, mark_std=std)
             phi = mark_density(mean, std)
             # coordinates are i.i.d., so each component integral is the
             # same one-dimensional mean integral
@@ -60,8 +60,8 @@ class TestCompensators:
     def test_squared_mark_moment_identity(self):
         # (1/d) E|e|^2 equals mean^2 + std^2 for i.i.d. coordinates; checked
         # by Monte-Carlo with a 4-sigma budget
-        prob = problems.highdim_pide(dim=6)
-        mean, std = prob.params["mark_mean"], prob.params["mark_std"]
+        mean, std = 0.01, 0.1
+        prob = problems.highdim_pide(dim=6, mark_mean=mean, mark_std=std)
         rng = np.random.default_rng(7)
         marks = prob.sample_marks(rng.uniform(size=(10**6, 6)))
         per_coord = marks.ravel() ** 2
@@ -142,4 +142,5 @@ class TestCoefficients:
     def test_lookup_by_name(self):
         prob = problems.by_name("bsb_jumps", dim=2, r=0.01)
         assert prob.name == "bsb_jumps"
-        assert prob.params["r"] == 0.01
+        x = np.array([[2.0, -3.0]])
+        np.testing.assert_array_equal(prob.drift(0.0, x), 0.01 * x)  # the drift r * x

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import weakref
 
 import numpy as np
@@ -205,8 +206,8 @@ class TestLoss:
 
     def test_numpy_operand_first_in_the_driver(self):
         # a numpy operand first (c + r * y) must give the loss and gradients of r * y + c
-        prob = problems.bsb_jumps(dim=2)
-        r = np.float64(prob.params["r"])
+        r = np.float64(0.05)
+        prob = problems.bsb_jumps(dim=2, r=r)
         params = nn.init(nn.MlpArchitecture(3, (6,), "tanh"), seed=9)
         batch = toy_batch(prob, n_steps=3, batch_size=16, seed=77)
         results = []
@@ -321,7 +322,10 @@ class TestLoss:
 
 
 def one_step_reference(problem, params, batch, n):
-    """The benchmark's explicit next-step recursion, computed in numpy."""
+    """The benchmark's explicit next-step recursion, computed in numpy.
+
+    ``problem`` has its factory's default parameters, apart from lam.
+    """
     grid = batch.grid
     t, dt = grid.times[n], grid.dt
     x = batch.states[n]
@@ -340,7 +344,8 @@ def one_step_reference(problem, params, batch, n):
         base = nn.evaluate(params, network_input(t, x[ids]))
         np.add.at(jump_sum, ids, shifted - base)
 
-    p = problem.params
+    factory = getattr(problems, problem.name)
+    p = {k: v.default for k, v in inspect.signature(factory).parameters.items()}
     lam = problem.intensity
     comp_dot = np.sum(grad * problem.compensator(t, x), axis=1, keepdims=True)
     if problem.name == "pure_jump_1d":
