@@ -37,6 +37,7 @@ def _retain_freed_heap() -> None:
 _retain_freed_heap()
 
 import argparse
+import base64
 import json
 import logging
 import math
@@ -276,20 +277,36 @@ def _evaluate(config: TrainConfig, params: nn.MlpParams, iteration, lr, started,
     return report, rows
 
 
-def save_checkpoint(path, params: nn.MlpParams, iteration: int, lr: float) -> None:
-    """Iteration, lr and the model (architecture header, nested float lists) as JSON.
+# A checkpoint stores each weight and bias as {"shape": [...], "data":
+# base64 of its little-endian float64 bytes in C order} and names this
+# format under "array_format"; one with nested float lists is not read.
+CHECKPOINT_ARRAY_FORMAT = "base64-float64-le"
 
-    Python's repr-based float serialization round-trips each weight's
-    exact bit pattern.
+
+def _encode_array(a: np.ndarray) -> dict:
+    return {"shape": list(a.shape),
+            "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
+
+
+def _decode_array(entry: dict) -> np.ndarray:
+    data = base64.b64decode(entry["data"], validate=True)
+    return np.frombuffer(data, dtype="<f8").reshape(entry["shape"]).astype(np.float64)
+
+
+def save_checkpoint(path, params: nn.MlpParams, iteration: int, lr: float) -> None:
+    """Iteration, lr and the model (architecture header, arrays as raw float64 bytes) as JSON.
+
+    A load returns each weight's exact bit pattern.
     """
     arch = params.arch
     model = {
         "architecture": {"input_dim": arch.input_dim, "hidden": list(arch.hidden),
                          "activation": arch.activation, "alpha": arch.alpha},
-        "weights": [w.tolist() for w in params.weights],
-        "biases": [b.tolist() for b in params.biases],
+        "weights": [_encode_array(w) for w in params.weights],
+        "biases": [_encode_array(b) for b in params.biases],
     }
-    payload = {"iteration": iteration, "lr": lr, "model": model}
+    payload = {"iteration": iteration, "lr": lr, "array_format": CHECKPOINT_ARRAY_FORMAT,
+               "model": model}
     with open(path, "w") as fh:
         fh.write(json.dumps(payload))  # the C encoder; json.dump runs the Python one
 
@@ -298,21 +315,28 @@ def load_checkpoint(path) -> tuple[nn.MlpParams, int, float]:
     with open(path) as fh:
         try:
             payload = json.load(fh)
-            model = payload["model"]
-            arch = model["architecture"]
-            params = nn.MlpParams(
-                nn.MlpArchitecture(
-                    input_dim=int(arch["input_dim"]),
-                    hidden=tuple(arch["hidden"]),
-                    activation=arch["activation"],
-                    alpha=float(arch.get("alpha", 0.01)),
-                ),
-                [np.asarray(w, dtype=np.float64) for w in model["weights"]],
-                [np.asarray(b, dtype=np.float64) for b in model["biases"]],
-            )
-            return params, int(payload["iteration"]), float(payload["lr"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"checkpoint {path} is unreadable: {exc!r}") from exc
+    if not isinstance(payload, dict) or payload.get("array_format") != CHECKPOINT_ARRAY_FORMAT:
+        raise ConfigError(f"checkpoint {path} does not store its arrays as "
+                          f"{CHECKPOINT_ARRAY_FORMAT!r} (base64 of little-endian float64 "
+                          "bytes); checkpoints with nested-list arrays are not read")
+    try:
+        model = payload["model"]
+        arch = model["architecture"]
+        params = nn.MlpParams(
+            nn.MlpArchitecture(
+                input_dim=int(arch["input_dim"]),
+                hidden=tuple(arch["hidden"]),
+                activation=arch["activation"],
+                alpha=float(arch.get("alpha", 0.01)),
+            ),
+            [_decode_array(w) for w in model["weights"]],
+            [_decode_array(b) for b in model["biases"]],
+        )
+        return params, int(payload["iteration"]), float(payload["lr"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint {path} is unreadable: {exc!r}") from exc
 
 
 def _train_step(config: TrainConfig, params: nn.MlpParams, state: AdamState, it: int, lr: float):

@@ -112,7 +112,8 @@ def convergence_table(
 
     For each step count the ``keep`` smallest finite errors are averaged;
     non-finite entries are dropped with a warning.  The order column
-    compares consecutive rows on the log-log scale.
+    compares consecutive rows on the log-log scale; it is ``None`` on the
+    first row and where either row's error is 0.0, whose log is not finite.
     """
     if keep < 1:
         raise ValueError("keep must be >= 1")
@@ -131,7 +132,7 @@ def convergence_table(
         kept = np.sort(finite)[: min(keep, finite.size)]
         err = float(kept.mean())
         dt = total_time / steps
-        order = (None if prev is None
+        order = (None if prev is None or prev.max_sq_err == 0.0 or err == 0.0
                  else float(np.log(prev.max_sq_err / err) / np.log(prev.dt / dt)))
         row = ConvergenceRow(steps=steps, dt=dt, max_sq_err=err, order=order)
         rows.append(row)

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtri
+
+from .normal import ndtri
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,11 @@ class ProblemSpec:
 
 
 def _normal_mark_sampler(mean: float, std: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Inverse-CDF transform from uniforms to i.i.d. normal mark coordinates."""
+    """Inverse-CDF transform from uniforms to i.i.d. normal mark coordinates.
+
+    ``normal.ndtri`` gives Cephes' bytes for e^-2 < u <= 1 - e^-2 and is
+    within 8 units in the last place of them in the tails.
+    """
 
     def sample(uniforms: np.ndarray) -> np.ndarray:
         return mean + std * ndtri(uniforms)

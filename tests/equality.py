@@ -29,8 +29,10 @@ stores its ``convergence.csv``.  They go through ``config_from_dict``,
 ``run_experiment``, ``run_convergence_study`` and ``cli.main``.
 
 The second form prints, per field and activation (``-`` for the
-batches), how many cases are byte-identical, in shape and dtype too, and
-the worst gap relative to each array's max |x|.
+batches), how many cases are byte-identical, in shape and dtype too, the
+worst gap relative to each array's max |x| and, for float fields, the
+most float64 steps (units in the last place, ULPs) between two matching
+elements.
 
 BLAS is pinned to one thread before numpy loads, as importing the
 package does; older trees pin it only in ``cli``.  pytest does not
@@ -179,6 +181,18 @@ def preset_cases(label: str, config, batch_sizes, depths) -> dict[str, np.ndarra
     return out
 
 
+def ulp_distance(x: np.ndarray, y: np.ndarray) -> int:
+    """Most float64 steps between matching elements of ``x`` and ``y`` (same shape)."""
+    def ordered(a):  # integers in the order of the floats, +0.0 and -0.0 both 0
+        k = a.astype(np.float64).view(np.int64)
+        return np.where(k < 0, np.iinfo(np.int64).min - k, k)
+
+    ox, oy = ordered(x), ordered(y)
+    # hi - lo < 2**64, so the wrapped unsigned difference is exact
+    gap = np.maximum(ox, oy).view(np.uint64) - np.minimum(ox, oy).view(np.uint64)
+    return int(gap.max()) if gap.size else 0
+
+
 def compare(a_path: Path, b_path: Path) -> int:
     """Print the per-field, per-activation tally; 1 if the two files hold different keys."""
     a, b = np.load(a_path), np.load(b_path)
@@ -186,12 +200,15 @@ def compare(a_path: Path, b_path: Path) -> int:
         print(f"different cases or fields: {sorted(set(a.files) ^ set(b.files))[:10]}")
         return 1
     same, total, worst = defaultdict(int), defaultdict(int), defaultdict(float)
+    ulps = {}  # float fields only
     for key in sorted(a.files):
         case, name = key.split("/")
         activation = next((act for act in ACTIVATIONS if f"-{act}-" in case), "-")
         group = (re.sub(r"\d+$", "", name), activation)
         x, y = a[key], b[key]
         total[group] += 1
+        if x.dtype.kind == "f":
+            ulps.setdefault(group, 0)
         if x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes():
             same[group] += 1
             continue
@@ -200,9 +217,13 @@ def compare(a_path: Path, b_path: Path) -> int:
         gap = (np.max(np.abs(x.astype(np.float64) - y)) / scale
                if x.shape == y.shape and scale else np.inf)
         worst[group] = max(worst[group], float(gap))
-    print(f"{'field':<24}{'activation':<12}{'identical':>12}  worst gap / max|x|")
+        if group in ulps:
+            ulps[group] = (max(ulps[group], ulp_distance(x, y))
+                           if x.shape == y.shape and y.dtype.kind == "f" else np.inf)
+    print(f"{'field':<24}{'activation':<12}{'identical':>12}  {'worst gap / max|x|':<20}worst ULPs")
     for group in sorted(total):
-        print(f"{group[0]:<24}{group[1]:<12}{same[group]:>6} / {total[group]:<4} {worst[group]:.3g}")
+        print(f"{group[0]:<24}{group[1]:<12}{same[group]:>6} / {total[group]:<4} "
+              f"{worst[group]:<20.3g}{ulps.get(group, '-')}")
     return 0
 
 

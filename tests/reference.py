@@ -1,11 +1,11 @@
 """Reference code the tests check the package against; the program never calls it."""
 
 import numpy as np
-from scipy.special import ndtri
 
 from pidenet.autodiff import Tape, Variable
 from pidenet import jumpsim
 from pidenet.jumpsim import PathBatch, TimeGrid, _jump_sum, keyed_uniforms, simulate_forward
+from pidenet.normal import ndtri
 from pidenet.problems import ProblemSpec
 
 

@@ -1,8 +1,13 @@
+import base64
 import dataclasses
 import json
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,6 +329,26 @@ class TestTrainAndEval:
         assert len(held_out) == 2
         assert (tmp_path / "run" / "error_grid.csv").is_file()
 
+    def test_train_and_eval_import_no_scipy(self, tmp_path):
+        # a fresh process, since the tests themselves import scipy
+        config_path = tmp_path / "two.json"
+        config_path.write_text(json.dumps({**TINY, "iterations": 2, "checkpoint_interval": 1}))
+        run = tmp_path / "run"
+        script = f"""
+import sys
+from pidenet import cli
+config = cli.load_config({str(config_path)!r})
+cli.run_experiment(config, {str(run)!r})
+code = cli.main(["eval", "--checkpoint", {str(run / "checkpoint.json")!r},
+                 "--config", {str(config_path)!r}, "--out", {str(tmp_path / "eval.csv")!r}])
+print(code, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 []"
+
 
 class TestConverge:
     def test_failed_run_is_left_out(self, config_path, tmp_path, monkeypatch):
@@ -363,29 +388,52 @@ class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
         arch = nn.MlpArchitecture(input_dim=4, hidden=(9, 5), activation="leaky_relu")
         params = nn.init(arch, seed=99)
+        params.weights[1][2, 3] = 5e-324  # subnormal
+        params.biases[0][1] = -0.0
         path = tmp_path / "checkpoint.json"
         cli.save_checkpoint(path, params, iteration=17, lr=3.5e-4)
         loaded, iteration, lr = cli.load_checkpoint(path)
         assert loaded.arch == params.arch
         assert (iteration, lr) == (17, 3.5e-4)
         for a, b in zip(params.flat_list(), loaded.flat_list()):
-            assert np.array_equal(a, b)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    def test_file_is_what_json_dump_writes(self, tmp_path):
+    def test_file_holds_each_array_as_base64_float64(self, tmp_path):
         params = nn.init(nn.MlpArchitecture(input_dim=3, hidden=(7,), activation="relu"), seed=4)
         path = tmp_path / "checkpoint.json"
         cli.save_checkpoint(path, params, iteration=9, lr=1e-3 / 3)
-        reference = tmp_path / "reference.json"
-        with open(reference, "w") as fh:
-            model = {
-                "architecture": {"input_dim": 3, "hidden": [7], "activation": "relu", "alpha": 0.01},
-                "weights": [w.tolist() for w in params.weights],
-                "biases": [b.tolist() for b in params.biases],
-            }
-            json.dump({"iteration": 9, "lr": 1e-3 / 3, "model": model}, fh)
-        assert path.read_bytes() == reference.read_bytes()
 
-    @pytest.mark.parametrize("damage", ["not json", "no weights", "wrong shape"])
+        def encoded(a):
+            return {"shape": list(a.shape),
+                    "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
+
+        model = {
+            "architecture": {"input_dim": 3, "hidden": [7], "activation": "relu", "alpha": 0.01},
+            "weights": [encoded(w) for w in params.weights],
+            "biases": [encoded(b) for b in params.biases],
+        }
+        payload = {"iteration": 9, "lr": 1e-3 / 3, "array_format": "base64-float64-le",
+                   "model": model}
+        assert path.read_text() == json.dumps(payload)
+
+    def test_nested_list_checkpoint_exits_one_naming_the_format(self, config_path, tmp_path,
+                                                                capsys):
+        params = nn.init(cli.load_config(str(config_path)).architecture, 5)
+        model = {
+            "architecture": {"input_dim": 2, "hidden": [6], "activation": "tanh", "alpha": 0.01},
+            "weights": [w.tolist() for w in params.weights],
+            "biases": [b.tolist() for b in params.biases],
+        }
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps({"iteration": 4, "lr": 1e-2, "model": model}))
+        code = cli.main(["eval", "--checkpoint", str(path), "--config", str(config_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "'base64-float64-le'" in err and "nested-list" in err
+
+    @pytest.mark.parametrize("damage", ["not json", "no weights", "wrong shape", "not base64",
+                                        "short data"])
     def test_unreadable_checkpoint_exits_one(self, config_path, tmp_path, damage, capsys):
         path = tmp_path / "checkpoint.json"
         cli.save_checkpoint(path, nn.init(cli.load_config(str(config_path)).architecture, 5),
@@ -394,7 +442,11 @@ class TestCheckpoint:
         if damage == "no weights":
             del payload["model"]["weights"]
         elif damage == "wrong shape":
-            payload["model"]["weights"][0] = [[1.0, 2.0]]
+            payload["model"]["weights"][0]["shape"] = [1, 2]
+        elif damage == "not base64":
+            payload["model"]["weights"][0]["data"] = "not base64!"
+        elif damage == "short data":
+            payload["model"]["biases"][0]["data"] = payload["model"]["biases"][0]["data"][:-4]
         path.write_text("{not json" if damage == "not json" else json.dumps(payload))
         code = cli.main(["eval", "--checkpoint", str(path), "--config", str(config_path)])
         assert code == 1

@@ -121,6 +121,12 @@ class TestConvergenceTable:
         rows = metrics.convergence_table({2: [1e-3], 4: [1e-3]}, total_time=1.0, keep=1)
         assert rows[1].order == 0.0
 
+    @pytest.mark.parametrize("errors", [(1e-3, 0.0), (0.0, 0.0), (0.0, 1e-3)])
+    def test_zero_error_gives_no_order(self, errors):
+        rows = metrics.convergence_table({2: [errors[0]], 4: [errors[1]]}, total_time=1.0, keep=1)
+        assert [row.max_sq_err for row in rows] == list(errors)
+        assert rows[1].order is None
+
     def test_keep_best_subset(self):
         rows = metrics.convergence_table(
             {2: [5.0, 1.0, 3.0, 2.0], 4: [0.5, 0.25, 4.0, 9.0]}, total_time=1.0, keep=2
