@@ -6,12 +6,10 @@ never depends on the batch size or on evaluation order, and re-running
 with the same seed reproduces a batch bit for bit.  Uniform bits are
 produced by chained splitmix64 avalanche rounds and turned into normals
 through the inverse CDF, ``normal.ndtri``, a numpy port of Cephes'
-``ndtri``.  Its central branch (e^-2 < u <= 1 - e^-2, about 73% of
-draws) gives Cephes' bytes; in the tails numpy's ``log`` may round
-differently from the C library's, so about 60 draws in 10^6 sit up to
-8 units in the last place away from Cephes' value.  Each normal
-depends on its own uniform alone, so the blocks the Brownian draws are
-made in change no value.
+``ndtri``: central-branch draws are Cephes' bytes, tail draws lie
+within the bound stated in ``normal``'s docstring.  Each normal depends
+on its own uniform alone, so the blocks the Brownian draws are made in
+change no value.
 """
 
 from __future__ import annotations
@@ -101,23 +99,25 @@ def _kind(stream: int, draw_kind: int) -> int:
 def poisson_from_uniforms(u: np.ndarray, mean: float) -> np.ndarray:
     """Inverse-CDF Poisson transform, exact for the small means used here.
 
-    The float CDF can settle just below 1; a draw above it stops at the
-    first count whose probability no longer moves the CDF.  At mean 0 the
-    CDF starts at 1, above every keyed uniform, so every count is 0.
+    The CDF is summed term by term in float64 until a term no longer
+    moves it, and a draw's count is the number of its values at or below
+    the draw; a draw above where the CDF settles gets the number of terms.
+    At mean 0 the CDF starts at 1, above every keyed uniform, so every
+    count is 0.
     """
     if mean < 0:
         raise ValueError(f"Poisson mean must be >= 0, got {mean}")
-    k = np.zeros(u.shape, dtype=np.int64)
-    pmf = np.full(u.shape, np.exp(-mean))
-    cdf = pmf.copy()
-    pending = u >= cdf
-    while pending.any():
-        k[pending] += 1
-        pmf = np.where(pending, pmf * (mean / np.maximum(k, 1)), pmf)
-        grown = np.where(pending, cdf + pmf, cdf)
-        pending = (u >= grown) & (grown > cdf)
-        cdf = grown
-    return k
+    pmf = float(np.exp(-mean))
+    cdf = [pmf]
+    k = 1
+    while True:
+        pmf *= mean / k
+        grown = cdf[-1] + pmf
+        if not grown > cdf[-1]:
+            break
+        cdf.append(grown)
+        k += 1
+    return np.searchsorted(np.array(cdf), u, side="right").astype(np.int64, copy=False)
 
 
 def sample_poisson_counts(
@@ -177,24 +177,6 @@ class PathBatch:
 
 def _draw_noise(problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int, stream: int):
     n_steps, d, m = grid.steps, problem.dim, problem.mark_dim
-    step_idx = np.arange(n_steps)[:, None, None]
-    slot_idx = np.arange(d)[None, None, :]
-
-    # Brownian increments drawn NOISE_BLOCK at a time, in blocks of whole
-    # paths; every draw is keyed, so the blocking changes no value
-    brownian = np.empty((n_steps, batch_size, d))
-    scale = np.sqrt(grid.dt)
-    block_paths = max(1, NOISE_BLOCK // (n_steps * d))
-    for lo in range(0, batch_size, block_paths):
-        hi = min(batch_size, lo + block_paths)
-        u = keyed_uniforms(
-            seed, _kind(stream, _KIND_BROWNIAN),
-            np.arange(lo, hi)[None, :, None], step_idx, slot_idx,
-        )
-        block = ndtri(u)
-        block *= scale
-        brownian[:, lo:hi] = block
-
     counts = sample_poisson_counts(seed, problem.intensity, grid.dt, batch_size, n_steps, stream)
 
     # flatten events interval-major: all of interval 0 (paths ascending),
@@ -210,7 +192,32 @@ def _draw_noise(problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int
         ev_path[:, None], ev_interval[:, None],
         within[:, None] * m + np.arange(m)[None, :],
     )
-    return brownian, counts, ev_path, ev_interval, problem.sample_marks(mark_u)
+
+    # Brownian increments drawn NOISE_BLOCK at a time, in blocks of whole
+    # paths; the last block's inverse CDF also takes the marks' uniforms,
+    # so a small batch makes one kernel call.  Every draw is keyed and
+    # every normal depends on its own uniform alone, so neither the
+    # blocking nor the shared call changes a value
+    step_idx = np.arange(n_steps)[:, None, None]
+    slot_idx = np.arange(d)[None, None, :]
+    brownian = np.empty((n_steps, batch_size, d))
+    scale = np.sqrt(grid.dt)
+    block_paths = max(1, NOISE_BLOCK // (n_steps * d))
+    for lo in range(0, batch_size, block_paths):
+        hi = min(batch_size, lo + block_paths)
+        u = keyed_uniforms(
+            seed, _kind(stream, _KIND_BROWNIAN),
+            np.arange(lo, hi)[None, :, None], step_idx, slot_idx,
+        ).reshape(-1)
+        size = u.size
+        if hi == batch_size:
+            u = np.concatenate([u, mark_u.reshape(-1)])
+        z = ndtri(u)
+        block = z[:size].reshape(n_steps, hi - lo, d)
+        block *= scale
+        brownian[:, lo:hi] = block
+    marks = problem.sample_marks(z[size:].reshape(mark_u.shape))
+    return brownian, counts, ev_path, ev_interval, marks
 
 
 def _jump_sum(problem: ProblemSpec, batch: PathBatch, n: int, t, x: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Inverse of the standard normal CDF: Cephes' ``ndtri`` in numpy.
 
-The one transform from uniforms to normals in the package; the Brownian
-increments (``jumpsim``) and the normal marks (``problems``) both go
+The one transform from uniforms to normals in the package: ``jumpsim``
+draws the Brownian increments and the normals behind the jump marks
 through ``ndtri``.  It is a port of the Cephes routine that
 ``scipy.special.ndtri`` compiles, with the same coefficients, the same
 branch points (u = e^-2 and 1 - e^-2, then x = 8 in the tails) and the
@@ -94,8 +94,8 @@ def ndtri(u) -> np.ndarray:
     np.sqrt(r, out=r)
     z = 1.0 / r
     x1 = _rational(z, _P1, _Q1)
-    if r.max(initial=0.0) >= 8.0:
-        far = np.flatnonzero(r >= 8.0)
+    far = np.flatnonzero(r >= 8.0)
+    if far.size:
         x1[far] = _rational(z[far], _P2, _Q2)
     x0 = np.log(r)
     x0 /= r

@@ -23,8 +23,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .normal import ndtri
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -37,7 +35,10 @@ class ProblemSpec:
     depend on the state may return one (1, d) row.  ``diffusion`` gives
     the diagonal of the diffusion matrix; the forward step multiplies it
     elementwise with the Brownian increment and the loss with the
-    network's input gradient.
+    network's input gradient.  ``sample_marks`` maps an (events,
+    mark_dim) array of i.i.d. standard normal draws to the events' marks;
+    the simulation draws those normals with ``normal.ndtri``, whose
+    docstring states how close they are to Cephes' values.
     """
 
     name: str
@@ -67,14 +68,10 @@ class ProblemSpec:
 
 
 def _normal_mark_sampler(mean: float, std: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Inverse-CDF transform from uniforms to i.i.d. normal mark coordinates.
+    """I.i.d. N(mean, std^2) mark coordinates from standard normal draws."""
 
-    ``normal.ndtri`` gives Cephes' bytes for e^-2 < u <= 1 - e^-2 and is
-    within 8 units in the last place of them in the tails.
-    """
-
-    def sample(uniforms: np.ndarray) -> np.ndarray:
-        return mean + std * ndtri(uniforms)
+    def sample(normals: np.ndarray) -> np.ndarray:
+        return mean + std * normals
 
     return sample
 

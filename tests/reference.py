@@ -170,6 +170,20 @@ def permuted(batch: PathBatch, perm: np.ndarray) -> PathBatch:
     )
 
 
+def poisson_count(u: float, mean: float) -> int:
+    """Poisson inverse CDF of one draw: step the float64 CDF up until it
+    passes the draw or a term no longer moves it."""
+    k = 0
+    pmf = cdf = float(np.exp(-mean))
+    while u >= cdf:
+        k += 1
+        pmf *= mean / k
+        if not cdf + pmf > cdf:
+            break
+        cdf += pmf
+    return k
+
+
 def draw_noise_one_call(problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int,
                         stream: int):
     """``jumpsim._draw_noise`` with every Brownian draw of the batch made in one call.
@@ -199,6 +213,6 @@ def draw_noise_one_call(problem: ProblemSpec, grid: TimeGrid, batch_size: int, s
                 marks.append(keyed_uniforms(
                     seed, jumpsim._kind(stream, jumpsim._KIND_MARK), p, n, k * m + np.arange(m)
                 ))
-    marks = problem.sample_marks(np.array(marks).reshape(-1, m))
+    marks = problem.sample_marks(ndtri(np.array(marks).reshape(-1, m)))
     return (brownian, counts, np.array(paths, dtype=np.int64),
             np.array(intervals, dtype=np.int64), marks)

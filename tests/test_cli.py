@@ -433,7 +433,7 @@ class TestCheckpoint:
         assert "'base64-float64-le'" in err and "nested-list" in err
 
     @pytest.mark.parametrize("damage", ["not json", "no weights", "wrong shape", "not base64",
-                                        "short data"])
+                                        "short data", "data and shape disagree"])
     def test_unreadable_checkpoint_exits_one(self, config_path, tmp_path, damage, capsys):
         path = tmp_path / "checkpoint.json"
         cli.save_checkpoint(path, nn.init(cli.load_config(str(config_path)).architecture, 5),
@@ -441,7 +441,12 @@ class TestCheckpoint:
         payload = json.loads(path.read_text())
         if damage == "no weights":
             del payload["model"]["weights"]
-        elif damage == "wrong shape":
+        elif damage == "wrong shape":  # well formed, but not the architecture's shape
+            payload["model"]["weights"][0] = {
+                "shape": [1, 2],
+                "data": base64.b64encode(np.array([0.5, -1.5], dtype="<f8").tobytes()).decode(),
+            }
+        elif damage == "data and shape disagree":
             payload["model"]["weights"][0]["shape"] = [1, 2]
         elif damage == "not base64":
             payload["model"]["weights"][0]["data"] = "not base64!"
@@ -450,4 +455,7 @@ class TestCheckpoint:
         path.write_text("{not json" if damage == "not json" else json.dumps(payload))
         code = cli.main(["eval", "--checkpoint", str(path), "--config", str(config_path)])
         assert code == 1
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if damage == "wrong shape":  # the architecture's check, not the decoder's
+            assert "layer shapes (1, 2)" in err

@@ -7,7 +7,8 @@ from pidenet import jumpsim, nn, normal, problems, scheme
 from pidenet.autodiff import Tape
 from pidenet.jumpsim import TimeGrid
 
-from reference import compensator_residual, compensator_residual_paths, draw_noise_one_call
+from reference import (compensator_residual, compensator_residual_paths, draw_noise_one_call,
+                       poisson_count)
 
 
 class TestTimeGrid:
@@ -65,6 +66,17 @@ class TestCounts:
         assert np.all(np.isfinite(normal.ndtri(u)))
         k = jumpsim.poisson_from_uniforms(u, 0.006)
         assert np.all((k >= 1) & (k <= 20))
+
+    @pytest.mark.parametrize("mean", [0.0, 0.006, 0.15, 1.0, 30.0])
+    def test_counts_equal_draw_by_draw_transform(self, mean):
+        p0 = float(np.exp(-mean))
+        edges = [0.0, np.nextafter(p0, 0.0), p0, np.nextafter(p0, 1.0), 1.0 - 2.0**-52,
+                 1.0 - 2.0**-53]
+        u = np.concatenate([jumpsim.keyed_uniforms(5, 2, np.arange(20000), 0, 0), edges])
+        u = u.reshape(-1, 2)
+        want = np.array([poisson_count(v, mean) for v in u.ravel()]).reshape(u.shape)
+        got = jumpsim.poisson_from_uniforms(u, mean)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
     @pytest.mark.parametrize("mean", [0.02, 0.1])
     def test_draws_above_the_float_cdf_give_a_finite_count(self, mean):
@@ -197,7 +209,8 @@ class TestSimulateForward:
     @pytest.mark.parametrize("dim", [1, 100])
     @pytest.mark.parametrize("batch_size", [1, 7, 65, 700])
     def test_blocked_draws_equal_one_call(self, batch_size, dim, stream):
-        # d=100, N=50: 6 paths per block; d=1: 655, so 700 paths take two
+        # d=100, N=50: 6 paths per block; d=1: 655, so 700 paths take two;
+        # the marks share the last block's inverse-CDF call
         prob = problems.highdim_pide(dim)
         grid = TimeGrid(1.0, 50)
         drawn = jumpsim._draw_noise(prob, grid, batch_size, 11, stream)

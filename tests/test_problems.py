@@ -49,7 +49,7 @@ class TestCompensators:
         rng = np.random.default_rng(42)
         for prob in ALL_PROBLEMS:
             n = 10**6
-            marks = prob.sample_marks(rng.uniform(size=(n, prob.mark_dim)))
+            marks = prob.sample_marks(rng.standard_normal(size=(n, prob.mark_dim)))
             x_row = prob.x0[None, :]
             beta = prob.jump_size(0.0, np.repeat(x_row, 1, axis=0), marks)
             mc = prob.intensity * beta.mean(axis=0)
@@ -63,7 +63,7 @@ class TestCompensators:
         mean, std = 0.01, 0.1
         prob = problems.highdim_pide(dim=6, mark_mean=mean, mark_std=std)
         rng = np.random.default_rng(7)
-        marks = prob.sample_marks(rng.uniform(size=(10**6, 6)))
+        marks = prob.sample_marks(rng.standard_normal(size=(10**6, 6)))
         per_coord = marks.ravel() ** 2
         target = mean**2 + std**2
         sigma = per_coord.std() / np.sqrt(per_coord.size)

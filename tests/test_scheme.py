@@ -528,7 +528,7 @@ def oracle_residuals(problem, n_steps, batch_size=1000, seed=0):
         exact_next = problem.exact(batch.grid.times[n + 1], batch.states[n + 1])
         rows = np.repeat(x, 8, axis=0)
         sizes = problem.jump_size(
-            t, rows, problem.sample_marks(rng.uniform(size=(rows.shape[0], problem.mark_dim)))
+            t, rows, problem.sample_marks(rng.standard_normal(size=(rows.shape[0], problem.mark_dim)))
         )
         remainder = (
             problem.exact(t, rows + sizes)
