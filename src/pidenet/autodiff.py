@@ -35,9 +35,13 @@ made and the chunks run inline, in chunk order.  The chunk edges depend
 only on the row count, and the parameter gradients are summed in chunk
 order, so no result depends on the number of workers or cores.
 
+The node's one parent is the parameter vector; ``mlp_layers`` gives its
+weights and biases as views, and each chunk's VJP writes their gradients
+into the same views of one gradient vector.
+
 A chunk keeps its VJP state (hidden outputs, slopes, gradient chain)
-only when some weight or bias of the node needs a gradient.  A node
-over constant parameters, such as the held-out pass's, keeps one hidden
+only when the parameter vector needs a gradient.  A node over constant
+parameters, such as the held-out pass's, keeps one hidden
 layer at a time, forms the gradient chain in place over the slopes, and
 drops each chunk's state as soon as that chunk's forward pass ends.
 For relu and leaky relu a layer's slopes are a function of its mask
@@ -321,56 +325,54 @@ class Tape:
     # ------------------------------------------------------------------
     # fused network primitive
 
-    def mlp(self, inp, weights: Sequence[Variable], biases: Sequence[Variable],
+    def mlp(self, inp, theta: Variable, layer_dims: Sequence[tuple[int, int]],
             activation: str, alpha: float = 0.01) -> Variable:
         """Scalar MLP and its input gradient as one node: ``[u | du/dinp[:, 1:]]``.
 
         ``inp`` is a constant (rows, k) array whose first column (time)
         is left out of the gradient; the node's value has shape
-        (rows, k).  The hidden layers apply ``activation`` ("tanh",
+        (rows, k).  ``theta`` is the parameter vector of the layers
+        ``layer_dims``, (fan_in, fan_out) pairs laid out by
+        ``mlp_layers``.  The hidden layers apply ``activation`` ("tanh",
         "relu" or "leaky_relu" with negative slope ``alpha`` in [0, 1]),
-        the last layer is linear with one output.  Gradients flow to
-        every weight and bias that needs one; if none does, the node
-        keeps no VJP.
+        the last layer is linear with one output.  The node's one parent
+        is ``theta``; if it needs no gradient, the node keeps no VJP.
 
         The rows go in ``ceil(rows / CHUNK_ROWS)`` near-equal contiguous
         chunks with edges on multiples of ``ROW_ALIGN``.  Each row of the
-        value then comes out as in one pass over all rows; the parameter
-        gradients are the chunks' gradients summed in chunk order.
+        value then comes out as in one pass over all rows; the gradient
+        of ``theta`` is the chunks' gradient vectors summed in chunk order.
         """
-        differentiated = any([self._check(v, "mlp") for v in (*weights, *biases)])
+        differentiated = self._check(theta, "mlp")
         if activation == "leaky_relu" and not 0.0 <= alpha <= 1.0:
             raise ValueError(f"mlp: leaky relu slope {alpha} is outside [0, 1]")
-        ws, bs = [w.value for w in weights], [b.value for b in biases]
         h = np.asarray(inp, dtype=np.float64)
-        fan_in = [h.shape[-1]] + [w.shape[-1] for w in ws[:-1]]
-        if (h.ndim != 2 or len(ws) < 2 or len(bs) != len(ws) or ws[-1].shape[-1] != 1
-                or any(w.shape != (f, b.size) or b.ndim != 1 for w, b, f in zip(ws, bs, fan_in))):
-            raise ShapeMismatchError(
-                f"mlp: input {h.shape}, weights {[w.shape for w in ws]}, biases {[b.shape for b in bs]}"
-            )
+        fan_in = [h.shape[-1], *(fo for _, fo in layer_dims[:-1])]
+        if (h.ndim != 2 or len(layer_dims) < 2 or layer_dims[-1][1] != 1
+                or [fi for fi, _ in layer_dims] != fan_in):
+            raise ShapeMismatchError(f"mlp: input {h.shape}, layers {list(layer_dims)}")
+        ws, bs = mlp_layers(theta.value, layer_dims)
         rows = h.shape[0]
         n = max(1, -(-rows // CHUNK_ROWS))
         step = -(-rows // (n * ROW_ALIGN)) * ROW_ALIGN  # ceil(rows / n), rounded up
         spans = [(i * step, min(rows, (i + 1) * step)) for i in range(n)]
-        packed = np.empty((rows, ws[0].shape[0]))
+        packed = np.empty((rows, h.shape[1]))
         chunk_vjps = _run_chunks([
             functools.partial(_mlp_chunk, h[lo:hi], ws, bs, activation, alpha, packed[lo:hi],
                               differentiated)
             for lo, hi in spans
         ])
         if not differentiated:
-            return self._append("mlp", (*weights, *biases), packed, None)
+            return self._append("mlp", (theta,), packed, None)
 
         def vjp(g):
-            parts = _run_chunks([functools.partial(f, g[lo:hi])
-                                 for f, (lo, hi) in zip(chunk_vjps, spans)])
-            for part in parts[1:]:  # in chunk order, so the sums never depend on the workers
-                for total, a in zip(parts[0], part):
-                    total += a
-            return parts[0]
+            grad, *rest = _run_chunks([functools.partial(f, g[lo:hi])
+                                       for f, (lo, hi) in zip(chunk_vjps, spans)])
+            for part in rest:  # in chunk order, so the sum never depends on the workers
+                grad += part
+            return (grad,)
 
-        return self._append("mlp", (*weights, *biases), packed, vjp)
+        return self._append("mlp", (theta,), packed, vjp)
 
     # ------------------------------------------------------------------
     # reverse pass
@@ -424,6 +426,24 @@ class Tape:
         return out
 
 
+def mlp_layers(theta: np.ndarray, layer_dims: Sequence[tuple[int, int]]
+               ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Weights (fan_in, fan_out) and biases of the ``layer_dims`` as views of a 1-D ``theta``.
+
+    The parameter layout, known here alone: w0, b0, w1, b1, ..., each
+    C-ordered.  A ``theta`` of another shape is a ``ShapeMismatchError``.
+    """
+    if np.ndim(theta) != 1 or len(theta) != sum((fi + 1) * fo for fi, fo in layer_dims):
+        raise ShapeMismatchError(f"parameter vector of shape {np.shape(theta)} does not fit "
+                                 f"layers {list(layer_dims)}")
+    weights, biases, at = [], [], 0
+    for fi, fo in layer_dims:
+        weights.append(theta[at:at + fi * fo].reshape(fi, fo))
+        biases.append(theta[at + fi * fo:at + (fi + 1) * fo])
+        at += (fi + 1) * fo
+    return weights, biases
+
+
 def _chunk_pool() -> ThreadPoolExecutor | None:
     """The process-wide pool of chunk workers, created on first use.
 
@@ -459,11 +479,11 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
     """Forward pass of one row chunk of ``Tape.mlp``, written into ``packed``.
 
     ``h`` and ``packed`` are the chunk's rows of the node's input and
-    value.  If ``differentiated``, returns the chunk's VJP: its rows of
-    the adjoint to the parameter gradients of these rows alone, weights
-    then biases.  Otherwise returns None, and the forward pass's
-    intermediates are freed on return.  Only numpy runs here, so a
-    worker thread can run it.
+    value, ``ws`` and ``bs`` the views that ``mlp_layers`` gives.  If
+    ``differentiated``, returns the chunk's VJP: its rows of the adjoint
+    to the gradient vector of these rows alone, in the same layout.
+    Otherwise returns None, and the forward pass's intermediates are
+    freed on return.  Only numpy runs here, so a worker thread can run it.
 
     With n hidden layers, ``q_j`` is the input-gradient chain at layer
     j's pre-activation, du/dz_j; the last one, ``q_{n-1}``, is the output
@@ -534,15 +554,17 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
         left = g_u * hs[0]
         left[:, 1:] += g_grad
         g_q = g_grad @ ws[0][1:]
-        gws, gbs, srcs = [], [], []
+        grad = np.empty(sum(w.size + b.size for w, b in zip(ws, bs)))
+        gws, gbs = mlp_layers(grad, [w.shape for w in ws])
+        srcs = []
         for j in range(n_hidden):
             if j < n_hidden - 1:
                 q = qs[j]
             else:  # the last chain row, rebuilt for its products only
                 s = slope(j)
                 q = np.multiply(ws[-1].T, s, out=s)
-            gws.append(left.T @ q)
-            gbs.append((g_u.T @ q)[0])
+            np.matmul(left.T, q, out=gws[j])
+            np.matmul(g_u.T, q, out=gbs[j][None, :])
             if tanh:
                 srcs.append(-2.0 * g_q * hs[j + 1] * q)
             del q, left
@@ -553,8 +575,8 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
             if j + 1 < n_hidden:
                 g_q = left @ ws[j + 1]
             left += g_u * hs[j + 1]
-        gws.append(left.sum(axis=0)[:, None])
-        gbs.append(g_u.sum(axis=0))
+        np.sum(left, axis=0, out=gws[-1][:, 0])
+        np.sum(g_u, axis=0, out=gbs[-1])
         if tanh:  # the slopes' adjoints back through the value chain, output side first
             c = srcs.pop()
             for j in range(n_hidden - 1, -1, -1):
@@ -564,7 +586,7 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
                     c = c @ ws[j].T
                     c *= states[j - 1]
                     c += srcs.pop()
-        return (*gws, *gbs)
+        return grad
 
     return vjp
 

@@ -101,7 +101,7 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         try:  # what run_experiment builds first, so bad settings fail at load
             self.architecture
-            AdamState.for_params([], **self.adam)
+            AdamState.for_params(np.zeros(0), **self.adam)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad model or optimiser settings: {exc}") from exc
 
@@ -277,33 +277,18 @@ def _evaluate(config: TrainConfig, params: nn.MlpParams, iteration, lr, started,
     return report, rows
 
 
-# A checkpoint stores each weight and bias as {"shape": [...], "data":
-# base64 of its little-endian float64 bytes in C order} and names this
-# format under "array_format"; one with nested float lists is not read.
-CHECKPOINT_ARRAY_FORMAT = "base64-float64-le"
-
-
-def _encode_array(a: np.ndarray) -> dict:
-    return {"shape": list(a.shape),
-            "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
-
-
-def _decode_array(entry: dict) -> np.ndarray:
-    data = base64.b64decode(entry["data"], validate=True)
-    return np.frombuffer(data, dtype="<f8").reshape(entry["shape"]).astype(np.float64)
+# A checkpoint stores ``MlpParams.theta`` as base64 of its little-endian float64
+# bytes under "params" and names this format under "array_format"; no other is read.
+CHECKPOINT_ARRAY_FORMAT = "theta-base64-float64-le"
 
 
 def save_checkpoint(path, params: nn.MlpParams, iteration: int, lr: float) -> None:
-    """Iteration, lr and the model (architecture header, arrays as raw float64 bytes) as JSON.
-
-    A load returns each weight's exact bit pattern.
-    """
+    """Iteration, lr and the model (architecture, ``theta``'s float64 bytes) as JSON, bit-exact."""
     arch = params.arch
     model = {
         "architecture": {"input_dim": arch.input_dim, "hidden": list(arch.hidden),
                          "activation": arch.activation, "alpha": arch.alpha},
-        "weights": [_encode_array(w) for w in params.weights],
-        "biases": [_encode_array(b) for b in params.biases],
+        "params": base64.b64encode(params.theta.astype("<f8").tobytes()).decode("ascii"),
     }
     payload = {"iteration": iteration, "lr": lr, "array_format": CHECKPOINT_ARRAY_FORMAT,
                "model": model}
@@ -312,29 +297,30 @@ def save_checkpoint(path, params: nn.MlpParams, iteration: int, lr: float) -> No
 
 
 def load_checkpoint(path) -> tuple[nn.MlpParams, int, float]:
+    """The params, iteration and lr of a checkpoint, with a config's types; else a config error."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:
             raise ConfigError(f"checkpoint {path} is unreadable: {exc!r}") from exc
     if not isinstance(payload, dict) or payload.get("array_format") != CHECKPOINT_ARRAY_FORMAT:
-        raise ConfigError(f"checkpoint {path} does not store its arrays as "
-                          f"{CHECKPOINT_ARRAY_FORMAT!r} (base64 of little-endian float64 "
-                          "bytes); checkpoints with nested-list arrays are not read")
+        raise ConfigError(f"checkpoint {path} is not in format {CHECKPOINT_ARRAY_FORMAT!r} "
+                          "(the parameter vector as base64 of little-endian float64 bytes); "
+                          "no other checkpoint format is read")
     try:
         model = payload["model"]
         arch = model["architecture"]
         params = nn.MlpParams(
             nn.MlpArchitecture(
-                input_dim=int(arch["input_dim"]),
-                hidden=tuple(arch["hidden"]),
+                input_dim=_integer(arch["input_dim"], "checkpoint input_dim"),
+                hidden=tuple(_integer(w, "checkpoint hidden width") for w in arch["hidden"]),
                 activation=arch["activation"],
-                alpha=float(arch.get("alpha", 0.01)),
+                alpha=_number(arch["alpha"], "checkpoint alpha"),
             ),
-            [_decode_array(w) for w in model["weights"]],
-            [_decode_array(b) for b in model["biases"]],
+            np.frombuffer(base64.b64decode(model["params"], validate=True), "<f8").astype(float),
         )
-        return params, int(payload["iteration"]), float(payload["lr"])
+        return (params, _integer(payload["iteration"], "checkpoint iteration"),
+                _number(payload["lr"], "checkpoint lr"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint {path} is unreadable: {exc!r}") from exc
 
@@ -352,9 +338,9 @@ def _train_step(config: TrainConfig, params: nn.MlpParams, state: AdamState, it:
     tape = Tape()
     net = nn.TapeMlp(tape, params)
     total, breakdown = scheme.loss(net, batch, config.problem)
-    grads = tape.backward(total, net.param_vars)
-    new_params = params.replace_flat(optim.adam_step(params.flat_list(), grads, state, lr))
-    return new_params, breakdown.to_dict()
+    (grad,) = tape.backward(total, [net.param_var])
+    theta = optim.adam_step(params.theta, grad, state, lr)
+    return nn.MlpParams(params.arch, theta), breakdown.to_dict()
 
 
 def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsReport], nn.MlpParams]:
@@ -373,7 +359,7 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
     problem, grid = config.problem, config.grid
 
     params = nn.init(config.architecture, seed=config.seed_init)
-    state = AdamState.for_params(params.flat_list(), **config.adam)
+    state = AdamState.for_params(params.theta, **config.adam)
 
     reports: list[metrics.MetricsReport] = []
     try:

@@ -6,11 +6,11 @@ entry point, ``TapeMlp.value_and_grad``: the value and spatial gradient
 come from one fused tape primitive, ``Tape.mlp``, whose VJP
 differentiates the gradient as well, so any loss containing it remains
 differentiable with respect to the parameters in a single reverse pass.
-A pass that nothing differentiates, such as the held-out one, binds the
-parameters with ``trainable=False``: they are then tape constants, and
-the node keeps no VJP state.  ``evaluate``, a plain tape-free forward
-pass, is the tests' reference for its value column; the program never
-calls it.
+Its parameters are one vector, ``MlpParams.theta``.  A pass that nothing
+differentiates, such as the held-out one, binds it with ``trainable=False``:
+it is then a tape constant, and the node keeps no VJP state.  ``evaluate``,
+a plain tape-free forward pass, is the tests' reference for its value
+column; the program never calls it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ShapeMismatchError, Tape, Variable
+from .autodiff import ShapeMismatchError, Tape, Variable, mlp_layers
 
 _ACTIVATIONS = ("tanh", "relu", "leaky_relu")
 
@@ -57,58 +57,40 @@ class MlpArchitecture:
 
 @dataclass
 class MlpParams:
-    """Weight matrices (fan_in, fan_out) and bias vectors per layer."""
+    """Float64 parameter vector ``theta`` and its per-layer views from ``autodiff.mlp_layers``."""
 
     arch: MlpArchitecture
-    weights: list[np.ndarray] = field(repr=False)
-    biases: list[np.ndarray] = field(repr=False)
+    theta: np.ndarray = field(repr=False)
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        expected = self.arch.layer_dims
-        if len(self.weights) != len(expected) or len(self.biases) != len(expected):
-            raise ValueError("layer count does not match architecture")
-        for w, b, (fi, fo) in zip(self.weights, self.biases, expected):
-            if w.shape != (fi, fo) or b.shape != (fo,):
-                raise ValueError(f"layer shapes {w.shape}/{b.shape} do not chain as ({fi},{fo})")
-
-    def flat_list(self) -> list[np.ndarray]:
-        """Interleaved [w0, b0, w1, b1, ...]; the order used for gradients."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
-
-    def replace_flat(self, arrays: list[np.ndarray]) -> "MlpParams":
-        ws = [np.asarray(arrays[2 * i], dtype=np.float64) for i in range(len(self.weights))]
-        bs = [np.asarray(arrays[2 * i + 1], dtype=np.float64) for i in range(len(self.weights))]
-        return MlpParams(self.arch, ws, bs)
+        self.weights, self.biases = mlp_layers(self.theta, self.arch.layer_dims)
 
 
 def init(arch: MlpArchitecture, seed: int) -> MlpParams:
     """Glorot-uniform weights, zero biases, reproducible from the seed."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in arch.layer_dims:
+    params = MlpParams(arch, np.zeros(sum((fi + 1) * fo for fi, fo in arch.layer_dims)))
+    for w, (fan_in, fan_out) in zip(params.weights, arch.layer_dims):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpParams(arch, weights, biases)
+        w[...] = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return params
 
 
 class TapeMlp:
-    """Network bound to one tape; parameters registered once as leaves.
+    """Network bound to one tape; the parameter vector registered once as a leaf, ``param_var``.
 
-    ``trainable=False`` registers them as constants: nothing on the tape
-    can then be differentiated with respect to them, and the network
-    node keeps no VJP state, so a pass that is never differentiated
-    holds only its values.
+    ``trainable=False`` registers it as a constant: nothing on the tape
+    can then be differentiated with respect to it, and the network node
+    keeps no VJP state, so a pass that is never differentiated holds
+    only its values.
     """
 
     def __init__(self, tape: Tape, params: MlpParams, trainable: bool = True):
         self.tape = tape
         self.arch = params.arch
-        leaf = tape.param if trainable else tape.constant
-        self.param_vars = [leaf(a) for a in params.flat_list()]  # w0, b0, w1, b1, ...
+        self.param_var = (tape.param if trainable else tape.constant)(params.theta)
 
     def value_and_grad(self, inp: np.ndarray) -> tuple[Variable, Variable]:
         """Value plus the gradient in the spatial coordinates, both on tape.
@@ -119,8 +101,8 @@ class TapeMlp:
         the scheme differentiates with respect to time.
         """
         tape = self.tape
-        packed = tape.mlp(inp, self.param_vars[0::2], self.param_vars[1::2],
-                          self.arch.activation, self.arch.alpha)
+        packed = tape.mlp(inp, self.param_var, self.arch.layer_dims, self.arch.activation,
+                          self.arch.alpha)
         return tape.slice(packed, cols=(0, 1)), tape.slice(packed, cols=(1, self.arch.input_dim))
 
 

@@ -20,59 +20,44 @@ class NonFiniteGradientError(FloatingPointError):
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators matching the parameter layout."""
+    """First/second moment vectors of the parameter vector's shape."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], beta1=0.9, beta2=0.999, eps=1e-8) -> "AdamState":
+    def for_params(cls, theta: np.ndarray, beta1=0.9, beta2=0.999, eps=1e-8) -> "AdamState":
         beta1, beta2, eps = float(beta1), float(beta2), float(eps)
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0 and eps > 0.0):
             raise ValueError("Adam needs 0 <= beta1, beta2 < 1 and eps > 0, "
                              f"got beta1={beta1}, beta2={beta2}, eps={eps}")
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta), beta1=beta1, beta2=beta2,
+                   eps=eps)
 
 
-def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr: float,
-) -> list[np.ndarray]:
-    """One bias-corrected Adam update; returns new arrays, mutates the state."""
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> np.ndarray:
+    """One bias-corrected Adam update; returns a new parameter vector, mutates the state."""
     if lr <= 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("parameter, gradient and state layouts differ")
-    for p, g, m in zip(params, grads, state.m):
-        if p.shape != g.shape or p.shape != m.shape:
-            raise ValueError(f"shape mismatch in adam_step: {p.shape} vs {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError("non-finite gradient passed to adam_step")
+    if theta.ndim != 1 or grad.shape != theta.shape or state.m.shape != theta.shape:
+        raise ValueError(f"shape mismatch in adam_step: parameters {theta.shape}, "
+                         f"gradient {grad.shape}, moments {state.m.shape}")
+    if not np.all(np.isfinite(grad)):
+        raise NonFiniteGradientError("non-finite gradient passed to adam_step")
 
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        m_hat = state.m[i] / bias1
-        v_hat = state.v[i] / bias2
-        out.append(p - lr * m_hat / (np.sqrt(v_hat) + state.eps))
-    return out
+    state.m = b1 * state.m + (1.0 - b1) * grad
+    state.v = b2 * state.v + (1.0 - b2) * (grad * grad)
+    m_hat = state.m / bias1
+    v_hat = state.v / bias2
+    return theta - lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 @dataclass(frozen=True)

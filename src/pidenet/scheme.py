@@ -110,7 +110,7 @@ def integral_term(
 def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBreakdown]:
     """Scalar objective over a path batch, plus its per-term breakdown.
 
-    ``net`` offers ``tape``, ``param_vars`` and ``value_and_grad``; the
+    ``net`` offers ``tape`` and ``value_and_grad``, as ``nn.TapeMlp`` does; the
     loss calls ``value_and_grad`` once, on one (rows, 1+d) input that it
     writes in place, time first; ``t_all`` and ``x_all`` are its column
     views.  Expectations are realized as batch means.  A non-finite term

@@ -7,8 +7,10 @@ The first form imports ``pidenet`` from ``--src`` and stores, per case,
 the training loss (``loss``), its interval terms (``terms``), the
 network values of ``LossBreakdown.values`` (``values``), the held-out
 pass's total, terms and values (``heldout_*``) and the gradient of the
-loss for every parameter (``grad0``, ``grad1``, ..., weights and biases
-interleaved).  The cases are every packaged preset under each activation,
+loss with respect to the parameters (``grad``), one vector in the order
+w0, b0, w1, b1, ..., each C-ordered: the network's one parameter vector,
+or the concatenation of its per-layer arrays in trees that keep them
+apart.  The cases are every packaged preset under each activation,
 at B = 64 and 300 paths and with 1, 2 and 3 hidden layers of the
 preset's first width, from fixed seeds and with perturbed parameters, so
 that no bias is zero.  The training and held-out batches that the cases
@@ -136,7 +138,7 @@ def run_files(tmp: Path) -> dict[str, np.ndarray]:
 def preset_cases(label: str, config, batch_sizes, depths) -> dict[str, np.ndarray]:
     """The batches and cases of one config, named after ``label``."""
     from pidenet import jumpsim, nn, scheme
-    from pidenet.autodiff import Tape
+    from pidenet.autodiff import Tape, Variable
 
     out = {}
     batches = {}
@@ -155,15 +157,21 @@ def preset_cases(label: str, config, batch_sizes, depths) -> dict[str, np.ndarra
                                       activation=activation, alpha=0.1)
             rng = np.random.default_rng(n_hidden)
             params = nn.init(arch, seed=config.seed_init)
-            params = params.replace_flat([a + rng.normal(scale=0.1, size=a.shape)
-                                          for a in params.flat_list()])
+            for w, b in zip(params.weights, params.biases):  # in place, w0, b0, w1, b1, ...
+                w += rng.normal(scale=0.1, size=w.shape)
+                b += rng.normal(scale=0.1, size=b.shape)
             for batch_size in batch_sizes:
                 case = f"{label}-{activation}-h{n_hidden}-B{batch_size}"
                 batch, held_out = batches[batch_size]
                 tape = Tape()
                 net = nn.TapeMlp(tape, params)
                 total, breakdown = scheme.loss(net, batch, config.problem)
-                grads = tape.backward(total, net.param_vars)
+                # the parameter leaves the network holds, in its order:
+                # one vector, or one array per weight and bias
+                leaves = [v for held in vars(net).values()
+                          for v in (held if isinstance(held, list) else [held])
+                          if isinstance(v, Variable)]
+                grad = np.concatenate([g.ravel() for g in tape.backward(total, leaves)])
                 del tape, net, total
                 heldout = scheme.loss(nn.TapeMlp(Tape(), params, trainable=False), held_out,
                                       config.problem)[1]
@@ -174,7 +182,7 @@ def preset_cases(label: str, config, batch_sizes, depths) -> dict[str, np.ndarra
                     "heldout_loss": np.float64(heldout.total),
                     "heldout_terms": heldout.interval_terms,
                     "heldout_values": heldout.values,
-                    **{f"grad{k}": g for k, g in enumerate(grads)},
+                    "grad": grad,
                 }
                 out.update({f"{case}/{name}": np.asarray(a) for name, a in fields.items()})
                 print(case, f"loss {breakdown.total:.17g}", flush=True)

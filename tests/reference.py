@@ -119,10 +119,6 @@ class OracleNetwork:
         self.tape = tape
         self._problem = problem
 
-    @property
-    def param_vars(self) -> list[Variable]:
-        return []
-
     def value_and_grad(self, inp: np.ndarray) -> tuple[Variable, Variable]:
         t, x = inp[:, :1], inp[:, 1:]
         return (

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pidenet
 from pidenet import autodiff, nn
 from pidenet.autodiff import ShapeMismatchError, Tape, TapeError, Variable
 
@@ -35,6 +37,11 @@ def finite_diff(value_fn, point, h=1e-5):
 def rel_gap(analytic, fd):
     analytic = np.asarray(analytic)
     return float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(analytic))))
+
+
+def vector(ws, bs):
+    """Per-layer weights and biases as one vector, in ``autodiff.mlp_layers``'s layout."""
+    return np.concatenate([a.ravel() for w, b in zip(ws, bs) for a in (w, b)])
 
 
 class TestPrimitives:
@@ -200,20 +207,19 @@ class TestBackward:
         # the loss reads only the value column, so the gradient columns
         # pass a zero adjoint, as the jumped rows of the training loss do
         rng = np.random.default_rng(0)
-        w1 = rng.normal(size=(3, 5))
-        b1 = rng.normal(size=5)
-        w2 = rng.normal(size=(5, 1))
+        theta0 = vector([rng.normal(size=(3, 5)), rng.normal(size=(5, 1))],
+                        [rng.normal(size=5), np.zeros(1)])
         x = rng.normal(size=(4, 3))
 
-        def loss_of_w1(w):
+        def loss_of(theta):
             t = Tape()
-            wv = t.param(w)
-            packed = t.mlp(x, [wv, t.constant(w2)], [t.constant(b1), t.constant(np.zeros(1))], "tanh")
-            return t, wv, t.mean(t.square(t.slice(packed, cols=(0, 1))))
+            p = t.param(theta)
+            packed = t.mlp(x, p, [(3, 5), (5, 1)], "tanh")
+            return t, p, t.mean(t.square(t.slice(packed, cols=(0, 1))))
 
-        t, wv, obj = loss_of_w1(w1)
-        (g,) = t.backward(obj, [wv])
-        fd = finite_diff(lambda w: float(loss_of_w1(w)[2].value), w1)
+        t, p, obj = loss_of(theta0)
+        (g,) = t.backward(obj, [p])
+        fd = finite_diff(lambda theta: float(loss_of(theta)[2].value), theta0)
         assert rel_gap(g, fd) <= 1e-6
 
     def test_non_scalar_objective_rejected(self):
@@ -240,30 +246,26 @@ class TestBackward:
     def test_backward_is_deterministic(self):
         rng = np.random.default_rng(3)
         t = Tape()
-        w0 = t.param(rng.normal(size=(4, 6)))
-        w1 = t.param(rng.normal(size=(6, 1)))
-        bs = [t.param(rng.normal(size=6)), t.param(rng.normal(size=1))]
-        packed = t.mlp(rng.normal(size=(5, 4)), [w0, w1], bs, "tanh")
+        theta = t.param(rng.normal(size=4 * 6 + 6 + 6 * 1 + 1))
+        packed = t.mlp(rng.normal(size=(5, 4)), theta, [(4, 6), (6, 1)], "tanh")
         obj = t.mean(t.square(t.block_mean(t.slice(packed, cols=(0, 1)), 5)))
-        g1 = t.backward(obj, [w0, w1, *bs])
-        g2 = t.backward(obj, [w0, w1, *bs])
-        for x, y in zip(g1, g2):
-            assert np.array_equal(x, y)
+        (g1,) = t.backward(obj, [theta])
+        (g2,) = t.backward(obj, [theta])
+        assert np.array_equal(g1, g2)
 
     def test_linearity_of_backward(self):
         rng = np.random.default_rng(5)
-        x0 = rng.normal(size=4)
+        x0 = rng.normal(size=2 * 4 + 4 + 4 * 1 + 1)
         inp = rng.normal(size=(3, 2))
-        w0, w1 = rng.normal(size=(2, 4)), rng.normal(size=(4, 1))
         alpha, beta = 0.7, -1.3
 
         def parts(x_arr):
-            # x enters f through a square and g as the hidden bias of a
-            # tanh network, whose value and gradient columns g sums
+            # x enters f through a square and g as the parameter vector of
+            # a tanh network, whose value and gradient columns g sums
             t = Tape()
             x = t.param(x_arr)
             f = t.sum(t.square(x))
-            g = t.sum(t.mlp(inp, [t.constant(w0), t.constant(w1)], [x, t.constant(np.zeros(1))], "tanh"))
+            g = t.sum(t.mlp(inp, x, [(2, 4), (4, 1)], "tanh"))
             combo = t.add(t.smul(f, alpha), t.smul(g, beta))
             gf = t.backward(f, [x])[0]
             gg = t.backward(g, [x])[0]
@@ -305,19 +307,20 @@ class TestGradCheck:
         assert disc <= 1e-9
 
     def test_leaky_relu_negative_branch(self):
-        # one leaky-relu unit at input -2: d/dw of alpha * w * x is alpha * x
+        # one leaky-relu unit at input -2 under parameters (w, b0, w1, b1)
+        # = ([0, 1], 0, 1, 0): d/dw of alpha * w * x is alpha * x, d/db0 is
+        # alpha, d/dw1 is the unit's output alpha * -2, d/db1 is 1
         inp = np.array([[0.0, -2.0]])
+        theta = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
 
-        def f(t, w):
-            ones = [t.constant(np.ones((1, 1)))]
-            zeros = [t.constant(np.zeros(1)), t.constant(np.zeros(1))]
-            return t.sum(t.slice(t.mlp(inp, [w, *ones], zeros, "leaky_relu", 0.01), cols=(0, 1)))
+        def f(t, p):
+            return t.sum(t.slice(t.mlp(inp, p, [(2, 1), (1, 1)], "leaky_relu", 0.01), cols=(0, 1)))
 
         t = Tape()
-        w = t.param(np.array([[0.0], [1.0]]))
-        (g,) = t.backward(f(t, w), [w])
-        np.testing.assert_array_equal(g, [[0.0], [-0.02]])
-        assert grad_check(f, np.array([[0.0], [1.0]])) <= 1e-9
+        p = t.param(theta)
+        (g,) = t.backward(f(t, p), [p])
+        np.testing.assert_array_equal(g, [0.0, -0.02, 0.01, -0.02, 1.0])
+        assert grad_check(f, theta) <= 1e-9
 
 
 class TestFusedMlp:
@@ -325,37 +328,33 @@ class TestFusedMlp:
 
     @staticmethod
     def layers(n_hidden, d=2, width=5, seed=0):
+        """Parameter vector and layer dims: 1+d inputs, ``n_hidden`` layers of ``width``."""
         rng = np.random.default_rng(seed)
-        dims = [1 + d] + [width] * n_hidden + [1]
-        ws = [rng.normal(scale=0.8, size=(a, b)) for a, b in zip(dims[:-1], dims[1:])]
-        bs = [rng.normal(scale=0.3, size=b) for b in dims[1:]]
-        return ws + bs
+        widths = [1 + d] + [width] * n_hidden + [1]
+        dims = list(zip(widths[:-1], widths[1:]))
+        ws = [rng.normal(scale=0.8, size=dim) for dim in dims]
+        bs = [rng.normal(scale=0.3, size=b) for b in widths[1:]]
+        return vector(ws, bs), dims
 
     @pytest.mark.parametrize("n_hidden", [1, 2, 3])
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
     def test_parameter_gradients_match_finite_differences(self, activation, n_hidden):
-        arrays = self.layers(n_hidden)
+        theta, dims = self.layers(n_hidden)
         rng = np.random.default_rng(1)
         inp = rng.uniform(-1.0, 1.0, size=(6, 3))
         coef = rng.normal(size=(6, 3))
 
-        def build(tape, arrs):
-            params = [tape.param(a) for a in arrs]
-            packed = tape.mlp(inp, params[: n_hidden + 1], params[n_hidden + 1:], activation, 0.1)
+        def build(tape, arr):
+            p = tape.param(arr)
+            packed = tape.mlp(inp, p, dims, activation, 0.1)
             # squaring makes the adjoint depend on both value and gradient
-            return tape.sum(tape.mul(tape.square(packed), tape.constant(coef))), params
+            return tape.sum(tape.mul(tape.square(packed), tape.constant(coef))), p
 
         tape = Tape()
-        objective, params = build(tape, arrays)
-        grads = tape.backward(objective, params)
-        for k, base in enumerate(arrays):
-            fd = finite_diff(
-                lambda arr, k=k: float(
-                    build(Tape(), [arr if j == k else a for j, a in enumerate(arrays)])[0].value
-                ),
-                base,
-            )
-            assert rel_gap(grads[k], fd) <= 1e-6, (activation, n_hidden, k)
+        objective, p = build(tape, theta)
+        (grad,) = tape.backward(objective, [p])
+        fd = finite_diff(lambda arr: float(build(Tape(), arr)[0].value), theta)
+        assert rel_gap(grad, fd) <= 1e-6, (activation, n_hidden)
 
     @pytest.mark.parametrize("activation, value, slope", [
         ("relu", [0.0, 0.0, 1.5], [0.0, 0.0, 1.0]),
@@ -365,43 +364,46 @@ class TestFusedMlp:
     def test_one_unit_network_gives_activation_and_slope(self, activation, value, slope):
         # u = act(x) and du/dx = act'(x); the kink at 0 takes the left slope
         t = Tape()
-        ws = [t.constant(np.array([[0.0], [1.0]])), t.constant(np.ones((1, 1)))]
-        bs = [t.constant(np.zeros(1)), t.constant(np.zeros(1))]
+        theta = t.constant(np.array([0.0, 1.0, 0.0, 1.0, 0.0]))  # w0, b0, w1, b1
         inp = np.array([[0.0, -2.0], [0.0, 0.0], [0.0, 1.5]])
-        packed = t.mlp(inp, ws, bs, activation, 0.01).value
+        packed = t.mlp(inp, theta, [(2, 1), (1, 1)], activation, 0.01).value
         np.testing.assert_allclose(packed[:, 0], value, rtol=1e-15)
         np.testing.assert_allclose(packed[:, 1], slope, rtol=1e-15)
 
     def test_gradient_columns_match_input_finite_differences(self):
-        arrays = self.layers(2)
+        theta, dims = self.layers(2)
         x0 = np.array([0.3, -0.7, 0.5])
 
         def value_at(x):
             t = Tape()
-            params = [t.constant(a) for a in arrays]
-            return float(t.mlp(x[None, :], params[:3], params[3:], "tanh").value[0, 0])
+            return float(t.mlp(x[None, :], t.constant(theta), dims, "tanh").value[0, 0])
 
         t = Tape()
-        params = [t.constant(a) for a in arrays]
-        packed = t.mlp(x0[None, :], params[:3], params[3:], "tanh").value
+        packed = t.mlp(x0[None, :], t.constant(theta), dims, "tanh").value
         assert packed.shape == (1, 3)
         assert rel_gap(packed[0, 1:], finite_diff(value_at, x0)[1:]) <= 1e-8
 
     def test_layers_that_do_not_chain_are_rejected(self):
         t = Tape()
-        ws = [t.param(np.ones((3, 4))), t.param(np.ones((5, 1)))]
-        bs = [t.param(np.zeros(4)), t.param(np.zeros(1))]
+        theta = t.param(np.ones(3 * 4 + 4 + 5 * 1 + 1))
         with pytest.raises(ShapeMismatchError, match="mlp"):
-            t.mlp(np.ones((2, 3)), ws, bs, "tanh")
+            t.mlp(np.ones((2, 3)), theta, [(3, 4), (5, 1)], "tanh")
+        with pytest.raises(ShapeMismatchError, match="mlp"):
+            t.mlp(np.ones((2, 3)), theta, [(3, 4), (4, 2)], "tanh")  # not one output
+
+    @pytest.mark.parametrize("size", [3 * 4 + 4 + 4 + 1 - 1, 3 * 4 + 4 + 4 + 1 + 1])
+    def test_parameter_vector_of_another_length_is_rejected(self, size):
+        t = Tape()
+        with pytest.raises(ShapeMismatchError, match="does not fit"):
+            t.mlp(np.ones((2, 3)), t.param(np.ones(size)), [(3, 4), (4, 1)], "tanh")
 
     @pytest.mark.parametrize("alpha", [1.5, -0.1, float("nan")])
     def test_leaky_slope_outside_unit_interval_is_rejected(self, alpha):
         # the slopes are rebuilt from z > 0 as max(mask, alpha), exact only on [0, 1]
         t = Tape()
-        ws = [t.param(np.ones((3, 4))), t.param(np.ones((4, 1)))]
-        bs = [t.param(np.zeros(4)), t.param(np.zeros(1))]
+        theta = t.param(np.ones(3 * 4 + 4 + 4 * 1 + 1))
         with pytest.raises(ValueError, match="outside"):
-            t.mlp(np.ones((2, 3)), ws, bs, "leaky_relu", alpha)
+            t.mlp(np.ones((2, 3)), theta, [(3, 4), (4, 1)], "leaky_relu", alpha)
 
     @pytest.mark.parametrize("activation, alpha, fill", [
         ("relu", 0.01, 0.0),
@@ -441,26 +443,33 @@ class TestChunkedMlp:
         rng = np.random.default_rng(rows)
         arch = nn.MlpArchitecture(input_dim=1 + d, hidden=hidden, activation=activation, alpha=0.1)
         params = nn.init(arch, seed=3)
-        params = params.replace_flat([a + rng.normal(scale=0.1, size=a.shape)
-                                      for a in params.flat_list()])
+        params.theta += rng.normal(scale=0.1, size=params.theta.size)
         inp = rng.uniform(-1.0, 1.0, size=(rows, 1 + d))
         coef = rng.normal(size=(rows, 1 + d))
         return params, inp, coef
 
     @staticmethod
     def node(tape, params, inp, leaf):
-        """The ``mlp`` node of ``params`` over ``inp``, its weights and biases made by ``leaf``."""
-        ws, bs = [leaf(w) for w in params.weights], [leaf(b) for b in params.biases]
-        return tape.mlp(inp, ws, bs, params.arch.activation, params.arch.alpha), ws + bs
+        """The ``mlp`` node of ``params`` over ``inp``, and its parameter leaf made by ``leaf``."""
+        theta = leaf(params.theta)
+        arch = params.arch
+        return tape.mlp(inp, theta, arch.layer_dims, arch.activation, arch.alpha), theta
 
     @classmethod
     def run(cls, rows, activation, d=3, hidden=(16, 16)):
-        """Value and parameter gradients of sum(c * packed**2) at fixed data."""
+        """Value and parameter gradient of sum(c * packed**2) at fixed data."""
         params, inp, coef = cls.data(rows, activation, d, hidden)
         tape = Tape()
-        packed, leaves = cls.node(tape, params, inp, tape.param)
-        grads = tape.backward(tape.sum(tape.mul(tape.square(packed), tape.constant(coef))), leaves)
-        return packed.value, grads, params, inp
+        packed, theta = cls.node(tape, params, inp, tape.param)
+        (grad,) = tape.backward(tape.sum(tape.mul(tape.square(packed), tape.constant(coef))),
+                                [theta])
+        return packed.value, grad, params, inp
+
+    @staticmethod
+    def blocks(grad, params):
+        """The weight blocks, then the bias blocks, of a gradient vector."""
+        ws, bs = autodiff.mlp_layers(grad, params.arch.layer_dims)
+        return ws + bs
 
     def test_package_import_pins_blas_to_one_thread(self):
         # the chunks bring the parallelism; a library user who never
@@ -476,6 +485,14 @@ class TestChunkedMlp:
                              text=True, check=True, timeout=60).stdout
         assert out.strip() == "['1', '1', '3']"
 
+    def test_numpy_loaded_first_without_a_known_blas_warns(self, tmp_path, monkeypatch):
+        # a numpy whose wheel libraries hold no OpenBLAS: no thread count can be set
+        fake = types.ModuleType("numpy")
+        fake.__file__ = str(tmp_path / "numpy" / "__init__.py")
+        monkeypatch.setitem(sys.modules, "numpy", fake)
+        with pytest.warns(RuntimeWarning, match="number of cores"):
+            pidenet._pin_loaded_blas()
+
     @pytest.mark.parametrize("rows", ROWS)
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
     def test_results_do_not_depend_on_the_workers(self, activation, rows, monkeypatch,
@@ -490,10 +507,9 @@ class TestChunkedMlp:
                 runs.append(self.run(rows, activation)[:2])
         finally:
             sys.setswitchinterval(interval)
-        for value, grads in runs[1:]:
+        for value, grad in runs[1:]:
             assert np.array_equal(value, runs[0][0])
-            for g, g0 in zip(grads, runs[0][1]):
-                assert np.array_equal(g, g0)
+            assert np.array_equal(grad, runs[0][1])
 
     @pytest.mark.parametrize("rows", ROWS)
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
@@ -506,11 +522,11 @@ class TestChunkedMlp:
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
     def test_chunked_gradients_match_one_chunk(self, activation, rows, monkeypatch):
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
-        value, grads, _, _ = self.run(rows, activation)
+        value, grad, params, _ = self.run(rows, activation)
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 10**9)
-        whole_value, whole_grads, _, _ = self.run(rows, activation)
+        whole_value, whole_grad, _, _ = self.run(rows, activation)
         assert np.array_equal(value, whole_value)
-        for g, g0 in zip(grads, whole_grads):
+        for g, g0 in zip(self.blocks(grad, params), self.blocks(whole_grad, params)):
             assert np.max(np.abs(g - g0)) <= 1e-12 * np.max(np.abs(g0))
 
     @pytest.mark.parametrize("rows", ROWS)
@@ -531,9 +547,9 @@ class TestChunkedMlp:
         for workers in (1, 2, 3):
             chunk_workers(workers)
             tape = Tape()
-            packed, leaves = self.node(tape, params, inp, tape.param)
-            grads = tape.backward(tape.sum(tape.mul(packed, tape.constant(coef))), leaves)
-            for k, (g, e) in enumerate(zip(grads, expected)):
+            packed, theta = self.node(tape, params, inp, tape.param)
+            (grad,) = tape.backward(tape.sum(tape.mul(packed, tape.constant(coef))), [theta])
+            for k, (g, e) in enumerate(zip(self.blocks(grad, params), expected)):
                 assert g.shape == e.shape, (workers, k)
                 assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e)), (workers, k)
 
@@ -542,14 +558,13 @@ class TestChunkedMlp:
                                                     chunk_workers):
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
         chunk_workers(2)
-        value, grads, _, _ = self.run(600, activation)  # 5 chunks
+        value, grad, _, _ = self.run(600, activation)  # 5 chunks
         monkeypatch.setattr(autodiff, "_pool", None)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        inline_value, inline_grads, _, _ = self.run(600, activation)
+        inline_value, inline_grad, _, _ = self.run(600, activation)
         assert autodiff._pool is None
         assert np.array_equal(inline_value, value)
-        for g, g0 in zip(inline_grads, grads):
-            assert np.array_equal(g, g0)
+        assert np.array_equal(inline_grad, grad)
 
     @pytest.mark.parametrize("rows", ROWS)
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
@@ -660,27 +675,21 @@ class TestChunkedMlp:
         # 13 rows in chunks of 3, 3, 3, 3 and 1
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 3)
         monkeypatch.setattr(autodiff, "ROW_ALIGN", 1)
-        arrays = TestFusedMlp.layers(2, width=4, seed=5)
+        theta, dims = TestFusedMlp.layers(2, width=4, seed=5)
         rng = np.random.default_rng(6)
         inp = rng.uniform(-1.0, 1.0, size=(13, 3))
         coef = rng.normal(size=(13, 3))
 
-        def build(tape, arrs):
-            params = [tape.param(a) for a in arrs]
-            packed = tape.mlp(inp, params[:3], params[3:], activation, 0.1)
-            return tape.sum(tape.mul(tape.square(packed), tape.constant(coef))), params
+        def build(tape, arr):
+            p = tape.param(arr)
+            packed = tape.mlp(inp, p, dims, activation, 0.1)
+            return tape.sum(tape.mul(tape.square(packed), tape.constant(coef))), p
 
         tape = Tape()
-        objective, params = build(tape, arrays)
-        grads = tape.backward(objective, params)
-        for k, base in enumerate(arrays):
-            fd = finite_diff(
-                lambda arr, k=k: float(
-                    build(Tape(), [arr if j == k else a for j, a in enumerate(arrays)])[0].value
-                ),
-                base,
-            )
-            assert rel_gap(grads[k], fd) <= 1e-6, (activation, k)
+        objective, p = build(tape, theta)
+        (grad,) = tape.backward(objective, [p])
+        fd = finite_diff(lambda arr: float(build(Tape(), arr)[0].value), theta)
+        assert rel_gap(grad, fd) <= 1e-6, activation
 
 
 def test_concurrent_blas_calls_equal_serial_ones():
@@ -705,7 +714,7 @@ def test_concurrent_blas_calls_equal_serial_ones():
 
 # Random compositions: a fused network node followed by a chain of
 # elementwise, slice and reduction ops, whose gradient with respect to
-# the first-layer weights must agree with central differences away from
+# the parameter vector must agree with central differences away from
 # activation kinks.
 _ACTIVATIONS = ("tanh", "relu", "leaky_relu")
 _UNARY = ("square", "slice", "identity")
@@ -733,9 +742,8 @@ def test_random_composition_gradients_match_fd(seed):
     blocks = int(rng.choice([b for b in range(1, rows + 1) if rows % b == 0]))
     weights = rng.uniform(-1.0, 1.0, size=(7, 1))
 
-    def build(tape, w):
-        y = tape.mlp(inp, [w, tape.constant(w1)], [tape.constant(b0), tape.constant(b1)],
-                     activation, 0.2)
+    def build(tape, theta):
+        y = tape.mlp(inp, theta, [(k, width), (width, 1)], activation, 0.2)
         for op in ops:
             if op == "square":
                 y = tape.square(y)
@@ -756,4 +764,4 @@ def test_random_composition_gradients_match_fd(seed):
     # where central differences are meaningless
     if activation != "tanh" and np.min(np.abs(inp @ w0 + b0)) < 1e-3:
         return
-    assert grad_check(build, w0, h=1e-5) <= 1e-6
+    assert grad_check(build, vector([w0, w1], [b0, b1]), h=1e-5) <= 1e-6

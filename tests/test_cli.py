@@ -125,7 +125,7 @@ class TestTrainAndEval:
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 64)
         config = cli.load_config(str(config_path))
         params = nn.init(config.architecture, seed=5)
-        params = params.replace_flat([a + 0.1 for a in params.flat_list()])
+        params = nn.MlpParams(params.arch, params.theta + 0.1)
 
         def evaluate():
             tape_variables.clear()
@@ -349,6 +349,34 @@ print(code, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "0 []"
 
+    def test_params_do_not_depend_on_the_import_order(self):
+        # numpy reads the BLAS thread variables only when it is first
+        # imported, so a process that imports it before pidenet must get
+        # its thread count set through the loaded library.  The children
+        # see none of the variables, which this process has set to 1
+        script = """
+import hashlib, sys
+if sys.argv[1] == "numpy":
+    import numpy
+from pidenet import cli, nn, optim
+config = cli.load_config("convergence")
+params = nn.init(config.architecture, seed=config.seed_init)
+state = optim.AdamState.for_params(params.theta, **config.adam)
+for it in (1, 2):
+    params, _ = cli._train_step(config, params, state, it, optim.lr_at(config.schedule, it - 1))
+print(hashlib.sha256(params.theta.tobytes()).hexdigest())
+"""
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+        digests = []
+        for first in ("numpy", "pidenet"):
+            done = subprocess.run([sys.executable, "-c", script, first], capture_output=True,
+                                  text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout)
+        assert digests[0] == digests[1]
+
 
 class TestConverge:
     def test_failed_run_is_left_out(self, config_path, tmp_path, monkeypatch):
@@ -395,67 +423,82 @@ class TestCheckpoint:
         loaded, iteration, lr = cli.load_checkpoint(path)
         assert loaded.arch == params.arch
         assert (iteration, lr) == (17, 3.5e-4)
-        for a, b in zip(params.flat_list(), loaded.flat_list()):
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert loaded.theta.shape == params.theta.shape
+        assert loaded.theta.tobytes() == params.theta.tobytes()
 
-    def test_file_holds_each_array_as_base64_float64(self, tmp_path):
+    def test_file_holds_the_vector_as_base64_float64(self, tmp_path):
         params = nn.init(nn.MlpArchitecture(input_dim=3, hidden=(7,), activation="relu"), seed=4)
         path = tmp_path / "checkpoint.json"
         cli.save_checkpoint(path, params, iteration=9, lr=1e-3 / 3)
-
-        def encoded(a):
-            return {"shape": list(a.shape),
-                    "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
-
         model = {
             "architecture": {"input_dim": 3, "hidden": [7], "activation": "relu", "alpha": 0.01},
-            "weights": [encoded(w) for w in params.weights],
-            "biases": [encoded(b) for b in params.biases],
+            "params": base64.b64encode(params.theta.astype("<f8").tobytes()).decode("ascii"),
         }
-        payload = {"iteration": 9, "lr": 1e-3 / 3, "array_format": "base64-float64-le",
+        payload = {"iteration": 9, "lr": 1e-3 / 3, "array_format": "theta-base64-float64-le",
                    "model": model}
         assert path.read_text() == json.dumps(payload)
 
-    def test_nested_list_checkpoint_exits_one_naming_the_format(self, config_path, tmp_path,
-                                                                capsys):
+    @pytest.mark.parametrize("old_format", ["base64 arrays", "nested lists"])
+    def test_old_format_checkpoint_exits_one_naming_the_format(self, config_path, tmp_path,
+                                                               old_format, capsys):
+        # per-layer weights and biases, as base64 arrays under "base64-float64-le"
+        # or, before that, as nested lists under no format name
         params = nn.init(cli.load_config(str(config_path)).architecture, 5)
+        if old_format == "base64 arrays":
+            def encode(a):
+                return {"shape": list(a.shape),
+                        "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
+            header = {"array_format": "base64-float64-le"}
+        else:
+            def encode(a):
+                return a.tolist()
+            header = {}
         model = {
             "architecture": {"input_dim": 2, "hidden": [6], "activation": "tanh", "alpha": 0.01},
-            "weights": [w.tolist() for w in params.weights],
-            "biases": [b.tolist() for b in params.biases],
+            "weights": [encode(w) for w in params.weights],
+            "biases": [encode(b) for b in params.biases],
         }
         path = tmp_path / "checkpoint.json"
-        path.write_text(json.dumps({"iteration": 4, "lr": 1e-2, "model": model}))
+        path.write_text(json.dumps({"iteration": 4, "lr": 1e-2, **header, "model": model}))
         code = cli.main(["eval", "--checkpoint", str(path), "--config", str(config_path)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:")
-        assert "'base64-float64-le'" in err and "nested-list" in err
+        assert "'theta-base64-float64-le'" in err
 
-    @pytest.mark.parametrize("damage", ["not json", "no weights", "wrong shape", "not base64",
-                                        "short data", "data and shape disagree"])
+    @pytest.mark.parametrize("damage", [
+        "not json", "no params", "wrong shape", "not base64", "short data",
+        "iteration a string", "iteration a float", "iteration a bool", "lr a string",
+        "float widths", "input_dim a string", "no alpha", "no activation",
+    ])
     def test_unreadable_checkpoint_exits_one(self, config_path, tmp_path, damage, capsys):
         path = tmp_path / "checkpoint.json"
         cli.save_checkpoint(path, nn.init(cli.load_config(str(config_path)).architecture, 5),
                             iteration=4, lr=1e-2)
         payload = json.loads(path.read_text())
-        if damage == "no weights":
-            del payload["model"]["weights"]
-        elif damage == "wrong shape":  # well formed, but not the architecture's shape
-            payload["model"]["weights"][0] = {
-                "shape": [1, 2],
-                "data": base64.b64encode(np.array([0.5, -1.5], dtype="<f8").tobytes()).decode(),
-            }
-        elif damage == "data and shape disagree":
-            payload["model"]["weights"][0]["shape"] = [1, 2]
+        model, arch = payload["model"], payload["model"]["architecture"]
+        if damage == "no params":
+            del model["params"]
+        elif damage == "wrong shape":  # well formed, but not the architecture's length
+            model["params"] = base64.b64encode(np.array([0.5, -1.5]).tobytes()).decode()
         elif damage == "not base64":
-            payload["model"]["weights"][0]["data"] = "not base64!"
+            model["params"] = "not base64!"
         elif damage == "short data":
-            payload["model"]["biases"][0]["data"] = payload["model"]["biases"][0]["data"][:-4]
+            model["params"] = model["params"][:-4]
+        elif damage.startswith("iteration"):
+            payload["iteration"] = {"a string": "7", "a float": 7.9, "a bool": True}[damage[10:]]
+        elif damage == "lr a string":
+            payload["lr"] = "0.5"
+        elif damage == "float widths":
+            arch["hidden"] = [6.0]
+        elif damage == "input_dim a string":
+            arch["input_dim"] = "2"
+        elif damage.startswith("no "):
+            del arch[damage[3:]]
         path.write_text("{not json" if damage == "not json" else json.dumps(payload))
         code = cli.main(["eval", "--checkpoint", str(path), "--config", str(config_path)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert "config error" in err
-        if damage == "wrong shape":  # the architecture's check, not the decoder's
-            assert "layer shapes (1, 2)" in err
+        out, err = capsys.readouterr()
+        assert err.startswith("config error:") and out == ""
+        if damage == "wrong shape":  # the parameter vector's check, not the decoder's
+            assert "parameter vector of shape (2,) does not fit" in err

@@ -16,8 +16,7 @@ class TestInit:
     def test_deterministic(self):
         arch = small_arch()
         p1, p2 = nn.init(arch, seed=7), nn.init(arch, seed=7)
-        for a, b in zip(p1.flat_list(), p2.flat_list()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(p1.theta, p2.theta)
 
     def test_biases_zero(self):
         params = nn.init(small_arch(), seed=0)
@@ -36,7 +35,24 @@ class TestInit:
 
     def test_param_count(self):
         params = nn.init(nn.MlpArchitecture(3, (5, 7)), seed=0)
-        assert sum(a.size for a in params.flat_list()) == (3 + 1) * 5 + (5 + 1) * 7 + (7 + 1) * 1
+        assert params.theta.shape == ((3 + 1) * 5 + (5 + 1) * 7 + (7 + 1) * 1,)
+
+    def test_weights_and_biases_are_views_of_the_vector(self):
+        # laid out w0, b0, w1, b1, ..., each C-ordered
+        params = nn.MlpParams(nn.MlpArchitecture(2, (3,)), np.arange(13.0))
+        np.testing.assert_array_equal(params.weights[0], [[0, 1, 2], [3, 4, 5]])
+        np.testing.assert_array_equal(params.biases[0], [6, 7, 8])
+        np.testing.assert_array_equal(params.weights[1], [[9], [10], [11]])
+        np.testing.assert_array_equal(params.biases[1], [12])
+        params.weights[1][2, 0] = -1.0
+        assert params.theta[11] == -1.0
+
+    @pytest.mark.parametrize("theta", [np.zeros(12), np.zeros(14), np.zeros((1, 13))],
+                             ids=["one short", "one long", "2-D"])
+    def test_vector_that_does_not_fit_the_architecture_is_rejected(self, theta):
+        # 2 inputs, 3 hidden units, 1 output: 2 * 3 + 3 + 3 * 1 + 1 = 13 parameters
+        with pytest.raises(ShapeMismatchError, match="does not fit"):
+            nn.MlpParams(nn.MlpArchitecture(2, (3,)), theta)
 
     def test_invalid_architectures(self):
         with pytest.raises(ValueError):
@@ -50,11 +66,7 @@ class TestInit:
 class TestForward:
     def test_constant_network(self):
         params = nn.init(small_arch(d=2), seed=1)
-        zeroed = nn.MlpParams(
-            params.arch,
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-        )
+        zeroed = nn.MlpParams(params.arch, np.zeros_like(params.theta))
         zeroed.biases[-1][:] = 3.25
         x = np.random.default_rng(0).normal(size=(5, 2))
         out = nn.evaluate(zeroed, network_input(0.7, x))
@@ -64,11 +76,7 @@ class TestForward:
         # hidden identity + relu acts as a pass-through on positive inputs,
         # so the network reduces to w . (t, x)
         arch = nn.MlpArchitecture(input_dim=2, hidden=(2,), activation="relu")
-        params = nn.MlpParams(
-            arch,
-            [np.eye(2), np.array([[1.0], [1.0]])],
-            [np.zeros(2), np.zeros(1)],
-        )
+        params = nn.MlpParams(arch, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0]))
         out = nn.evaluate(params, network_input(0.5, np.array([[0.25]])))
         assert float(out[0, 0]) == 0.75
 
@@ -99,7 +107,8 @@ class TestInputGradient:
     def test_linear_network_gradient_is_weight_row(self):
         arch = nn.MlpArchitecture(input_dim=3, hidden=(3,), activation="relu")
         w_out = np.array([[2.0], [-1.5], [0.5]])
-        params = nn.MlpParams(arch, [np.eye(3), w_out], [np.zeros(3), np.zeros(1)])
+        params = nn.MlpParams(arch, np.concatenate([np.eye(3).ravel(), np.zeros(3),
+                                                    w_out.ravel(), np.zeros(1)]))
         x = np.array([[0.5, 1.5], [2.0, 0.25]])  # positive inputs keep relu linear
         tape = Tape()
         _, grad = nn.TapeMlp(tape, params).value_and_grad(network_input(0.9, x))
@@ -144,14 +153,7 @@ class TestInputGradient:
         tape = Tape()
         net = nn.TapeMlp(tape, params)
         _, grad = net.value_and_grad(network_input(0.25, x))
-        grads = tape.backward(tape.sum(grad), net.param_vars)
+        (analytic,) = tape.backward(tape.sum(grad), [net.param_var])
 
-        flat = params.flat_list()
-        for k, base in enumerate(flat):
-            fd = finite_diff(
-                lambda arr, k=k: objective(
-                    params.replace_flat([arr if j == k else a for j, a in enumerate(flat)])
-                ),
-                base,
-            )
-            assert rel_gap(grads[k], fd) <= 1e-5
+        fd = finite_diff(lambda theta: objective(nn.MlpParams(arch, theta)), params.theta)
+        assert rel_gap(analytic, fd) <= 1e-5

@@ -8,47 +8,50 @@ from pidenet import optim
 
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-        state = optim.AdamState.for_params(params)
-        out = optim.adam_step(params, [np.zeros(2), np.zeros((1, 1))], state, lr=0.1)
-        for p, q in zip(params, out):
-            assert np.array_equal(p, q)
+        theta = np.array([1.0, -2.0, 3.0])
+        state = optim.AdamState.for_params(theta)
+        assert np.array_equal(optim.adam_step(theta, np.zeros(3), state, lr=0.1), theta)
 
     def test_first_step_hand_value(self):
         # scalar theta=0, g=1: m_hat = v_hat = 1, so the update is
         # -lr / (1 + eps)
-        state = optim.AdamState.for_params([np.zeros(1)])
-        (theta,) = optim.adam_step([np.zeros(1)], [np.ones(1)], state, lr=0.1)
+        state = optim.AdamState.for_params(np.zeros(1))
+        (theta,) = optim.adam_step(np.zeros(1), np.ones(1), state, lr=0.1)
         expected = -0.1 * 1.0 / (1.0 + 1e-8)
-        assert theta[0] == pytest.approx(expected, abs=1e-16)
+        assert theta == pytest.approx(expected, abs=1e-16)
 
     def test_quadratic_convergence(self):
         theta = np.array([5.0])
-        state = optim.AdamState.for_params([theta])
+        state = optim.AdamState.for_params(theta)
         for _ in range(500):
-            (theta,) = optim.adam_step([theta], [2.0 * theta], state, lr=0.1)
+            theta = optim.adam_step(theta, 2.0 * theta, state, lr=0.1)
         assert abs(theta[0]) <= 1e-3
 
     def test_nonfinite_gradient_aborts(self):
-        state = optim.AdamState.for_params([np.zeros(2)])
+        state = optim.AdamState.for_params(np.zeros(2))
         with pytest.raises(optim.NonFiniteGradientError):
-            optim.adam_step([np.zeros(2)], [np.array([1.0, np.nan])], state, lr=0.1)
+            optim.adam_step(np.zeros(2), np.array([1.0, np.nan]), state, lr=0.1)
 
-    def test_shape_mismatch_rejected(self):
-        state = optim.AdamState.for_params([np.zeros(2)])
-        with pytest.raises(ValueError):
-            optim.adam_step([np.zeros(2)], [np.zeros(3)], state, lr=0.1)
+    @pytest.mark.parametrize("theta, grad, moments", [
+        (np.zeros(2), np.zeros(3), np.zeros(2)),
+        (np.zeros(2), np.zeros(2), np.zeros(3)),
+        (np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2))),
+    ], ids=["gradient", "moments", "not a vector"])
+    def test_shape_mismatch_rejected(self, theta, grad, moments):
+        state = optim.AdamState.for_params(moments)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            optim.adam_step(theta, grad, state, lr=0.1)
 
     @pytest.mark.parametrize("settings", [{"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 2.0},
                                           {"beta2": float("nan")}, {"eps": 0.0}, {"eps": -1.0}])
     def test_settings_outside_their_range_are_rejected(self, settings):
         with pytest.raises(ValueError):
-            optim.AdamState.for_params([np.zeros(1)], **settings)
+            optim.AdamState.for_params(np.zeros(1), **settings)
 
     def test_step_counter_increases(self):
-        state = optim.AdamState.for_params([np.zeros(1)])
+        state = optim.AdamState.for_params(np.zeros(1))
         for k in range(1, 4):
-            optim.adam_step([np.zeros(1)], [np.ones(1)], state, lr=0.1)
+            optim.adam_step(np.zeros(1), np.ones(1), state, lr=0.1)
             assert state.step == k
 
     def test_update_is_elementwise(self):
@@ -60,11 +63,8 @@ class TestAdam:
         perm = rng.permutation(8)
         inv = np.argsort(perm)
 
-        s1 = optim.AdamState.for_params([p])
-        (direct,) = optim.adam_step([p], [g], s1, lr=0.05)
-
-        s2 = optim.AdamState.for_params([p[perm]])
-        (permuted,) = optim.adam_step([p[perm]], [g[perm]], s2, lr=0.05)
+        direct = optim.adam_step(p, g, optim.AdamState.for_params(p), lr=0.05)
+        permuted = optim.adam_step(p[perm], g[perm], optim.AdamState.for_params(p[perm]), lr=0.05)
         assert np.array_equal(permuted[inv], direct)
 
 
