@@ -41,6 +41,8 @@ import base64
 import json
 import logging
 import math
+import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -61,6 +63,14 @@ log = logging.getLogger(__name__)
 TRAIN_STREAM = 0
 EVAL_STREAM = 1
 
+# Most state values, (N+1) * paths * d, in one block of the held-out
+# evaluation, so that its memory does not grow with eval_batch_size.
+# With 2 MiB of states, an eval process at d=100, N=50 peaks at ~61 MiB
+# of RSS (2-core x86 VM; 99 MiB in one pass of 250 paths, 91 MiB with
+# 8 MiB blocks); 1 MiB blocks peaked at 46 MiB but took a third longer.
+# The block size changes no figure.
+EVAL_BLOCK_VALUES = 2**18
+
 # distinct simulation substreams for independent runs of a study; larger
 # than any iteration count so per-iteration seeds never collide
 RUN_SEED_STRIDE = 1_000_003
@@ -74,8 +84,8 @@ class ConfigError(ValueError):
 class TrainConfig:
     """Everything one training run depends on, seeds included.
 
-    ``checkpoint_interval`` only sets how often the held-out evaluation
-    runs; the one checkpoint is written after the last iteration."""
+    ``checkpoint_interval`` sets how often the held-out evaluation runs;
+    each evaluation also saves the checkpoint."""
 
     problem: ProblemSpec
     steps: int
@@ -242,28 +252,54 @@ def load_config(spec: str, seed_override: int | None = None) -> TrainConfig:
 
 def _evaluate(config: TrainConfig, params: nn.MlpParams, iteration, lr, started,
               error_grid: bool = False):
-    """Held-out report from the loss's one network pass, and the error grid if asked for.
+    """Held-out report from the loss on blocks of paths, and the error grid if asked for.
 
     The held-out batch has its own seed on its own generator stream.  It
-    is simulated here, at every call, and dies on return: the keyed
-    generator gives the same batch each time, so no caller holds it
-    between evaluations.  ``error_grid`` asks for
-    ``metrics.error_grid``'s rows on that batch (a 1-D problem);
-    otherwise the second result is None.
+    is simulated here, at every call, one block of paths at a time: a
+    block holds at most ``EVAL_BLOCK_VALUES`` state values, and it and its
+    tape die before the next block is simulated, so the pass's memory does
+    not grow with ``eval_batch_size``.  Each block runs
+    ``scheme.squared_residuals`` and writes its squares, network values
+    and exact values into its columns of (N, B), (B,) and (N+1, B)
+    arrays; ``scheme.reduce_residuals`` and ``metrics.evaluation_errors``
+    then run once over them.  The keyed generator makes a block the same
+    paths, bit for bit, as the one batch, and every row of the first
+    stage depends on its own path alone, so every figure is that of one
+    ``scheme.loss`` over the whole batch.  ``error_grid`` asks for
+    ``metrics.error_grid``'s rows (a 1-D problem); otherwise the second
+    result is None.
 
-    Nothing differentiates this loss, so the params go on its tape as
-    constants: the network node then keeps no VJP state, and the pass
-    peaks at its values, not at every chunk's gradient chain.  The
-    forward arithmetic, and with it every figure, is the training
-    tape's.
+    Nothing differentiates this loss, so the params go on each block's
+    tape as constants: the network node then keeps no VJP state, and the
+    block peaks at its values, not at every chunk's gradient chain.
     """
-    batch = jumpsim.simulate_forward(config.problem, config.grid, config.eval_batch_size,
-                                     config.seed_evaluation, stream=EVAL_STREAM)
-    breakdown = scheme.loss(nn.TapeMlp(Tape(), params, trainable=False), batch,
-                            config.problem)[1]
-    mean_rel_err, node_errors, max_sq_err = metrics.evaluation_errors(
-        breakdown.values, batch, config.problem
-    )
+    problem, grid, size = config.problem, config.grid, config.eval_batch_size
+    if error_grid and problem.dim != 1:
+        raise ValueError("error_grid is only defined for one-dimensional problems")
+    block = max(1, EVAL_BLOCK_VALUES // ((grid.steps + 1) * problem.dim))
+    for lo in range(0, size, block):
+        hi = min(size, lo + block)
+        batch = jumpsim.simulate_forward(problem, grid, hi - lo, config.seed_evaluation,
+                                         stream=EVAL_STREAM, first_path=lo)
+        squares, terminal, node_values = scheme.squared_residuals(
+            nn.TapeMlp(Tape(), params, trainable=False), batch, problem)
+        if lo == 0:  # made in memory that the first block's network pass has freed
+            interval_sq = np.empty((grid.steps, size))
+            terminal_sq = np.empty(size)
+            values = np.empty((grid.steps + 1, size))
+            exact = np.empty_like(values)
+            xs = np.empty_like(values) if error_grid else None
+        interval_sq[:, lo:hi] = squares.value.reshape(grid.steps, hi - lo)
+        terminal_sq[lo:hi] = terminal.value[:, 0]
+        values[:, lo:hi] = node_values
+        metrics.exact_values(batch, problem, out=exact[:, lo:hi])
+        if xs is not None:
+            xs[:, lo:hi] = batch.states[:, :, 0]
+        del batch, squares, terminal, node_values  # the block and its tape, before the next
+    tape = Tape()
+    breakdown = scheme.reduce_residuals(tape.constant(interval_sq.reshape(-1, 1)),
+                                        tape.constant(terminal_sq[:, None]), grid.steps)[1]
+    mean_rel_err, node_errors, max_sq_err = metrics.evaluation_errors(values, exact)
     report = metrics.MetricsReport(
         iteration=iteration,
         loss=breakdown.total,
@@ -273,7 +309,7 @@ def _evaluate(config: TrainConfig, params: nn.MlpParams, iteration, lr, started,
         lr=lr,
         wall_clock=time.perf_counter() - started,
     )
-    rows = metrics.error_grid(breakdown.values, batch, config.problem) if error_grid else None
+    rows = None if xs is None else metrics.error_grid(values, exact, xs, grid.times)
     return report, rows
 
 
@@ -283,7 +319,10 @@ CHECKPOINT_ARRAY_FORMAT = "theta-base64-float64-le"
 
 
 def save_checkpoint(path, params: nn.MlpParams, iteration: int, lr: float) -> None:
-    """Iteration, lr and the model (architecture, ``theta``'s float64 bytes) as JSON, bit-exact."""
+    """Iteration, lr and the model (architecture, ``theta``'s float64 bytes) as JSON, bit-exact.
+
+    The file at ``path`` is replaced whole: it holds this checkpoint or the one before.
+    """
     arch = params.arch
     model = {
         "architecture": {"input_dim": arch.input_dim, "hidden": list(arch.hidden),
@@ -292,8 +331,12 @@ def save_checkpoint(path, params: nn.MlpParams, iteration: int, lr: float) -> No
     }
     payload = {"iteration": iteration, "lr": lr, "array_format": CHECKPOINT_ARRAY_FORMAT,
                "model": model}
-    with open(path, "w") as fh:
+    # written beside the target and moved into place, so a crash mid-write
+    # leaves the previous checkpoint whole
+    partial = Path(f"{path}.partial")
+    with open(partial, "w") as fh:
         fh.write(json.dumps(payload))  # the C encoder; json.dump runs the Python one
+    os.replace(partial, path)
 
 
 def load_checkpoint(path) -> tuple[nn.MlpParams, int, float]:
@@ -350,9 +393,12 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
     new tape, backpropagates and applies one Adam step.  Held-out metrics
     come from an evaluation batch on its own generator stream, which each
     evaluation simulates afresh and drops, so the run holds no held-out
-    batch between evaluations.  A numerical abort writes ``abort.json``
-    with the error and the iteration: the training batch's, or the
-    evaluation's when simulating its held-out batch fails.
+    batch between evaluations.  Each evaluation appends its row to
+    ``metrics.csv`` and replaces ``checkpoint.json`` with the params it
+    evaluated, so a run that stops early keeps both up to its last
+    evaluation.  A numerical abort writes ``abort.json`` with the error
+    and the iteration: the training batch's, or the evaluation's when
+    simulating its held-out batch fails.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -362,6 +408,7 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
     state = AdamState.for_params(params.theta, **config.adam)
 
     reports: list[metrics.MetricsReport] = []
+    metrics.write_metrics_csv(out / "metrics.csv", [])  # the header; evaluations append rows
     try:
         started = time.perf_counter()
         with open(out / "breakdown.jsonl", "w") as breakdown_log:
@@ -374,6 +421,8 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
                         config, params, it, lr, started,
                         error_grid=problem.dim == 1 and it == config.iterations)
                     reports.append(report)
+                    metrics.append_metrics_csv(out / "metrics.csv", report)
+                    save_checkpoint(out / "checkpoint.json", params, it, lr)
                     _log_progress(reports, config.iterations)
     except (NumericalAbortError, SimulationError, NonFiniteGradientError) as exc:
         _dump_abort(out, it, exc)
@@ -383,22 +432,24 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
             breakdown=getattr(exc, "breakdown", None),
         ) from exc
 
-    metrics.write_metrics_csv(out / "metrics.csv", reports)
     metrics.write_error_by_time_csv(out / "error_by_time.csv", grid.times, report.node_errors)
     if grid_rows is not None:
         metrics.write_error_grid_csv(out / "error_grid.csv", grid_rows)
-    save_checkpoint(out / "checkpoint.json", params, report.iteration, report.lr)
     return reports, params
 
 
 def _log_progress(reports: list[metrics.MetricsReport], iterations: int) -> None:
-    """One line for the latest report, timed per iteration since the one before it."""
+    """One line for the latest report: timed per iteration since the one before it,
+    the time left at that pace and the process's peak RSS so far."""
     last = reports[-1]
     prev = reports[-2] if len(reports) > 1 else None
     prev_it, prev_clock = (prev.iteration, prev.wall_clock) if prev else (0, 0.0)
     ms_per_iter = 1e3 * (last.wall_clock - prev_clock) / (last.iteration - prev_it)
-    log.info("iteration %d/%d loss %.6e mean_rel_err %.4e %.1f ms/iter",
-             last.iteration, iterations, last.loss, last.mean_rel_err, ms_per_iter)
+    eta_s = ms_per_iter * (iterations - last.iteration) / 1e3
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    log.info("iteration %d/%d loss %.6e mean_rel_err %.4e %.1f ms/iter eta %.0f s "
+             "peak_rss %.1f MiB", last.iteration, iterations, last.loss, last.mean_rel_err,
+             ms_per_iter, eta_s, peak_mib)
 
 
 def _dump_abort(out: Path, iteration: int, exc) -> None:

@@ -3,13 +3,16 @@
 Randomness comes from a counter-based keyed generator: every draw is a
 pure function of (seed, stream, path, step, slot), so path i's noise
 never depends on the batch size or on evaluation order, and re-running
-with the same seed reproduces a batch bit for bit.  Uniform bits are
-produced by chained splitmix64 avalanche rounds and turned into normals
-through the inverse CDF, ``normal.ndtri``, a numpy port of Cephes'
-``ndtri``: central-branch draws are Cephes' bytes, tail draws lie
-within the bound stated in ``normal``'s docstring.  Each normal depends
-on its own uniform alone, so the blocks the Brownian draws are made in
-change no value.
+with the same seed reproduces a batch bit for bit.  The path in a key
+is absolute: ``simulate_forward(..., first_path=lo)`` with ``hi - lo``
+paths gives paths lo..hi-1 of any larger batch of the same seed and
+stream, bit for bit, so a batch can be simulated in blocks of paths.
+Uniform bits are produced by chained splitmix64 avalanche rounds and
+turned into normals through the inverse CDF, ``normal.ndtri``, a numpy
+port of Cephes' ``ndtri``: central-branch draws are Cephes' bytes, tail
+draws lie within the bound stated in ``normal``'s docstring.  Each
+normal depends on its own uniform alone, so the blocks the Brownian
+draws are made in change no value.
 """
 
 from __future__ import annotations
@@ -121,16 +124,17 @@ def poisson_from_uniforms(u: np.ndarray, mean: float) -> np.ndarray:
 
 
 def sample_poisson_counts(
-    seed: int, lam: float, dt: float, paths: int, steps: int, stream: int = 0
+    seed: int, lam: float, dt: float, paths: int, steps: int, stream: int = 0,
+    first_path: int = 0,
 ) -> np.ndarray:
-    """Per-interval, per-path jump counts, Poisson(lam * dt), shape (steps, paths)."""
+    """Jump counts, Poisson(lam * dt), of paths first_path.., shape (steps, paths)."""
     if lam < 0:
         raise ValueError(f"jump intensity must be >= 0, got {lam}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     u = keyed_uniforms(
         seed, _kind(stream, _KIND_COUNT),
-        np.arange(paths)[None, :], np.arange(steps)[:, None], 0,
+        np.arange(first_path, first_path + paths)[None, :], np.arange(steps)[:, None], 0,
     )
     return poisson_from_uniforms(u, lam * dt)
 
@@ -175,9 +179,12 @@ class PathBatch:
         return self.event_paths[lo:hi], self.event_marks[lo:hi]
 
 
-def _draw_noise(problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int, stream: int):
+def _draw_noise(problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int, stream: int,
+                first_path: int):
+    """The batch's draws; ``ev_path`` is local to the batch, the keys use the absolute path."""
     n_steps, d, m = grid.steps, problem.dim, problem.mark_dim
-    counts = sample_poisson_counts(seed, problem.intensity, grid.dt, batch_size, n_steps, stream)
+    counts = sample_poisson_counts(seed, problem.intensity, grid.dt, batch_size, n_steps, stream,
+                                   first_path)
 
     # flatten events interval-major: all of interval 0 (paths ascending),
     # then interval 1, ...
@@ -189,7 +196,7 @@ def _draw_noise(problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int
     within = np.arange(cell.size) - np.repeat(starts, counts_by_interval)
     mark_u = keyed_uniforms(
         seed, _kind(stream, _KIND_MARK),
-        ev_path[:, None], ev_interval[:, None],
+        first_path + ev_path[:, None], ev_interval[:, None],
         within[:, None] * m + np.arange(m)[None, :],
     )
 
@@ -207,7 +214,7 @@ def _draw_noise(problem: ProblemSpec, grid: TimeGrid, batch_size: int, seed: int
         hi = min(batch_size, lo + block_paths)
         u = keyed_uniforms(
             seed, _kind(stream, _KIND_BROWNIAN),
-            np.arange(lo, hi)[None, :, None], step_idx, slot_idx,
+            np.arange(first_path + lo, first_path + hi)[None, :, None], step_idx, slot_idx,
         ).reshape(-1)
         size = u.size
         if hi == batch_size:
@@ -234,6 +241,7 @@ def simulate_forward(
     batch_size: int,
     seed: int,
     stream: int = 0,
+    first_path: int = 0,
 ) -> PathBatch:
     """Euler steps with compound-Poisson jumps and compensator correction.
 
@@ -243,11 +251,16 @@ def simulate_forward(
     closed-form compensator integral times dt.  The ``stream`` tag
     separates independent uses of the same seed (training batches versus
     held-out evaluation batches).
+
+    The batch holds paths ``first_path`` to ``first_path + batch_size - 1``
+    of the seed and stream: each is the same path, bit for bit, in every
+    batch that holds it.  ``event_paths`` index the batch's own paths,
+    from 0; a ``SimulationError`` names the absolute path.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     brownian, counts, ev_path, ev_interval, ev_marks = _draw_noise(
-        problem, grid, batch_size, seed, stream
+        problem, grid, batch_size, seed, stream, first_path
     )
     batch = PathBatch(
         grid=grid,
@@ -276,7 +289,7 @@ def simulate_forward(
         if not np.all(np.isfinite(nxt)):
             bad = np.argwhere(~np.isfinite(nxt))[0]
             raise SimulationError(
-                f"non-finite state at interval {n + 1}, path {int(bad[0])}"
+                f"non-finite state at interval {n + 1}, path {first_path + int(bad[0])}"
             )
         x_all[n + 1] = nxt
     return batch

@@ -53,19 +53,16 @@ def _fmt(v) -> str:
     return str(v) if isinstance(v, int) else repr(float(v))
 
 
-def _exact_values(batch: PathBatch, problem: ProblemSpec) -> np.ndarray:
-    """Values of u at every (node, path), shape (N+1, B)."""
+def exact_values(batch: PathBatch, problem: ProblemSpec, out: np.ndarray) -> np.ndarray:
+    """Values of u at every (node, path) of ``batch``, written into ``out``, shape (N+1, B)."""
     times = batch.grid.times
-    exact = np.empty((batch.grid.steps + 1, batch.batch_size))
     for n in range(batch.grid.steps + 1):
-        exact[n] = problem.exact(times[n], batch.states[n])[:, 0]
-    return exact
+        out[n] = problem.exact(times[n], batch.states[n])[:, 0]
+    return out
 
 
-def evaluation_errors(
-    values: np.ndarray, batch: PathBatch, problem: ProblemSpec
-) -> tuple[float, np.ndarray, float]:
-    """Three error figures against u of the loss's network values (N+1, B) on ``batch``.
+def evaluation_errors(values: np.ndarray, exact: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """Three error figures of network values (N+1, B) against the exact values of u there.
 
     - mean relative error: mean over paths and time nodes of
       |net - u| / max(floor, |u|);
@@ -73,28 +70,28 @@ def evaluation_errors(
     - max square error: max over nodes of the batch-mean squared gap
       (net - u)^2.
     """
-    exact = _exact_values(batch, problem)
     rel = np.abs(values - exact) / np.maximum(REL_ERR_FLOOR, np.abs(exact))
     max_sq = float(np.max(np.mean((values - exact) ** 2, axis=1)))
     return float(rel.mean()), rel.mean(axis=1), max_sq
 
 
 def error_grid(
-    values: np.ndarray, batch: PathBatch, problem: ProblemSpec, bins: int = 40
+    values: np.ndarray, exact: np.ndarray, xs: np.ndarray, times: np.ndarray, bins: int = 40
 ) -> list[tuple[float, float, float]]:
     """(t, x-bin center, mean absolute error) triples for scalar problems.
 
-    Heat-map input from the ``evaluation_errors`` values; only defined for dim 1.
+    Heat-map input from the ``evaluation_errors`` values and exact values;
+    ``xs`` is the state of a one-dimensional problem at every (node,
+    path), shape (N+1, B) like them, and ``times`` the N+1 node times.
     """
-    if problem.dim != 1:
-        raise ValueError("error_grid is only defined for one-dimensional problems")
-    abs_err = np.abs(values - _exact_values(batch, problem))
-    xs = batch.states[:, :, 0]  # (N+1, B)
+    if xs.shape != values.shape:
+        raise ValueError(f"error_grid needs the (N+1, B) states of a one-dimensional problem, "
+                         f"got shape {xs.shape} for values of shape {values.shape}")
+    abs_err = np.abs(values - exact)
     edges = np.linspace(xs.min(), xs.max() + 1e-12, bins + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     rows = []
-    times = batch.grid.times
-    for n in range(batch.grid.steps + 1):
+    for n in range(len(times)):
         which = np.clip(np.digitize(xs[n], edges) - 1, 0, bins - 1)
         for b in range(bins):
             mask = which == b
@@ -152,6 +149,12 @@ def _write_csv(path, header: str, rows: Iterable[str]) -> None:
 
 def write_metrics_csv(path, reports: Sequence[MetricsReport]) -> None:
     _write_csv(path, METRICS_CSV_HEADER, (rep.csv_row() for rep in reports))
+
+
+def append_metrics_csv(path, report: MetricsReport) -> None:
+    """Add one report's row to a metrics.csv that ``write_metrics_csv`` began."""
+    with open(path, "a") as fh:
+        fh.write(report.csv_row() + "\n")
 
 
 def write_error_by_time_csv(path, grid_times: np.ndarray, node_errors: np.ndarray) -> None:

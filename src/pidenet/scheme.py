@@ -8,12 +8,17 @@ propagates node n's quantities to a prediction for node n+1, and the
 loss averages the squared one-step residuals together with the terminal
 misfit.
 
-The loss makes one network pass per batch: every (node, path) pair, in
-the batch's node-major order, and below them the jumped state of every
-jump event go through a single ``value_and_grad`` call, one ``Tape.mlp``
-node.  The one-step residuals then reduce to row slices of that node,
-row-wise arithmetic and one segment sum over all jump events, which
-keeps the tape small and the matrix products large.
+The loss runs in two stages.  ``squared_residuals`` makes one network
+pass per batch: every (node, path) pair, in the batch's node-major
+order, and below them the jumped state of every jump event go through a
+single ``value_and_grad`` call, one ``Tape.mlp`` node.  The one-step
+residuals then come from row slices of that node, row-wise arithmetic
+and one segment sum over all jump events, which keeps the tape small and
+the matrix products large.  Every row of this stage depends on its own
+path alone.  ``reduce_residuals`` then takes the batch means.  ``loss``
+composes the two on one tape; the held-out evaluation runs the first
+stage on blocks of paths and the second once, on the squares of every
+block put side by side, which is the same arithmetic.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ class LossBreakdown:
     """Plain-number record of the per-interval and terminal loss terms.
 
     ``values`` copies the network's value at every (node, path), shape
-    (N+1, B) like the batch; held-out errors read it, ``to_dict`` does not.
+    (N+1, B) like the batch, in the breakdowns that ``loss`` returns;
+    ``to_dict`` leaves it out.
     """
 
     interval_terms: np.ndarray
@@ -107,15 +113,17 @@ def integral_term(
     return tape.sub(tape.smul(jump_sum, 1.0 / dt), comp_dot)
 
 
-def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBreakdown]:
-    """Scalar objective over a path batch, plus its per-term breakdown.
+def squared_residuals(net, batch: PathBatch, problem: ProblemSpec
+                      ) -> tuple[Variable, Variable, np.ndarray]:
+    """The per-row stage of ``loss``: every square it averages, and the network's node values.
 
-    ``net`` offers ``tape`` and ``value_and_grad``, as ``nn.TapeMlp`` does; the
-    loss calls ``value_and_grad`` once, on one (rows, 1+d) input that it
-    writes in place, time first; ``t_all`` and ``x_all`` are its column
-    views.  Expectations are realized as batch means.  A non-finite term
-    aborts with the offending interval index and the breakdown gathered
-    so far.
+    Returns the squared one-step residuals, (N*B, 1) in the batch's
+    node-major order; the squared terminal misfits, (B, 1); and the
+    network's value at every (node, path), an (N+1, B) view of the
+    network node.  ``net`` offers ``tape`` and ``value_and_grad``, as
+    ``nn.TapeMlp`` does; ``value_and_grad`` is called once, on one
+    (rows, 1+d) input written in place, time first; ``t_all`` and
+    ``x_all`` are its column views.
     """
     tape = net.tape
     grid = batch.grid
@@ -149,8 +157,26 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
                            y_curr, grad_curr, problem, dt)
     prediction = transfer(t_curr, x_curr, y_curr, z, i_term,
                           batch.brownian.reshape(split, batch.dim), problem.driver, dt)
-    interval_vec = tape.block_mean(tape.square(tape.sub(y_next, prediction)), n_steps)
+    interval_sq = tape.square(tape.sub(y_next, prediction))
 
+    y_term = tape.slice(value_all, rows=(split, n_nodes))
+    target = tape.constant(problem.terminal(batch.states[n_steps]))
+    terminal_sq = tape.square(tape.sub(y_term, target))
+    values = value_all.value[:n_nodes, 0].reshape(n_steps + 1, n_rows)
+    return interval_sq, terminal_sq, values
+
+
+def reduce_residuals(interval_sq: Variable, terminal_sq: Variable, n_steps: int
+                     ) -> tuple[Variable, LossBreakdown]:
+    """The loss and its breakdown from ``squared_residuals``' squares, on their tape.
+
+    Expectations are realized as batch means: each interval's over its
+    (B,) block of ``interval_sq``, the terminal term over ``terminal_sq``.
+    A non-finite term aborts with the offending interval index and the
+    breakdown gathered so far.  The breakdown carries no values.
+    """
+    tape = interval_sq.tape
+    interval_vec = tape.block_mean(interval_sq, n_steps)
     interval_terms = interval_vec.value[:, 0].copy()
     if not np.all(np.isfinite(interval_terms)):
         bad = int(np.argwhere(~np.isfinite(interval_terms))[0, 0])
@@ -160,9 +186,7 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
             breakdown=LossBreakdown(interval_terms, float("nan"), float("nan")),
         )
 
-    y_term = tape.slice(value_all, rows=(split, n_nodes))
-    target = tape.constant(problem.terminal(batch.states[n_steps]))
-    terminal = tape.mean(tape.square(tape.sub(y_term, target)))
+    terminal = tape.mean(terminal_sq)
     if not np.isfinite(terminal.value):
         raise NumericalAbortError(
             "non-finite terminal loss term",
@@ -171,10 +195,16 @@ def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBre
         )
 
     total = tape.smul(tape.add(tape.sum(interval_vec), terminal), 1.0 / (n_steps + 1))
-    breakdown = LossBreakdown(
-        interval_terms=interval_terms,
-        terminal_term=float(terminal.value),
-        total=float(total.value),
-        values=value_all.value[:n_nodes, 0].reshape(n_steps + 1, n_rows).copy(),
-    )
+    return total, LossBreakdown(interval_terms=interval_terms,
+                                terminal_term=float(terminal.value), total=float(total.value))
+
+
+def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBreakdown]:
+    """Scalar objective over a path batch, plus its per-term breakdown with the node values.
+
+    ``squared_residuals`` then ``reduce_residuals``, on ``net``'s tape.
+    """
+    interval_sq, terminal_sq, values = squared_residuals(net, batch, problem)
+    total, breakdown = reduce_residuals(interval_sq, terminal_sq, batch.grid.steps)
+    breakdown.values = values.copy()
     return total, breakdown

@@ -6,7 +6,8 @@
 The first form imports ``pidenet`` from ``--src`` and stores, per case,
 the training loss (``loss``), its interval terms (``terms``), the
 network values of ``LossBreakdown.values`` (``values``), the held-out
-pass's total, terms and values (``heldout_*``) and the gradient of the
+pass's total, terms and values (``heldout_*``, from ``scheme.loss`` on
+the whole held-out batch) and the gradient of the
 loss with respect to the parameters (``grad``), one vector in the order
 w0, b0, w1, b1, ..., each C-ordered: the network's one parameter vector,
 or the concatenation of its per-layer arrays in trees that keep them
@@ -17,6 +18,13 @@ that no bias is zero.  The training and held-out batches that the cases
 of one preset and B share are stored once, under ``<preset>-B<B>``
 (``train_*`` and ``heldout_*``): states, Brownian increments, counts,
 event paths, event intervals and event marks.
+
+At B = 300 each case also stores what ``cli._evaluate`` reports on that
+held-out batch: its CSV row (``eval_row``, as uint8 bytes), its error by
+time (``eval_node_errors``) and, for 1-D problems, its error-grid rows
+(``eval_grid``).  ``_evaluate`` may run the batch in blocks of paths, as the d=100
+presets ``highdim`` and ``bsb`` do at this size (six blocks each), so
+these fields compare its blocks with a tree that evaluates in one pass.
 
 Each preset also runs with jump intensity 0 (``<preset>-nojump``), at B
 = 64 and with 2 hidden layers under each activation, so that its batches
@@ -47,6 +55,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -59,6 +68,7 @@ import numpy as np
 
 ACTIVATIONS = ("tanh", "relu", "leaky_relu")
 BATCHES = (64, 300)
+EVAL_BATCH = 300  # the B at which cases store cli._evaluate's figures
 DEPTHS = (1, 2, 3)
 NO_JUMP_BATCHES = (64,)
 NO_JUMP_DEPTHS = (2,)
@@ -137,7 +147,7 @@ def run_files(tmp: Path) -> dict[str, np.ndarray]:
 
 def preset_cases(label: str, config, batch_sizes, depths) -> dict[str, np.ndarray]:
     """The batches and cases of one config, named after ``label``."""
-    from pidenet import jumpsim, nn, scheme
+    from pidenet import cli, jumpsim, nn, scheme
     from pidenet.autodiff import Tape, Variable
 
     out = {}
@@ -184,6 +194,14 @@ def preset_cases(label: str, config, batch_sizes, depths) -> dict[str, np.ndarra
                     "heldout_values": heldout.values,
                     "grad": grad,
                 }
+                if batch_size == EVAL_BATCH:
+                    report, grid_rows = cli._evaluate(
+                        dataclasses.replace(config, eval_batch_size=batch_size), params,
+                        0, 1e-3, 0.0, error_grid=config.problem.dim == 1)
+                    fields["eval_row"] = np.frombuffer(report.csv_row().encode(), np.uint8)
+                    fields["eval_node_errors"] = report.node_errors
+                    if grid_rows is not None:
+                        fields["eval_grid"] = np.array(grid_rows)
                 out.update({f"{case}/{name}": np.asarray(a) for name, a in fields.items()})
                 print(case, f"loss {breakdown.total:.17g}", flush=True)
     return out

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import logging
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -80,13 +81,19 @@ class TestTrainAndEval:
     def test_each_evaluation_logs_a_progress_line(self, config_path, tmp_path, caplog):
         with caplog.at_level(logging.INFO, logger="pidenet.cli"):
             reports, _ = cli.run_experiment(cli.load_config(str(config_path)), tmp_path / "run")
+        peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         lines = [r.getMessage().split() for r in caplog.records if r.name == "pidenet.cli"]
         assert [words[1] for words in lines] == ["2/4", "4/4"]
         for words, report in zip(lines, reports):
-            assert [words[2], words[4], words[7]] == ["loss", "mean_rel_err", "ms/iter"]
+            assert [words[2], words[4], words[7], words[8], words[10], words[11], words[13]] == [
+                "loss", "mean_rel_err", "ms/iter", "eta", "s", "peak_rss", "MiB"]
             assert float(words[3]) == pytest.approx(report.loss, rel=1e-6)
             assert float(words[5]) == pytest.approx(report.mean_rel_err, rel=1e-4)
             assert float(words[6]) > 0.0
+            iterations_left = 4 - report.iteration
+            assert float(words[9]) == pytest.approx(float(words[6]) * iterations_left / 1e3,
+                                                    abs=0.5 + 1e-4 * iterations_left)
+            assert 0.0 < float(words[12]) <= peak_mib + 0.05
 
     def test_same_seed_writes_identical_files(self, config_path, tmp_path):
         first, second = tmp_path / "first", tmp_path / "second"
@@ -145,31 +152,94 @@ class TestTrainAndEval:
         assert np.array_equal(report.node_errors, trained_report.node_errors)
         assert np.array_equal(values, trained_values)
 
-    def test_held_out_pass_peaks_near_one_chunk(self, chunk_workers, monkeypatch):
-        # highdim_d10 (d=10, 2x64 leaky relu) at B=200: 10200 node rows in
-        # five 2048-row chunks on one worker; one hidden layer of one chunk
-        # is 1 MiB.  Peak above the batch measured at 4.42 MiB, inside the
-        # network node, also before sigma and the compensator became (1, d)
-        # rows and the loss read the Brownian stack in place; 5.28 MiB
-        # while the loss copied the network input and held the Brownian
-        # stack through the driver; 8.65 MiB while the tape held every
-        # constant and each forward-only chunk kept every layer's output
-        # and its gradient chain
+    def test_held_out_pass_peak_does_not_grow_with_the_batch(self, chunk_workers):
+        # highdim (d=100, N=50) with a small network: 51 paths per block,
+        # so B=102 runs 2 blocks and 8B=816 runs 16.  The pass holds one
+        # block at a time; what grows with B is its (N, B), (B,) and
+        # (N+1, B) result arrays, 1.1 MiB at 8B.  In one pass over the
+        # whole batch the peak grew about 8x
         chunk_workers(1)
-        config = dataclasses.replace(cli.load_config("highdim_d10"), eval_batch_size=200)
+        config = dataclasses.replace(cli.load_config("highdim"), hidden=(16, 16))
         params = nn.init(config.architecture, seed=config.seed_init)
-        # simulated before the trace starts, so the peak is the pass's own
-        eval_batch = jumpsim.simulate_forward(config.problem, config.grid, 200,
-                                              config.seed_evaluation, stream=cli.EVAL_STREAM)
-        monkeypatch.setattr(jumpsim, "simulate_forward", lambda *args, **kwargs: eval_batch)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            cli._evaluate(config, params, 0, 1e-3, 0.0)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 5 * 2**20, peak / 2**20
+        peaks = []
+        for size in (102, 816):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                cli._evaluate(dataclasses.replace(config, eval_batch_size=size), params,
+                              0, 1e-3, 0.0)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.2 * peaks[0], [peak / 2**20 for peak in peaks]
+
+    @pytest.mark.parametrize("preset, overrides, paths, sizes", [
+        # d=1 with the error grid, d=4 and d=100, each in >= 3 blocks
+        # with a short last one
+        ("tiny", {}, 20, [20, 20, 8]),
+        ("bsb_d4", {"steps": 5, "hidden": (8, 8), "eval_batch_size": 50}, 16, [16, 16, 16, 2]),
+        ("highdim", {"steps": 4, "hidden": (16, 16), "eval_batch_size": 30}, 8, [8, 8, 8, 6]),
+    ])
+    def test_blocks_give_the_figures_of_one_pass(self, config_path, monkeypatch, preset,
+                                                 overrides, paths, sizes):
+        spec = str(config_path) if preset == "tiny" else preset
+        config = dataclasses.replace(cli.load_config(spec), **overrides)
+        params = nn.init(config.architecture, seed=config.seed_init)
+        params = nn.MlpParams(params.arch, params.theta + np.random.default_rng(0).normal(
+            scale=0.1, size=params.theta.shape))
+        simulate, blocks = jumpsim.simulate_forward, []
+
+        def recording(problem, grid, batch_size, seed, stream=0, first_path=0):
+            blocks[-1].append((first_path, batch_size))
+            return simulate(problem, grid, batch_size, seed, stream, first_path)
+
+        monkeypatch.setattr(jumpsim, "simulate_forward", recording)
+        runs = []
+        for budget in (paths * (config.steps + 1) * config.problem.dim, cli.EVAL_BLOCK_VALUES):
+            monkeypatch.setattr(cli, "EVAL_BLOCK_VALUES", budget)
+            blocks.append([])
+            runs.append(cli._evaluate(config, params, 3, 1e-3, 0.0,
+                                      error_grid=config.problem.dim == 1))
+        starts = np.cumsum([0] + sizes[:-1]).tolist()
+        assert blocks == [list(zip(starts, sizes)), [(0, config.eval_batch_size)]]
+        (blocked, blocked_rows), (whole, whole_rows) = runs
+        assert blocked.csv_row() == whole.csv_row()
+        assert blocked.node_errors.tobytes() == whole.node_errors.tobytes()
+        assert blocked_rows == whole_rows
+        assert (whole_rows is not None) == (config.problem.dim == 1)
+
+    def test_error_grid_of_a_multidimensional_problem_is_refused(self):
+        config = dataclasses.replace(cli.load_config("bsb_d4"), eval_batch_size=4)
+        params = nn.init(config.architecture, seed=0)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            cli._evaluate(config, params, 0, 1e-3, 0.0, error_grid=True)
+
+    def test_abort_keeps_the_files_of_the_evaluations_before_it(self, config_path, tmp_path,
+                                                               monkeypatch):
+        config = cli.load_config(str(config_path))
+        # the run that stops after its first evaluation, unbroken
+        cli.run_experiment(dataclasses.replace(config, iterations=2), tmp_path / "two")
+        simulate = jumpsim.simulate_forward
+
+        def failing_third_batch(problem, grid, batch_size, seed, stream=0, first_path=0):
+            if stream == cli.TRAIN_STREAM and seed == config.seed_simulation + 3:
+                raise SimulationError("non-finite state at interval 1, path 0")
+            return simulate(problem, grid, batch_size, seed, stream, first_path)
+
+        monkeypatch.setattr(jumpsim, "simulate_forward", failing_third_batch)
+        run = tmp_path / "run"
+        with pytest.raises(NumericalAbortError):
+            cli.run_experiment(config, run)
+        assert json.loads((run / "abort.json").read_text())["iteration"] == 3
+        rows = (run / "metrics.csv").read_text().splitlines()
+        assert rows == (tmp_path / "two" / "metrics.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["iteration", "2"]
+        assert ((run / "checkpoint.json").read_bytes()
+                == (tmp_path / "two" / "checkpoint.json").read_bytes())
+        params, iteration, lr = cli.load_checkpoint(run / "checkpoint.json")
+        assert (iteration, lr) == (2, 1e-2)
+        assert sorted(p.name for p in run.iterdir()) == [
+            "abort.json", "breakdown.jsonl", "checkpoint.json", "metrics.csv"]
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
@@ -293,10 +363,10 @@ class TestTrainAndEval:
                                                                   monkeypatch, capsys):
         simulate = jumpsim.simulate_forward
 
-        def failing_held_out(problem, grid, batch_size, seed, stream=0):
+        def failing_held_out(problem, grid, batch_size, seed, stream=0, first_path=0):
             if stream == cli.EVAL_STREAM:
                 raise SimulationError("non-finite state at interval 3, path 5")
-            return simulate(problem, grid, batch_size, seed, stream)
+            return simulate(problem, grid, batch_size, seed, stream, first_path)
 
         monkeypatch.setattr(jumpsim, "simulate_forward", failing_held_out)
         assert train(config_path, tmp_path / "run") == 2
@@ -311,8 +381,8 @@ class TestTrainAndEval:
         simulate, evaluate = jumpsim.simulate_forward, cli._evaluate
         held_out = []
 
-        def recording(problem, grid, batch_size, seed, stream=0):
-            batch = simulate(problem, grid, batch_size, seed, stream)
+        def recording(problem, grid, batch_size, seed, stream=0, first_path=0):
+            batch = simulate(problem, grid, batch_size, seed, stream, first_path)
             if stream == cli.EVAL_STREAM:
                 held_out.append(weakref.ref(batch))
             return batch

@@ -132,6 +132,27 @@ class TestSimulateForward:
         assert np.array_equal(small.brownian, large.brownian[:, :8])
         assert np.array_equal(small.counts, large.counts[:, :8])
 
+    @pytest.mark.parametrize("stream", [0, 1])
+    @pytest.mark.parametrize(
+        "prob",
+        [problems.pure_jump_1d(lam=3.0), problems.pide_1d(lam=3.0),
+         problems.highdim_pide(dim=3, lam=3.0), problems.bsb_jumps(dim=2, lam=3.0)],
+        ids=lambda p: p.name,
+    )
+    def test_block_of_paths_is_those_columns_of_the_batch(self, prob, stream):
+        grid = TimeGrid(1.0, 6)
+        whole = jumpsim.simulate_forward(prob, grid, 13, 9, stream)
+        for lo, hi in ((0, 5), (5, 6), (6, 13), (12, 13)):
+            block = jumpsim.simulate_forward(prob, grid, hi - lo, 9, stream, first_path=lo)
+            for name in ("states", "brownian", "counts"):
+                got, want = getattr(block, name), getattr(whole, name)[:, lo:hi]
+                assert got.dtype == want.dtype and np.array_equal(got, want), (name, lo)
+            keep = (whole.event_paths >= lo) & (whole.event_paths < hi)
+            assert keep.any() or hi - lo == 1
+            assert np.array_equal(block.event_paths, whole.event_paths[keep] - lo)
+            assert np.array_equal(block.event_intervals, whole.event_intervals[keep])
+            assert np.array_equal(block.event_marks, whole.event_marks[keep])
+
     def test_streams_are_independent(self):
         prob = problems.pide_1d()
         grid = TimeGrid(1.0, 5)
@@ -213,7 +234,7 @@ class TestSimulateForward:
         # the marks share the last block's inverse-CDF call
         prob = problems.highdim_pide(dim)
         grid = TimeGrid(1.0, 50)
-        drawn = jumpsim._draw_noise(prob, grid, batch_size, 11, stream)
+        drawn = jumpsim._draw_noise(prob, grid, batch_size, 11, stream, 0)
         expected = draw_noise_one_call(prob, grid, batch_size, 11, stream)
         assert drawn[1].sum() > 0 or batch_size < 65
         for got, want in zip(drawn, expected):
@@ -231,11 +252,13 @@ class TestSimulateForward:
             recount = np.bincount(ids, minlength=50)
             np.testing.assert_array_equal(recount, batch.counts[n])
 
-    def test_nonfinite_state_aborts_with_location(self):
+    @pytest.mark.parametrize("first_path", [0, 7])
+    def test_nonfinite_state_aborts_with_location(self, first_path):
+        # the path is named by its index in the whole batch, not in the block
         bad = dataclasses.replace(problems.pide_1d(lam=0.0), name="exploding",
                                   drift=lambda t, x: x * np.inf)
-        with pytest.raises(jumpsim.SimulationError, match=r"interval 1, path 0"):
-            jumpsim.simulate_forward(bad, TimeGrid(1.0, 3), 4, seed=0)
+        with pytest.raises(jumpsim.SimulationError, match=rf"interval 1, path {first_path}$"):
+            jumpsim.simulate_forward(bad, TimeGrid(1.0, 3), 4, seed=0, first_path=first_path)
 
 
 class TestCompensatorResidual:

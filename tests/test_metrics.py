@@ -31,8 +31,12 @@ def network_values(params, batch):
     )
 
 
+def exact_at_nodes(batch, prob):
+    return metrics.exact_values(batch, prob, np.empty((batch.grid.steps + 1, batch.batch_size)))
+
+
 def errors(params, batch, prob):
-    return metrics.evaluation_errors(network_values(params, batch), batch, prob)
+    return metrics.evaluation_errors(network_values(params, batch), exact_at_nodes(batch, prob))
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +102,9 @@ class TestPointwiseMetrics:
 class TestErrorGrid:
     def test_grid_rows_cover_time_nodes(self, pure_jump_batch):
         prob, batch = pure_jump_batch
-        rows = metrics.error_grid(network_values(identity_params(), batch), batch, prob, bins=8)
+        rows = metrics.error_grid(network_values(identity_params(), batch),
+                                  exact_at_nodes(batch, prob), batch.states[:, :, 0],
+                                  batch.grid.times, bins=8)
         ts = {r[0] for r in rows}
         assert ts == set(float(t) for t in batch.grid.times)
         assert all(r[2] >= 0 for r in rows)
@@ -108,7 +114,8 @@ class TestErrorGrid:
         batch = jumpsim.simulate_forward(prob, TimeGrid(1.0, 2), 8, seed=0)
         params = nn.init(nn.MlpArchitecture(3, (4,)), seed=0)
         with pytest.raises(ValueError):
-            metrics.error_grid(network_values(params, batch), batch, prob)
+            metrics.error_grid(network_values(params, batch), exact_at_nodes(batch, prob),
+                               batch.states, batch.grid.times)
 
 
 class TestConvergenceTable:
