@@ -26,14 +26,23 @@ that their adjoints read, never variables or the tape, so a tape holds
 no reference cycle and its memory goes as soon as the last variable on
 it is dropped.
 
-``Tape.mlp`` splits its rows into contiguous chunks of at most
-``CHUNK_ROWS`` rows and runs their forward passes and VJPs on one
-process-wide thread pool, one worker per usable core; numpy releases the
-GIL inside its GEMMs and ufuncs, so the chunks run in parallel while
-BLAS itself stays single-threaded.  With one usable core no pool is
-made and the chunks run inline, in chunk order.  The chunk edges depend
-only on the row count, and the parameter gradients are summed in chunk
-order, so no result depends on the number of workers or cores.
+``Tape.mlp`` evaluates each distinct input row once and computes only
+the columns that are read.  Its input rows come in two kinds: gradient
+rows, which get the value and the input gradient, and a trailing block
+of value-only rows, which run the value chain alone and whose gradient
+columns are zero.  The first input row may stand for several output
+rows, such as a start state that every path shares: its result fills
+those rows, and its adjoint is theirs summed.
+
+The node splits its rows into chunks of about ``CHUNK_ROWS`` rows, each
+with an aligned share of both kinds (``_chunk_plan``), and runs their
+forward passes and VJPs on one process-wide thread pool, one worker per
+usable core; numpy releases the GIL inside its GEMMs and ufuncs, so the
+chunks run in parallel while BLAS itself stays single-threaded.  With
+one usable core no pool is made and the chunks run inline, in chunk
+order.  The chunk edges depend only on the two row counts, and the
+parameter gradients are summed in chunk order, so no result depends on
+the number of workers or cores.
 
 The node's one parent is the parameter vector; ``mlp_layers`` gives its
 weights and biases as views, and each chunk's VJP writes their gradients
@@ -48,13 +57,15 @@ For relu and leaky relu a layer's slopes are a function of its mask
 ``z > 0``, so every chunk keeps the one-byte masks in place of the
 float64 slopes and rebuilds them one layer at a time where it reads them.
 
-The VJP differentiates ``<g_u, u> + <g_grad, grad u>`` with one sweep
-for every activation.  The value's adjoint at a layer's pre-activation
-is ``g_u`` times that layer's row of the input-gradient chain, which
-the forward pass has formed, so each weight takes one product and the
-value needs no chain of its own.  tanh's slopes also depend on the
-pre-activations: their adjoints go back to the input in one more sweep,
-which adds one product per weight.
+For gradient rows the VJP differentiates ``<g_u, u> + <g_grad, grad u>``
+with one sweep for every activation.  The value's adjoint at a layer's
+pre-activation is ``g_u`` times that layer's row of the input-gradient
+chain, which the forward pass has formed, so each weight takes one
+product and the value needs no chain of its own.  tanh's slopes also
+depend on the pre-activations: their adjoints go back to the input in
+one more sweep, which adds one product per weight.  For value-only rows
+the VJP is plain backpropagation of ``g_u``: no input-gradient chain and
+no sweep for the slopes' adjoints.
 """
 
 from __future__ import annotations
@@ -70,10 +81,12 @@ import numpy as np
 # Largest row chunk of one ``Tape.mlp`` pass.  A fixed constant, so chunk
 # edges, and with them every result, depend only on the row count.
 CHUNK_ROWS = 2048
-# Chunk edges fall on multiples of this many rows, and CHUNK_ROWS is one.
-# BLAS matrix-vector kernels sum the last few rows of a matrix in another
-# order than the rest (OpenBLAS's dgemv in blocks of 4 rows), so an edge
-# inside such a block would change the value column by rounding.
+# BLAS's matrix-vector kernel (OpenBLAS's dgemv) sums the rows of a matrix
+# in blocks of this many, and its last ``len % GEMV_BLOCK`` rows in another
+# order, so a row's value column depends on where its block of rows ends.
+GEMV_BLOCK = 4
+# Chunk edges fall on multiples of this many rows, and CHUNK_ROWS is one,
+# so that every share but the last of each kind of row ends a full block.
 ROW_ALIGN = 64
 
 _pool: ThreadPoolExecutor | None = None
@@ -326,22 +339,34 @@ class Tape:
     # fused network primitive
 
     def mlp(self, inp, theta: Variable, layer_dims: Sequence[tuple[int, int]],
-            activation: str, alpha: float = 0.01) -> Variable:
+            activation: str, alpha: float = 0.01, grad_rows: int | None = None,
+            repeat: int = 1) -> Variable:
         """Scalar MLP and its input gradient as one node: ``[u | du/dinp[:, 1:]]``.
 
         ``inp`` is a constant (rows, k) array whose first column (time)
-        is left out of the gradient; the node's value has shape
-        (rows, k).  ``theta`` is the parameter vector of the layers
-        ``layer_dims``, (fan_in, fan_out) pairs laid out by
+        is left out of the gradient.  ``theta`` is the parameter vector of
+        the layers ``layer_dims``, (fan_in, fan_out) pairs laid out by
         ``mlp_layers``.  The hidden layers apply ``activation`` ("tanh",
         "relu" or "leaky_relu" with negative slope ``alpha`` in [0, 1]),
         the last layer is linear with one output.  The node's one parent
         is ``theta``; if it needs no gradient, the node keeps no VJP.
 
-        The rows go in ``ceil(rows / CHUNK_ROWS)`` near-equal contiguous
-        chunks with edges on multiples of ``ROW_ALIGN``.  Each row of the
-        value then comes out as in one pass over all rows; the gradient
-        of ``theta`` is the chunks' gradient vectors summed in chunk order.
+        The first ``grad_rows`` input rows (all if None) are gradient
+        rows.  The rest are value-only rows: they run the value chain
+        alone, their gradient columns are zero, and their VJP
+        backpropagates the value's adjoint only.  The first input row
+        stands for ``repeat`` output rows: its result fills the node's
+        first ``repeat`` rows, input row i >= 1 lands in row
+        ``i + repeat - 1``, and the VJP sums the adjoints of the copies
+        before it runs, so the node's value has ``rows + repeat - 1``
+        rows of width k.
+
+        Each kind of row goes in aligned shares over the
+        ``ceil(rows / CHUNK_ROWS)`` chunks that ``_chunk_plan`` gives, and
+        a chunk runs its two shares one after the other.  The value column
+        of each row is summed as in one pass over all the node's rows
+        (``_value_column``); the gradient of ``theta`` is the chunks'
+        gradient vectors summed in chunk order.
         """
         differentiated = self._check(theta, "mlp")
         if activation == "leaky_relu" and not 0.0 <= alpha <= 1.0:
@@ -351,24 +376,39 @@ class Tape:
         if (h.ndim != 2 or len(layer_dims) < 2 or layer_dims[-1][1] != 1
                 or [fi for fi, _ in layer_dims] != fan_in):
             raise ShapeMismatchError(f"mlp: input {h.shape}, layers {list(layer_dims)}")
-        ws, bs = mlp_layers(theta.value, layer_dims)
         rows = h.shape[0]
-        n = max(1, -(-rows // CHUNK_ROWS))
-        step = -(-rows // (n * ROW_ALIGN)) * ROW_ALIGN  # ceil(rows / n), rounded up
-        spans = [(i * step, min(rows, (i + 1) * step)) for i in range(n)]
-        packed = np.empty((rows, h.shape[1]))
+        grad_rows = rows if grad_rows is None else grad_rows
+        if not 0 <= grad_rows <= rows or repeat < 1 or (repeat > 1 and not rows):
+            raise ShapeMismatchError(f"mlp: {rows} input rows, {grad_rows} gradient rows, "
+                                     f"first row repeated {repeat} times")
+        ws, bs = mlp_layers(theta.value, layer_dims)
+        shift = repeat - 1  # input row i >= 1 is the node's row i + shift
+        packed = np.empty((rows + shift, h.shape[1]))
+        spans = _chunk_plan(grad_rows, rows - grad_rows)
         chunk_vjps = _run_chunks([
-            functools.partial(_mlp_chunk, h[lo:hi], ws, bs, activation, alpha, packed[lo:hi],
+            functools.partial(_mlp_chunk, h, packed, shift, span, ws, bs, activation, alpha,
                               differentiated)
-            for lo, hi in spans
+            for span in spans
         ])
+        if shift:
+            packed[:shift] = packed[shift]
         if not differentiated:
             return self._append("mlp", (theta,), packed, None)
+        size = theta.value.size
 
         def vjp(g):
-            grad, *rest = _run_chunks([functools.partial(f, g[lo:hi])
-                                       for f, (lo, hi) in zip(chunk_vjps, spans)])
-            for part in rest:  # in chunk order, so the sum never depends on the workers
+            def adjoint(lo, hi):
+                """The adjoint of input rows [lo, hi): first row's copies summed."""
+                block = g[lo + shift:hi + shift]
+                if shift and lo == 0 < hi:
+                    block = block.copy()
+                    block[0] = g[:repeat].sum(axis=0)
+                return block
+
+            parts = _run_chunks([functools.partial(f, adjoint(*gs), adjoint(*vs)[:, :1])
+                                 for f, (gs, vs) in zip(chunk_vjps, spans)])
+            grad = parts[0] if parts else np.zeros(size)
+            for part in parts[1:]:  # in chunk order, so the sum never depends on the workers
                 grad += part
             return (grad,)
 
@@ -475,15 +515,130 @@ def _run_chunks(tasks: list[Callable]) -> list:
     return [future.result() for future in futures]
 
 
-def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable | None:
-    """Forward pass of one row chunk of ``Tape.mlp``, written into ``packed``.
+def _chunk_plan(grad_rows: int, value_rows: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The chunks of ``Tape.mlp``: per chunk, its input rows of each kind as ``(lo, hi)``.
 
-    ``h`` and ``packed`` are the chunk's rows of the node's input and
+    ``ceil((grad_rows + value_rows) / CHUNK_ROWS)`` chunks, at least one,
+    share the gradient rows (input rows ``[0, grad_rows)``) and the
+    value-only rows (the ``value_rows`` after them) by ``_shares``.  Each
+    chunk takes its share of both kinds, so the chunks, and the workers
+    that run them, get near-equal work whatever the mix.  Chunks left
+    without rows are dropped.  The plan depends only on the two counts.
+    """
+    n = max(1, -(-(grad_rows + value_rows) // CHUNK_ROWS))
+    spans = zip(_shares(grad_rows, n),
+                [(grad_rows + lo, grad_rows + hi) for lo, hi in _shares(value_rows, n)])
+    return [(g, v) for g, v in spans if g[1] > g[0] or v[1] > v[0]]
+
+
+def _shares(rows: int, n: int) -> list[tuple[int, int]]:
+    """``n`` contiguous ``(lo, hi)`` shares of ``rows`` rows, with edges on multiples of ``ROW_ALIGN``.
+
+    The rows go in ``ROW_ALIGN``-row units over as many shares as there
+    are whole units, at most ``n``, one unit more to the first ones; the
+    last share also takes the rows after the last whole unit.  So no
+    share but a lone one holds fewer than ``ROW_ALIGN`` rows, and shares
+    past those are empty.
+    """
+    units = rows // ROW_ALIGN
+    m = max(1, min(n, units))
+    edges = [0]
+    for i in range(m):
+        edges.append(edges[-1] + (units // m + (i < units % m)) * ROW_ALIGN)
+    edges[-1] = rows
+    return list(zip(edges[:-1], edges[1:])) + [(rows, rows)] * (n - m)
+
+
+def _mlp_chunk(h, packed, shift, span, ws, bs, activation, alpha, differentiated
+               ) -> Callable | None:
+    """One chunk of ``Tape.mlp``: its gradient rows, then its value-only rows.
+
+    ``h`` and ``packed`` are the node's whole input and value, ``shift``
+    the offset of input row i >= 1 in ``packed``, and ``span`` the
+    chunk's entry of ``_chunk_plan``: its input rows of each kind, one
+    of them possibly empty.  ``_gradient_rows`` runs the first kind,
+    ``_value_rows`` the second, and each writes its rows of ``packed``
+    (input row 0's result goes to row ``shift``).  If ``differentiated``,
+    returns the chunk's VJP, which maps the adjoint of the gradient rows
+    and the value column's adjoint of the value-only rows to the sum of
+    their gradient vectors; otherwise None.  Only numpy runs here, so a
+    worker thread can run it.
+    """
+    (g0, g1), (v0, v1) = span
+    kw = dict(ws=ws, bs=bs, activation=activation, alpha=alpha, differentiated=differentiated)
+    # only the node's last rows are remainder rows of one pass over all of them
+    tail = lambda hi: packed.shape[0] % GEMV_BLOCK if hi == len(h) else 0
+    grad_vjp = (_gradient_rows(h[g0:g1], packed=packed[g0 + shift:g1 + shift], tail=tail(g1),
+                               **kw) if g1 > g0 else None)
+    value_vjp = (_value_rows(h[v0:v1], packed=packed[v0 + shift:v1 + shift], tail=tail(v1),
+                             **kw) if v1 > v0 else None)
+    if not differentiated:
+        return None
+
+    def vjp(g, g_u):
+        if grad_vjp is None:
+            return value_vjp(g_u)
+        grad = grad_vjp(g)
+        if value_vjp is not None:
+            grad += value_vjp(g_u)
+        return grad
+
+    return vjp
+
+
+def _value_rows(h, ws, bs, activation, alpha, packed, tail, differentiated
+                ) -> Callable | None:
+    """Forward pass of value-only rows of ``Tape.mlp``: the value column, zero gradient columns.
+
+    Runs the value chain alone, written into ``packed``.  If
+    ``differentiated``, keeps the inputs of every layer and returns the
+    VJP, which backpropagates the value column's adjoint ``g_u`` to a
+    gradient vector in ``mlp_layers``' layout: no input-gradient chain
+    and no sweep for tanh's slope adjoints.  Each layer's slopes are
+    rebuilt from its output where the VJP multiplies by them: 1 - h**2
+    for tanh, and ``h > 0``, which is ``z > 0``, for relu and leaky relu.
+    """
+    tanh = activation == "tanh"
+    hs = [h]
+    for w, b in zip(ws[:-1], bs[:-1]):
+        h = h @ w
+        h += b
+        h = np.tanh(h, out=h) if tanh else _activate(h, activation, alpha)[0]
+        if differentiated:
+            hs.append(h)
+    _value_column(h, ws[-1], bs[-1], packed[:, :1], tail)
+    packed[:, 1:] = 0.0
+    if not differentiated:
+        return None
+
+    def vjp(g_u):
+        grad = np.empty(sum(w.size + b.size for w, b in zip(ws, bs)))
+        gws, gbs = mlp_layers(grad, [w.shape for w in ws])
+        np.matmul(hs[-1].T, g_u, out=gws[-1])
+        np.sum(g_u, axis=0, out=gbs[-1])
+        g_z = g_u @ ws[-1].T
+        for j in range(len(ws) - 2, -1, -1):
+            out = hs[j + 1]
+            g_z *= 1.0 - out * out if tanh else _slopes(out > 0.0, activation, alpha)
+            np.matmul(hs[j].T, g_z, out=gws[j])
+            np.sum(g_z, axis=0, out=gbs[j])
+            if j:
+                g_z = g_z @ ws[j].T
+        return grad
+
+    return vjp
+
+
+def _gradient_rows(h, ws, bs, activation, alpha, packed, tail, differentiated
+                   ) -> Callable | None:
+    """Forward pass of gradient rows of ``Tape.mlp``, value and input gradient, into ``packed``.
+
+    ``h`` and ``packed`` are the rows' block of the node's input and
     value, ``ws`` and ``bs`` the views that ``mlp_layers`` gives.  If
-    ``differentiated``, returns the chunk's VJP: its rows of the adjoint
+    ``differentiated``, returns the rows' VJP: their block of the adjoint
     to the gradient vector of these rows alone, in the same layout.
     Otherwise returns None, and the forward pass's intermediates are
-    freed on return.  Only numpy runs here, so a worker thread can run it.
+    freed on return.
 
     With n hidden layers, ``q_j`` is the input-gradient chain at layer
     j's pre-activation, du/dz_j; the last one, ``q_{n-1}``, is the output
@@ -523,7 +678,7 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
         if differentiated:
             hs.append(h)
         states.append(state)
-    packed[:, :1] = h @ ws[-1] + bs[-1]
+    _value_column(h, ws[-1], bs[-1], packed[:, :1], tail)
     del h  # the gradient chain reads only the slopes
 
     def slope(j):
@@ -589,6 +744,31 @@ def _mlp_chunk(h, ws, bs, activation, alpha, packed, differentiated) -> Callable
         return grad
 
     return vjp
+
+
+def _value_column(h, w, b, out, tail) -> None:
+    """``out[:] = h @ w + b``, each row summed as in one pass over all the node's rows.
+
+    In that pass only the node's last ``tail`` rows are remainder rows of
+    the matrix-vector kernel (see ``GEMV_BLOCK``).  When this block of
+    rows has another remainder, its rows after the last full block go
+    through one zero-padded block, and its last ``tail`` rows through a
+    product of which they are the remainder.
+    """
+    n = len(h)
+    tail = min(tail, n)  # a node's last block of rows holds at most its remainder
+    if n % GEMV_BLOCK == tail:
+        out[...] = h @ w + b
+        return
+    head = n - tail
+    cut = head - head % GEMV_BLOCK
+    out[:cut] = h[:cut] @ w + b
+    pad = np.zeros((GEMV_BLOCK + tail, h.shape[1]))
+    pad[:head - cut] = h[cut:head]
+    pad[GEMV_BLOCK:] = h[head:]
+    col = pad @ w + b
+    out[cut:head] = col[:head - cut]
+    out[head:] = col[GEMV_BLOCK:]
 
 
 def _activate(z: np.ndarray, activation: str, alpha: float) -> tuple[np.ndarray, np.ndarray]:

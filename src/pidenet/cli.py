@@ -422,6 +422,7 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
                         error_grid=problem.dim == 1 and it == config.iterations)
                     reports.append(report)
                     metrics.append_metrics_csv(out / "metrics.csv", report)
+                    breakdown_log.flush()  # so that after a kill it ends where the checkpoint does
                     save_checkpoint(out / "checkpoint.json", params, it, lr)
                     _log_progress(reports, config.iterations)
     except (NumericalAbortError, SimulationError, NonFiniteGradientError) as exc:

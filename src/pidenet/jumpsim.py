@@ -151,6 +151,10 @@ class PathBatch:
     each one C-contiguous, so a (N*B, d) reshape of ``brownian`` is a
     view.  Jump events are stored flat in interval-major order;
     ``events(n)`` slices out the paths and marks of interval n.
+
+    Every path starts at the problem's ``x0``: ``states[0]`` holds it in
+    every row, bit for bit, so the loss evaluates node 0 once for all
+    paths.
     """
 
     grid: TimeGrid
@@ -254,8 +258,9 @@ def simulate_forward(
 
     The batch holds paths ``first_path`` to ``first_path + batch_size - 1``
     of the seed and stream: each is the same path, bit for bit, in every
-    batch that holds it.  ``event_paths`` index the batch's own paths,
-    from 0; a ``SimulationError`` names the absolute path.
+    batch that holds it, and each starts at ``problem.x0``.
+    ``event_paths`` index the batch's own paths, from 0; a
+    ``SimulationError`` names the absolute path.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")

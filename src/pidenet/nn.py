@@ -92,17 +92,22 @@ class TapeMlp:
         self.arch = params.arch
         self.param_var = (tape.param if trainable else tape.constant)(params.theta)
 
-    def value_and_grad(self, inp: np.ndarray) -> tuple[Variable, Variable]:
+    def value_and_grad(self, inp: np.ndarray, grad_rows: int | None = None,
+                       repeat: int = 1) -> tuple[Variable, Variable]:
         """Value plus the gradient in the spatial coordinates, both on tape.
 
         ``inp`` is the (rows, 1+d) input, time first.  Both results are
         column blocks of one fused ``Tape.mlp`` node, which rejects any
         other width.  The gradient covers only the x columns; nothing in
-        the scheme differentiates with respect to time.
+        the scheme differentiates with respect to time.  Only the first
+        ``grad_rows`` input rows (all if None) get a gradient; the rest
+        are value-only rows, whose gradient rows are zero.  The first
+        input row stands for ``repeat`` rows of both results, so they
+        have ``rows + repeat - 1`` rows.
         """
         tape = self.tape
         packed = tape.mlp(inp, self.param_var, self.arch.layer_dims, self.arch.activation,
-                          self.arch.alpha)
+                          self.arch.alpha, grad_rows, repeat)
         return tape.slice(packed, cols=(0, 1)), tape.slice(packed, cols=(1, self.arch.input_dim))
 
 

@@ -9,13 +9,18 @@ loss averages the squared one-step residuals together with the terminal
 misfit.
 
 The loss runs in two stages.  ``squared_residuals`` makes one network
-pass per batch: every (node, path) pair, in the batch's node-major
-order, and below them the jumped state of every jump event go through a
-single ``value_and_grad`` call, one ``Tape.mlp`` node.  The one-step
-residuals then come from row slices of that node, row-wise arithmetic
-and one segment sum over all jump events, which keeps the tape small and
-the matrix products large.  Every row of this stage depends on its own
-path alone.  ``reduce_residuals`` then takes the batch means.  ``loss``
+pass per batch, a single ``value_and_grad`` call, one ``Tape.mlp`` node,
+which evaluates each distinct state once and only for the columns the
+loss reads.  Its input rows are x0 once, standing for node 0 of every
+path (every path starts there); nodes 1..N-1, with their gradients; then
+value-only rows: node N, which only the terminal misfit and the last
+interval's target read, and the jumped state of every jump event.  Its
+output has one row per (node, path) pair, in the batch's node-major
+order, and below them one per jump event.  The one-step residuals then
+come from row slices of that output, row-wise arithmetic and one
+segment sum over all jump events, which keeps the tape small and the
+matrix products large.  Every row of this stage depends on its own path
+alone.  ``reduce_residuals`` then takes the batch means.  ``loss``
 composes the two on one tape; the held-out evaluation runs the first
 stage on blocks of paths and the second once, on the squares of every
 block put side by side, which is the same arithmetic.
@@ -122,31 +127,38 @@ def squared_residuals(net, batch: PathBatch, problem: ProblemSpec
     network's value at every (node, path), an (N+1, B) view of the
     network node.  ``net`` offers ``tape`` and ``value_and_grad``, as
     ``nn.TapeMlp`` does; ``value_and_grad`` is called once, on one
-    (rows, 1+d) input written in place, time first; ``t_all`` and
-    ``x_all`` are its column views.
+    (1 + N*B + E, 1+d) input written in place, time first, in the rows
+    that the module docstring lists: the first ``1 + (N-1)*B`` of them
+    with gradients, the first standing for B rows.
     """
     tape = net.tape
     grid = batch.grid
-    n_steps, n_rows = grid.steps, batch.batch_size
+    n_steps, n_rows, d = grid.steps, batch.batch_size, batch.dim
     dt = grid.dt
     split = n_steps * n_rows
     n_nodes = split + n_rows
+    grad_rows = 1 + split - n_rows  # x0, then nodes 1..N-1
 
-    # rows: nodes 0..N stacked node-major, then the jumped state of every
-    # jump event, so that one network pass serves the whole loss
+    # (t, x) of every (node, path) of nodes 0..N-1, node-major; x is a
+    # view of the batch's states
+    t_curr = np.repeat(grid.times[:n_steps], n_rows)[:, None]
+    x_curr = batch.states[:n_steps].reshape(split, d)
     event_rows = batch.event_intervals * n_rows + batch.event_paths
-    inp = np.empty((n_nodes + event_rows.size, 1 + batch.dim))
-    t_all, x_all = inp[:, :1], inp[:, 1:]
-    # reshaped from the contiguous row block, so the writes land in inp
-    nodes = inp[:n_nodes].reshape(n_steps + 1, n_rows, 1 + batch.dim)
-    nodes[..., 0] = grid.times[:, None]
-    nodes[..., 1:] = batch.states
-    t_curr, x_curr = t_all[:split], x_all[:split]
     t_ev, x_ev = t_curr[event_rows], x_curr[event_rows]
-    x_all[n_nodes:] = x_ev + problem.jump_size(t_ev, x_ev, batch.event_marks)
-    t_all[n_nodes:] = t_ev
 
-    value_all, grad_all = net.value_and_grad(inp)
+    # input rows: x0 once, for every path; nodes 1..N-1; then the
+    # value-only rows, node N and the jumped state of every jump event
+    inp = np.empty((grad_rows + n_rows + event_rows.size, 1 + d))
+    inp[0, 0] = grid.times[0]
+    inp[0, 1:] = batch.states[0, 0]
+    # reshaped from the contiguous row block, so the writes land in inp
+    nodes = inp[1:grad_rows + n_rows].reshape(n_steps, n_rows, 1 + d)
+    nodes[..., 0] = grid.times[1:, None]
+    nodes[..., 1:] = batch.states[1:]
+    inp[grad_rows + n_rows:, :1] = t_ev
+    inp[grad_rows + n_rows:, 1:] = x_ev + problem.jump_size(t_ev, x_ev, batch.event_marks)
+
+    value_all, grad_all = net.value_and_grad(inp, grad_rows, repeat=n_rows)
     y_curr = tape.slice(value_all, rows=(0, split))
     y_next = tape.slice(value_all, rows=(n_rows, n_nodes))
     y_jumped = tape.slice(value_all, rows=(n_nodes, n_nodes + event_rows.size))

@@ -42,7 +42,11 @@ The second form prints, per field and activation (``-`` for the
 batches), how many cases are byte-identical, in shape and dtype too, the
 worst gap relative to each array's max |x| and, for float fields, the
 most float64 steps (units in the last place, ULPs) between two matching
-elements.
+elements.  It ends with a verdict on whether the two trees are equal:
+every batch field byte-identical, every ``loss``, ``terms`` and other
+``heldout_*`` float within 1 ULP, and every ``grad`` within 1e-12 of its
+max |g|.  It exits with 1 if they are not, or if the two files hold
+different keys.
 
 BLAS is pinned to one thread before numpy loads, as importing the
 package does; older trees pin it only in ``cli``.  pytest does not
@@ -73,6 +77,9 @@ DEPTHS = (1, 2, 3)
 NO_JUMP_BATCHES = (64,)
 NO_JUMP_DEPTHS = (2,)
 BATCH_FIELDS = ("states", "brownian", "counts", "event_paths", "event_intervals", "event_marks")
+# the verdict's "equal": ULPs between losses, gap between gradients over max |g|
+LOSS_ULPS = 1
+GRAD_GAP = 1e-12
 RUN_FILES = ("metrics.csv", "error_by_time.csv", "error_grid.csv", "breakdown.jsonl",
              "checkpoint.json", "eval.csv")
 # short runs of three presets, each overriding the config keys given: pide1d
@@ -219,13 +226,32 @@ def ulp_distance(x: np.ndarray, y: np.ndarray) -> int:
     return int(gap.max()) if gap.size else 0
 
 
+def unequal(name: str, x: np.ndarray, y: np.ndarray) -> str | None:
+    """How the two values of field ``name`` break the verdict's definition of equal, or None."""
+    batch = name.split("_", 1)[-1] in BATCH_FIELDS  # the train_* and heldout_* batch fields
+    gated = batch or name in ("loss", "terms", "grad") or name.startswith("heldout_")
+    if not gated:
+        return None
+    if x.shape != y.shape:
+        return f"shapes {x.shape} and {y.shape}"
+    if batch:
+        return None if x.dtype == y.dtype and x.tobytes() == y.tobytes() else "not byte-identical"
+    if name == "grad":
+        scale = np.max(np.abs(x)) if x.size else 0.0
+        gap = np.max(np.abs(x - y)) if x.size else 0.0
+        return None if gap <= GRAD_GAP * scale else f"{gap / scale:.3g} of max|g| apart"
+    ulps = ulp_distance(x, y)
+    return None if ulps <= LOSS_ULPS else f"{ulps} ULPs apart"
+
+
 def compare(a_path: Path, b_path: Path) -> int:
-    """Print the per-field, per-activation tally; 1 if the two files hold different keys."""
+    """Print the per-field, per-activation tally and the verdict; 1 unless the trees are equal."""
     a, b = np.load(a_path), np.load(b_path)
     if set(a.files) != set(b.files):
         print(f"different cases or fields: {sorted(set(a.files) ^ set(b.files))[:10]}")
         return 1
     same, total, worst = defaultdict(int), defaultdict(int), defaultdict(float)
+    failures = []
     ulps = {}  # float fields only
     for key in sorted(a.files):
         case, name = key.split("/")
@@ -233,6 +259,9 @@ def compare(a_path: Path, b_path: Path) -> int:
         group = (re.sub(r"\d+$", "", name), activation)
         x, y = a[key], b[key]
         total[group] += 1
+        why = unequal(name, x, y)
+        if why:
+            failures.append(f"{key}: {why}")
         if x.dtype.kind == "f":
             ulps.setdefault(group, 0)
         if x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes():
@@ -250,7 +279,11 @@ def compare(a_path: Path, b_path: Path) -> int:
     for group in sorted(total):
         print(f"{group[0]:<24}{group[1]:<12}{same[group]:>6} / {total[group]:<4} "
               f"{worst[group]:<20.3g}{ulps.get(group, '-')}")
-    return 0
+    for line in failures:
+        print(line)
+    print(f"verdict: {'not equal' if failures else 'equal'} (batches byte-identical, losses, "
+          f"terms and heldout_* within {LOSS_ULPS} ULP, grad within {GRAD_GAP:g} of max|g|)")
+    return 1 if failures else 0
 
 
 def main(argv=None) -> int:

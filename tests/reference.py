@@ -3,7 +3,7 @@
 import numpy as np
 
 from pidenet.autodiff import Tape, Variable
-from pidenet import jumpsim
+from pidenet import jumpsim, scheme
 from pidenet.jumpsim import PathBatch, TimeGrid, _jump_sum, keyed_uniforms, simulate_forward
 from pidenet.normal import ndtri
 from pidenet.problems import ProblemSpec
@@ -119,12 +119,57 @@ class OracleNetwork:
         self.tape = tape
         self._problem = problem
 
-    def value_and_grad(self, inp: np.ndarray) -> tuple[Variable, Variable]:
-        t, x = inp[:, :1], inp[:, 1:]
-        return (
-            self.tape.constant(self._problem.exact(t, x)),
-            self.tape.constant(self._problem.exact_grad(t, x)),
-        )
+    def value_and_grad(self, inp: np.ndarray, grad_rows: int | None = None,
+                       repeat: int = 1) -> tuple[Variable, Variable]:
+        """``nn.TapeMlp.value_and_grad``'s rows: the first input row ``repeat``
+        times, the gradient zero past the first ``grad_rows`` input rows."""
+        rows = np.concatenate([np.zeros(repeat - 1, dtype=np.int64), np.arange(len(inp))])
+        t, x = inp[rows, :1], inp[rows, 1:]
+        grad = self._problem.exact_grad(t, x)
+        if grad_rows is not None:  # value-only rows, input row 0's copies too if it is one
+            grad[repeat - 1 + grad_rows if grad_rows else 0:] = 0.0
+        return self.tape.constant(self._problem.exact(t, x)), self.tape.constant(grad)
+
+
+def all_rows_squared_residuals(net, batch: PathBatch, problem: ProblemSpec
+                               ) -> tuple[Variable, Variable]:
+    """``scheme.squared_residuals``' two squares, with every network row a gradient row.
+
+    One ``value_and_grad`` call over nodes 0..N, every path's copy of x0
+    included, and the jumped state of every jump event, all with their
+    input gradients; the scheme's arithmetic after that call is the same.
+    """
+    tape = net.tape
+    grid = batch.grid
+    n_steps, n_rows = grid.steps, batch.batch_size
+    split = n_steps * n_rows
+    n_nodes = split + n_rows
+    event_rows = batch.event_intervals * n_rows + batch.event_paths
+    inp = np.empty((n_nodes + event_rows.size, 1 + batch.dim))
+    t_all, x_all = inp[:, :1], inp[:, 1:]
+    nodes = inp[:n_nodes].reshape(n_steps + 1, n_rows, 1 + batch.dim)
+    nodes[..., 0] = grid.times[:, None]
+    nodes[..., 1:] = batch.states
+    t_curr, x_curr = t_all[:split], x_all[:split]
+    t_ev, x_ev = t_curr[event_rows], x_curr[event_rows]
+    x_all[n_nodes:] = x_ev + problem.jump_size(t_ev, x_ev, batch.event_marks)
+    t_all[n_nodes:] = t_ev
+
+    value_all, grad_all = net.value_and_grad(inp)
+    y_curr = tape.slice(value_all, rows=(0, split))
+    y_next = tape.slice(value_all, rows=(n_rows, n_nodes))
+    y_jumped = tape.slice(value_all, rows=(n_nodes, n_nodes + event_rows.size))
+    grad_curr = tape.slice(grad_all, rows=(0, split))
+    z = tape.mul(grad_curr, tape.constant(problem.diffusion(t_curr, x_curr)))
+    i_term = scheme.integral_term(y_jumped, t_curr, x_curr, event_rows, batch.counts.ravel(),
+                                  y_curr, grad_curr, problem, grid.dt)
+    prediction = scheme.transfer(t_curr, x_curr, y_curr, z, i_term,
+                                 batch.brownian.reshape(split, batch.dim), problem.driver,
+                                 grid.dt)
+    interval_sq = tape.square(tape.sub(y_next, prediction))
+    y_term = tape.slice(value_all, rows=(split, n_nodes))
+    target = tape.constant(problem.terminal(batch.states[n_steps]))
+    return interval_sq, tape.square(tape.sub(y_term, target))
 
 
 def compensator_residual_paths(

@@ -692,6 +692,145 @@ class TestChunkedMlp:
         assert rel_gap(grad, fd) <= 1e-6, activation
 
 
+
+class TestValueOnlyRowsAndRepeatedRow:
+    """``Tape.mlp``'s trailing value-only rows and its repeated first input row."""
+
+    data = staticmethod(TestChunkedMlp.data)
+    blocks = staticmethod(TestChunkedMlp.blocks)
+
+    @staticmethod
+    def node(tape, params, inp, grad_rows, repeat, leaf):
+        theta = leaf(params.theta)
+        arch = params.arch
+        return (tape.mlp(inp, theta, arch.layer_dims, arch.activation, arch.alpha,
+                         grad_rows, repeat), theta)
+
+    @classmethod
+    def run(cls, params, inp, coef, grad_rows, repeat):
+        """Value and parameter gradient of sum(coef * packed)."""
+        tape = Tape()
+        packed, theta = cls.node(tape, params, inp, grad_rows, repeat, tape.param)
+        (grad,) = tape.backward(tape.sum(tape.mul(packed, tape.constant(coef))), [theta])
+        return packed.value, grad
+
+    @pytest.mark.parametrize("hidden", [(16,), (16, 12), (16, 12, 8)])
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_value_only_gradient_is_the_reference_with_no_gradient_adjoint(
+            self, activation, hidden):
+        # one chunk of value-only rows: plain backprop of the value's
+        # adjoint, the reference's arithmetic with a zero gradient adjoint
+        params, inp, coef = self.data(100, activation, hidden=hidden)
+        value, grad = self.run(params, inp, coef, 0, 1)
+        assert np.array_equal(value[:, :1], nn.evaluate(params, inp))
+        assert not value[:, 1:].any()
+        g = coef.copy()
+        g[:, 1:] = 0.0
+        expected = mlp_param_grads(inp, params.weights, params.biases, activation,
+                                   params.arch.alpha, g)
+        for k, (got, want) in enumerate(zip(self.blocks(grad, params), expected)):
+            assert np.array_equal(got, want), k
+
+    @pytest.mark.parametrize("hidden", [(16,), (16, 12), (16, 12, 8)])
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_mixed_rows_are_the_sum_of_their_kinds(self, activation, hidden, monkeypatch):
+        # 250 gradient rows and 330 value-only rows in 128-row chunks
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", 128)
+        params, inp, coef = self.data(580, activation, hidden=hidden)
+        value, grad = self.run(params, inp, coef, 250, 1)
+        assert np.array_equal(value[:, :1], nn.evaluate(params, inp))
+        whole, _ = self.run(params, inp, coef, None, 1)
+        assert np.array_equal(value[:250], whole[:250])
+        assert not value[250:, 1:].any()
+        g = coef.copy()
+        g[250:, 1:] = 0.0
+        expected = mlp_param_grads(inp, params.weights, params.biases, activation,
+                                   params.arch.alpha, g)
+        for k, (got, want) in enumerate(zip(self.blocks(grad, params), expected)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), k
+
+    @pytest.mark.parametrize("grad_rows", [0, 5, 9])
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_repeated_first_row_is_its_copies(self, activation, grad_rows, monkeypatch):
+        # input row 0 stands for 7 rows: the node equals one over the
+        # expanded input, and its VJP sums the copies' adjoints
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", 3)
+        monkeypatch.setattr(autodiff, "ROW_ALIGN", 1)
+        params, inp, coef = self.data(9, activation, hidden=(6, 5))
+        coef = np.random.default_rng(4).normal(size=(15, inp.shape[1]))
+        expanded = np.concatenate([np.repeat(inp[:1], 7, axis=0), inp[1:]])
+        value, grad = self.run(params, inp, coef, grad_rows, 7)
+        copies, copies_grad = self.run(params, expanded, coef, grad_rows and grad_rows + 6, 1)
+        assert value.shape == (15, inp.shape[1])
+        assert np.array_equal(value[:7], np.repeat(value[:1], 7, axis=0))
+        # other chunk edges, so up to rounding: BLAS sums a lone row otherwise
+        assert np.max(np.abs(value - copies)) <= 1e-15 * np.max(np.abs(copies))
+        assert np.max(np.abs(grad - copies_grad)) <= 1e-12 * np.max(np.abs(copies_grad))
+
+        def objective(theta):
+            tape = Tape()
+            packed = tape.mlp(inp, tape.constant(theta), params.arch.layer_dims, activation,
+                              params.arch.alpha, grad_rows, 7)
+            return float(np.sum(coef * packed.value))
+
+        assert rel_gap(grad, finite_diff(objective, params.theta)) <= 1e-6
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_results_do_not_depend_on_the_workers(self, activation, monkeypatch, chunk_workers):
+        # 1 + 300 gradient rows and 410 value-only rows in 128-row chunks,
+        # the first row standing for 50
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", 128)
+        params, inp, coef = self.data(711, activation)
+        coef = np.random.default_rng(5).normal(size=(760, inp.shape[1]))
+        runs = []
+        for workers in (1, 2):
+            chunk_workers(workers)
+            value, grad = self.run(params, inp, coef, 301, 50)
+            runs.append((value.tobytes(), grad.tobytes()))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("grad_rows, repeat", [(-1, 1), (6, 1), (3, 0)])
+    def test_bad_row_counts_are_refused(self, grad_rows, repeat):
+        params, inp, _ = self.data(5, "tanh")
+        tape = Tape()
+        with pytest.raises(ShapeMismatchError):
+            self.node(tape, params, inp, grad_rows, repeat, tape.param)
+        with pytest.raises(ShapeMismatchError):
+            self.node(tape, params, inp[:0], 0, 2, tape.param)
+
+
+class TestChunkPlan:
+    """``autodiff._chunk_plan``: aligned shares of both kinds of row in every chunk."""
+
+    @pytest.mark.parametrize("grad_rows, value_rows", [
+        (0, 0), (1, 0), (0, 70), (1001, 1327), (12251, 317), (12251, 250 + 4000),
+        (1 + 49 * 64, 64 + 40), (4096, 0), (5000, 5000), (3, 2)])
+    def test_shares_cover_the_rows_in_order_on_aligned_edges(self, grad_rows, value_rows):
+        align = autodiff.ROW_ALIGN
+        plan = autodiff._chunk_plan(grad_rows, value_rows)
+        rows = grad_rows + value_rows
+        assert len(plan) <= max(1, -(-rows // autodiff.CHUNK_ROWS))
+        for kind, (lo_all, hi_all) in enumerate([(0, grad_rows), (grad_rows, rows)]):
+            shares = [span[kind] for span in plan if span[kind][1] > span[kind][0]]
+            edges = [lo for lo, _ in shares] + [hi_all]
+            assert edges[0] == lo_all and all(hi == lo for (_, hi), lo in zip(shares, edges[1:]))
+            for lo, hi in shares[1:]:
+                assert (lo - lo_all) % align == 0
+            # no share of fewer than ROW_ALIGN rows is split off
+            if len(shares) > 1:
+                assert min(hi - lo for lo, hi in shares) >= align
+                sizes = [hi - lo for lo, hi in shares[:-1]]
+                assert max(sizes) - min(sizes) <= align
+
+    def test_few_value_rows_stay_whole_shares(self):
+        # a bsb_d4 batch of 250 paths: 7 chunks, and ~317 value-only rows
+        # in four shares, not seven
+        plan = autodiff._chunk_plan(1 + 49 * 250, 317)
+        assert len(plan) == 7
+        assert [v for _, v in plan if v[1] > v[0]] == [
+            (12251, 12315), (12315, 12379), (12379, 12443), (12443, 12568)]
+        assert all(g[1] - g[0] >= 1728 for g, _ in plan)
+
 def test_concurrent_blas_calls_equal_serial_ones():
     # the chunk workers call one-thread BLAS at the same time; its results
     # must not depend on what the other thread runs

@@ -104,8 +104,10 @@ class TestTrainAndEval:
 
     def test_worker_count_does_not_change_the_files(self, config_path, tmp_path, monkeypatch,
                                                     chunk_workers):
-        # 64-row chunks: 3 in each training pass, 4 in the held-out pass
-        monkeypatch.setattr(autodiff, "CHUNK_ROWS", 64)
+        # 32-row chunks on 16-row edges: 5 in each training pass, 7 in the
+        # held-out pass
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", 32)
+        monkeypatch.setattr(autodiff, "ROW_ALIGN", 16)
         runs = []
         for workers in (1, 2):
             chunk_workers(workers)
@@ -128,7 +130,7 @@ class TestTrainAndEval:
 
     def test_held_out_pass_keeps_no_gradient_state(self, config_path, monkeypatch,
                                                    tape_variables):
-        # 64-row chunks: the held-out pass's network node has 4 of them
+        # 64-row chunks: the held-out pass's network node has 2 of them
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 64)
         config = cli.load_config(str(config_path))
         params = nn.init(config.architecture, seed=5)
@@ -240,6 +242,23 @@ class TestTrainAndEval:
         assert (iteration, lr) == (2, 1e-2)
         assert sorted(p.name for p in run.iterdir()) == [
             "abort.json", "breakdown.jsonl", "checkpoint.json", "metrics.csv"]
+
+    def test_breakdown_log_reaches_each_checkpoint_before_it_is_written(
+            self, config_path, tmp_path, monkeypatch):
+        # a run killed during or after a checkpoint leaves breakdown.jsonl
+        # ending at the checkpoint's iteration, not inside a write buffer
+        out = tmp_path / "run"
+        save = cli.save_checkpoint
+        seen = []
+
+        def checking_save(path, params, iteration, lr):
+            lines = (out / "breakdown.jsonl").read_text().splitlines()
+            seen.append((iteration, json.loads(lines[-1])["iteration"] if lines else None))
+            save(path, params, iteration, lr)
+
+        monkeypatch.setattr(cli, "save_checkpoint", checking_save)
+        assert train(config_path, out) == 0
+        assert seen == [(2, 2), (4, 4)]
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"

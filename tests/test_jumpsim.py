@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pidenet import jumpsim, nn, normal, problems, scheme
+from pidenet import cli, jumpsim, nn, normal, problems, scheme
 from pidenet.autodiff import Tape
 from pidenet.jumpsim import TimeGrid
 
@@ -94,10 +94,17 @@ class TestSimulateForward:
         batch = jumpsim.simulate_forward(prob, grid, batch_size=16, seed=3)
         assert np.all(batch.states == 1.0)
 
-    def test_initial_state(self):
-        prob = problems.highdim_pide(dim=3)
-        batch = jumpsim.simulate_forward(prob, TimeGrid(1.0, 5), 8, seed=0)
-        assert np.all(batch.states[0] == prob.x0)
+    @pytest.mark.parametrize("first_path", [0, 37])
+    @pytest.mark.parametrize("stream", [0, 1])
+    @pytest.mark.parametrize("preset", cli.preset_names())
+    def test_every_path_starts_at_x0(self, preset, stream, first_path):
+        # the loss evaluates node 0 once, at x0, for every path of a batch
+        config = cli.load_config(preset)
+        batch = jumpsim.simulate_forward(config.problem, config.grid, 5, config.seed_simulation,
+                                         stream, first_path)
+        x0 = np.broadcast_to(np.asarray(config.problem.x0, dtype=np.float64),
+                             batch.states[0].shape)
+        assert batch.states[0].tobytes() == x0.tobytes()
 
     def test_node_major_layout(self):
         prob, grid = problems.highdim_pide(3, lam=2.0), TimeGrid(1.0, 5)

@@ -10,7 +10,7 @@ from pidenet import autodiff, cli, jumpsim, nn, problems, scheme
 from pidenet.autodiff import Tape
 from pidenet.jumpsim import TimeGrid
 
-from reference import OracleNetwork, network_input, permuted
+from reference import OracleNetwork, all_rows_squared_residuals, network_input, permuted
 from test_autodiff import finite_diff, rel_gap
 
 
@@ -478,6 +478,56 @@ class TestOneNetworkPass:
         np.testing.assert_allclose(breakdown.values, expected, rtol=1e-12, atol=1e-15)
         assert "values" not in breakdown.to_dict()
 
+
+    def test_network_rows_are_x0_once_then_gradient_then_value_only_rows(self, monkeypatch):
+        # x0 stands for every path's node 0; nodes 1..N-1 need gradients;
+        # node N and the jumped states need only their values
+        prob = problems.bsb_jumps(dim=2)
+        params = nn.init(nn.MlpArchitecture(3, (6, 6), "tanh"), seed=9)
+        batch = toy_batch(prob, n_steps=3, batch_size=16, seed=77)
+        calls = []
+        value_and_grad = nn.TapeMlp.value_and_grad
+
+        def recording(net, inp, grad_rows=None, repeat=1):
+            calls.append((inp.copy(), grad_rows, repeat))
+            return value_and_grad(net, inp, grad_rows, repeat)
+
+        monkeypatch.setattr(nn.TapeMlp, "value_and_grad", recording)
+        tape = Tape()
+        scheme.loss(nn.TapeMlp(tape, params), batch, prob)
+        ((inp, grad_rows, repeat),) = calls
+        events = batch.event_paths.size
+        assert (grad_rows, repeat) == (1 + 2 * 16, 16)
+        assert inp.shape == (1 + 3 * 16 + events, 3)
+        assert inp[0].tolist() == [0.0, *prob.x0]
+        for n in (1, 2, 3):
+            rows = inp[1 + (n - 1) * 16:1 + n * 16]
+            assert np.all(rows[:, 0] == batch.grid.times[n])
+            assert np.array_equal(rows[:, 1:], batch.states[n])
+        assert inp[1 + 3 * 16:].shape == (events, 3) and events > 0
+
+    @pytest.mark.parametrize("preset", cli.preset_names())
+    def test_loss_and_gradient_match_the_all_rows_reference(self, preset, monkeypatch):
+        # the node evaluates x0 once and the value-only rows without their
+        # gradients; losses agree to 1 ulp, gradients to 1e-12 of max|g|.
+        # 128-row chunks: both kinds of row go in several shares
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", 128)
+        config = cli.load_config(preset)
+        problem = config.problem
+        params = nn.init(config.architecture, seed=config.seed_init)
+        params.theta += np.random.default_rng(1).normal(scale=0.1, size=params.theta.size)
+        batch = jumpsim.simulate_forward(problem, config.grid, 24, config.seed_simulation)
+        assert batch.event_paths.size or not problem.intensity
+        results = []
+        for squares in (lambda net: scheme.squared_residuals(net, batch, problem)[:2],
+                        lambda net: all_rows_squared_residuals(net, batch, problem)):
+            tape = Tape()
+            net = nn.TapeMlp(tape, params)
+            total, _ = scheme.reduce_residuals(*squares(net), config.grid.steps)
+            results.append((float(total.value), tape.backward(total, [net.param_var])[0]))
+        (loss, grad), (ref_loss, ref_grad) = results
+        assert abs(loss - ref_loss) <= np.spacing(abs(ref_loss))
+        assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
 
 def oracle_residuals(problem, n_steps, batch_size=1000, seed=0):
     """One-step residuals of the exact solution, with no training involved.
