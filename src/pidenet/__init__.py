@@ -13,7 +13,7 @@ import sys
 
 # Single-threaded BLAS: threaded BLAS splits a product in ways that
 # depend on the thread count, so outputs would depend on the host's cores.
-# The network node uses every core through its own row chunks instead
+# A large network node uses every core through its own row chunks instead
 # (``autodiff.CHUNK_ROWS``), which run one-thread BLAS calls in parallel.
 # numpy reads them only when first imported, so a numpy loaded before this
 # package is pinned through its OpenBLAS.  A value in the environment wins.

@@ -38,11 +38,15 @@ The node splits its rows into chunks of about ``CHUNK_ROWS`` rows, each
 with an aligned share of both kinds (``_chunk_plan``), and runs their
 forward passes and VJPs on one process-wide thread pool, one worker per
 usable core; numpy releases the GIL inside its GEMMs and ufuncs, so the
-chunks run in parallel while BLAS itself stays single-threaded.  With
-one usable core no pool is made and the chunks run inline, in chunk
-order.  The chunk edges depend only on the two row counts, and the
-parameter gradients are summed in chunk order, so no result depends on
-the number of workers or cores.
+chunks run in parallel while BLAS itself stays single-threaded.  The
+chunks run inline on the calling thread, in chunk order, in three cases:
+a lone chunk; a node of fewer than ``POOL_MACS`` multiply-adds in one
+value pass (input rows times the sum of fan_in * fan_out), where the
+pool's hand-offs cost more than the second core gains; and one usable
+core, where no pool is made.  The chunk edges depend only on the two row
+counts, and the parameter gradients are summed in chunk order, so no
+result depends on where the chunks run, or on the number of workers or
+cores.
 
 The node's one parent is the parameter vector; ``mlp_layers`` gives its
 weights and biases as views, and each chunk's VJP writes their gradients
@@ -88,6 +92,14 @@ GEMV_BLOCK = 4
 # Chunk edges fall on multiples of this many rows, and CHUNK_ROWS is one,
 # so that every share but the last of each kind of row ends a full block.
 ROW_ALIGN = 64
+# Fewest multiply-adds of one value pass, rows * sum(fan_in * fan_out), at
+# which ``Tape.mlp`` runs its chunks on the pool.  Training ms/iter on a
+# 2-core VM, inline chunks against the pool: 17-18% faster at 2.65M and
+# 5.3M (``convergence``, 32x32 tanh, B=1000 and 2000), 9-20% at 3.8M and
+# 7.6M (``pide1d``, 16x16 relu, B=250 and 500), even at 10.6M and 15.3M,
+# and 3-12% slower at 31M and 21M.  The total work decides, not the work
+# per chunk: ``pide1d``'s chunks are smaller than ``convergence``'s.
+POOL_MACS = 2**23
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -166,8 +178,8 @@ class Tape:
     ops return.  Nodes only ever reference earlier nodes, so a single
     reverse sweep over ids visits each node exactly once.  Construction
     and backward run on the calling thread, apart from the row chunks of
-    ``mlp``, which only compute numpy arrays on the pool; independent
-    tapes may run concurrently.
+    an ``mlp`` node of ``POOL_MACS`` or more, which only compute numpy
+    arrays on the pool; independent tapes may run concurrently.
     """
 
     def __init__(self):
@@ -363,7 +375,10 @@ class Tape:
 
         Each kind of row goes in aligned shares over the
         ``ceil(rows / CHUNK_ROWS)`` chunks that ``_chunk_plan`` gives, and
-        a chunk runs its two shares one after the other.  The value column
+        a chunk runs its two shares one after the other.  The forward pass
+        and the VJP each run the chunks on the pool when the node's input
+        makes ``rows * sum(fan_in * fan_out)`` >= ``POOL_MACS``
+        multiply-adds, and inline in chunk order below that.  The value column
         of each row is summed as in one pass over all the node's rows
         (``_value_column``); the gradient of ``theta`` is the chunks'
         gradient vectors summed in chunk order.
@@ -385,11 +400,12 @@ class Tape:
         shift = repeat - 1  # input row i >= 1 is the node's row i + shift
         packed = np.empty((rows + shift, h.shape[1]))
         spans = _chunk_plan(grad_rows, rows - grad_rows)
+        pooled = rows * sum(fi * fo for fi, fo in layer_dims) >= POOL_MACS
         chunk_vjps = _run_chunks([
             functools.partial(_mlp_chunk, h, packed, shift, span, ws, bs, activation, alpha,
                               differentiated)
             for span in spans
-        ])
+        ], pooled)
         if shift:
             packed[:shift] = packed[shift]
         if not differentiated:
@@ -406,7 +422,7 @@ class Tape:
                 return block
 
             parts = _run_chunks([functools.partial(f, adjoint(*gs), adjoint(*vs)[:, :1])
-                                 for f, (gs, vs) in zip(chunk_vjps, spans)])
+                                 for f, (gs, vs) in zip(chunk_vjps, spans)], pooled)
             grad = parts[0] if parts else np.zeros(size)
             for part in parts[1:]:  # in chunk order, so the sum never depends on the workers
                 grad += part
@@ -485,10 +501,11 @@ def mlp_layers(theta: np.ndarray, layer_dims: Sequence[tuple[int, int]]
 
 
 def _chunk_pool() -> ThreadPoolExecutor | None:
-    """The process-wide pool of chunk workers, created on first use.
+    """The process-wide pool of chunk workers, created on first use by a pooled node.
 
     None while only one core is usable: a one-worker pool would only add
-    a thread hop per chunk.
+    a thread hop per chunk.  A process whose nodes all fall below
+    ``POOL_MACS`` never asks for it, so it starts no worker thread.
     """
     global _pool
     with _pool_lock:
@@ -500,14 +517,18 @@ def _chunk_pool() -> ThreadPoolExecutor | None:
         return _pool
 
 
-def _run_chunks(tasks: list[Callable]) -> list:
-    """Results of zero-argument tasks in order.
+def _run_chunks(tasks: list[Callable], pooled: bool) -> list:
+    """Results of zero-argument tasks in order, on the chunk pool if ``pooled``.
 
-    A lone task, or every task while one core is usable, runs inline in
-    task order.  Every task has finished before any error is raised, so
-    none is left writing into arrays that the caller drops.
+    The tasks run inline, in task order, in three cases: a lone task; a
+    node below ``POOL_MACS`` (``pooled`` false), whose tasks are too small
+    to pay the pool's hand-offs: a 600-iteration training of the
+    ``convergence`` preset made 58 voluntary context switches with inline
+    chunks and ~28,500 with the pool; and one usable core.  Every task has
+    finished before any error is raised, so none is left writing into
+    arrays that the caller drops.
     """
-    pool = _chunk_pool() if len(tasks) > 1 else None
+    pool = _chunk_pool() if pooled and len(tasks) > 1 else None
     if pool is None:
         return [task() for task in tasks]
     futures = [pool.submit(task) for task in tasks]

@@ -71,8 +71,9 @@ EVAL_STREAM = 1
 # The block size changes no figure.
 EVAL_BLOCK_VALUES = 2**18
 
-# distinct simulation substreams for independent runs of a study; larger
-# than any iteration count so per-iteration seeds never collide
+# distinct simulation substreams for independent runs of a study;
+# ``run_convergence_study`` refuses more iterations than this, so that no
+# two runs share a batch seed
 RUN_SEED_STRIDE = 1_000_003
 
 
@@ -471,12 +472,16 @@ def run_convergence_study(
 ) -> list[metrics.ConvergenceRow]:
     """Repeat training across step counts; aggregate best-of max square errors.
 
-    Run r offsets the init seed by r and the simulation seed by r times a
-    large stride so no two runs share batches.  A failed run is logged
-    and excluded rather than killing the study.
+    Run r offsets the init seed by r and the simulation seed by r times
+    ``RUN_SEED_STRIDE``, so no two runs share batches; more iterations
+    than the stride are a config error.  A failed run is logged and
+    excluded rather than killing the study.
     """
     if runs < keep or keep < 1:
         raise ConfigError(f"need runs >= keep >= 1, got runs={runs}, keep={keep}")
+    if runs > 1 and config.iterations > RUN_SEED_STRIDE:
+        raise ConfigError(f"{config.iterations} iterations exceed the seed stride of "
+                          f"{RUN_SEED_STRIDE} between runs: runs would share batch seeds")
     if len(set(steps_list)) < len(steps_list):
         raise ConfigError(f"step counts repeat in {steps_list}")
     out = Path(out_dir)

@@ -9,14 +9,33 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from pidenet import autodiff
 
 
+class CountingPool(ThreadPoolExecutor):
+    """A thread pool that counts the tasks submitted to it."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.tasks = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.tasks += 1
+        return super().submit(fn, *args, **kwargs)
+
+
 @pytest.fixture
 def chunk_workers(monkeypatch):
-    """Call with n to run ``Tape.mlp``'s row chunks on a pool of n workers."""
+    """Call with n to run ``Tape.mlp``'s row chunks on a pool of n workers, which it returns.
+
+    Every node of two chunks or more then goes to that pool, however
+    small: the pool's cut-off ``POOL_MACS`` is set to 0.  The pool's
+    ``tasks`` counts what reached it.
+    """
     pools = []
+    monkeypatch.setattr(autodiff, "POOL_MACS", 0)
 
     def use(n):
-        pools.append(ThreadPoolExecutor(n))
+        pools.append(CountingPool(n))
         monkeypatch.setattr(autodiff, "_pool", pools[-1])
+        return pools[-1]
 
     yield use
     for pool in pools:

@@ -431,6 +431,16 @@ class TestFusedMlp:
         assert peak <= slopes.nbytes + 4096, peak - slopes.nbytes
 
 
+def pool_tasks(grad_rows, value_rows=0):
+    """Tasks that two passes over a node of these rows send to the pool.
+
+    The passes are a forward pass and its VJP, or two forward passes: one
+    task per chunk and pass, none while the node has only one chunk.
+    """
+    chunks = len(autodiff._chunk_plan(grad_rows, value_rows))
+    return 2 * chunks if chunks > 1 else 0
+
+
 class TestChunkedMlp:
     """``Tape.mlp`` split into row chunks and run on the worker pool."""
 
@@ -503,8 +513,9 @@ class TestChunkedMlp:
         sys.setswitchinterval(1e-6)  # let the workers interleave as finely as they can
         try:
             for workers in (1, 2, 3):
-                chunk_workers(workers)
+                pool = chunk_workers(workers)
                 runs.append(self.run(rows, activation)[:2])
+                assert pool.tasks == pool_tasks(rows)
         finally:
             sys.setswitchinterval(interval)
         for value, grad in runs[1:]:
@@ -545,10 +556,11 @@ class TestChunkedMlp:
                                    activation, params.arch.alpha, coef[lo:lo + self.CHUNK])
             expected = part if expected is None else [e + p for e, p in zip(expected, part)]
         for workers in (1, 2, 3):
-            chunk_workers(workers)
+            pool = chunk_workers(workers)
             tape = Tape()
             packed, theta = self.node(tape, params, inp, tape.param)
             (grad,) = tape.backward(tape.sum(tape.mul(packed, tape.constant(coef))), [theta])
+            assert pool.tasks == pool_tasks(rows)
             for k, (g, e) in enumerate(zip(self.blocks(grad, params), expected)):
                 assert g.shape == e.shape, (workers, k)
                 assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e)), (workers, k)
@@ -557,8 +569,9 @@ class TestChunkedMlp:
     def test_one_usable_core_runs_the_chunks_inline(self, activation, monkeypatch,
                                                     chunk_workers):
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
-        chunk_workers(2)
+        pool = chunk_workers(2)
         value, grad, _, _ = self.run(600, activation)  # 5 chunks
+        assert pool.tasks == 10
         monkeypatch.setattr(autodiff, "_pool", None)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         inline_value, inline_grad, _, _ = self.run(600, activation)
@@ -573,11 +586,12 @@ class TestChunkedMlp:
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
         params, inp, _ = self.data(rows, activation)
         for workers in (1, 2, 3):
-            chunk_workers(workers)
+            pool = chunk_workers(workers)
             trained = Tape()
             differentiated = self.node(trained, params, inp, trained.param)[0]
             tape = Tape()
             forward_only = self.node(tape, params, inp, tape.constant)[0]
+            assert pool.tasks == pool_tasks(rows)  # two forward passes
             assert trained._nodes[differentiated.id].vjp is not None
             assert tape._nodes[forward_only.id].vjp is None
             assert np.array_equal(forward_only.value, differentiated.value)
@@ -597,7 +611,7 @@ class TestChunkedMlp:
         # against bounds of 7.5, 11.25 and 15; 9.01, 13.1-14.1 and
         # 13.1-17.1 layers with the float slopes kept
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
-        chunk_workers(workers)
+        pool = chunk_workers(workers)
         params, inp, _ = self.data(40 * self.CHUNK, activation, hidden=(64, 64, 64))
         layer = self.CHUNK * 64 * 8
         tape = Tape()
@@ -607,6 +621,7 @@ class TestChunkedMlp:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert pool.tasks == 40
         per_worker = 5.5 if activation == "tanh" else 3.75
         assert peak < (workers + 1) * per_worker * layer, peak / layer
 
@@ -636,7 +651,7 @@ class TestChunkedMlp:
         # outputs, the chain but its last row and one-byte masks (5 3/8
         # layers) holds 13.68 MiB, at 1, 2 and 3 workers alike
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
-        chunk_workers(2)
+        pool = chunk_workers(2)
         params, inp, _ = self.data(40 * self.CHUNK, activation, hidden=(64, 64, 64))
         layer = 40 * self.CHUNK * 64 * 8
         tape = Tape()
@@ -646,6 +661,7 @@ class TestChunkedMlp:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
+        assert pool.tasks == 40
         assert tape._nodes[node.id].vjp is not None
         assert held < 7 * layer, held / 2**20
 
@@ -657,7 +673,7 @@ class TestChunkedMlp:
         # the hidden outputs, float slopes and the chain but its last row
         # hold 8.1, at 1, 2 and 3 workers alike
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
-        chunk_workers(2)
+        pool = chunk_workers(2)
         params, inp, _ = self.data(40 * self.CHUNK, "tanh", hidden=(64, 64, 64))
         layer = 40 * self.CHUNK * 64 * 8
         tape = Tape()
@@ -667,6 +683,7 @@ class TestChunkedMlp:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
+        assert pool.tasks == 40
         assert tape._nodes[node.id].vjp is not None
         assert held < 9 * layer, held / layer
 
@@ -691,6 +708,70 @@ class TestChunkedMlp:
         fd = finite_diff(lambda arr: float(build(Tape(), arr)[0].value), theta)
         assert rel_gap(grad, fd) <= 1e-6, activation
 
+
+
+class TestPoolCutOff:
+    """``Tape.mlp`` runs its chunks on the pool from ``POOL_MACS`` multiply-adds of a value pass."""
+
+    ROWS = 600  # five 128-row chunks
+    MACS = ROWS * (4 * 16 + 16 * 16 + 16 * 1)  # through layers 4 -> 16 -> 16 -> 1
+    DEFAULT = autodiff.POOL_MACS
+
+    class RefusingPool:
+        def submit(self, *args, **kwargs):
+            raise AssertionError("a node below the cut-off sent a task to the pool")
+
+    @classmethod
+    def node(cls, activation, leaf):
+        """The node over fixed data with its params made by ``leaf``."""
+        params, inp, coef = TestChunkedMlp.data(cls.ROWS, activation)
+        tape = Tape()
+        theta = getattr(tape, leaf)(params.theta)
+        arch = params.arch
+        return tape, tape.mlp(inp, theta, arch.layer_dims, arch.activation, arch.alpha), theta, coef
+
+    @staticmethod
+    def backward(tape, packed, theta, coef):
+        """The parameter gradient of sum(coef * packed)."""
+        return tape.backward(tape.sum(tape.mul(packed, tape.constant(coef))), [theta])[0]
+
+    @pytest.mark.parametrize("leaf", ["param", "constant"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_below_the_cut_off_no_pass_uses_the_pool(self, activation, leaf, monkeypatch):
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", 128)
+        monkeypatch.setattr(autodiff, "_pool", self.RefusingPool())
+        monkeypatch.setattr(autodiff, "POOL_MACS", self.MACS + 1)
+        tape, packed, theta, coef = self.node(activation, leaf)
+        if leaf == "param":
+            self.backward(tape, packed, theta, coef)
+
+    @pytest.mark.parametrize("leaf", ["param", "constant"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_at_the_cut_off_each_pass_sends_one_task_per_chunk(self, activation, leaf,
+                                                              monkeypatch, chunk_workers):
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", 128)
+        pool = chunk_workers(2)
+        monkeypatch.setattr(autodiff, "POOL_MACS", self.MACS)
+        tape, packed, theta, coef = self.node(activation, leaf)
+        assert pool.tasks == 5
+        if leaf == "param":
+            self.backward(tape, packed, theta, coef)
+            assert pool.tasks == 10
+
+    @pytest.mark.parametrize("leaf", ["param", "constant"])
+    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    def test_the_cut_off_changes_no_byte(self, activation, leaf, monkeypatch, chunk_workers):
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", 128)
+        pool = chunk_workers(2)
+        runs = []
+        for cut_off in (0, self.DEFAULT):
+            monkeypatch.setattr(autodiff, "POOL_MACS", cut_off)
+            tape, packed, theta, coef = self.node(activation, leaf)
+            grad = self.backward(tape, packed, theta, coef) if leaf == "param" else np.empty(0)
+            runs.append((packed.value.tobytes(), grad.tobytes(), pool.tasks))
+        # on the pool at 0, inline at the default
+        assert runs[0][2] == runs[1][2] == (10 if leaf == "param" else 5)
+        assert runs[0][:2] == runs[1][:2]
 
 
 class TestValueOnlyRowsAndRepeatedRow:
@@ -784,9 +865,10 @@ class TestValueOnlyRowsAndRepeatedRow:
         coef = np.random.default_rng(5).normal(size=(760, inp.shape[1]))
         runs = []
         for workers in (1, 2):
-            chunk_workers(workers)
+            pool = chunk_workers(workers)
             value, grad = self.run(params, inp, coef, 301, 50)
             runs.append((value.tobytes(), grad.tobytes()))
+            assert pool.tasks == pool_tasks(301, 410) > 0
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("grad_rows, repeat", [(-1, 1), (6, 1), (3, 0)])

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import types
 import weakref
 from pathlib import Path
 
@@ -110,9 +111,10 @@ class TestTrainAndEval:
         monkeypatch.setattr(autodiff, "ROW_ALIGN", 16)
         runs = []
         for workers in (1, 2):
-            chunk_workers(workers)
+            pool = chunk_workers(workers)
             runs.append(tmp_path / f"workers{workers}")
             assert train(config_path, runs[-1]) == 0
+            assert pool.tasks > 0
         for name in RUN_FILES:
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
@@ -160,7 +162,7 @@ class TestTrainAndEval:
         # block at a time; what grows with B is its (N, B), (B,) and
         # (N+1, B) result arrays, 1.1 MiB at 8B.  In one pass over the
         # whole batch the peak grew about 8x
-        chunk_workers(1)
+        pool = chunk_workers(1)
         config = dataclasses.replace(cli.load_config("highdim"), hidden=(16, 16))
         params = nn.init(config.architecture, seed=config.seed_init)
         peaks = []
@@ -173,6 +175,7 @@ class TestTrainAndEval:
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
             finally:
                 tracemalloc.stop()
+        assert pool.tasks > 0
         assert peaks[1] < 1.2 * peaks[0], [peak / 2**20 for peak in peaks]
 
     @pytest.mark.parametrize("preset, overrides, paths, sizes", [
@@ -467,6 +470,29 @@ print(hashlib.sha256(params.theta.tobytes()).hexdigest())
         assert digests[0] == digests[1]
 
 
+@pytest.mark.parametrize("preset", cli.preset_names())
+def test_only_the_small_preset_runs_its_network_node_inline(preset):
+    # from the config alone: the training node and the first held-out
+    # block's node take x0 once, N nodes of every path and the jumped
+    # states, of which a path has intensity * T on average.
+    # convergence's nodes fall below the pool's cut-off; every other
+    # preset's reach it, in two chunks or more
+    config = cli.load_config(preset)
+    problem, steps = config.problem, config.steps
+    block = min(config.eval_batch_size,
+                max(1, cli.EVAL_BLOCK_VALUES // ((steps + 1) * problem.dim)))
+    per_row = sum(fi * fo for fi, fo in config.architecture.layer_dims)
+    for paths in (config.batch_size, block):
+        jumps = round(paths * problem.intensity * problem.total_time)
+        grad_rows, value_rows = 1 + (steps - 1) * paths, paths + jumps
+        macs = (grad_rows + value_rows) * per_row
+        chunks = len(autodiff._chunk_plan(grad_rows, value_rows))
+        if preset == "convergence":
+            assert macs < autodiff.POOL_MACS, (paths, macs)
+        else:
+            assert macs >= autodiff.POOL_MACS and chunks > 1, (paths, macs, chunks)
+
+
 class TestConverge:
     def test_failed_run_is_left_out(self, config_path, tmp_path, monkeypatch):
         run_experiment = cli.run_experiment
@@ -490,6 +516,29 @@ class TestConverge:
         # N=2 keeps the mean of both runs, N=4 only the run that finished
         assert float(rows[1][2]) == np.mean(np.sort([max_sq_err(2, 0), max_sq_err(2, 1)]))
         assert float(rows[2][2]) == max_sq_err(4, 0)
+
+    @pytest.mark.parametrize("iterations", [cli.RUN_SEED_STRIDE, cli.RUN_SEED_STRIDE + 1])
+    def test_runs_never_share_a_batch_seed(self, tmp_path, monkeypatch, capsys, iterations):
+        # run r trains on the batch seeds s + r * stride + 1 .. s + r * stride + iterations
+        seeds = []
+
+        def recording(config, out_dir):
+            first = config.seed_simulation + 1
+            seeds.append(range(first, first + config.iterations))
+            return [types.SimpleNamespace(max_sq_err=1e-3)], None
+
+        monkeypatch.setattr(cli, "run_experiment", recording)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({**TINY, "iterations": iterations}))
+        out = tmp_path / "study"
+        code = cli.main(["converge", "--config", str(path), "--steps", "2", "--runs", "3",
+                         "--keep", "1", "--out", str(out)])
+        if iterations <= cli.RUN_SEED_STRIDE:
+            assert code == 0 and len(seeds) == 3
+            assert all(a[-1] < b[0] for a, b in zip(seeds, seeds[1:]))
+        else:
+            assert code == 1 and not seeds and not out.exists()
+            assert "seed stride" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [["--steps", "2,x"], ["--steps", "0"], ["--steps", "2,-4"],
                                       ["--steps", "2", "--runs", "1", "--keep", "2"],

@@ -404,7 +404,7 @@ class TestOneNetworkPass:
         # slices are views into their parent's value, so a write into any
         # recorded value, forward or backward, would change another node's
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 128)
-        chunk_workers(2)
+        pool = chunk_workers(2)
         config = cli.load_config("highdim_d10")
         arch = dataclasses.replace(config.architecture, activation=activation)
         batch = jumpsim.simulate_forward(config.problem, config.grid, 8, config.seed_simulation)
@@ -418,6 +418,7 @@ class TestOneNetworkPass:
         assert mlp.shape[0] > 3 * 128  # four chunks or more
         before = [v.value.tobytes() for v in tape_variables]
         tape.backward(total, [net.param_var])
+        assert pool.tasks > 0
         assert [v.value.tobytes() for v in tape_variables] == before
         slices = [v for v in tape_variables if tape._nodes[v.id].op == "slice"]
         assert slices
