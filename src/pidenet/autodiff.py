@@ -34,8 +34,9 @@ columns are zero.  The first input row may stand for several output
 rows, such as a start state that every path shares: its result fills
 those rows, and its adjoint is theirs summed.
 
-The node splits its rows into chunks of about ``CHUNK_ROWS`` rows, each
-with an aligned share of both kinds (``_chunk_plan``), and runs their
+The node cuts each kind of row into the same number of near-equal
+contiguous chunks, one per ``CHUNK_ROWS`` rows of the node
+(``_chunk_plan``), so a chunk holds rows of one kind only, and runs their
 forward passes and VJPs on one process-wide thread pool, one worker per
 usable core; numpy releases the GIL inside its GEMMs and ufuncs, so the
 chunks run in parallel while BLAS itself stays single-threaded.  The
@@ -46,7 +47,9 @@ pool's hand-offs cost more than the second core gains; and one usable
 core, where no pool is made.  The chunk edges depend only on the two row
 counts, and the parameter gradients are summed in chunk order, so no
 result depends on where the chunks run, or on the number of workers or
-cores.
+cores.  A row's value is one dot product of its last hidden output with
+the output weights (``_value_column``), so it depends on that row alone,
+not on the chunk it runs in, on any BLAS.
 
 The node's one parent is the parameter vector; ``mlp_layers`` gives its
 weights and biases as views, and each chunk's VJP writes their gradients
@@ -82,16 +85,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Largest row chunk of one ``Tape.mlp`` pass.  A fixed constant, so chunk
-# edges, and with them every result, depend only on the row count.
+# Rows of a ``Tape.mlp`` node per chunk of each kind of row.  A fixed
+# constant, so chunk edges, and with them every result, depend only on the
+# row counts.
 CHUNK_ROWS = 2048
-# BLAS's matrix-vector kernel (OpenBLAS's dgemv) sums the rows of a matrix
-# in blocks of this many, and its last ``len % GEMV_BLOCK`` rows in another
-# order, so a row's value column depends on where its block of rows ends.
-GEMV_BLOCK = 4
-# Chunk edges fall on multiples of this many rows, and CHUNK_ROWS is one,
-# so that every share but the last of each kind of row ends a full block.
-ROW_ALIGN = 64
 # Fewest multiply-adds of one value pass, rows * sum(fan_in * fan_out), at
 # which ``Tape.mlp`` runs its chunks on the pool.  Training ms/iter on a
 # 2-core VM, inline chunks against the pool: 17-18% faster at 2.65M and
@@ -373,15 +370,15 @@ class Tape:
         before it runs, so the node's value has ``rows + repeat - 1``
         rows of width k.
 
-        Each kind of row goes in aligned shares over the
-        ``ceil(rows / CHUNK_ROWS)`` chunks that ``_chunk_plan`` gives, and
-        a chunk runs its two shares one after the other.  The forward pass
-        and the VJP each run the chunks on the pool when the node's input
-        makes ``rows * sum(fan_in * fan_out)`` >= ``POOL_MACS``
-        multiply-adds, and inline in chunk order below that.  The value column
-        of each row is summed as in one pass over all the node's rows
-        (``_value_column``); the gradient of ``theta`` is the chunks'
-        gradient vectors summed in chunk order.
+        Each kind of row is cut into ``ceil(rows / CHUNK_ROWS)``
+        near-equal chunks (``_chunk_plan``); a chunk of gradient rows runs
+        ``_gradient_rows``, one of value-only rows ``_value_rows``.  The
+        forward pass and the VJP each run the chunks on the pool when the
+        node's input makes ``rows * sum(fan_in * fan_out)`` >= ``POOL_MACS``
+        multiply-adds, and inline in chunk order below that.  Each row's
+        value is one dot product (``_value_column``), the same bits in
+        any chunk; the gradient of ``theta`` is the chunks' gradient
+        vectors summed in chunk order.
         """
         differentiated = self._check(theta, "mlp")
         if activation == "leaky_relu" and not 0.0 <= alpha <= 1.0:
@@ -399,12 +396,12 @@ class Tape:
         ws, bs = mlp_layers(theta.value, layer_dims)
         shift = repeat - 1  # input row i >= 1 is the node's row i + shift
         packed = np.empty((rows + shift, h.shape[1]))
-        spans = _chunk_plan(grad_rows, rows - grad_rows)
+        spans = _chunk_plan(grad_rows, rows)
         pooled = rows * sum(fi * fo for fi, fo in layer_dims) >= POOL_MACS
         chunk_vjps = _run_chunks([
-            functools.partial(_mlp_chunk, h, packed, shift, span, ws, bs, activation, alpha,
-                              differentiated)
-            for span in spans
+            functools.partial(_mlp_chunk, h, packed, shift, lo, hi, lo < grad_rows, ws=ws, bs=bs,
+                              activation=activation, alpha=alpha, differentiated=differentiated)
+            for lo, hi in spans
         ], pooled)
         if shift:
             packed[:shift] = packed[shift]
@@ -416,13 +413,13 @@ class Tape:
             def adjoint(lo, hi):
                 """The adjoint of input rows [lo, hi): first row's copies summed."""
                 block = g[lo + shift:hi + shift]
-                if shift and lo == 0 < hi:
+                if shift and lo == 0:
                     block = block.copy()
                     block[0] = g[:repeat].sum(axis=0)
                 return block
 
-            parts = _run_chunks([functools.partial(f, adjoint(*gs), adjoint(*vs)[:, :1])
-                                 for f, (gs, vs) in zip(chunk_vjps, spans)], pooled)
+            parts = _run_chunks([functools.partial(f, adjoint(*span))
+                                 for f, span in zip(chunk_vjps, spans)], pooled)
             grad = parts[0] if parts else np.zeros(size)
             for part in parts[1:]:  # in chunk order, so the sum never depends on the workers
                 grad += part
@@ -536,86 +533,45 @@ def _run_chunks(tasks: list[Callable], pooled: bool) -> list:
     return [future.result() for future in futures]
 
 
-def _chunk_plan(grad_rows: int, value_rows: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """The chunks of ``Tape.mlp``: per chunk, its input rows of each kind as ``(lo, hi)``.
+def _chunk_plan(grad_rows: int, rows: int) -> list[tuple[int, int]]:
+    """The chunks of ``Tape.mlp``, as ``(lo, hi)`` ranges of its ``rows`` input rows.
 
-    ``ceil((grad_rows + value_rows) / CHUNK_ROWS)`` chunks, at least one,
-    share the gradient rows (input rows ``[0, grad_rows)``) and the
-    value-only rows (the ``value_rows`` after them) by ``_shares``.  Each
-    chunk takes its share of both kinds, so the chunks, and the workers
-    that run them, get near-equal work whatever the mix.  Chunks left
-    without rows are dropped.  The plan depends only on the two counts.
+    The gradient rows ``[0, grad_rows)`` come first, then the value-only
+    rows after them.  Each kind is cut into ``n = ceil(rows / CHUNK_ROWS)``
+    contiguous ranges whose sizes differ by at most one, and empty ranges
+    are dropped, so no chunk mixes the two kinds and a node of no rows has
+    no chunk.  The plan depends only on the two counts.
     """
-    n = max(1, -(-(grad_rows + value_rows) // CHUNK_ROWS))
-    spans = zip(_shares(grad_rows, n),
-                [(grad_rows + lo, grad_rows + hi) for lo, hi in _shares(value_rows, n)])
-    return [(g, v) for g, v in spans if g[1] > g[0] or v[1] > v[0]]
+    n = -(-rows // CHUNK_ROWS)
+    plan = []
+    for lo, count in ((0, grad_rows), (grad_rows, rows - grad_rows)):
+        plan += [(lo + count * i // n, lo + count * (i + 1) // n) for i in range(n)]
+    return [(lo, hi) for lo, hi in plan if hi > lo]
 
 
-def _shares(rows: int, n: int) -> list[tuple[int, int]]:
-    """``n`` contiguous ``(lo, hi)`` shares of ``rows`` rows, with edges on multiples of ``ROW_ALIGN``.
+def _mlp_chunk(h, packed, shift, lo, hi, gradient, **kw) -> Callable | None:
+    """One chunk of ``Tape.mlp``: input rows ``[lo, hi)``, gradient rows if ``gradient``.
 
-    The rows go in ``ROW_ALIGN``-row units over as many shares as there
-    are whole units, at most ``n``, one unit more to the first ones; the
-    last share also takes the rows after the last whole unit.  So no
-    share but a lone one holds fewer than ``ROW_ALIGN`` rows, and shares
-    past those are empty.
+    ``h`` and ``packed`` are the node's whole input and value, and
+    ``shift`` the offset of input row i >= 1 in ``packed`` (input row 0's
+    result goes to row ``shift``).  Runs ``_gradient_rows`` or
+    ``_value_rows`` on the chunk's block of both, slicing them here, in
+    the task, and returns what it returns: the chunk's VJP, or None.
+    Only numpy runs here, so a worker thread can run it.
     """
-    units = rows // ROW_ALIGN
-    m = max(1, min(n, units))
-    edges = [0]
-    for i in range(m):
-        edges.append(edges[-1] + (units // m + (i < units % m)) * ROW_ALIGN)
-    edges[-1] = rows
-    return list(zip(edges[:-1], edges[1:])) + [(rows, rows)] * (n - m)
+    run = _gradient_rows if gradient else _value_rows
+    return run(h[lo:hi], packed=packed[lo + shift:hi + shift], **kw)
 
 
-def _mlp_chunk(h, packed, shift, span, ws, bs, activation, alpha, differentiated
-               ) -> Callable | None:
-    """One chunk of ``Tape.mlp``: its gradient rows, then its value-only rows.
-
-    ``h`` and ``packed`` are the node's whole input and value, ``shift``
-    the offset of input row i >= 1 in ``packed``, and ``span`` the
-    chunk's entry of ``_chunk_plan``: its input rows of each kind, one
-    of them possibly empty.  ``_gradient_rows`` runs the first kind,
-    ``_value_rows`` the second, and each writes its rows of ``packed``
-    (input row 0's result goes to row ``shift``).  If ``differentiated``,
-    returns the chunk's VJP, which maps the adjoint of the gradient rows
-    and the value column's adjoint of the value-only rows to the sum of
-    their gradient vectors; otherwise None.  Only numpy runs here, so a
-    worker thread can run it.
-    """
-    (g0, g1), (v0, v1) = span
-    kw = dict(ws=ws, bs=bs, activation=activation, alpha=alpha, differentiated=differentiated)
-    # only the node's last rows are remainder rows of one pass over all of them
-    tail = lambda hi: packed.shape[0] % GEMV_BLOCK if hi == len(h) else 0
-    grad_vjp = (_gradient_rows(h[g0:g1], packed=packed[g0 + shift:g1 + shift], tail=tail(g1),
-                               **kw) if g1 > g0 else None)
-    value_vjp = (_value_rows(h[v0:v1], packed=packed[v0 + shift:v1 + shift], tail=tail(v1),
-                             **kw) if v1 > v0 else None)
-    if not differentiated:
-        return None
-
-    def vjp(g, g_u):
-        if grad_vjp is None:
-            return value_vjp(g_u)
-        grad = grad_vjp(g)
-        if value_vjp is not None:
-            grad += value_vjp(g_u)
-        return grad
-
-    return vjp
-
-
-def _value_rows(h, ws, bs, activation, alpha, packed, tail, differentiated
-                ) -> Callable | None:
+def _value_rows(h, ws, bs, activation, alpha, packed, differentiated) -> Callable | None:
     """Forward pass of value-only rows of ``Tape.mlp``: the value column, zero gradient columns.
 
     Runs the value chain alone, written into ``packed``.  If
     ``differentiated``, keeps the inputs of every layer and returns the
-    VJP, which backpropagates the value column's adjoint ``g_u`` to a
-    gradient vector in ``mlp_layers``' layout: no input-gradient chain
-    and no sweep for tanh's slope adjoints.  Each layer's slopes are
+    VJP, which takes the rows' block of the adjoint and backpropagates
+    its value column ``g_u`` to a gradient vector in ``mlp_layers``'
+    layout: no input-gradient chain and no sweep for tanh's slope
+    adjoints.  Each layer's slopes are
     rebuilt from its output where the VJP multiplies by them: 1 - h**2
     for tanh, and ``h > 0``, which is ``z > 0``, for relu and leaky relu.
     """
@@ -627,12 +583,13 @@ def _value_rows(h, ws, bs, activation, alpha, packed, tail, differentiated
         h = np.tanh(h, out=h) if tanh else _activate(h, activation, alpha)[0]
         if differentiated:
             hs.append(h)
-    _value_column(h, ws[-1], bs[-1], packed[:, :1], tail)
+    _value_column(h, ws[-1], bs[-1], packed[:, 0])
     packed[:, 1:] = 0.0
     if not differentiated:
         return None
 
-    def vjp(g_u):
+    def vjp(g):
+        g_u = g[:, :1]
         grad = np.empty(sum(w.size + b.size for w, b in zip(ws, bs)))
         gws, gbs = mlp_layers(grad, [w.shape for w in ws])
         np.matmul(hs[-1].T, g_u, out=gws[-1])
@@ -650,8 +607,7 @@ def _value_rows(h, ws, bs, activation, alpha, packed, tail, differentiated
     return vjp
 
 
-def _gradient_rows(h, ws, bs, activation, alpha, packed, tail, differentiated
-                   ) -> Callable | None:
+def _gradient_rows(h, ws, bs, activation, alpha, packed, differentiated) -> Callable | None:
     """Forward pass of gradient rows of ``Tape.mlp``, value and input gradient, into ``packed``.
 
     ``h`` and ``packed`` are the rows' block of the node's input and
@@ -699,7 +655,7 @@ def _gradient_rows(h, ws, bs, activation, alpha, packed, tail, differentiated
         if differentiated:
             hs.append(h)
         states.append(state)
-    _value_column(h, ws[-1], bs[-1], packed[:, :1], tail)
+    _value_column(h, ws[-1], bs[-1], packed[:, 0])
     del h  # the gradient chain reads only the slopes
 
     def slope(j):
@@ -767,29 +723,15 @@ def _gradient_rows(h, ws, bs, activation, alpha, packed, tail, differentiated
     return vjp
 
 
-def _value_column(h, w, b, out, tail) -> None:
-    """``out[:] = h @ w + b``, each row summed as in one pass over all the node's rows.
+def _value_column(h, w, b, out) -> None:
+    """``out[:] = h @ w + b`` for the (rows,) column ``out``, one dot product per row.
 
-    In that pass only the node's last ``tail`` rows are remainder rows of
-    the matrix-vector kernel (see ``GEMV_BLOCK``).  When this block of
-    rows has another remainder, its rows after the last full block go
-    through one zero-padded block, and its last ``tail`` rows through a
-    product of which they are the remainder.
+    A BLAS matrix-vector product may sum a row in an order that depends
+    on the rows around it, and so on the chunk; einsum's dot product of
+    each row depends on the row alone.
     """
-    n = len(h)
-    tail = min(tail, n)  # a node's last block of rows holds at most its remainder
-    if n % GEMV_BLOCK == tail:
-        out[...] = h @ w + b
-        return
-    head = n - tail
-    cut = head - head % GEMV_BLOCK
-    out[:cut] = h[:cut] @ w + b
-    pad = np.zeros((GEMV_BLOCK + tail, h.shape[1]))
-    pad[:head - cut] = h[cut:head]
-    pad[GEMV_BLOCK:] = h[head:]
-    col = pad @ w + b
-    out[cut:head] = col[:head - cut]
-    out[head:] = col[GEMV_BLOCK:]
+    np.einsum("ij,j->i", h, w[:, 0], out=out)
+    out += b
 
 
 def _activate(z: np.ndarray, activation: str, alpha: float) -> tuple[np.ndarray, np.ndarray]:

@@ -115,6 +115,11 @@ class TrainConfig:
             AdamState.for_params(np.zeros(0), **self.adam)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad model or optimiser settings: {exc}") from exc
+        try:  # the jump counts' Poisson mean per interval, as simulate_forward draws them
+            jumpsim.poisson_from_uniforms(np.empty(0), self.problem.intensity * self.grid.dt)
+        except ValueError as exc:
+            raise ConfigError(f"jump intensity {self.problem.intensity} over {self.steps} "
+                              f"steps: {exc}") from exc
 
     @property
     def grid(self) -> TimeGrid:
@@ -474,8 +479,9 @@ def run_convergence_study(
 
     Run r offsets the init seed by r and the simulation seed by r times
     ``RUN_SEED_STRIDE``, so no two runs share batches; more iterations
-    than the stride are a config error.  A failed run is logged and
-    excluded rather than killing the study.
+    than the stride are a config error, and so is an N whose config
+    ``TrainConfig`` refuses, before any run trains.  A failed run is
+    logged and excluded rather than killing the study.
     """
     if runs < keep or keep < 1:
         raise ConfigError(f"need runs >= keep >= 1, got runs={runs}, keep={keep}")
@@ -484,6 +490,8 @@ def run_convergence_study(
                           f"{RUN_SEED_STRIDE} between runs: runs would share batch seeds")
     if len(set(steps_list)) < len(steps_list):
         raise ConfigError(f"step counts repeat in {steps_list}")
+    for n_steps in steps_list:  # TrainConfig's checks of each N, before any run
+        replace(config, steps=n_steps)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     errors: dict[int, list[float]] = {}

@@ -106,11 +106,16 @@ def poisson_from_uniforms(u: np.ndarray, mean: float) -> np.ndarray:
     moves it, and a draw's count is the number of its values at or below
     the draw; a draw above where the CDF settles gets the number of terms.
     At mean 0 the CDF starts at 1, above every keyed uniform, so every
-    count is 0.
+    count is 0.  The CDF starts at exp(-mean), so a mean above ~708.4,
+    where that start is no longer a normal float64 (it underflows to 0
+    from ~745.2, and every count would come out 1), is a ValueError.
     """
     if mean < 0:
         raise ValueError(f"Poisson mean must be >= 0, got {mean}")
     pmf = float(np.exp(-mean))
+    if pmf < np.finfo(np.float64).tiny:
+        raise ValueError(f"Poisson mean {mean} is too large: exp(-mean) = {pmf} is not a "
+                         f"normal float64, so its CDF cannot be summed")
     cdf = [pmf]
     k = 1
     while True:

@@ -8,9 +8,9 @@ differentiates the gradient as well, so any loss containing it remains
 differentiable with respect to the parameters in a single reverse pass.
 Its parameters are one vector, ``MlpParams.theta``.  A pass that nothing
 differentiates, such as the held-out one, binds it with ``trainable=False``:
-it is then a tape constant, and the node keeps no VJP state.  ``evaluate``,
-a plain tape-free forward pass, is the tests' reference for its value
-column; the program never calls it.
+it is then a tape constant, and the node keeps no VJP state.  The
+package holds no other forward pass: the network runs only inside the
+loss's node.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ShapeMismatchError, Tape, Variable, mlp_layers
+from .autodiff import Tape, Variable, mlp_layers
 
 _ACTIVATIONS = ("tanh", "relu", "leaky_relu")
 
@@ -109,24 +109,4 @@ class TapeMlp:
         packed = tape.mlp(inp, self.param_var, self.arch.layer_dims, self.arch.activation,
                           self.arch.alpha, grad_rows, repeat)
         return tape.slice(packed, cols=(0, 1)), tape.slice(packed, cols=(1, self.arch.input_dim))
-
-
-def evaluate(params: MlpParams, inp: np.ndarray) -> np.ndarray:
-    """Plain forward pass over the (rows, 1+d) input, time first.
-
-    Bit-identical to the value column of the tape's ``Tape.mlp`` node, as
-    ``test_fused_value_column_bit_identical_to_evaluate`` asserts.
-    """
-    h, arch = np.asarray(inp, dtype=np.float64), params.arch
-    if h.ndim != 2 or h.shape[1] != arch.input_dim:
-        raise ShapeMismatchError(f"evaluate: input {h.shape}, expected width {arch.input_dim}")
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = h @ w + b
-        if arch.activation == "tanh":
-            h = np.tanh(z)
-        elif arch.activation == "relu":
-            h = np.maximum(z, 0.0)
-        else:
-            h = np.where(z > 0.0, z, arch.alpha * z)
-    return h @ params.weights[-1] + params.biases[-1]
 

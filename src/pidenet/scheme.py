@@ -28,7 +28,7 @@ block put side by side, which is the same arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,17 +48,11 @@ class NumericalAbortError(FloatingPointError):
 
 @dataclass
 class LossBreakdown:
-    """Plain-number record of the per-interval and terminal loss terms.
-
-    ``values`` copies the network's value at every (node, path), shape
-    (N+1, B) like the batch, in the breakdowns that ``loss`` returns;
-    ``to_dict`` leaves it out.
-    """
+    """Plain-number record of the per-interval and terminal loss terms."""
 
     interval_terms: np.ndarray
     terminal_term: float
     total: float
-    values: np.ndarray | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -185,7 +179,7 @@ def reduce_residuals(interval_sq: Variable, terminal_sq: Variable, n_steps: int
     Expectations are realized as batch means: each interval's over its
     (B,) block of ``interval_sq``, the terminal term over ``terminal_sq``.
     A non-finite term aborts with the offending interval index and the
-    breakdown gathered so far.  The breakdown carries no values.
+    breakdown gathered so far.
     """
     tape = interval_sq.tape
     interval_vec = tape.block_mean(interval_sq, n_steps)
@@ -212,11 +206,9 @@ def reduce_residuals(interval_sq: Variable, terminal_sq: Variable, n_steps: int
 
 
 def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBreakdown]:
-    """Scalar objective over a path batch, plus its per-term breakdown with the node values.
+    """Scalar objective over a path batch, plus its per-term breakdown.
 
     ``squared_residuals`` then ``reduce_residuals``, on ``net``'s tape.
     """
-    interval_sq, terminal_sq, values = squared_residuals(net, batch, problem)
-    total, breakdown = reduce_residuals(interval_sq, terminal_sq, batch.grid.steps)
-    breakdown.values = values.copy()
-    return total, breakdown
+    interval_sq, terminal_sq, _ = squared_residuals(net, batch, problem)
+    return reduce_residuals(interval_sq, terminal_sq, batch.grid.steps)

@@ -5,9 +5,10 @@
 
 The first form imports ``pidenet`` from ``--src`` and stores, per case,
 the training loss (``loss``), its interval terms (``terms``), the
-network values of ``LossBreakdown.values`` (``values``), the held-out
-pass's total, terms and values (``heldout_*``, from ``scheme.loss`` on
-the whole held-out batch) and the gradient of the
+network's value at every (node, path), the third result of
+``scheme.squared_residuals`` (``values``), the held-out pass's total,
+terms and values (``heldout_*``, from ``squared_residuals`` and
+``reduce_residuals`` on the whole held-out batch) and the gradient of the
 loss with respect to the parameters (``grad``), one vector in the order
 w0, b0, w1, b1, ..., each C-ordered: the network's one parameter vector,
 or the concatenation of its per-layer arrays in trees that keep them
@@ -154,7 +155,7 @@ def run_files(tmp: Path) -> dict[str, np.ndarray]:
 
 def preset_cases(label: str, config, batch_sizes, depths) -> dict[str, np.ndarray]:
     """The batches and cases of one config, named after ``label``."""
-    from pidenet import cli, jumpsim, nn, scheme
+    from pidenet import cli, jumpsim, nn
     from pidenet.autodiff import Tape, Variable
 
     out = {}
@@ -182,7 +183,7 @@ def preset_cases(label: str, config, batch_sizes, depths) -> dict[str, np.ndarra
                 batch, held_out = batches[batch_size]
                 tape = Tape()
                 net = nn.TapeMlp(tape, params)
-                total, breakdown = scheme.loss(net, batch, config.problem)
+                total, breakdown, values = loss_and_values(net, batch, config)
                 # the parameter leaves the network holds, in its order:
                 # one vector, or one array per weight and bias
                 leaves = [v for held in vars(net).values()
@@ -190,15 +191,15 @@ def preset_cases(label: str, config, batch_sizes, depths) -> dict[str, np.ndarra
                           if isinstance(v, Variable)]
                 grad = np.concatenate([g.ravel() for g in tape.backward(total, leaves)])
                 del tape, net, total
-                heldout = scheme.loss(nn.TapeMlp(Tape(), params, trainable=False), held_out,
-                                      config.problem)[1]
+                _, heldout, heldout_values = loss_and_values(
+                    nn.TapeMlp(Tape(), params, trainable=False), held_out, config)
                 fields = {
                     "loss": np.float64(breakdown.total),
                     "terms": breakdown.interval_terms,
-                    "values": breakdown.values,
+                    "values": values,
                     "heldout_loss": np.float64(heldout.total),
                     "heldout_terms": heldout.interval_terms,
-                    "heldout_values": heldout.values,
+                    "heldout_values": heldout_values,
                     "grad": grad,
                 }
                 if batch_size == EVAL_BATCH:
@@ -212,6 +213,15 @@ def preset_cases(label: str, config, batch_sizes, depths) -> dict[str, np.ndarra
                 out.update({f"{case}/{name}": np.asarray(a) for name, a in fields.items()})
                 print(case, f"loss {breakdown.total:.17g}", flush=True)
     return out
+
+
+def loss_and_values(net, batch, config):
+    """``scheme.loss``'s total and breakdown, and a copy of the network's (N+1, B) node values."""
+    from pidenet import scheme
+
+    interval_sq, terminal_sq, values = scheme.squared_residuals(net, batch, config.problem)
+    total, breakdown = scheme.reduce_residuals(interval_sq, terminal_sq, config.grid.steps)
+    return total, breakdown, values.copy()
 
 
 def ulp_distance(x: np.ndarray, y: np.ndarray) -> int:

@@ -2,11 +2,32 @@
 
 import numpy as np
 
-from pidenet.autodiff import Tape, Variable
+from pidenet.autodiff import ShapeMismatchError, Tape, Variable
 from pidenet import jumpsim, scheme
 from pidenet.jumpsim import PathBatch, TimeGrid, _jump_sum, keyed_uniforms, simulate_forward
 from pidenet.normal import ndtri
 from pidenet.problems import ProblemSpec
+
+
+def evaluate(params, inp: np.ndarray) -> np.ndarray:
+    """Plain forward pass of ``nn.MlpParams`` over the (rows, 1+d) input, time first.
+
+    The value reference: bit-identical to the value column of the
+    ``Tape.mlp`` node, whose output layer is the same one dot product per
+    row.
+    """
+    h, arch = np.asarray(inp, dtype=np.float64), params.arch
+    if h.ndim != 2 or h.shape[1] != arch.input_dim:
+        raise ShapeMismatchError(f"evaluate: input {h.shape}, expected width {arch.input_dim}")
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = h @ w + b
+        if arch.activation == "tanh":
+            h = np.tanh(z)
+        elif arch.activation == "relu":
+            h = np.maximum(z, 0.0)
+        else:
+            h = np.where(z > 0.0, z, arch.alpha * z)
+    return (np.einsum("ij,j->i", h, params.weights[-1][:, 0]) + params.biases[-1])[:, None]
 
 
 def mlp_param_grads(h, ws, bs, activation: str, alpha: float, g: np.ndarray) -> list[np.ndarray]:

@@ -16,7 +16,7 @@ import pidenet
 from pidenet import autodiff, nn
 from pidenet.autodiff import ShapeMismatchError, Tape, TapeError, Variable
 
-from reference import grad_check, mlp_param_grads
+from reference import evaluate, grad_check, mlp_param_grads
 
 
 def finite_diff(value_fn, point, h=1e-5):
@@ -437,14 +437,14 @@ def pool_tasks(grad_rows, value_rows=0):
     The passes are a forward pass and its VJP, or two forward passes: one
     task per chunk and pass, none while the node has only one chunk.
     """
-    chunks = len(autodiff._chunk_plan(grad_rows, value_rows))
+    chunks = len(autodiff._chunk_plan(grad_rows, grad_rows + value_rows))
     return 2 * chunks if chunks > 1 else 0
 
 
 class TestChunkedMlp:
     """``Tape.mlp`` split into row chunks and run on the worker pool."""
 
-    CHUNK = 128  # a multiple of ROW_ALIGN; 100, 250 and 600 rows give 1, 2 and 5 chunks
+    CHUNK = 128  # 100, 250 and 600 rows give 1, 2 and 5 chunks
     ROWS = (100, 250, 600)
 
     @staticmethod
@@ -527,7 +527,7 @@ class TestChunkedMlp:
     def test_value_column_is_the_plain_forward_pass(self, activation, rows, monkeypatch):
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
         value, _, params, inp = self.run(rows, activation)
-        assert np.array_equal(value[:, :1], nn.evaluate(params, inp))
+        assert np.array_equal(value[:, :1], evaluate(params, inp))
 
     @pytest.mark.parametrize("rows", ROWS)
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
@@ -551,9 +551,9 @@ class TestChunkedMlp:
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
         params, inp, coef = self.data(rows, activation, hidden=(16, 12, 8))
         expected = None
-        for lo in range(0, rows, self.CHUNK):  # the node's chunk edges at these row counts
-            part = mlp_param_grads(inp[lo:lo + self.CHUNK], params.weights, params.biases,
-                                   activation, params.arch.alpha, coef[lo:lo + self.CHUNK])
+        for lo, hi in autodiff._chunk_plan(rows, rows):  # the node's chunk edges
+            part = mlp_param_grads(inp[lo:hi], params.weights, params.biases,
+                                   activation, params.arch.alpha, coef[lo:hi])
             expected = part if expected is None else [e + p for e, p in zip(expected, part)]
         for workers in (1, 2, 3):
             pool = chunk_workers(workers)
@@ -689,9 +689,8 @@ class TestChunkedMlp:
 
     @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
     def test_chunked_gradients_match_finite_differences(self, activation, monkeypatch):
-        # 13 rows in chunks of 3, 3, 3, 3 and 1
+        # 13 rows in five chunks of 2 or 3
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 3)
-        monkeypatch.setattr(autodiff, "ROW_ALIGN", 1)
         theta, dims = TestFusedMlp.layers(2, width=4, seed=5)
         rng = np.random.default_rng(6)
         inp = rng.uniform(-1.0, 1.0, size=(13, 3))
@@ -803,7 +802,7 @@ class TestValueOnlyRowsAndRepeatedRow:
         # adjoint, the reference's arithmetic with a zero gradient adjoint
         params, inp, coef = self.data(100, activation, hidden=hidden)
         value, grad = self.run(params, inp, coef, 0, 1)
-        assert np.array_equal(value[:, :1], nn.evaluate(params, inp))
+        assert np.array_equal(value[:, :1], evaluate(params, inp))
         assert not value[:, 1:].any()
         g = coef.copy()
         g[:, 1:] = 0.0
@@ -819,7 +818,7 @@ class TestValueOnlyRowsAndRepeatedRow:
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 128)
         params, inp, coef = self.data(580, activation, hidden=hidden)
         value, grad = self.run(params, inp, coef, 250, 1)
-        assert np.array_equal(value[:, :1], nn.evaluate(params, inp))
+        assert np.array_equal(value[:, :1], evaluate(params, inp))
         whole, _ = self.run(params, inp, coef, None, 1)
         assert np.array_equal(value[:250], whole[:250])
         assert not value[250:, 1:].any()
@@ -836,7 +835,6 @@ class TestValueOnlyRowsAndRepeatedRow:
         # input row 0 stands for 7 rows: the node equals one over the
         # expanded input, and its VJP sums the copies' adjoints
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 3)
-        monkeypatch.setattr(autodiff, "ROW_ALIGN", 1)
         params, inp, coef = self.data(9, activation, hidden=(6, 5))
         coef = np.random.default_rng(4).normal(size=(15, inp.shape[1]))
         expanded = np.concatenate([np.repeat(inp[:1], 7, axis=0), inp[1:]])
@@ -844,7 +842,8 @@ class TestValueOnlyRowsAndRepeatedRow:
         copies, copies_grad = self.run(params, expanded, coef, grad_rows and grad_rows + 6, 1)
         assert value.shape == (15, inp.shape[1])
         assert np.array_equal(value[:7], np.repeat(value[:1], 7, axis=0))
-        # other chunk edges, so up to rounding: BLAS sums a lone row otherwise
+        # other chunk edges, so up to rounding: the gradient columns'
+        # products may sum a row otherwise
         assert np.max(np.abs(value - copies)) <= 1e-15 * np.max(np.abs(copies))
         assert np.max(np.abs(grad - copies_grad)) <= 1e-12 * np.max(np.abs(copies_grad))
 
@@ -882,36 +881,58 @@ class TestValueOnlyRowsAndRepeatedRow:
 
 
 class TestChunkPlan:
-    """``autodiff._chunk_plan``: aligned shares of both kinds of row in every chunk."""
+    """``autodiff._chunk_plan``: each kind of row in the same number of near-equal chunks."""
 
-    @pytest.mark.parametrize("grad_rows, value_rows", [
-        (0, 0), (1, 0), (0, 70), (1001, 1327), (12251, 317), (12251, 250 + 4000),
-        (1 + 49 * 64, 64 + 40), (4096, 0), (5000, 5000), (3, 2)])
-    def test_shares_cover_the_rows_in_order_on_aligned_edges(self, grad_rows, value_rows):
-        align = autodiff.ROW_ALIGN
-        plan = autodiff._chunk_plan(grad_rows, value_rows)
+    COUNTS = [(0, 0), (1, 0), (0, 70), (1001, 1327), (12251, 317), (12251, 250 + 4000),
+              (1 + 49 * 64, 64 + 40), (4096, 0), (5000, 5000), (3, 2)]
+
+    @pytest.mark.parametrize("grad_rows, value_rows", COUNTS)
+    def test_chunks_cover_the_rows_in_order_one_kind_each(self, grad_rows, value_rows):
         rows = grad_rows + value_rows
-        assert len(plan) <= max(1, -(-rows // autodiff.CHUNK_ROWS))
-        for kind, (lo_all, hi_all) in enumerate([(0, grad_rows), (grad_rows, rows)]):
-            shares = [span[kind] for span in plan if span[kind][1] > span[kind][0]]
-            edges = [lo for lo, _ in shares] + [hi_all]
-            assert edges[0] == lo_all and all(hi == lo for (_, hi), lo in zip(shares, edges[1:]))
-            for lo, hi in shares[1:]:
-                assert (lo - lo_all) % align == 0
-            # no share of fewer than ROW_ALIGN rows is split off
-            if len(shares) > 1:
-                assert min(hi - lo for lo, hi in shares) >= align
-                sizes = [hi - lo for lo, hi in shares[:-1]]
-                assert max(sizes) - min(sizes) <= align
+        plan = autodiff._chunk_plan(grad_rows, rows)
+        assert [lo for lo, _ in plan] + [rows] == [0] + [hi for _, hi in plan]
+        assert all(hi > lo for lo, hi in plan)
+        assert all(hi <= grad_rows or lo >= grad_rows for lo, hi in plan)
 
-    def test_few_value_rows_stay_whole_shares(self):
-        # a bsb_d4 batch of 250 paths: 7 chunks, and ~317 value-only rows
-        # in four shares, not seven
-        plan = autodiff._chunk_plan(1 + 49 * 250, 317)
-        assert len(plan) == 7
-        assert [v for _, v in plan if v[1] > v[0]] == [
-            (12251, 12315), (12315, 12379), (12379, 12443), (12443, 12568)]
-        assert all(g[1] - g[0] >= 1728 for g, _ in plan)
+    @pytest.mark.parametrize("grad_rows, value_rows", COUNTS)
+    def test_each_kind_is_cut_into_near_equal_chunks(self, grad_rows, value_rows):
+        rows = grad_rows + value_rows
+        n = -(-rows // autodiff.CHUNK_ROWS)
+        plan = autodiff._chunk_plan(grad_rows, rows)
+        for count, chunks in ((grad_rows, [c for c in plan if c[1] <= grad_rows]),
+                              (value_rows, [c for c in plan if c[0] >= grad_rows])):
+            sizes = [hi - lo for lo, hi in chunks]
+            assert len(sizes) == min(n, count)
+            if sizes:
+                assert max(sizes) - min(sizes) <= 1
+
+    def test_a_convergence_batch_runs_both_kinds_in_halves(self):
+        # B=1000, N=2: x0 and node 1 need gradients, node 2 and ~300
+        # jumped states their values; 2301 rows make two chunks of each kind
+        assert autodiff._chunk_plan(1001, 2301) == [(0, 500), (500, 1001), (1001, 1651),
+                                                    (1651, 2301)]
+
+    def test_no_rows_give_no_chunk_and_a_zero_gradient(self):
+        assert autodiff._chunk_plan(0, 0) == []
+        params, inp, _ = TestChunkedMlp.data(4, "tanh")
+        tape = Tape()
+        packed, theta = TestChunkedMlp.node(tape, params, inp[:0], tape.param)
+        assert packed.shape == (0, inp.shape[1])
+        (grad,) = tape.backward(tape.sum(packed), [theta])
+        assert grad.shape == params.theta.shape and not grad.any()
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 999), (1, 998), (3, 7), (500, 503)])
+@pytest.mark.parametrize("width", [32, 64, 256])
+def test_a_rows_value_does_not_depend_on_the_rows_around_it(width, lo, hi):
+    # a node over rows [lo, hi) of 1000 gives those rows' values of the
+    # node over all 1000, bit for bit: each value is one dot product
+    params, inp, _ = TestChunkedMlp.data(1000, "tanh", hidden=(width, width))
+    tape = Tape()
+    whole = TestChunkedMlp.node(tape, params, inp, tape.constant)[0].value
+    part = TestChunkedMlp.node(tape, params, inp[lo:hi], tape.constant)[0].value
+    assert part[:, 0].tobytes() == whole[lo:hi, 0].tobytes()
+
 
 def test_concurrent_blas_calls_equal_serial_ones():
     # the chunk workers call one-thread BLAS at the same time; its results

@@ -105,10 +105,9 @@ class TestTrainAndEval:
 
     def test_worker_count_does_not_change_the_files(self, config_path, tmp_path, monkeypatch,
                                                     chunk_workers):
-        # 32-row chunks on 16-row edges: 5 in each training pass, 7 in the
-        # held-out pass
+        # CHUNK_ROWS 32: 5 chunks of each kind of row in each training
+        # pass, 7 in the held-out pass
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 32)
-        monkeypatch.setattr(autodiff, "ROW_ALIGN", 16)
         runs = []
         for workers in (1, 2):
             pool = chunk_workers(workers)
@@ -117,18 +116,6 @@ class TestTrainAndEval:
             assert pool.tasks > 0
         for name in RUN_FILES:
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
-
-    def test_train_and_eval_run_the_network_only_in_the_loss(self, config_path, tmp_path,
-                                                             monkeypatch):
-        def second_pass(*args, **kwargs):
-            raise AssertionError("nn.evaluate called outside the loss")
-
-        monkeypatch.setattr(nn, "evaluate", second_pass)
-        out = tmp_path / "run"
-        assert train(config_path, out) == 0
-        code = cli.main(["eval", "--checkpoint", str(out / "checkpoint.json"),
-                         "--config", str(config_path)])
-        assert code == 0
 
     def test_held_out_pass_keeps_no_gradient_state(self, config_path, monkeypatch,
                                                    tape_variables):
@@ -354,6 +341,17 @@ class TestTrainAndEval:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_too_many_jumps_per_interval_exits_one(self, tmp_path, capsys):
+        # one step of intensity 800: Poisson(800) counts, whose CDF would
+        # start at exp(-800) = 0 and give every path one jump
+        path = tmp_path / "jumpy.json"
+        path.write_text(json.dumps({**TINY, "steps": 1,
+                                    "problem": {"name": "pide_1d", "lam": 800}}))
+        assert train(path, tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Poisson mean 800.0 is too large" in err
+        assert not (tmp_path / "run").exists()
+
     def test_problem_parameter_may_be_a_list_of_numbers(self):
         config = cli.config_from_dict({**TINY, "problem": {"name": "highdim_pide", "dim": 2,
                                                            "x0": [0.5, 2]}})
@@ -486,7 +484,7 @@ def test_only_the_small_preset_runs_its_network_node_inline(preset):
         jumps = round(paths * problem.intensity * problem.total_time)
         grad_rows, value_rows = 1 + (steps - 1) * paths, paths + jumps
         macs = (grad_rows + value_rows) * per_row
-        chunks = len(autodiff._chunk_plan(grad_rows, value_rows))
+        chunks = len(autodiff._chunk_plan(grad_rows, grad_rows + value_rows))
         if preset == "convergence":
             assert macs < autodiff.POOL_MACS, (paths, macs)
         else:
@@ -539,6 +537,20 @@ class TestConverge:
         else:
             assert code == 1 and not seeds and not out.exists()
             assert "seed stride" in capsys.readouterr().err
+
+    def test_a_step_count_with_too_many_jumps_per_interval_fails_before_any_run(
+            self, tmp_path, monkeypatch, capsys):
+        # intensity 1000 over T = 1: N=4 draws Poisson(250) counts, N=1
+        # Poisson(1000), whose CDF cannot start at exp(-1000)
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda config, out_dir: runs.append(config))
+        path = tmp_path / "jumpy.json"
+        path.write_text(json.dumps({**TINY, "problem": {"name": "pide_1d", "lam": 1000.0}}))
+        out = tmp_path / "study"
+        code = cli.main(["converge", "--config", str(path), "--steps", "4,1", "--runs", "1",
+                         "--keep", "1", "--out", str(out)])
+        assert code == 1 and not runs and not out.exists()
+        assert "Poisson mean 1000.0 is too large" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [["--steps", "2,x"], ["--steps", "0"], ["--steps", "2,-4"],
                                       ["--steps", "2", "--runs", "1", "--keep", "2"],

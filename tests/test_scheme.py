@@ -10,7 +10,8 @@ from pidenet import autodiff, cli, jumpsim, nn, problems, scheme
 from pidenet.autodiff import Tape
 from pidenet.jumpsim import TimeGrid
 
-from reference import OracleNetwork, all_rows_squared_residuals, network_input, permuted
+from reference import (OracleNetwork, all_rows_squared_residuals, evaluate, network_input,
+                       permuted)
 from test_autodiff import finite_diff, rel_gap
 
 
@@ -315,7 +316,7 @@ def one_step_reference(problem, params, batch, n):
     grid = batch.grid
     t, dt = grid.times[n], grid.dt
     x = batch.states[n]
-    y = nn.evaluate(params, network_input(t, x))
+    y = evaluate(params, network_input(t, x))
     tape = Tape()
     _, g_var = nn.TapeMlp(tape, params).value_and_grad(network_input(t, x))
     grad = g_var.value
@@ -326,8 +327,8 @@ def one_step_reference(problem, params, batch, n):
     jump_sum = np.zeros_like(y)
     if ids.size:
         sizes = problem.jump_size(t, x[ids], marks)
-        shifted = nn.evaluate(params, network_input(t, x[ids] + sizes))
-        base = nn.evaluate(params, network_input(t, x[ids]))
+        shifted = evaluate(params, network_input(t, x[ids] + sizes))
+        base = evaluate(params, network_input(t, x[ids]))
         np.add.at(jump_sum, ids, shifted - base)
 
     factory = getattr(problems, problem.name)
@@ -457,27 +458,26 @@ class TestOneNetworkPass:
             assert batch.event_marks.dtype == np.float64
         _, breakdown = scheme.loss(nn.TapeMlp(Tape(), params), batch, problem)
         expected = [
-            np.mean((nn.evaluate(params,
-                                 network_input(batch.grid.times[n + 1], batch.states[n + 1]))
+            np.mean((evaluate(params,
+                              network_input(batch.grid.times[n + 1], batch.states[n + 1]))
                      - one_step_reference(problem, params, batch, n)) ** 2)
             for n in range(3)
         ]
         np.testing.assert_allclose(breakdown.interval_terms, expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("problem", BENCHMARKS, ids=lambda p: p.name)
-    def test_breakdown_values_are_the_network_at_every_node(self, problem):
+    def test_values_are_the_network_at_every_node(self, problem):
         # held-out errors read this column in place of a second pass; a
         # node-major reshape read as path-major scrambles it
         params = nn.init(nn.MlpArchitecture(1 + problem.dim, (6,), "tanh"), seed=55)
         batch = toy_batch(problem, n_steps=3, batch_size=32, seed=91)
-        _, breakdown = scheme.loss(nn.TapeMlp(Tape(), params), batch, problem)
+        values = scheme.squared_residuals(nn.TapeMlp(Tape(), params), batch, problem)[2]
         expected = np.stack(
-            [nn.evaluate(params, network_input(t, batch.states[n]))[:, 0]
+            [evaluate(params, network_input(t, batch.states[n]))[:, 0]
              for n, t in enumerate(batch.grid.times)]
         )
-        assert breakdown.values.shape == (4, 32)
-        np.testing.assert_allclose(breakdown.values, expected, rtol=1e-12, atol=1e-15)
-        assert "values" not in breakdown.to_dict()
+        assert values.shape == (4, 32)
+        np.testing.assert_allclose(values, expected, rtol=1e-12, atol=1e-15)
 
 
     def test_network_rows_are_x0_once_then_gradient_then_value_only_rows(self, monkeypatch):
