@@ -60,9 +60,9 @@ only when the parameter vector needs a gradient.  A node over constant
 parameters, such as the held-out pass's, keeps one hidden
 layer at a time, forms the gradient chain in place over the slopes, and
 drops each chunk's state as soon as that chunk's forward pass ends.
-For relu and leaky relu a layer's slopes are a function of its mask
-``z > 0``, so every chunk keeps the one-byte masks in place of the
-float64 slopes and rebuilds them one layer at a time where it reads them.
+For leaky relu a layer's slopes are a function of its mask ``z > 0``, so
+every chunk keeps the one-byte masks in place of the float64 slopes and
+rebuilds them one layer at a time where it reads them.
 
 For gradient rows the VJP differentiates ``<g_u, u> + <g_grad, grad u>``
 with one sweep for every activation.  The value's adjoint at a layer's
@@ -93,7 +93,7 @@ CHUNK_ROWS = 2048
 # which ``Tape.mlp`` runs its chunks on the pool.  Training ms/iter on a
 # 2-core VM, inline chunks against the pool: 17-18% faster at 2.65M and
 # 5.3M (``convergence``, 32x32 tanh, B=1000 and 2000), 9-20% at 3.8M and
-# 7.6M (``pide1d``, 16x16 relu, B=250 and 500), even at 10.6M and 15.3M,
+# 7.6M (``pide1d``, 16x16 leaky relu, B=250 and 500), even at 10.6M and 15.3M,
 # and 3-12% slower at 31M and 21M.  The total work decides, not the work
 # per chunk: ``pide1d``'s chunks are smaller than ``convergence``'s.
 POOL_MACS = 2**23
@@ -355,8 +355,8 @@ class Tape:
         ``inp`` is a constant (rows, k) array whose first column (time)
         is left out of the gradient.  ``theta`` is the parameter vector of
         the layers ``layer_dims``, (fan_in, fan_out) pairs laid out by
-        ``mlp_layers``.  The hidden layers apply ``activation`` ("tanh",
-        "relu" or "leaky_relu" with negative slope ``alpha`` in [0, 1]),
+        ``mlp_layers``.  The hidden layers apply ``activation``, "tanh" or
+        "leaky_relu" with negative slope ``alpha`` in [0, 1] (relu at 0),
         the last layer is linear with one output.  The node's one parent
         is ``theta``; if it needs no gradient, the node keeps no VJP.
 
@@ -573,7 +573,7 @@ def _value_rows(h, ws, bs, activation, alpha, packed, differentiated) -> Callabl
     layout: no input-gradient chain and no sweep for tanh's slope
     adjoints.  Each layer's slopes are
     rebuilt from its output where the VJP multiplies by them: 1 - h**2
-    for tanh, and ``h > 0``, which is ``z > 0``, for relu and leaky relu.
+    for tanh, and ``h > 0``, which is ``z > 0``, for leaky relu.
     """
     tanh = activation == "tanh"
     hs = [h]
@@ -597,7 +597,7 @@ def _value_rows(h, ws, bs, activation, alpha, packed, differentiated) -> Callabl
         g_z = g_u @ ws[-1].T
         for j in range(len(ws) - 2, -1, -1):
             out = hs[j + 1]
-            g_z *= 1.0 - out * out if tanh else _slopes(out > 0.0, activation, alpha)
+            g_z *= 1.0 - out * out if tanh else _slopes(out > 0.0, alpha)
             np.matmul(hs[j].T, g_z, out=gws[j])
             np.sum(g_z, axis=0, out=gbs[j])
             if j:
@@ -621,13 +621,13 @@ def _gradient_rows(h, ws, bs, activation, alpha, packed, differentiated) -> Call
     j's pre-activation, du/dz_j; the last one, ``q_{n-1}``, is the output
     weights' row ``ws[-1].T`` times layer n-1's slopes.  A differentiated
     chunk keeps, for every activation, the n hidden outputs, ``q_0 ..
-    q_{n-2}`` and each layer's slope state: tanh's float slopes, or the
-    one-byte masks ``z > 0`` of relu and leaky relu, from which the VJP
-    rebuilds layer j's slopes where it multiplies by them.  ``q_{n-1}``
-    is rebuilt only for the products that read it (with one hidden layer
-    that row is ``q_0``, which the input weights read).  A forward-only
-    chunk keeps the same n slope states, masks for relu and leaky relu,
-    and one hidden output at a time; each ``q_j`` is formed in place over
+    q_{n-2}`` and each layer's slope state: tanh's float slopes, or
+    leaky relu's one-byte masks ``z > 0``, from which the VJP rebuilds
+    layer j's slopes where it multiplies by them.  ``q_{n-1}`` is rebuilt
+    only for the products that read it (with one hidden layer that row is
+    ``q_0``, which the input weights read).  A forward-only chunk keeps
+    the same n slope states, masks for leaky relu, and one hidden output
+    at a time; each ``q_j`` is formed in place over
     ``slopes[j]``, tanh's own or rebuilt from the mask, and the last one
     formed, ``q_0``, gives the gradient columns.
 
@@ -646,7 +646,7 @@ def _gradient_rows(h, ws, bs, activation, alpha, packed, differentiated) -> Call
     tanh = activation == "tanh"
 
     # value chain: hs[j] is the input of layer j, states[j] the slopes at
-    # layer j's pre-activation for tanh, its mask for relu and leaky relu
+    # layer j's pre-activation for tanh, its mask for leaky relu
     hs, states = [h], []
     for w, b in zip(ws[:-1], bs[:-1]):
         h = h @ w
@@ -661,7 +661,7 @@ def _gradient_rows(h, ws, bs, activation, alpha, packed, differentiated) -> Call
     def slope(j):
         """Layer j's slopes, which the caller may overwrite: rebuilt, copied, or a forward-only tanh chunk's."""
         if not tanh:
-            return _slopes(states[j], activation, alpha)
+            return _slopes(states[j], alpha)
         return states[j].copy() if differentiated else states[j]
 
     # input-gradient chain: v is the adjoint of hidden output j,
@@ -737,22 +737,20 @@ def _value_column(h, w, b, out) -> None:
 def _activate(z: np.ndarray, activation: str, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Activation written over ``z``, and the state of its slopes, each computed once.
 
-    tanh's state is its slopes.  relu's and leaky relu's is the mask
-    ``z > 0``, from which ``_slopes`` rebuilds them.
+    tanh's state is its slopes.  leaky relu's is the mask ``z > 0``,
+    from which ``_slopes`` rebuilds them.
     """
     if activation == "tanh":
         h = np.tanh(z, out=z)
         return h, 1.0 - h * h
-    mask = z > 0.0
-    if activation == "relu":
-        return np.maximum(z, 0.0, out=z), mask
     if activation == "leaky_relu":
-        return np.multiply(z, _slopes(mask, activation, alpha), out=z), mask
+        mask = z > 0.0
+        return np.multiply(z, _slopes(mask, alpha), out=z), mask
     raise ValueError(f"unknown activation {activation!r}")
 
 
-def _slopes(mask: np.ndarray, activation: str, alpha: float) -> np.ndarray:
-    """relu or leaky relu slopes from the mask ``z > 0``: 1 where it holds, else 0 or ``alpha``.
+def _slopes(mask: np.ndarray, alpha: float) -> np.ndarray:
+    """Leaky relu slopes from the mask ``z > 0``: 1 where it holds, else ``alpha``.
 
     Byte for byte ``np.where(z > 0.0, 1.0, alpha)`` for 0 <= alpha <= 1,
     the range ``Tape.mlp`` accepts, and it allocates only its output; a
@@ -760,9 +758,7 @@ def _slopes(mask: np.ndarray, activation: str, alpha: float) -> np.ndarray:
     mask to int64.
     """
     s = mask.astype(np.float64)
-    if activation == "leaky_relu":
-        np.maximum(s, alpha, out=s)
-    return s
+    return np.maximum(s, alpha, out=s)
 
 
 def _check_broadcast(op: str, sa: tuple, sb: tuple) -> None:

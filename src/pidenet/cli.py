@@ -91,10 +91,7 @@ class TrainConfig:
     problem: ProblemSpec
     steps: int
     batch_size: int
-    hidden: tuple[int, ...]
-    activation: str
-    leaky_alpha: float
-    adam: dict
+    architecture: nn.MlpArchitecture
     schedule: optim.Piecewise | optim.Cosine
     iterations: int
     checkpoint_interval: int
@@ -110,11 +107,6 @@ class TrainConfig:
                             ("seed_simulation", 0), ("seed_init", 0), ("seed_evaluation", 0)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        try:  # what run_experiment builds first, so bad settings fail at load
-            self.architecture
-            AdamState.for_params(np.zeros(0), **self.adam)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad model or optimiser settings: {exc}") from exc
         try:  # the jump counts' Poisson mean per interval, as simulate_forward draws them
             jumpsim.poisson_from_uniforms(np.empty(0), self.problem.intensity * self.grid.dt)
         except ValueError as exc:
@@ -125,19 +117,10 @@ class TrainConfig:
     def grid(self) -> TimeGrid:
         return TimeGrid(self.problem.total_time, self.steps)
 
-    @property
-    def architecture(self) -> nn.MlpArchitecture:
-        return nn.MlpArchitecture(
-            input_dim=1 + self.problem.dim,
-            hidden=self.hidden,
-            activation=self.activation,
-            alpha=self.leaky_alpha,
-        )
-
 
 _CONFIG_KEYS = frozenset({
-    "problem", "steps", "batch_size", "hidden", "activation", "leaky_alpha", "adam",
-    "lr_schedule", "iterations", "checkpoint_interval", "eval_batch_size", "seeds",
+    "problem", "steps", "batch_size", "hidden", "activation", "leaky_alpha", "lr_schedule",
+    "iterations", "checkpoint_interval", "eval_batch_size", "seeds",
 })
 _SEED_KEYS = frozenset({"simulation", "init", "evaluation"})
 
@@ -159,9 +142,34 @@ def _number(value, what: str) -> float:
 def config_from_dict(data: dict, name: str = "experiment") -> TrainConfig:
     """The run a config describes.
 
+    The keys, with their JSON types (a default marks an optional key):
+
+    - ``problem``, object: ``name``, one of ``pure_jump_1d``, ``pide_1d``,
+      ``highdim_pide`` and ``bsb_jumps``, and keyword arguments of that
+      problem's constructor in ``problems``, each a number or a list of
+      numbers.
+    - ``steps``, integer >= 1: time steps N of the grid on
+      [0, ``problem.total_time``].
+    - ``batch_size``, integer >= 1: paths simulated per iteration.
+    - ``hidden``, list of integers >= 1: the widths of the hidden layers.
+    - ``activation``, string, default ``"tanh"``: ``"tanh"`` or
+      ``"leaky_relu"``; relu is ``"leaky_relu"`` at ``leaky_alpha`` 0.
+    - ``leaky_alpha``, number in [0, 1], default 0.01: leaky relu's
+      negative slope.
+    - ``lr_schedule``, object: ``{"kind": "constant", "rate"}``,
+      ``{"kind": "piecewise", "milestones": [[step, rate], ...]}`` with
+      integer steps from 0, or ``{"kind": "cosine", "start", "end",
+      "total_steps"}`` (``optim.schedule_from_dict``).
+    - ``iterations``, integer >= 1: Adam steps, at the settings
+      ``optim.BETA1``, ``optim.BETA2`` and ``optim.EPS``.
+    - ``checkpoint_interval``, integer >= 1, default 1000: iterations
+      between held-out evaluations, each of which saves the checkpoint.
+    - ``eval_batch_size``, integer >= 1, default 2000: held-out paths.
+    - ``seeds``, object of exactly ``simulation``, ``init`` and
+      ``evaluation``, integers >= 0.
+
     Unknown keys, counts that are not JSON integers and other numbers that
-    are not JSON numbers are config errors; a problem parameter may also
-    be a list of numbers.
+    are not JSON numbers are config errors.
     """
     try:
         unknown = set(data) - _CONFIG_KEYS
@@ -182,10 +190,12 @@ def config_from_dict(data: dict, name: str = "experiment") -> TrainConfig:
             problem=problem,
             steps=_integer(data["steps"], "steps"),
             batch_size=_integer(data["batch_size"], "batch_size"),
-            hidden=tuple(_integer(w, "hidden width") for w in data["hidden"]),
-            activation=data.get("activation", "tanh"),
-            leaky_alpha=_number(data.get("leaky_alpha", 0.01), "leaky_alpha"),
-            adam={k: _number(v, f"adam.{k}") for k, v in dict(data.get("adam", {})).items()},
+            architecture=nn.MlpArchitecture(
+                input_dim=1 + problem.dim,
+                hidden=tuple(_integer(w, "hidden width") for w in data["hidden"]),
+                activation=data.get("activation", "tanh"),
+                alpha=_number(data.get("leaky_alpha", 0.01), "leaky_alpha"),
+            ),
             schedule=optim.schedule_from_dict(data["lr_schedule"]),
             iterations=_integer(data["iterations"], "iterations"),
             checkpoint_interval=_integer(data.get("checkpoint_interval", 1000),
@@ -411,7 +421,7 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
     problem, grid = config.problem, config.grid
 
     params = nn.init(config.architecture, seed=config.seed_init)
-    state = AdamState.for_params(params.theta, **config.adam)
+    state = AdamState.for_params(params.theta)
 
     reports: list[metrics.MetricsReport] = []
     metrics.write_metrics_csv(out / "metrics.csv", [])  # the header; evaluations append rows

@@ -21,16 +21,17 @@ import numpy as np
 
 from .autodiff import Tape, Variable, mlp_layers
 
-_ACTIVATIONS = ("tanh", "relu", "leaky_relu")
+_ACTIVATIONS = ("tanh", "leaky_relu")
 
 
 @dataclass(frozen=True)
 class MlpArchitecture:
     """Layer plan: input width 1+d, hidden widths, scalar output.
 
-    ``alpha``, leaky relu's negative slope, must lie in [0, 1] whatever
-    the activation: on that range ``Tape.mlp`` rebuilds the slopes from
-    one-byte masks exactly.
+    The hidden layers apply "tanh" or "leaky_relu"; relu is leaky relu at
+    ``alpha`` 0.  ``alpha``, leaky relu's negative slope, must lie in
+    [0, 1] whatever the activation: on that range ``Tape.mlp`` rebuilds
+    the slopes from one-byte masks exactly.
     """
 
     input_dim: int
@@ -45,7 +46,8 @@ class MlpArchitecture:
         if len(self.hidden) < 1 or any(w < 1 for w in self.hidden):
             raise ValueError(f"need at least one hidden layer of width >= 1, got {self.hidden}")
         if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise ValueError(f"unknown activation {self.activation!r}; "
+                             f"the activations are {', '.join(_ACTIVATIONS)}")
         if not 0.0 <= self.alpha <= 1.0:  # NaN fails too
             raise ValueError(f"leaky relu alpha must be in [0, 1], got {self.alpha}")
 

@@ -1,5 +1,8 @@
 """Adam parameter updates and the learning-rate schedules used by the experiments.
 
+Adam runs at the settings of Kingma & Ba, the module constants ``BETA1``,
+``BETA2`` and ``EPS``; its state is the two moment vectors and the step.
+
 A schedule is one of two frozen records, ``Piecewise`` (piecewise-constant
 milestones; a constant rate is one milestone) or ``Cosine`` (cosine
 annealing); each checks its own fields and gives the rate of a step
@@ -14,29 +17,27 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Adam's moment decay rates and the denominator's floor
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class NonFiniteGradientError(FloatingPointError):
     """Raised when an update would consume NaN or Inf gradients."""
 
 
 @dataclass
 class AdamState:
-    """First/second moment vectors of the parameter vector's shape."""
+    """First/second moment vectors of the parameter vector's shape, and the steps taken."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, theta: np.ndarray, beta1=0.9, beta2=0.999, eps=1e-8) -> "AdamState":
-        beta1, beta2, eps = float(beta1), float(beta2), float(eps)
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0 and eps > 0.0):
-            raise ValueError("Adam needs 0 <= beta1, beta2 < 1 and eps > 0, "
-                             f"got beta1={beta1}, beta2={beta2}, eps={eps}")
-        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta), beta1=beta1, beta2=beta2,
-                   eps=eps)
+    def for_params(cls, theta: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> np.ndarray:
@@ -50,14 +51,13 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) 
         raise NonFiniteGradientError("non-finite gradient passed to adam_step")
 
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1 ** state.step
-    bias2 = 1.0 - b2 ** state.step
-    state.m = b1 * state.m + (1.0 - b1) * grad
-    state.v = b2 * state.v + (1.0 - b2) * (grad * grad)
+    bias1 = 1.0 - BETA1 ** state.step
+    bias2 = 1.0 - BETA2 ** state.step
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * (grad * grad)
     m_hat = state.m / bias1
     v_hat = state.v / bias2
-    return theta - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return theta - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,11 @@ terms and values (``heldout_*``, from ``squared_residuals`` and
 loss with respect to the parameters (``grad``), one vector in the order
 w0, b0, w1, b1, ..., each C-ordered: the network's one parameter vector,
 or the concatenation of its per-layer arrays in trees that keep them
-apart.  The cases are every packaged preset under each activation,
-at B = 64 and 300 paths and with 1, 2 and 3 hidden layers of the
-preset's first width, from fixed seeds and with perturbed parameters, so
-that no bias is zero.  The training and held-out batches that the cases
+apart.  The cases are every packaged preset under each label of
+``ACTIVATIONS`` (tanh, relu as leaky relu at alpha 0, leaky relu at
+alpha 0.1), at B = 64 and 300 paths and with 1, 2 and 3 hidden layers
+of the preset's first width, from fixed seeds and with perturbed
+parameters, so that no bias is zero.  The training and held-out batches that the cases
 of one preset and B share are stored once, under ``<preset>-B<B>``
 (``train_*`` and ``heldout_*``): states, Brownian increments, counts,
 event paths, event intervals and event marks.
@@ -32,22 +33,22 @@ Each preset also runs with jump intensity 0 (``<preset>-nojump``), at B
 hold no jump event and every jump-event array is empty.
 
 Short training runs store the bytes of the files they write
-(``<preset>-<activation>-run/<file>``, as uint8 arrays): ``metrics.csv``,
-``error_by_time.csv``, ``error_grid.csv`` (1-D problems),
-``breakdown.jsonl``, ``checkpoint.json`` and the CSV that ``pidenet
+(``<preset>-<label>-run/<file>``, as uint8 arrays, labelled as the cases
+are): ``metrics.csv``, ``error_by_time.csv``, ``error_grid.csv`` (1-D
+problems), ``breakdown.jsonl``, ``checkpoint.json`` and the CSV that ``pidenet
 eval --out`` writes from that checkpoint.  A two-N, two-run step study
 stores its ``convergence.csv``.  They go through ``config_from_dict``,
 ``run_experiment``, ``run_convergence_study`` and ``cli.main``.
 
-The second form prints, per field and activation (``-`` for the
+The second form prints, per field and activation label (``-`` for the
 batches), how many cases are byte-identical, in shape and dtype too, the
 worst gap relative to each array's max |x| and, for float fields, the
-most float64 steps (units in the last place, ULPs) between two matching
-elements.  It ends with a verdict on whether the two trees are equal:
-every batch field byte-identical, every ``loss``, ``terms`` and other
-``heldout_*`` float within 1 ULP, and every ``grad`` within 1e-12 of its
-max |g|.  It exits with 1 if they are not, or if the two files hold
-different keys.
+worst gap of two matching elements relative to the larger of them and
+the most float64 steps (units in the last place, ULPs) between them.  It
+ends with a verdict on whether the two trees are equal: every batch
+field byte-identical, every ``loss``, ``terms`` and other ``heldout_*``
+float within 1 ULP, and every ``grad`` within 1e-12 of its max |g|.  It
+exits with 1 if they are not, or if the two files hold different keys.
 
 BLAS is pinned to one thread before numpy loads, as importing the
 package does; older trees pin it only in ``cli``.  pytest does not
@@ -71,7 +72,9 @@ from pathlib import Path
 
 import numpy as np
 
-ACTIVATIONS = ("tanh", "relu", "leaky_relu")
+# each case label's activation and leaky relu slope
+ACTIVATIONS = {"tanh": ("tanh", 0.1), "relu": ("leaky_relu", 0.0),
+               "leaky_relu": ("leaky_relu", 0.1)}
 BATCHES = (64, 300)
 EVAL_BATCH = 300  # the B at which cases store cli._evaluate's figures
 DEPTHS = (1, 2, 3)
@@ -84,9 +87,10 @@ GRAD_GAP = 1e-12
 RUN_FILES = ("metrics.csv", "error_by_time.csv", "error_grid.csv", "breakdown.jsonl",
              "checkpoint.json", "eval.csv")
 # short runs of three presets, each overriding the config keys given: pide1d
-# is relu, piecewise and 1-D (so it writes error_grid.csv), convergence tanh
-# and cosine (clamped from step 3), bsb_d4 leaky relu.  pide1d's evaluation
-# interval divides its iteration count; the others' does not
+# is relu (leaky relu at alpha 0), piecewise and 1-D (so it writes
+# error_grid.csv), convergence tanh and cosine (clamped from step 3), bsb_d4
+# leaky relu.  pide1d's evaluation interval divides its iteration count; the
+# others' does not
 RUNS = {
     "pide1d": {"steps": 5, "batch_size": 32, "iterations": 4, "checkpoint_interval": 2,
                "eval_batch_size": 40,
@@ -120,6 +124,11 @@ def cases(src: Path) -> dict[str, np.ndarray]:
     return out
 
 
+def case_label(activation: str, alpha: float) -> str:
+    """The case label of a network: ``relu`` for leaky relu at alpha 0, else the activation."""
+    return "relu" if activation == "leaky_relu" and alpha == 0.0 else activation
+
+
 def preset_data(preset: str) -> dict:
     return json.loads(resources.files("pidenet").joinpath(f"configs/{preset}.json").read_text())
 
@@ -142,7 +151,8 @@ def run_files(tmp: Path) -> dict[str, np.ndarray]:
         if cli.main(["eval", "--checkpoint", str(run_dir / "checkpoint.json"),
                      "--config", str(config_path), "--out", str(run_dir / "eval.csv")]):
             raise SystemExit(f"eval of {preset} failed")
-        case = f"{preset}-{data.get('activation', 'tanh')}-run"
+        activation = case_label(data.get("activation", "tanh"), data.get("leaky_alpha", 0.01))
+        case = f"{preset}-{activation}-run"
         written = [name for name in RUN_FILES if (run_dir / name).exists()]
         out.update({f"{case}/{name}": file_bytes(run_dir / name) for name in written})
         print(case, written, flush=True)
@@ -168,18 +178,18 @@ def preset_cases(label: str, config, batch_sizes, depths) -> dict[str, np.ndarra
         for prefix, batch in zip(("train", "heldout"), pair):
             for name in BATCH_FIELDS:
                 out[f"{label}-B{batch_size}/{prefix}_{name}"] = getattr(batch, name)
-    for activation in ACTIVATIONS:
+    for name, (activation, alpha) in ACTIVATIONS.items():
         for n_hidden in depths:
             arch = nn.MlpArchitecture(input_dim=1 + config.problem.dim,
-                                      hidden=(config.hidden[0],) * n_hidden,
-                                      activation=activation, alpha=0.1)
+                                      hidden=(config.architecture.hidden[0],) * n_hidden,
+                                      activation=activation, alpha=alpha)
             rng = np.random.default_rng(n_hidden)
             params = nn.init(arch, seed=config.seed_init)
             for w, b in zip(params.weights, params.biases):  # in place, w0, b0, w1, b1, ...
                 w += rng.normal(scale=0.1, size=w.shape)
                 b += rng.normal(scale=0.1, size=b.shape)
             for batch_size in batch_sizes:
-                case = f"{label}-{activation}-h{n_hidden}-B{batch_size}"
+                case = f"{label}-{name}-h{n_hidden}-B{batch_size}"
                 batch, held_out = batches[batch_size]
                 tape = Tape()
                 net = nn.TapeMlp(tape, params)
@@ -236,6 +246,14 @@ def ulp_distance(x: np.ndarray, y: np.ndarray) -> int:
     return int(gap.max()) if gap.size else 0
 
 
+def relative_gap(x: np.ndarray, y: np.ndarray) -> float:
+    """Largest |x - y| / max(|x|, |y|) over matching elements (same shape); 0 where both are 0."""
+    x, y = x.astype(np.float64), y.astype(np.float64)
+    gap, big = np.abs(x - y), np.maximum(np.abs(x), np.abs(y))
+    ratio = np.divide(gap, big, out=np.zeros_like(gap), where=big > 0.0)
+    return float(ratio.max()) if ratio.size else 0.0
+
+
 def unequal(name: str, x: np.ndarray, y: np.ndarray) -> str | None:
     """How the two values of field ``name`` break the verdict's definition of equal, or None."""
     batch = name.split("_", 1)[-1] in BATCH_FIELDS  # the train_* and heldout_* batch fields
@@ -262,7 +280,7 @@ def compare(a_path: Path, b_path: Path) -> int:
         return 1
     same, total, worst = defaultdict(int), defaultdict(int), defaultdict(float)
     failures = []
-    ulps = {}  # float fields only
+    ulps, rel = {}, {}  # float fields only
     for key in sorted(a.files):
         case, name = key.split("/")
         activation = next((act for act in ACTIVATIONS if f"-{act}-" in case), "-")
@@ -274,6 +292,7 @@ def compare(a_path: Path, b_path: Path) -> int:
             failures.append(f"{key}: {why}")
         if x.dtype.kind == "f":
             ulps.setdefault(group, 0)
+            rel.setdefault(group, 0.0)
         if x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes():
             same[group] += 1
             continue
@@ -283,12 +302,15 @@ def compare(a_path: Path, b_path: Path) -> int:
                if x.shape == y.shape and scale else np.inf)
         worst[group] = max(worst[group], float(gap))
         if group in ulps:
-            ulps[group] = (max(ulps[group], ulp_distance(x, y))
-                           if x.shape == y.shape and y.dtype.kind == "f" else np.inf)
-    print(f"{'field':<24}{'activation':<12}{'identical':>12}  {'worst gap / max|x|':<20}worst ULPs")
+            matching = x.shape == y.shape and y.dtype.kind == "f"
+            ulps[group] = max(ulps[group], ulp_distance(x, y)) if matching else np.inf
+            rel[group] = max(rel[group], relative_gap(x, y)) if matching else np.inf
+    print(f"{'field':<24}{'activation':<12}{'identical':>12}  {'worst gap / max|x|':<20}"
+          f"{'worst rel gap':<16}worst ULPs")
     for group in sorted(total):
+        rel_gap = f"{rel[group]:.3g}" if group in rel else "-"
         print(f"{group[0]:<24}{group[1]:<12}{same[group]:>6} / {total[group]:<4} "
-              f"{worst[group]:<20.3g}{ulps.get(group, '-')}")
+              f"{worst[group]:<20.3g}{rel_gap:<16}{ulps.get(group, '-')}")
     for line in failures:
         print(line)
     print(f"verdict: {'not equal' if failures else 'equal'} (batches byte-identical, losses, "

@@ -21,12 +21,7 @@ def evaluate(params, inp: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(f"evaluate: input {h.shape}, expected width {arch.input_dim}")
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
         z = h @ w + b
-        if arch.activation == "tanh":
-            h = np.tanh(z)
-        elif arch.activation == "relu":
-            h = np.maximum(z, 0.0)
-        else:
-            h = np.where(z > 0.0, z, arch.alpha * z)
+        h = np.tanh(z) if arch.activation == "tanh" else np.where(z > 0.0, z, arch.alpha * z)
     return (np.einsum("ij,j->i", h, params.weights[-1][:, 0]) + params.biases[-1])[:, None]
 
 
@@ -51,7 +46,7 @@ def mlp_param_grads(h, ws, bs, activation: str, alpha: float, g: np.ndarray) -> 
             h = np.tanh(z)
             s = 1.0 - h * h
         else:
-            s = np.where(z > 0.0, 1.0, 0.0 if activation == "relu" else alpha)
+            s = np.where(z > 0.0, 1.0, alpha)
             h = z * s
         hs.append(h)
         slopes.append(s)

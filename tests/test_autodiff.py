@@ -18,6 +18,10 @@ from pidenet.autodiff import ShapeMismatchError, Tape, TapeError, Variable
 
 from reference import evaluate, grad_check, mlp_param_grads
 
+# (activation, alpha) of every kind of hidden layer: tanh, relu (leaky relu
+# at slope 0) and leaky relu
+ACTIVATIONS = [("tanh", 0.1), ("leaky_relu", 0.0), ("leaky_relu", 0.1)]
+
 
 def finite_diff(value_fn, point, h=1e-5):
     """Central-difference gradient of a scalar function of one array."""
@@ -337,8 +341,8 @@ class TestFusedMlp:
         return vector(ws, bs), dims
 
     @pytest.mark.parametrize("n_hidden", [1, 2, 3])
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_parameter_gradients_match_finite_differences(self, activation, n_hidden):
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
+    def test_parameter_gradients_match_finite_differences(self, activation, alpha, n_hidden):
         theta, dims = self.layers(n_hidden)
         rng = np.random.default_rng(1)
         inp = rng.uniform(-1.0, 1.0, size=(6, 3))
@@ -346,7 +350,7 @@ class TestFusedMlp:
 
         def build(tape, arr):
             p = tape.param(arr)
-            packed = tape.mlp(inp, p, dims, activation, 0.1)
+            packed = tape.mlp(inp, p, dims, activation, alpha)
             # squaring makes the adjoint depend on both value and gradient
             return tape.sum(tape.mul(tape.square(packed), tape.constant(coef))), p
 
@@ -354,19 +358,19 @@ class TestFusedMlp:
         objective, p = build(tape, theta)
         (grad,) = tape.backward(objective, [p])
         fd = finite_diff(lambda arr: float(build(Tape(), arr)[0].value), theta)
-        assert rel_gap(grad, fd) <= 1e-6, (activation, n_hidden)
+        assert rel_gap(grad, fd) <= 1e-6, (activation, alpha, n_hidden)
 
-    @pytest.mark.parametrize("activation, value, slope", [
-        ("relu", [0.0, 0.0, 1.5], [0.0, 0.0, 1.0]),
-        ("leaky_relu", [-0.02, 0.0, 1.5], [0.01, 0.01, 1.0]),
-        ("tanh", np.tanh([-2.0, 0.0, 1.5]), 1.0 - np.tanh([-2.0, 0.0, 1.5]) ** 2),
+    @pytest.mark.parametrize("activation, alpha, value, slope", [
+        ("leaky_relu", 0.0, [0.0, 0.0, 1.5], [0.0, 0.0, 1.0]),
+        ("leaky_relu", 0.01, [-0.02, 0.0, 1.5], [0.01, 0.01, 1.0]),
+        ("tanh", 0.01, np.tanh([-2.0, 0.0, 1.5]), 1.0 - np.tanh([-2.0, 0.0, 1.5]) ** 2),
     ])
-    def test_one_unit_network_gives_activation_and_slope(self, activation, value, slope):
+    def test_one_unit_network_gives_activation_and_slope(self, activation, alpha, value, slope):
         # u = act(x) and du/dx = act'(x); the kink at 0 takes the left slope
         t = Tape()
         theta = t.constant(np.array([0.0, 1.0, 0.0, 1.0, 0.0]))  # w0, b0, w1, b1
         inp = np.array([[0.0, -2.0], [0.0, 0.0], [0.0, 1.5]])
-        packed = t.mlp(inp, theta, [(2, 1), (1, 1)], activation, 0.01).value
+        packed = t.mlp(inp, theta, [(2, 1), (1, 1)], activation, alpha).value
         np.testing.assert_allclose(packed[:, 0], value, rtol=1e-15)
         np.testing.assert_allclose(packed[:, 1], slope, rtol=1e-15)
 
@@ -405,14 +409,8 @@ class TestFusedMlp:
         with pytest.raises(ValueError, match="outside"):
             t.mlp(np.ones((2, 3)), theta, [(3, 4), (4, 1)], "leaky_relu", alpha)
 
-    @pytest.mark.parametrize("activation, alpha, fill", [
-        ("relu", 0.01, 0.0),
-        ("leaky_relu", 0.0, 0.0),
-        ("leaky_relu", 0.01, 0.01),
-        ("leaky_relu", 0.5, 0.5),
-        ("leaky_relu", 1.0, 1.0),
-    ])
-    def test_slopes_from_the_mask_equal_the_where_form(self, activation, alpha, fill):
+    @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.5, 1.0])
+    def test_slopes_from_the_mask_equal_the_where_form(self, alpha):
         tiny = np.finfo(np.float64).smallest_subnormal
         edges = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310]
         rng = np.random.default_rng(0)
@@ -420,12 +418,12 @@ class TestFusedMlp:
         mask = z > 0.0
         tracemalloc.start()
         try:
-            slopes = autodiff._slopes(mask, activation, alpha)
+            slopes = autodiff._slopes(mask, alpha)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert slopes.dtype == np.float64
-        assert slopes.tobytes() == np.where(z > 0.0, 1.0, fill).tobytes()
+        assert slopes.tobytes() == np.where(z > 0.0, 1.0, alpha).tobytes()
         # its output and a few hundred bytes (measured 128-232): an index
         # lookup would first copy the mask to int64, another 256 KiB
         assert peak <= slopes.nbytes + 4096, peak - slopes.nbytes
@@ -448,10 +446,11 @@ class TestChunkedMlp:
     ROWS = (100, 250, 600)
 
     @staticmethod
-    def data(rows, activation, d=3, hidden=(16, 16)):
+    def data(rows, activation, d=3, hidden=(16, 16), alpha=0.1):
         """Perturbed params, input and adjoint coefficients, fixed by the row count."""
         rng = np.random.default_rng(rows)
-        arch = nn.MlpArchitecture(input_dim=1 + d, hidden=hidden, activation=activation, alpha=0.1)
+        arch = nn.MlpArchitecture(input_dim=1 + d, hidden=hidden, activation=activation,
+                                  alpha=alpha)
         params = nn.init(arch, seed=3)
         params.theta += rng.normal(scale=0.1, size=params.theta.size)
         inp = rng.uniform(-1.0, 1.0, size=(rows, 1 + d))
@@ -466,9 +465,9 @@ class TestChunkedMlp:
         return tape.mlp(inp, theta, arch.layer_dims, arch.activation, arch.alpha), theta
 
     @classmethod
-    def run(cls, rows, activation, d=3, hidden=(16, 16)):
+    def run(cls, rows, activation, alpha, d=3, hidden=(16, 16)):
         """Value and parameter gradient of sum(c * packed**2) at fixed data."""
-        params, inp, coef = cls.data(rows, activation, d, hidden)
+        params, inp, coef = cls.data(rows, activation, d, hidden, alpha)
         tape = Tape()
         packed, theta = cls.node(tape, params, inp, tape.param)
         (grad,) = tape.backward(tape.sum(tape.mul(tape.square(packed), tape.constant(coef))),
@@ -504,8 +503,8 @@ class TestChunkedMlp:
             pidenet._pin_loaded_blas()
 
     @pytest.mark.parametrize("rows", ROWS)
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_results_do_not_depend_on_the_workers(self, activation, rows, monkeypatch,
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
+    def test_results_do_not_depend_on_the_workers(self, activation, alpha, rows, monkeypatch,
                                                   chunk_workers):
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
         runs = []
@@ -514,7 +513,7 @@ class TestChunkedMlp:
         try:
             for workers in (1, 2, 3):
                 pool = chunk_workers(workers)
-                runs.append(self.run(rows, activation)[:2])
+                runs.append(self.run(rows, activation, alpha)[:2])
                 assert pool.tasks == pool_tasks(rows)
         finally:
             sys.setswitchinterval(interval)
@@ -523,33 +522,33 @@ class TestChunkedMlp:
             assert np.array_equal(grad, runs[0][1])
 
     @pytest.mark.parametrize("rows", ROWS)
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_value_column_is_the_plain_forward_pass(self, activation, rows, monkeypatch):
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
+    def test_value_column_is_the_plain_forward_pass(self, activation, alpha, rows, monkeypatch):
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
-        value, _, params, inp = self.run(rows, activation)
+        value, _, params, inp = self.run(rows, activation, alpha)
         assert np.array_equal(value[:, :1], evaluate(params, inp))
 
     @pytest.mark.parametrize("rows", ROWS)
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_chunked_gradients_match_one_chunk(self, activation, rows, monkeypatch):
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
+    def test_chunked_gradients_match_one_chunk(self, activation, alpha, rows, monkeypatch):
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
-        value, grad, params, _ = self.run(rows, activation)
+        value, grad, params, _ = self.run(rows, activation, alpha)
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 10**9)
-        whole_value, whole_grad, _, _ = self.run(rows, activation)
+        whole_value, whole_grad, _, _ = self.run(rows, activation, alpha)
         assert np.array_equal(value, whole_value)
         for g, g0 in zip(self.blocks(grad, params), self.blocks(whole_grad, params)):
             assert np.max(np.abs(g - g0)) <= 1e-12 * np.max(np.abs(g0))
 
     @pytest.mark.parametrize("rows", ROWS)
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_gradients_match_the_two_chain_reference(self, activation, rows, monkeypatch,
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
+    def test_gradients_match_the_two_chain_reference(self, activation, alpha, rows, monkeypatch,
                                                      chunk_workers):
         # the node takes one product per weight, with the value's adjoint
         # read from the gradient chain, and tanh's slope adjoints in a sweep
         # of their own, so it agrees with the reference's two chains up to
         # rounding
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
-        params, inp, coef = self.data(rows, activation, hidden=(16, 12, 8))
+        params, inp, coef = self.data(rows, activation, hidden=(16, 12, 8), alpha=alpha)
         expected = None
         for lo, hi in autodiff._chunk_plan(rows, rows):  # the node's chunk edges
             part = mlp_param_grads(inp[lo:hi], params.weights, params.biases,
@@ -565,26 +564,26 @@ class TestChunkedMlp:
                 assert g.shape == e.shape, (workers, k)
                 assert np.max(np.abs(g - e)) <= 1e-12 * np.max(np.abs(e)), (workers, k)
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_one_usable_core_runs_the_chunks_inline(self, activation, monkeypatch,
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
+    def test_one_usable_core_runs_the_chunks_inline(self, activation, alpha, monkeypatch,
                                                     chunk_workers):
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
         pool = chunk_workers(2)
-        value, grad, _, _ = self.run(600, activation)  # 5 chunks
+        value, grad, _, _ = self.run(600, activation, alpha)  # 5 chunks
         assert pool.tasks == 10
         monkeypatch.setattr(autodiff, "_pool", None)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        inline_value, inline_grad, _, _ = self.run(600, activation)
+        inline_value, inline_grad, _, _ = self.run(600, activation, alpha)
         assert autodiff._pool is None
         assert np.array_equal(inline_value, value)
         assert np.array_equal(inline_grad, grad)
 
     @pytest.mark.parametrize("rows", ROWS)
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_constant_weights_give_a_forward_only_node(self, activation, rows, monkeypatch,
-                                                       chunk_workers):
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
+    def test_constant_weights_give_a_forward_only_node(self, activation, alpha, rows,
+                                                       monkeypatch, chunk_workers):
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
-        params, inp, _ = self.data(rows, activation)
+        params, inp, _ = self.data(rows, activation, alpha=alpha)
         for workers in (1, 2, 3):
             pool = chunk_workers(workers)
             trained = Tape()
@@ -596,23 +595,24 @@ class TestChunkedMlp:
             assert tape._nodes[forward_only.id].vjp is None
             assert np.array_equal(forward_only.value, differentiated.value)
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_forward_only_node_keeps_one_chunk_of_state_per_worker(self, workers, activation,
-                                                                   monkeypatch, chunk_workers):
+                                                                   alpha, monkeypatch,
+                                                                   chunk_workers):
         # 40 chunks of 128 rows through 3x64: the forward-only node keeps
         # at most a chunk's slopes and one layer per worker, where a
         # chunk's layer is 64 KiB.  tanh measured 0.56, 0.68-0.87 and
         # 0.68-1.19 MiB at 1, 2 and 3 workers, against bounds of 0.69, 1.03
         # and 1.38 MiB; 0.74, 1.18-1.25 and 1.37-1.75 MiB with every layer's
         # output kept; 0.94, 1.50-1.62 and 1.69-2.19 MiB with the gradient
-        # chain kept as well.  relu and leaky relu keep one-byte masks in
+        # chain kept as well.  leaky relu keeps one-byte masks in
         # place of the float slopes: 7.39, 9.7-10.8 and 10.0-12.0 layers,
         # against bounds of 7.5, 11.25 and 15; 9.01, 13.1-14.1 and
         # 13.1-17.1 layers with the float slopes kept
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
         pool = chunk_workers(workers)
-        params, inp, _ = self.data(40 * self.CHUNK, activation, hidden=(64, 64, 64))
+        params, inp, _ = self.data(40 * self.CHUNK, activation, hidden=(64, 64, 64), alpha=alpha)
         layer = self.CHUNK * 64 * 8
         tape = Tape()
         tracemalloc.start()
@@ -625,13 +625,13 @@ class TestChunkedMlp:
         per_worker = 5.5 if activation == "tanh" else 3.75
         assert peak < (workers + 1) * per_worker * layer, peak / layer
 
-    @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
-    def test_forward_only_chunk_frees_the_previous_chain_row(self, activation):
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_forward_only_chunk_frees_the_previous_chain_row(self, alpha):
         # one inline chunk through 2x64: the gradient chain drops q_1
         # before it rebuilds layer 0's slopes, so the chunk peaks at two
         # float layers and two masks.  Measured 2.34 layers above the
         # output; 3.29 while q_1 lived until the loop ended
-        params, inp, _ = self.data(self.CHUNK, activation, hidden=(64, 64))
+        params, inp, _ = self.data(self.CHUNK, "leaky_relu", hidden=(64, 64), alpha=alpha)
         layer = self.CHUNK * 64 * 8
         tape = Tape()
         tracemalloc.start()
@@ -642,8 +642,8 @@ class TestChunkedMlp:
             tracemalloc.stop()
         assert peak - out.value.nbytes < 2.75 * layer, (peak - out.value.nbytes) / layer
 
-    @pytest.mark.parametrize("activation", ["relu", "leaky_relu"])
-    def test_piecewise_linear_node_keeps_masks_not_slopes(self, activation, monkeypatch,
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_piecewise_linear_node_keeps_masks_not_slopes(self, alpha, monkeypatch,
                                                           chunk_workers):
         # 40 chunks of 128 rows through 3x64: a float layer of every chunk
         # is 2.5 MiB.  Keeping each chunk's hidden outputs, float slopes and
@@ -652,7 +652,8 @@ class TestChunkedMlp:
         # layers) holds 13.68 MiB, at 1, 2 and 3 workers alike
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
         pool = chunk_workers(2)
-        params, inp, _ = self.data(40 * self.CHUNK, activation, hidden=(64, 64, 64))
+        params, inp, _ = self.data(40 * self.CHUNK, "leaky_relu", hidden=(64, 64, 64),
+                                   alpha=alpha)
         layer = 40 * self.CHUNK * 64 * 8
         tape = Tape()
         tracemalloc.start()
@@ -687,8 +688,8 @@ class TestChunkedMlp:
         assert tape._nodes[node.id].vjp is not None
         assert held < 9 * layer, held / layer
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_chunked_gradients_match_finite_differences(self, activation, monkeypatch):
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
+    def test_chunked_gradients_match_finite_differences(self, activation, alpha, monkeypatch):
         # 13 rows in five chunks of 2 or 3
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 3)
         theta, dims = TestFusedMlp.layers(2, width=4, seed=5)
@@ -698,14 +699,14 @@ class TestChunkedMlp:
 
         def build(tape, arr):
             p = tape.param(arr)
-            packed = tape.mlp(inp, p, dims, activation, 0.1)
+            packed = tape.mlp(inp, p, dims, activation, alpha)
             return tape.sum(tape.mul(tape.square(packed), tape.constant(coef))), p
 
         tape = Tape()
         objective, p = build(tape, theta)
         (grad,) = tape.backward(objective, [p])
         fd = finite_diff(lambda arr: float(build(Tape(), arr)[0].value), theta)
-        assert rel_gap(grad, fd) <= 1e-6, activation
+        assert rel_gap(grad, fd) <= 1e-6, (activation, alpha)
 
 
 
@@ -721,9 +722,9 @@ class TestPoolCutOff:
             raise AssertionError("a node below the cut-off sent a task to the pool")
 
     @classmethod
-    def node(cls, activation, leaf):
+    def node(cls, activation, alpha, leaf):
         """The node over fixed data with its params made by ``leaf``."""
-        params, inp, coef = TestChunkedMlp.data(cls.ROWS, activation)
+        params, inp, coef = TestChunkedMlp.data(cls.ROWS, activation, alpha=alpha)
         tape = Tape()
         theta = getattr(tape, leaf)(params.theta)
         arch = params.arch
@@ -735,37 +736,38 @@ class TestPoolCutOff:
         return tape.backward(tape.sum(tape.mul(packed, tape.constant(coef))), [theta])[0]
 
     @pytest.mark.parametrize("leaf", ["param", "constant"])
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_below_the_cut_off_no_pass_uses_the_pool(self, activation, leaf, monkeypatch):
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
+    def test_below_the_cut_off_no_pass_uses_the_pool(self, activation, alpha, leaf, monkeypatch):
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 128)
         monkeypatch.setattr(autodiff, "_pool", self.RefusingPool())
         monkeypatch.setattr(autodiff, "POOL_MACS", self.MACS + 1)
-        tape, packed, theta, coef = self.node(activation, leaf)
+        tape, packed, theta, coef = self.node(activation, alpha, leaf)
         if leaf == "param":
             self.backward(tape, packed, theta, coef)
 
     @pytest.mark.parametrize("leaf", ["param", "constant"])
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_at_the_cut_off_each_pass_sends_one_task_per_chunk(self, activation, leaf,
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
+    def test_at_the_cut_off_each_pass_sends_one_task_per_chunk(self, activation, alpha, leaf,
                                                               monkeypatch, chunk_workers):
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 128)
         pool = chunk_workers(2)
         monkeypatch.setattr(autodiff, "POOL_MACS", self.MACS)
-        tape, packed, theta, coef = self.node(activation, leaf)
+        tape, packed, theta, coef = self.node(activation, alpha, leaf)
         assert pool.tasks == 5
         if leaf == "param":
             self.backward(tape, packed, theta, coef)
             assert pool.tasks == 10
 
     @pytest.mark.parametrize("leaf", ["param", "constant"])
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_the_cut_off_changes_no_byte(self, activation, leaf, monkeypatch, chunk_workers):
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
+    def test_the_cut_off_changes_no_byte(self, activation, alpha, leaf, monkeypatch,
+                                         chunk_workers):
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 128)
         pool = chunk_workers(2)
         runs = []
         for cut_off in (0, self.DEFAULT):
             monkeypatch.setattr(autodiff, "POOL_MACS", cut_off)
-            tape, packed, theta, coef = self.node(activation, leaf)
+            tape, packed, theta, coef = self.node(activation, alpha, leaf)
             grad = self.backward(tape, packed, theta, coef) if leaf == "param" else np.empty(0)
             runs.append((packed.value.tobytes(), grad.tobytes(), pool.tasks))
         # on the pool at 0, inline at the default
@@ -795,12 +797,12 @@ class TestValueOnlyRowsAndRepeatedRow:
         return packed.value, grad
 
     @pytest.mark.parametrize("hidden", [(16,), (16, 12), (16, 12, 8)])
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
     def test_value_only_gradient_is_the_reference_with_no_gradient_adjoint(
-            self, activation, hidden):
+            self, activation, alpha, hidden):
         # one chunk of value-only rows: plain backprop of the value's
         # adjoint, the reference's arithmetic with a zero gradient adjoint
-        params, inp, coef = self.data(100, activation, hidden=hidden)
+        params, inp, coef = self.data(100, activation, hidden=hidden, alpha=alpha)
         value, grad = self.run(params, inp, coef, 0, 1)
         assert np.array_equal(value[:, :1], evaluate(params, inp))
         assert not value[:, 1:].any()
@@ -812,11 +814,11 @@ class TestValueOnlyRowsAndRepeatedRow:
             assert np.array_equal(got, want), k
 
     @pytest.mark.parametrize("hidden", [(16,), (16, 12), (16, 12, 8)])
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_mixed_rows_are_the_sum_of_their_kinds(self, activation, hidden, monkeypatch):
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
+    def test_mixed_rows_are_the_sum_of_their_kinds(self, activation, alpha, hidden, monkeypatch):
         # 250 gradient rows and 330 value-only rows in 128-row chunks
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 128)
-        params, inp, coef = self.data(580, activation, hidden=hidden)
+        params, inp, coef = self.data(580, activation, hidden=hidden, alpha=alpha)
         value, grad = self.run(params, inp, coef, 250, 1)
         assert np.array_equal(value[:, :1], evaluate(params, inp))
         whole, _ = self.run(params, inp, coef, None, 1)
@@ -830,12 +832,12 @@ class TestValueOnlyRowsAndRepeatedRow:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), k
 
     @pytest.mark.parametrize("grad_rows", [0, 5, 9])
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_repeated_first_row_is_its_copies(self, activation, grad_rows, monkeypatch):
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
+    def test_repeated_first_row_is_its_copies(self, activation, alpha, grad_rows, monkeypatch):
         # input row 0 stands for 7 rows: the node equals one over the
         # expanded input, and its VJP sums the copies' adjoints
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 3)
-        params, inp, coef = self.data(9, activation, hidden=(6, 5))
+        params, inp, coef = self.data(9, activation, hidden=(6, 5), alpha=alpha)
         coef = np.random.default_rng(4).normal(size=(15, inp.shape[1]))
         expanded = np.concatenate([np.repeat(inp[:1], 7, axis=0), inp[1:]])
         value, grad = self.run(params, inp, coef, grad_rows, 7)
@@ -855,12 +857,13 @@ class TestValueOnlyRowsAndRepeatedRow:
 
         assert rel_gap(grad, finite_diff(objective, params.theta)) <= 1e-6
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_results_do_not_depend_on_the_workers(self, activation, monkeypatch, chunk_workers):
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
+    def test_results_do_not_depend_on_the_workers(self, activation, alpha, monkeypatch,
+                                                  chunk_workers):
         # 1 + 300 gradient rows and 410 value-only rows in 128-row chunks,
         # the first row standing for 50
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 128)
-        params, inp, coef = self.data(711, activation)
+        params, inp, coef = self.data(711, activation, alpha=alpha)
         coef = np.random.default_rng(5).normal(size=(760, inp.shape[1]))
         runs = []
         for workers in (1, 2):
@@ -958,7 +961,7 @@ def test_concurrent_blas_calls_equal_serial_ones():
 # elementwise, slice and reduction ops, whose gradient with respect to
 # the parameter vector must agree with central differences away from
 # activation kinks.
-_ACTIVATIONS = ("tanh", "relu", "leaky_relu")
+_ACTIVATIONS = (("tanh", 0.2), ("leaky_relu", 0.0), ("leaky_relu", 0.2))
 _UNARY = ("square", "slice", "identity")
 _BINARY = ("add", "sub", "mul")
 _REDUCE = ("mean", "block_mean", "segment_sum")
@@ -977,7 +980,7 @@ def test_random_composition_gradients_match_fd(seed):
     w1 = rng.normal(size=(width, 1))
     b1 = rng.normal(size=1)
     other = rng.uniform(0.2, 1.0, size=(rows, k))
-    activation = str(rng.choice(_ACTIVATIONS))
+    activation, alpha = _ACTIVATIONS[int(rng.integers(len(_ACTIVATIONS)))]
     ops = [str(rng.choice(_UNARY)), str(rng.choice(_BINARY)), str(rng.choice(_UNARY))]
     reduce = str(rng.choice(_REDUCE))
     ids = rng.integers(0, 3, size=rows)
@@ -985,7 +988,7 @@ def test_random_composition_gradients_match_fd(seed):
     weights = rng.uniform(-1.0, 1.0, size=(7, 1))
 
     def build(tape, theta):
-        y = tape.mlp(inp, theta, [(k, width), (width, 1)], activation, 0.2)
+        y = tape.mlp(inp, theta, [(k, width), (width, 1)], activation, alpha)
         for op in ops:
             if op == "square":
                 y = tape.square(y)
@@ -1002,7 +1005,7 @@ def test_random_composition_gradients_match_fd(seed):
             col = tape.mul(tape.segment_sum(col, ids, 3), tape.constant(weights[:3]))
         return tape.mean(col)
 
-    # reject draws where a pre-activation sits close to a relu kink,
+    # reject draws where a pre-activation sits close to a leaky relu kink,
     # where central differences are meaningless
     if activation != "tanh" and np.min(np.abs(inp @ w0 + b0)) < 1e-3:
         return

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pidenet import autodiff, cli, jumpsim, metrics, nn
+from pidenet import autodiff, cli, jumpsim, metrics, nn, optim
 from pidenet.jumpsim import SimulationError
 from pidenet.scheme import NumericalAbortError
 
@@ -49,6 +49,12 @@ def last_row(path):
 
 def train(config_path, out, *extra):
     return cli.main(["train", "--config", str(config_path), "--out", str(out), *extra])
+
+
+def with_hidden(config, hidden):
+    """``config`` with its network's hidden widths replaced."""
+    return dataclasses.replace(
+        config, architecture=dataclasses.replace(config.architecture, hidden=hidden))
 
 
 class TestTrainAndEval:
@@ -150,7 +156,7 @@ class TestTrainAndEval:
         # (N+1, B) result arrays, 1.1 MiB at 8B.  In one pass over the
         # whole batch the peak grew about 8x
         pool = chunk_workers(1)
-        config = dataclasses.replace(cli.load_config("highdim"), hidden=(16, 16))
+        config = with_hidden(cli.load_config("highdim"), (16, 16))
         params = nn.init(config.architecture, seed=config.seed_init)
         peaks = []
         for size in (102, 816):
@@ -165,17 +171,17 @@ class TestTrainAndEval:
         assert pool.tasks > 0
         assert peaks[1] < 1.2 * peaks[0], [peak / 2**20 for peak in peaks]
 
-    @pytest.mark.parametrize("preset, overrides, paths, sizes", [
+    @pytest.mark.parametrize("preset, hidden, overrides, paths, sizes", [
         # d=1 with the error grid, d=4 and d=100, each in >= 3 blocks
         # with a short last one
-        ("tiny", {}, 20, [20, 20, 8]),
-        ("bsb_d4", {"steps": 5, "hidden": (8, 8), "eval_batch_size": 50}, 16, [16, 16, 16, 2]),
-        ("highdim", {"steps": 4, "hidden": (16, 16), "eval_batch_size": 30}, 8, [8, 8, 8, 6]),
+        ("tiny", (6,), {}, 20, [20, 20, 8]),
+        ("bsb_d4", (8, 8), {"steps": 5, "eval_batch_size": 50}, 16, [16, 16, 16, 2]),
+        ("highdim", (16, 16), {"steps": 4, "eval_batch_size": 30}, 8, [8, 8, 8, 6]),
     ])
-    def test_blocks_give_the_figures_of_one_pass(self, config_path, monkeypatch, preset,
+    def test_blocks_give_the_figures_of_one_pass(self, config_path, monkeypatch, preset, hidden,
                                                  overrides, paths, sizes):
         spec = str(config_path) if preset == "tiny" else preset
-        config = dataclasses.replace(cli.load_config(spec), **overrides)
+        config = dataclasses.replace(with_hidden(cli.load_config(spec), hidden), **overrides)
         params = nn.init(config.architecture, seed=config.seed_init)
         params = nn.MlpParams(params.arch, params.theta + np.random.default_rng(0).normal(
             scale=0.1, size=params.theta.shape))
@@ -266,7 +272,6 @@ class TestTrainAndEval:
                                       json.dumps({k: v for k, v in TINY.items() if k != "seeds"}),
                                       json.dumps({**TINY, "activation": "swish"}),
                                       json.dumps({**TINY, "hidden": []}),
-                                      json.dumps({**TINY, "adam": {"beta3": 0.5}}),
                                       json.dumps({**TINY, "leaky_alpha": float("nan")}),
                                       json.dumps({**TINY, "leaky_alpha": 1.5}),
                                       json.dumps({**TINY, "leaky_alpha": -0.1}),
@@ -279,11 +284,6 @@ class TestTrainAndEval:
                                       json.dumps({**TINY, "lr_schedule": {"kind": "constant",
                                                                           "rate": 0.0}}),
                                       json.dumps({**TINY, "hidden": "16"}),
-                                      json.dumps({**TINY, "adam": {"beta1": 1.0}}),
-                                      json.dumps({**TINY, "adam": {"beta2": 2.0}}),
-                                      json.dumps({**TINY, "adam": {"beta1": -0.1}}),
-                                      json.dumps({**TINY, "adam": {"eps": -1}}),
-                                      json.dumps({**TINY, "adam": {"eps": 0}}),
                                       json.dumps({**TINY, "seeds": {**TINY["seeds"], "init": -1}}),
                                       # integer fields take JSON integers only
                                       json.dumps({**TINY, "steps": 4.9}),
@@ -302,12 +302,12 @@ class TestTrainAndEval:
                                       # unknown keys, top-level and under seeds
                                       json.dumps({**TINY, "activaton": "relu"}),
                                       json.dumps({**TINY, "eval_batch_sise": 5}),
+                                      # Adam's settings are constants, not config keys
+                                      json.dumps({**TINY, "adam": {"beta1": 0.9}}),
                                       json.dumps({**TINY, "seeds": {**TINY["seeds"], "extra": 4}}),
                                       # number fields take JSON ints or floats, never bools
                                       json.dumps({**TINY, "leaky_alpha": "0.5"}),
                                       json.dumps({**TINY, "leaky_alpha": True}),
-                                      json.dumps({**TINY, "adam": {"beta1": "0.9"}}),
-                                      json.dumps({**TINY, "adam": {"eps": True}}),
                                       json.dumps({**TINY, "problem": {"name": "pide_1d",
                                                                       "lam": True}}),
                                       json.dumps({**TINY, "problem": {"name": "pide_1d",
@@ -340,6 +340,27 @@ class TestTrainAndEval:
         assert train(path, tmp_path / "run") == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_config_naming_relu_exits_one_listing_the_activations(self, config_path, tmp_path,
+                                                                 command, capsys):
+        # relu is "leaky_relu" at leaky_alpha 0, not an activation of its own
+        path = tmp_path / "relu.json"
+        path.write_text(json.dumps({**TINY, "activation": "relu"}))
+        checkpoint = tmp_path / "checkpoint.json"
+        cli.save_checkpoint(checkpoint, nn.init(cli.load_config(str(config_path)).architecture, 5),
+                            iteration=4, lr=1e-2)
+        args = (["train", "--out", str(tmp_path / "run")] if command == "train"
+                else ["eval", "--checkpoint", str(checkpoint)])
+        assert cli.main([*args, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "the activations are tanh, leaky_relu" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_config_from_dict_documents_every_key(self):
+        doc = cli.config_from_dict.__doc__
+        for key in (*cli._CONFIG_KEYS, *cli._SEED_KEYS, "name"):
+            assert f"``{key}``" in doc, key
 
     def test_too_many_jumps_per_interval_exits_one(self, tmp_path, capsys):
         # one step of intensity 800: Poisson(800) counts, whose CDF would
@@ -451,7 +472,7 @@ if sys.argv[1] == "numpy":
 from pidenet import cli, nn, optim
 config = cli.load_config("convergence")
 params = nn.init(config.architecture, seed=config.seed_init)
-state = optim.AdamState.for_params(params.theta, **config.adam)
+state = optim.AdamState.for_params(params.theta)
 for it in (1, 2):
     params, _ = cli._train_step(config, params, state, it, optim.lr_at(config.schedule, it - 1))
 print(hashlib.sha256(params.theta.tobytes()).hexdigest())
@@ -489,6 +510,19 @@ def test_only_the_small_preset_runs_its_network_node_inline(preset):
             assert macs < autodiff.POOL_MACS, (paths, macs)
         else:
             assert macs >= autodiff.POOL_MACS and chunks > 1, (paths, macs, chunks)
+
+
+@pytest.mark.parametrize("preset", cli.preset_names())
+def test_every_rate_change_of_a_preset_falls_inside_its_run(preset):
+    # a run of n iterations reads the rates of steps 0 .. n-1, so a
+    # piecewise milestone at step n or later never applies, and a cosine
+    # whose total_steps exceeds n never reaches its end rate
+    config = cli.load_config(preset)
+    schedule = config.schedule
+    if isinstance(schedule, optim.Piecewise):
+        assert all(step < config.iterations for step, _ in schedule.milestones), schedule
+    else:
+        assert schedule.total_steps <= config.iterations, schedule
 
 
 class TestConverge:
@@ -577,11 +611,13 @@ class TestCheckpoint:
         assert loaded.theta.tobytes() == params.theta.tobytes()
 
     def test_file_holds_the_vector_as_base64_float64(self, tmp_path):
-        params = nn.init(nn.MlpArchitecture(input_dim=3, hidden=(7,), activation="relu"), seed=4)
+        params = nn.init(nn.MlpArchitecture(input_dim=3, hidden=(7,), activation="leaky_relu",
+                                            alpha=0.0), seed=4)
         path = tmp_path / "checkpoint.json"
         cli.save_checkpoint(path, params, iteration=9, lr=1e-3 / 3)
         model = {
-            "architecture": {"input_dim": 3, "hidden": [7], "activation": "relu", "alpha": 0.01},
+            "architecture": {"input_dim": 3, "hidden": [7], "activation": "leaky_relu",
+                             "alpha": 0.0},
             "params": base64.b64encode(params.theta.astype("<f8").tobytes()).decode("ascii"),
         }
         payload = {"iteration": 9, "lr": 1e-3 / 3, "array_format": "theta-base64-float64-le",
@@ -615,6 +651,19 @@ class TestCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "'theta-base64-float64-le'" in err
+
+    def test_checkpoint_naming_relu_exits_one_listing_the_activations(self, config_path,
+                                                                     tmp_path, capsys):
+        # no fallback reads relu as leaky relu at alpha 0
+        path = tmp_path / "checkpoint.json"
+        config = cli.load_config(str(config_path))
+        cli.save_checkpoint(path, nn.init(config.architecture, 5), iteration=4, lr=1e-2)
+        payload = json.loads(path.read_text())
+        payload["model"]["architecture"].update(activation="relu", alpha=0.0)
+        path.write_text(json.dumps(payload))
+        assert cli.main(["eval", "--checkpoint", str(path), "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "the activations are tanh, leaky_relu" in err
 
     @pytest.mark.parametrize("damage", [
         "not json", "no params", "wrong shape", "not base64", "short data",

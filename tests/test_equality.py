@@ -55,3 +55,25 @@ def test_verdict_not_equal_past_an_allowance(stored, capsys, key, value):
     out = capsys.readouterr().out.splitlines()
     assert out[-1].startswith("verdict: not equal")
     assert out[-2].startswith(f"{key}: ")
+
+
+def test_tally_prints_the_worst_relative_gap_beside_the_ulps(stored, capsys):
+    terms = FIELDS["p-tanh-h1-B4/terms"]
+    one_ulp = np.nextafter(terms, 1.0)
+    assert stored(FIELDS, changed("p-tanh-h1-B4/terms", one_ulp)) == 0
+    (line,) = [row for row in capsys.readouterr().out.splitlines() if row.startswith("terms")]
+    worst = np.max(np.abs(one_ulp - terms) / one_ulp)
+    assert line.split()[-2:] == [f"{worst:.3g}", "1"]
+    # both zero gives no gap, a sign change the whole magnitude
+    assert equality.relative_gap(np.array([0.0, 2.0, -4.0]), np.array([0.0, 2.5, -4.0])) == 0.2
+    assert equality.relative_gap(np.array([0.0, 1.0]), np.array([-0.0, -1.0])) == 2.0
+
+
+@pytest.mark.parametrize("activation, alpha, label", [
+    ("relu", 0.01, "relu"),  # the spelling of trees that have a relu activation
+    ("leaky_relu", 0.0, "relu"),
+    ("leaky_relu", 0.01, "leaky_relu"),
+    ("tanh", 0.0, "tanh"),
+])
+def test_relu_cases_keep_their_label_in_either_spelling(activation, alpha, label):
+    assert equality.case_label(activation, alpha) == label

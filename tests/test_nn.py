@@ -5,11 +5,11 @@ from pidenet import nn
 from pidenet.autodiff import ShapeMismatchError, Tape
 
 from reference import evaluate, network_input
-from test_autodiff import finite_diff, rel_gap
+from test_autodiff import ACTIVATIONS, finite_diff, rel_gap
 
 
-def small_arch(d=1, hidden=(8, 8), activation="tanh"):
-    return nn.MlpArchitecture(input_dim=1 + d, hidden=hidden, activation=activation)
+def small_arch(d=1, hidden=(8, 8), activation="tanh", alpha=0.01):
+    return nn.MlpArchitecture(input_dim=1 + d, hidden=hidden, activation=activation, alpha=alpha)
 
 
 class TestInit:
@@ -61,6 +61,9 @@ class TestInit:
             nn.MlpArchitecture(input_dim=2, hidden=(0,))
         with pytest.raises(ValueError):
             nn.MlpArchitecture(input_dim=2, hidden=(4,), activation="swish")
+        # relu is leaky relu at alpha 0, not an activation of its own
+        with pytest.raises(ValueError, match="the activations are tanh, leaky_relu"):
+            nn.MlpArchitecture(input_dim=2, hidden=(4,), activation="relu")
 
 
 class TestForward:
@@ -75,7 +78,7 @@ class TestForward:
     def test_relu_identity_trick_gives_affine_map(self):
         # hidden identity + relu acts as a pass-through on positive inputs,
         # so the network reduces to w . (t, x)
-        arch = nn.MlpArchitecture(input_dim=2, hidden=(2,), activation="relu")
+        arch = nn.MlpArchitecture(input_dim=2, hidden=(2,), activation="leaky_relu", alpha=0.0)
         params = nn.MlpParams(arch, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0]))
         out = evaluate(params, network_input(0.5, np.array([[0.25]])))
         assert float(out[0, 0]) == 0.75
@@ -95,9 +98,10 @@ class TestForward:
                 forward(params, network_input(0.0, np.ones((4, 3))))
 
 class TestInputGradient:
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_fused_value_column_bit_identical_to_evaluate(self, activation):
-        params = nn.init(small_arch(d=3, hidden=(7, 5, 6), activation=activation), seed=13)
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
+    def test_fused_value_column_bit_identical_to_evaluate(self, activation, alpha):
+        params = nn.init(small_arch(d=3, hidden=(7, 5, 6), activation=activation, alpha=alpha),
+                         seed=13)
         params.biases[0][:] = np.linspace(-0.5, 0.5, 7)
         x = np.random.default_rng(6).normal(size=(9, 3))
         tape = Tape()
@@ -105,7 +109,7 @@ class TestInputGradient:
         assert np.array_equal(value.value, evaluate(params, network_input(0.4, x)))
 
     def test_linear_network_gradient_is_weight_row(self):
-        arch = nn.MlpArchitecture(input_dim=3, hidden=(3,), activation="relu")
+        arch = nn.MlpArchitecture(input_dim=3, hidden=(3,), activation="leaky_relu", alpha=0.0)
         w_out = np.array([[2.0], [-1.5], [0.5]])
         params = nn.MlpParams(arch, np.concatenate([np.eye(3).ravel(), np.zeros(3),
                                                     w_out.ravel(), np.zeros(1)]))

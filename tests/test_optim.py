@@ -42,11 +42,15 @@ class TestAdam:
         with pytest.raises(ValueError, match="shape mismatch"):
             optim.adam_step(theta, grad, state, lr=0.1)
 
-    @pytest.mark.parametrize("settings", [{"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 2.0},
-                                          {"beta2": float("nan")}, {"eps": 0.0}, {"eps": -1.0}])
-    def test_settings_outside_their_range_are_rejected(self, settings):
-        with pytest.raises(ValueError):
-            optim.AdamState.for_params(np.zeros(1), **settings)
+    def test_second_step_hand_value(self):
+        # g = 1 then 3 from theta = 0 at beta1 = 0.9, beta2 = 0.999, eps = 1e-8:
+        # m = 0.39 and v = 0.009999 over the bias corrections 0.19 and 0.001999
+        state = optim.AdamState.for_params(np.zeros(1))
+        theta = optim.adam_step(np.zeros(1), np.ones(1), state, lr=0.1)
+        (theta,) = optim.adam_step(theta, np.full(1, 3.0), state, lr=0.1)
+        first = -0.1 / (1.0 + 1e-8)
+        second = -0.1 * (0.39 / 0.19) / (np.sqrt(0.009999 / 0.001999) + 1e-8)
+        assert theta == pytest.approx(first + second, rel=1e-12)
 
     def test_step_counter_increases(self):
         state = optim.AdamState.for_params(np.zeros(1))

@@ -12,16 +12,16 @@ from pidenet.jumpsim import TimeGrid
 
 from reference import (OracleNetwork, all_rows_squared_residuals, evaluate, network_input,
                        permuted)
-from test_autodiff import finite_diff, rel_gap
+from test_autodiff import ACTIVATIONS, finite_diff, rel_gap
 
 
 def linear_net(d, w, bias=0.0):
-    """Exactly affine network: identity hidden layer behind relu.
+    """Exactly affine network: identity hidden layer behind relu (leaky relu at slope 0).
 
     Valid as long as every (t, x) input coordinate stays positive.
     """
     k = 1 + d
-    arch = nn.MlpArchitecture(input_dim=k, hidden=(k,), activation="relu")
+    arch = nn.MlpArchitecture(input_dim=k, hidden=(k,), activation="leaky_relu", alpha=0.0)
     w_out = np.asarray(w, dtype=np.float64).reshape(k, 1)
     return nn.MlpParams(arch, np.concatenate([np.eye(k).ravel(), np.zeros(k), w_out.ravel(),
                                               [bias]]))
@@ -385,10 +385,10 @@ class TestOneNetworkPass:
     NON_NETWORK = {"param", "constant", "slice", "add", "sub", "mul", "smul", "square",
                    "sum", "mean", "row_dot", "segment_sum", "block_mean"}
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_loss_tape_holds_one_network_node(self, activation, tape_variables):
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
+    def test_loss_tape_holds_one_network_node(self, activation, alpha, tape_variables):
         prob = problems.bsb_jumps(dim=2)
-        params = nn.init(nn.MlpArchitecture(3, (6, 6), activation), seed=9)
+        params = nn.init(nn.MlpArchitecture(3, (6, 6), activation, alpha), seed=9)
         batch = toy_batch(prob, n_steps=3, batch_size=16, seed=77)
         tape = Tape()
         scheme.loss(nn.TapeMlp(tape, params), batch, prob)
@@ -399,15 +399,15 @@ class TestOneNetworkPass:
         ops = {node.op for node in tape._nodes}
         assert ops - {"mlp"} <= self.NON_NETWORK, ops
 
-    @pytest.mark.parametrize("activation", ["tanh", "relu", "leaky_relu"])
-    def test_backward_writes_into_no_recorded_value(self, activation, monkeypatch,
+    @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
+    def test_backward_writes_into_no_recorded_value(self, activation, alpha, monkeypatch,
                                                     chunk_workers, tape_variables):
         # slices are views into their parent's value, so a write into any
         # recorded value, forward or backward, would change another node's
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", 128)
         pool = chunk_workers(2)
         config = cli.load_config("highdim_d10")
-        arch = dataclasses.replace(config.architecture, activation=activation)
+        arch = dataclasses.replace(config.architecture, activation=activation, alpha=alpha)
         batch = jumpsim.simulate_forward(config.problem, config.grid, 8, config.seed_simulation)
         assert batch.counts.sum() > 0
         tape = Tape()
