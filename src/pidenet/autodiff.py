@@ -53,7 +53,10 @@ not on the chunk it runs in, on any BLAS.
 
 The node's one parent is the parameter vector; ``mlp_layers`` gives its
 weights and biases as views, and each chunk's VJP writes their gradients
-into the same views of one gradient vector.
+into the same views of a gradient vector of its own.  The node's VJP
+adds these into the first chunk's vector in chunk order, each as soon as
+it and the chunks before it are done, with at most two chunks per worker
+in flight, and drops each vector once it is added.
 
 A chunk keeps its VJP state (hidden outputs, slopes, gradient chain)
 only when the parameter vector needs a gradient.  A node over constant
@@ -78,10 +81,12 @@ no sweep for the slopes' adjoints.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,6 +102,8 @@ CHUNK_ROWS = 2048
 # and 3-12% slower at 31M and 21M.  The total work decides, not the work
 # per chunk: ``pide1d``'s chunks are smaller than ``convergence``'s.
 POOL_MACS = 2**23
+# Elements per row block of ``_add_row_products``: its temporary stays at 512 KiB.
+_PRODUCT_BLOCK = 2**16
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -162,8 +169,10 @@ class _Node:
         self.op = op
         self.parents = parents
         self.requires_grad = requires_grad
-        # vjp: adjoint -> one contribution per parent, aligned with
-        # ``parents``; None where the parent needs no gradient.
+        # vjp: adjoint g -> one contribution per parent, aligned with
+        # ``parents``; None where the parent needs no gradient.  Each is a
+        # fresh array or g itself; a vjp never writes g or its saved
+        # state (``Tape.backward``).
         self.vjp = vjp
 
 
@@ -378,7 +387,8 @@ class Tape:
         multiply-adds, and inline in chunk order below that.  Each row's
         value is one dot product (``_value_column``), the same bits in
         any chunk; the gradient of ``theta`` is the chunks' gradient
-        vectors summed in chunk order.
+        vectors summed in chunk order, each added as it comes and then
+        dropped.
         """
         differentiated = self._check(theta, "mlp")
         if activation == "leaky_relu" and not 0.0 <= alpha <= 1.0:
@@ -398,11 +408,11 @@ class Tape:
         packed = np.empty((rows + shift, h.shape[1]))
         spans = _chunk_plan(grad_rows, rows)
         pooled = rows * sum(fi * fo for fi, fo in layer_dims) >= POOL_MACS
-        chunk_vjps = _run_chunks([
+        chunk_vjps = list(_chunk_results([
             functools.partial(_mlp_chunk, h, packed, shift, lo, hi, lo < grad_rows, ws=ws, bs=bs,
                               activation=activation, alpha=alpha, differentiated=differentiated)
             for lo, hi in spans
-        ], pooled)
+        ], pooled))
         if shift:
             packed[:shift] = packed[shift]
         if not differentiated:
@@ -418,12 +428,13 @@ class Tape:
                     block[0] = g[:repeat].sum(axis=0)
                 return block
 
-            parts = _run_chunks([functools.partial(f, adjoint(*span))
-                                 for f, span in zip(chunk_vjps, spans)], pooled)
-            grad = parts[0] if parts else np.zeros(size)
-            for part in parts[1:]:  # in chunk order, so the sum never depends on the workers
+            parts = _chunk_results([functools.partial(f, adjoint(*span))
+                                    for f, span in zip(chunk_vjps, spans)], pooled, per_worker=2)
+            grad = next(parts, None)
+            for part in parts:  # in chunk order, so the sum never depends on the workers
                 grad += part
-            return (grad,)
+                del part  # before the next chunk makes its own
+            return (np.zeros(size) if grad is None else grad,)
 
         return self._append("mlp", (theta,), packed, vjp)
 
@@ -434,12 +445,20 @@ class Tape:
         """Gradients of a scalar objective for each requested variable.
 
         Variables not reachable from the objective get exact zero arrays.
-        Each adjoint is freed once its node has passed it on, so the peak
+        A node's adjoint is dropped as soon as its VJP returns, so the peak
         holds the adjoints of one frontier, not of the whole tape.
-        A slice's adjoint is added in place into its block of an adjoint
-        that ``backward`` allocated: zeros, or a copy of one from another
-        op, which ``add`` and ``sub`` may share between parents.  Other
-        contributions sum as ``prev + contrib``.
+
+        A VJP returns, per parent, a fresh array or ``g`` itself, as ``add``
+        and ``sub`` do for the two operands of one shape, and never writes
+        ``g`` or its saved state; a slice returns its block of the parent
+        instead (``Tape.slice``).  So the VJPs can run again, and
+        ``backward`` twice on one tape gives the same gradients.
+        ``backward`` owns an adjoint that is a fresh VJP output or that it
+        made itself: a sum, or zeros or a copy for a slice's block.  It
+        adds a later contribution in place into an adjoint it owns, and
+        into its own sum ``prev + contrib`` otherwise.  An adjoint that a
+        VJP handed on as ``g``, which other parents may share, is never
+        written.
         """
         self._check(objective, "backward")
         if objective.shape != ():
@@ -449,7 +468,7 @@ class Tape:
         keep = {v.id for v in wrt}
 
         adjoint: dict[int, np.ndarray] = {objective.id: np.ones(())}
-        owned: set[int] = set()  # ids whose adjoint backward allocated for slices
+        owned: set[int] = set()  # ids whose adjoint backward may write
         for nid in range(objective.id, -1, -1):
             node = self._nodes[nid]
             if node.vjp is None:
@@ -457,7 +476,10 @@ class Tape:
             g = adjoint.get(nid) if nid in keep else adjoint.pop(nid, None)
             if g is None:
                 continue
-            for pid, contrib in zip(node.parents, node.vjp(g)):
+            contribs = node.vjp(g)
+            shared = [c is g for c in contribs]
+            del g  # dead unless a parent takes it as its contribution
+            for pid, contrib, is_g in zip(node.parents, contribs, shared):
                 if contrib is None:
                     continue
                 prev = adjoint.get(pid)
@@ -467,8 +489,16 @@ class Tape:
                         prev = adjoint[pid] = np.zeros(shape) if prev is None else prev.copy()
                         owned.add(pid)
                     prev[block] += part
+                elif prev is None:
+                    adjoint[pid] = contrib
+                    if not is_g:
+                        owned.add(pid)
+                elif pid in owned:
+                    prev += contrib  # in place; only a numpy scalar comes back new
+                    adjoint[pid] = prev
                 else:
-                    adjoint[pid] = contrib if prev is None else prev + contrib
+                    adjoint[pid] = prev + contrib
+                    owned.add(pid)
 
         out = []
         for v in wrt:
@@ -514,23 +544,43 @@ def _chunk_pool() -> ThreadPoolExecutor | None:
         return _pool
 
 
-def _run_chunks(tasks: list[Callable], pooled: bool) -> list:
-    """Results of zero-argument tasks in order, on the chunk pool if ``pooled``.
+def _chunk_results(tasks: list[Callable], pooled: bool, per_worker: int | None = None
+                   ) -> Iterator:
+    """Results of zero-argument tasks, yielded in task order, on the chunk pool if ``pooled``.
 
     The tasks run inline, in task order, in three cases: a lone task; a
     node below ``POOL_MACS`` (``pooled`` false), whose tasks are too small
     to pay the pool's hand-offs: a 600-iteration training of the
     ``convergence`` preset made 58 voluntary context switches with inline
-    chunks and ~28,500 with the pool; and one usable core.  Every task has
-    finished before any error is raised, so none is left writing into
-    arrays that the caller drops.
+    chunks and ~28,500 with the pool; and one usable core.  Inline, a task
+    runs once the caller has taken the result before it.  On the pool,
+    every task is submitted at once, or, with ``per_worker``, at most that
+    many per worker are in flight, running or finished but not yet taken,
+    and the next is submitted as the caller takes a result; so the
+    results that wait behind a slow task stay bounded.  Two per worker
+    keep a task queued for each worker that finishes.  With one, each
+    worker waited for the calling thread to wake and submit: a training
+    step of ``bsb_d4`` at B=250 took 41.8 ms against 37.5 ms with every
+    task submitted at once (medians of 10 processes, 2-core VM), and
+    35.9 ms with two.  Every task in flight has finished before any error
+    is raised, so none is left writing into arrays that the caller drops.
     """
     pool = _chunk_pool() if pooled and len(tasks) > 1 else None
     if pool is None:
-        return [task() for task in tasks]
-    futures = [pool.submit(task) for task in tasks]
-    wait(futures)
-    return [future.result() for future in futures]
+        for task in tasks:
+            yield task()
+        return
+    todo = iter(tasks)
+    first = len(tasks) if per_worker is None else per_worker * pool._max_workers
+    pending = deque(pool.submit(task) for task in itertools.islice(todo, first))
+    try:
+        while pending:
+            yield pending.popleft().result()
+            task = next(todo, None)
+            if task is not None:
+                pending.append(pool.submit(task))
+    finally:
+        wait(pending)
 
 
 def _chunk_plan(grad_rows: int, rows: int) -> list[tuple[int, int]]:
@@ -641,6 +691,11 @@ def _gradient_rows(h, ws, bs, activation, alpha, packed, differentiated) -> Call
     ``c_{n-1} = src_{n-1}``, ``c_{j-1} = (c_j @ W_j.T) * slopes_{j-1} +
     src_{j-1}``, and weight j adds ``h_j.T @ c_j``, bias j ``c_j``'s
     column sums.
+
+    The VJP writes only arrays it made: ``g_q_{j+1} = left @ W_{j+1}``
+    goes over ``g_q_j`` where their widths match, and ``g_u * h_{j+1}``
+    is added into ``left`` in row blocks (``_add_row_products``).  It
+    never writes the chunk's saved state, so it can run again.
     """
     n_hidden = len(ws) - 1
     tanh = activation == "tanh"
@@ -701,12 +756,14 @@ def _gradient_rows(h, ws, bs, activation, alpha, packed, differentiated) -> Call
                 srcs.append(-2.0 * g_q * hs[j + 1] * q)
             del q, left
             # g_v = g_q * slopes[j], the adjoint at layer j's output, then
-            # left for layer j + 1, formed in place over the slopes
+            # left for layer j + 1, formed in place over the slopes; g_q is
+            # dead once read, so the next one goes into it if it fits
             left = slope(j)
             np.multiply(g_q, left, out=left)
             if j + 1 < n_hidden:
-                g_q = left @ ws[j + 1]
-            left += g_u * hs[j + 1]
+                w = ws[j + 1]
+                g_q = np.matmul(left, w, out=g_q if g_q.shape[1] == w.shape[1] else None)
+            _add_row_products(left, g_u, hs[j + 1])
         np.sum(left, axis=0, out=gws[-1][:, 0])
         np.sum(g_u, axis=0, out=gbs[-1])
         if tanh:  # the slopes' adjoints back through the value chain, output side first
@@ -721,6 +778,17 @@ def _gradient_rows(h, ws, bs, activation, alpha, packed, differentiated) -> Call
         return grad
 
     return vjp
+
+
+def _add_row_products(out, col, h) -> None:
+    """``out += col * h`` for a (rows, 1) ``col``, in row blocks of ``_PRODUCT_BLOCK`` elements.
+
+    The same products and sums as the one-line form, without its
+    temporary of ``out``'s shape.
+    """
+    step = max(1, _PRODUCT_BLOCK // out.shape[1])
+    for lo in range(0, out.shape[0], step):
+        out[lo:lo + step] += col[lo:lo + step] * h[lo:lo + step]
 
 
 def _value_column(h, w, b, out) -> None:

@@ -387,8 +387,11 @@ def load_checkpoint(path) -> tuple[nn.MlpParams, int, float]:
 def _train_step(config: TrainConfig, params: nn.MlpParams, state: AdamState, it: int, lr: float):
     """One iteration: fresh batch, loss on a new tape, backward, Adam step.
 
-    The tape and everything on it, the breakdown's values included, die
-    when this returns, before the next iteration builds its own.
+    The batch goes once the loss is built: the tape's VJPs keep what they
+    read of it, the Brownian increments and the constants made from it,
+    and the states die before the backward starts.  The tape and
+    everything on it, the breakdown's values included, die when this
+    returns, before the next iteration builds its own.
     """
     batch = jumpsim.simulate_forward(
         config.problem, config.grid, config.batch_size, config.seed_simulation + it,
@@ -397,6 +400,7 @@ def _train_step(config: TrainConfig, params: nn.MlpParams, state: AdamState, it:
     tape = Tape()
     net = nn.TapeMlp(tape, params)
     total, breakdown = scheme.loss(net, batch, config.problem)
+    del batch
     (grad,) = tape.backward(total, [net.param_var])
     theta = optim.adam_step(params.theta, grad, state, lr)
     return nn.MlpParams(params.arch, theta), breakdown.to_dict()

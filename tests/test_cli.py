@@ -440,6 +440,31 @@ class TestTrainAndEval:
         assert len(held_out) == 2
         assert (tmp_path / "run" / "error_grid.csv").is_file()
 
+    @pytest.mark.parametrize("preset", cli.preset_names())
+    def test_batch_states_are_dead_when_the_backward_starts(self, preset, monkeypatch):
+        # the tape's VJPs keep what they read of the batch, its Brownian
+        # increments and the constants made from it; the states, which
+        # none of them reads, go with the batch before the backward runs
+        config = with_hidden(dataclasses.replace(cli.load_config(preset), steps=4, batch_size=8),
+                             (8, 8))
+        simulate, backward = jumpsim.simulate_forward, autodiff.Tape.backward
+        states, dead = [], []
+
+        def recording(*args, **kwargs):
+            batch = simulate(*args, **kwargs)
+            states.append(weakref.ref(batch.states))
+            return batch
+
+        def checked(tape, *args, **kwargs):
+            dead.append(states[-1]() is None)
+            return backward(tape, *args, **kwargs)
+
+        monkeypatch.setattr(jumpsim, "simulate_forward", recording)
+        monkeypatch.setattr(autodiff.Tape, "backward", checked)
+        params = nn.init(config.architecture, seed=config.seed_init)
+        cli._train_step(config, params, optim.AdamState.for_params(params.theta), 1, 1e-3)
+        assert dead == [True]
+
     def test_train_and_eval_import_no_scipy(self, tmp_path):
         # a fresh process, since the tests themselves import scipy
         config_path = tmp_path / "two.json"
