@@ -11,10 +11,13 @@ inside that node; the other primitives are the elementwise ``add``,
 ``sub``, ``mul``, ``smul`` and ``square``, the reductions ``sum``,
 ``mean``, ``row_dot``, ``segment_sum`` and ``block_mean``, and the 2-D
 ``slice``, whose adjoint fills its block of the parent's adjoint in
-place rather than a zero-filled array of the parent's shape.  ``add``,
-``sub``, ``mul`` and ``row_dot`` accept an operand that broadcasts to
-the other's shape, such as the (1, d) row of a coefficient that does not
-depend on the state; its adjoint is summed over the broadcast axes.
+place rather than a zero-filled array of the parent's shape.  Every
+other VJP hands each parent a fresh array that nothing else holds, and
+``Tape.backward`` adds every later contribution into it in place.
+``add``, ``sub``, ``mul`` and ``row_dot`` accept an operand that
+broadcasts to the other's shape, such as the (1, d) row of a coefficient
+that does not depend on the state; its adjoint is summed over the
+broadcast axes.
 
 Tensors are plain ``numpy.ndarray`` objects in float64; they are treated
 as immutable once recorded.  A ``Variable`` owns its value; the tape keeps
@@ -171,8 +174,9 @@ class _Node:
         self.requires_grad = requires_grad
         # vjp: adjoint g -> one contribution per parent, aligned with
         # ``parents``; None where the parent needs no gradient.  Each is a
-        # fresh array or g itself; a vjp never writes g or its saved
-        # state (``Tape.backward``).
+        # fresh array that nothing else holds, or for a slice its block's
+        # adjoint and where the block goes; a vjp never writes g or its
+        # saved state (``Tape.backward``).
         self.vjp = vjp
 
 
@@ -235,7 +239,7 @@ class Tape:
         sa, sb = a.shape, b.shape
 
         def vjp(g):
-            return (_reduce_to(g, sa) if ra else None, _reduce_to(g, sb) if rb else None)
+            return (_copy_to(g, sa) if ra else None, _copy_to(g, sb) if rb else None)
 
         return self._append("add", (a, b), a.value + b.value, vjp)
 
@@ -244,7 +248,7 @@ class Tape:
         sa, sb = a.shape, b.shape
 
         def vjp(g):
-            return (_reduce_to(g, sa) if ra else None, _reduce_to(-g, sb) if rb else None)
+            return (_copy_to(g, sa) if ra else None, _reduce_to(-g, sb) if rb else None)
 
         return self._append("sub", (a, b), a.value - b.value, vjp)
 
@@ -409,8 +413,8 @@ class Tape:
         spans = _chunk_plan(grad_rows, rows)
         pooled = rows * sum(fi * fo for fi, fo in layer_dims) >= POOL_MACS
         chunk_vjps = list(_chunk_results([
-            functools.partial(_mlp_chunk, h, packed, shift, lo, hi, lo < grad_rows, ws=ws, bs=bs,
-                              activation=activation, alpha=alpha, differentiated=differentiated)
+            functools.partial(_gradient_rows if lo < grad_rows else _value_rows, h[lo:hi], ws, bs,
+                              activation, alpha, packed[lo + shift:hi + shift], differentiated)
             for lo, hi in spans
         ], pooled))
         if shift:
@@ -448,17 +452,14 @@ class Tape:
         A node's adjoint is dropped as soon as its VJP returns, so the peak
         holds the adjoints of one frontier, not of the whole tape.
 
-        A VJP returns, per parent, a fresh array or ``g`` itself, as ``add``
-        and ``sub`` do for the two operands of one shape, and never writes
-        ``g`` or its saved state; a slice returns its block of the parent
-        instead (``Tape.slice``).  So the VJPs can run again, and
-        ``backward`` twice on one tape gives the same gradients.
-        ``backward`` owns an adjoint that is a fresh VJP output or that it
-        made itself: a sum, or zeros or a copy for a slice's block.  It
-        adds a later contribution in place into an adjoint it owns, and
-        into its own sum ``prev + contrib`` otherwise.  An adjoint that a
-        VJP handed on as ``g``, which other parents may share, is never
-        written.
+        A VJP returns, per parent, a fresh array that nothing else holds,
+        and never writes ``g`` or its saved state, so the VJPs can run
+        again, and ``backward`` twice on one tape gives the same
+        gradients.  A parent's first contribution becomes its adjoint, and
+        every later one is added into it in place.  A slice returns its
+        block's adjoint and where the block goes (``Tape.slice``): the
+        parent's first such block zero-fills its adjoint, and each adds
+        into its own block.
         """
         self._check(objective, "backward")
         if objective.shape != ():
@@ -468,7 +469,6 @@ class Tape:
         keep = {v.id for v in wrt}
 
         adjoint: dict[int, np.ndarray] = {objective.id: np.ones(())}
-        owned: set[int] = set()  # ids whose adjoint backward may write
         for nid in range(objective.id, -1, -1):
             node = self._nodes[nid]
             if node.vjp is None:
@@ -476,29 +476,20 @@ class Tape:
             g = adjoint.get(nid) if nid in keep else adjoint.pop(nid, None)
             if g is None:
                 continue
-            contribs = node.vjp(g)
-            shared = [c is g for c in contribs]
-            del g  # dead unless a parent takes it as its contribution
-            for pid, contrib, is_g in zip(node.parents, contribs, shared):
+            for pid, contrib in zip(node.parents, node.vjp(g)):
                 if contrib is None:
                     continue
                 prev = adjoint.get(pid)
                 if node.op == "slice":
                     shape, block, part = contrib
-                    if pid not in owned:
-                        prev = adjoint[pid] = np.zeros(shape) if prev is None else prev.copy()
-                        owned.add(pid)
+                    if prev is None:
+                        prev = adjoint[pid] = np.zeros(shape)
                     prev[block] += part
                 elif prev is None:
                     adjoint[pid] = contrib
-                    if not is_g:
-                        owned.add(pid)
-                elif pid in owned:
+                else:
                     prev += contrib  # in place; only a numpy scalar comes back new
                     adjoint[pid] = prev
-                else:
-                    adjoint[pid] = prev + contrib
-                    owned.add(pid)
 
         out = []
         for v in wrt:
@@ -597,20 +588,6 @@ def _chunk_plan(grad_rows: int, rows: int) -> list[tuple[int, int]]:
     for lo, count in ((0, grad_rows), (grad_rows, rows - grad_rows)):
         plan += [(lo + count * i // n, lo + count * (i + 1) // n) for i in range(n)]
     return [(lo, hi) for lo, hi in plan if hi > lo]
-
-
-def _mlp_chunk(h, packed, shift, lo, hi, gradient, **kw) -> Callable | None:
-    """One chunk of ``Tape.mlp``: input rows ``[lo, hi)``, gradient rows if ``gradient``.
-
-    ``h`` and ``packed`` are the node's whole input and value, and
-    ``shift`` the offset of input row i >= 1 in ``packed`` (input row 0's
-    result goes to row ``shift``).  Runs ``_gradient_rows`` or
-    ``_value_rows`` on the chunk's block of both, slicing them here, in
-    the task, and returns what it returns: the chunk's VJP, or None.
-    Only numpy runs here, so a worker thread can run it.
-    """
-    run = _gradient_rows if gradient else _value_rows
-    return run(h[lo:hi], packed=packed[lo + shift:hi + shift], **kw)
 
 
 def _value_rows(h, ws, bs, activation, alpha, packed, differentiated) -> Callable | None:
@@ -839,6 +816,11 @@ def _check_broadcast(op: str, sa: tuple, sb: tuple) -> None:
     except ValueError:
         pass
     raise ShapeMismatchError(f"{op}: shapes {sa} and {sb}")
+
+
+def _copy_to(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """``_reduce_to`` as a fresh array: a copy of ``g`` where it returns ``g`` itself."""
+    return g.copy() if g.shape == shape else _reduce_to(g, shape)
 
 
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:

@@ -109,6 +109,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
         try:  # the jump counts' Poisson mean per interval, as simulate_forward draws them
             jumpsim.poisson_from_uniforms(np.empty(0), self.problem.intensity * self.grid.dt)
+        except OverflowError as exc:  # T / N for an N beyond the float range
+            raise ConfigError(f"steps must fit in a float, got an integer of "
+                              f"{self.steps.bit_length()} bits") from exc
         except ValueError as exc:
             raise ConfigError(f"jump intensity {self.problem.intensity} over {self.steps} "
                               f"steps: {exc}") from exc

@@ -2,15 +2,16 @@
 
 The network reads one (rows, 1+d) input array per pass: time in column
 0, the state in the d columns after it.  On a tape the network has one
-entry point, ``TapeMlp.value_and_grad``: the value and spatial gradient
-come from one fused tape primitive, ``Tape.mlp``, whose VJP
-differentiates the gradient as well, so any loss containing it remains
-differentiable with respect to the parameters in a single reverse pass.
-Its parameters are one vector, ``MlpParams.theta``.  A pass that nothing
-differentiates, such as the held-out one, binds it with ``trainable=False``:
-it is then a tape constant, and the node keeps no VJP state.  The
-package holds no other forward pass: the network runs only inside the
-loss's node.
+entry point, ``TapeMlp.value_and_grad``, which returns one fused tape
+primitive, the ``Tape.mlp`` node ``[u | grad_x u]``: the value column,
+then the spatial gradient, whose blocks a loss reads with ``Tape.slice``.
+The node's VJP differentiates the gradient as well, so any loss
+containing it remains differentiable with respect to the parameters in
+a single reverse pass.  Its parameters are one vector,
+``MlpParams.theta``.  A pass that nothing differentiates, such as the
+held-out one, binds it with ``trainable=False``: it is then a tape
+constant, and the node keeps no VJP state.  The package holds no other
+forward pass: the network runs only inside the loss's node.
 """
 
 from __future__ import annotations
@@ -95,20 +96,19 @@ class TapeMlp:
         self.param_var = (tape.param if trainable else tape.constant)(params.theta)
 
     def value_and_grad(self, inp: np.ndarray, grad_rows: int | None = None,
-                       repeat: int = 1) -> tuple[Variable, Variable]:
-        """Value plus the gradient in the spatial coordinates, both on tape.
+                       repeat: int = 1) -> Variable:
+        """The network node ``[u | grad_x u]`` of ``inp``: value column, then spatial gradient.
 
-        ``inp`` is the (rows, 1+d) input, time first.  Both results are
-        column blocks of one fused ``Tape.mlp`` node, which rejects any
-        other width.  The gradient covers only the x columns; nothing in
-        the scheme differentiates with respect to time.  Only the first
+        ``inp`` is the (rows, 1+d) input, time first; the node is one
+        fused ``Tape.mlp`` node of the same width, which rejects any
+        other.  The gradient covers only the x columns; nothing in the
+        scheme differentiates with respect to time.  Only the first
         ``grad_rows`` input rows (all if None) get a gradient; the rest
-        are value-only rows, whose gradient rows are zero.  The first
-        input row stands for ``repeat`` rows of both results, so they
-        have ``rows + repeat - 1`` rows.
+        are value-only rows, whose gradient columns are zero.  The first
+        input row stands for ``repeat`` rows of the node, so it has
+        ``rows + repeat - 1`` rows.
         """
-        tape = self.tape
-        packed = tape.mlp(inp, self.param_var, self.arch.layer_dims, self.arch.activation,
-                          self.arch.alpha, grad_rows, repeat)
-        return tape.slice(packed, cols=(0, 1)), tape.slice(packed, cols=(1, self.arch.input_dim))
+        arch = self.arch
+        return self.tape.mlp(inp, self.param_var, arch.layer_dims, arch.activation, arch.alpha,
+                             grad_rows, repeat)
 

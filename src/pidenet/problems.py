@@ -12,8 +12,8 @@ row, which broadcasts over the rows.
 Drivers follow the sign convention of the backward one-step map
 ``Y_next = Y - f*dt + Z.dW + I*dt``: the source term that the benchmark
 recursions add with a plus sign is stored negated inside ``f``.  Drivers
-accept either numpy arrays or tape variables for (y, z, i), so the same
-callable serves simulation-side checks and the differentiable loss.
+use arithmetic operators only, so (y, z, i) may be numpy arrays or the
+loss's tape variables; a driver that reads only (t, x) returns an array.
 """
 
 from __future__ import annotations

@@ -17,9 +17,11 @@ value-only rows: node N, which only the terminal misfit and the last
 interval's target read, and the jumped state of every jump event.  Its
 output has one row per (node, path) pair, in the batch's node-major
 order, and below them one per jump event.  The one-step residuals then
-come from row slices of that output, row-wise arithmetic and one
+come from five blocks of that output, row-wise arithmetic and one
 segment sum over all jump events, which keeps the tape small and the
-matrix products large.  Every row of this stage depends on its own path
+matrix products large.  The five slices are recorded directly after the
+node, so backward zero-fills the node's adjoint only once every
+arithmetic VJP has run.  Every row of this stage depends on its own path
 alone.  ``reduce_residuals`` then takes the batch means.  ``loss``
 composes the two on one tape; the held-out evaluation runs the first
 stage on blocks of paths and the second once, on the squares of every
@@ -123,7 +125,10 @@ def squared_residuals(net, batch: PathBatch, problem: ProblemSpec
     ``nn.TapeMlp`` does; ``value_and_grad`` is called once, on one
     (1 + N*B + E, 1+d) input written in place, time first, in the rows
     that the module docstring lists: the first ``1 + (N-1)*B`` of them
-    with gradients, the first standing for B rows.
+    with gradients, the first standing for B rows.  It returns the node
+    ``[u | grad_x u]``, whose five blocks are sliced right after it: the
+    values at nodes 0..N-1, 1..N, the jumped states and node N, then the
+    gradients at nodes 0..N-1.
     """
     tape = net.tape
     grid = batch.grid
@@ -152,11 +157,12 @@ def squared_residuals(net, batch: PathBatch, problem: ProblemSpec
     inp[grad_rows + n_rows:, :1] = t_ev
     inp[grad_rows + n_rows:, 1:] = x_ev + problem.jump_size(t_ev, x_ev, batch.event_marks)
 
-    value_all, grad_all = net.value_and_grad(inp, grad_rows, repeat=n_rows)
-    y_curr = tape.slice(value_all, rows=(0, split))
-    y_next = tape.slice(value_all, rows=(n_rows, n_nodes))
-    y_jumped = tape.slice(value_all, rows=(n_nodes, n_nodes + event_rows.size))
-    grad_curr = tape.slice(grad_all, rows=(0, split))
+    node = net.value_and_grad(inp, grad_rows, repeat=n_rows)
+    y_curr = tape.slice(node, rows=(0, split), cols=(0, 1))
+    y_next = tape.slice(node, rows=(n_rows, n_nodes), cols=(0, 1))
+    y_jumped = tape.slice(node, rows=(n_nodes, n_nodes + event_rows.size), cols=(0, 1))
+    y_term = tape.slice(node, rows=(split, n_nodes), cols=(0, 1))
+    grad_curr = tape.slice(node, rows=(0, split), cols=(1, 1 + d))
 
     z = tape.mul(grad_curr, tape.constant(problem.diffusion(t_curr, x_curr)))
     i_term = integral_term(y_jumped, t_curr, x_curr, event_rows, batch.counts.ravel(),
@@ -165,10 +171,9 @@ def squared_residuals(net, batch: PathBatch, problem: ProblemSpec
                           batch.brownian.reshape(split, batch.dim), problem.driver, dt)
     interval_sq = tape.square(tape.sub(y_next, prediction))
 
-    y_term = tape.slice(value_all, rows=(split, n_nodes))
     target = tape.constant(problem.terminal(batch.states[n_steps]))
     terminal_sq = tape.square(tape.sub(y_term, target))
-    values = value_all.value[:n_nodes, 0].reshape(n_steps + 1, n_rows)
+    values = node.value[:n_nodes, 0].reshape(n_steps + 1, n_rows)
     return interval_sq, terminal_sq, values
 
 

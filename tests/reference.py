@@ -124,11 +124,17 @@ def network_input(t, x) -> np.ndarray:
     return inp
 
 
+def value_and_gradient(net, inp: np.ndarray) -> tuple[Variable, Variable]:
+    """The network node of ``inp`` as two tape slices: its value column and its gradient columns."""
+    node = net.value_and_grad(inp)
+    return net.tape.slice(node, cols=(0, 1)), net.tape.slice(node, cols=(1, node.shape[1]))
+
+
 class OracleNetwork:
     """Exact solution presented through the network interface.
 
-    Values and gradients enter the tape as constants, which turns the
-    loss into a pure measurement of the one-step recursion residuals.
+    Values and gradients enter the tape as one constant node, which turns
+    the loss into a pure measurement of the one-step recursion residuals.
     """
 
     def __init__(self, tape: Tape, problem: ProblemSpec):
@@ -136,15 +142,17 @@ class OracleNetwork:
         self._problem = problem
 
     def value_and_grad(self, inp: np.ndarray, grad_rows: int | None = None,
-                       repeat: int = 1) -> tuple[Variable, Variable]:
-        """``nn.TapeMlp.value_and_grad``'s rows: the first input row ``repeat``
-        times, the gradient zero past the first ``grad_rows`` input rows."""
+                       repeat: int = 1) -> Variable:
+        """``nn.TapeMlp.value_and_grad``'s node ``[exact | exact_grad]``: the first input
+        row ``repeat`` times, the gradient zero past the first ``grad_rows`` input rows."""
         rows = np.concatenate([np.zeros(repeat - 1, dtype=np.int64), np.arange(len(inp))])
         t, x = inp[rows, :1], inp[rows, 1:]
-        grad = self._problem.exact_grad(t, x)
+        node = np.empty((rows.size, inp.shape[1]))
+        node[:, :1] = self._problem.exact(t, x)
+        node[:, 1:] = self._problem.exact_grad(t, x)
         if grad_rows is not None:  # value-only rows, input row 0's copies too if it is one
-            grad[repeat - 1 + grad_rows if grad_rows else 0:] = 0.0
-        return self.tape.constant(self._problem.exact(t, x)), self.tape.constant(grad)
+            node[repeat - 1 + grad_rows if grad_rows else 0:, 1:] = 0.0
+        return self.tape.constant(node)
 
 
 def all_rows_squared_residuals(net, batch: PathBatch, problem: ProblemSpec
@@ -171,11 +179,12 @@ def all_rows_squared_residuals(net, batch: PathBatch, problem: ProblemSpec
     x_all[n_nodes:] = x_ev + problem.jump_size(t_ev, x_ev, batch.event_marks)
     t_all[n_nodes:] = t_ev
 
-    value_all, grad_all = net.value_and_grad(inp)
-    y_curr = tape.slice(value_all, rows=(0, split))
-    y_next = tape.slice(value_all, rows=(n_rows, n_nodes))
-    y_jumped = tape.slice(value_all, rows=(n_nodes, n_nodes + event_rows.size))
-    grad_curr = tape.slice(grad_all, rows=(0, split))
+    node = net.value_and_grad(inp)
+    y_curr = tape.slice(node, rows=(0, split), cols=(0, 1))
+    y_next = tape.slice(node, rows=(n_rows, n_nodes), cols=(0, 1))
+    y_jumped = tape.slice(node, rows=(n_nodes, n_nodes + event_rows.size), cols=(0, 1))
+    y_term = tape.slice(node, rows=(split, n_nodes), cols=(0, 1))
+    grad_curr = tape.slice(node, rows=(0, split), cols=(1, 1 + batch.dim))
     z = tape.mul(grad_curr, tape.constant(problem.diffusion(t_curr, x_curr)))
     i_term = scheme.integral_term(y_jumped, t_curr, x_curr, event_rows, batch.counts.ravel(),
                                   y_curr, grad_curr, problem, grid.dt)
@@ -183,7 +192,6 @@ def all_rows_squared_residuals(net, batch: PathBatch, problem: ProblemSpec
                                  batch.brownian.reshape(split, batch.dim), problem.driver,
                                  grid.dt)
     interval_sq = tape.square(tape.sub(y_next, prediction))
-    y_term = tape.slice(value_all, rows=(split, n_nodes))
     target = tape.constant(problem.terminal(batch.states[n_steps]))
     return interval_sq, tape.square(tape.sub(y_term, target))
 

@@ -85,8 +85,8 @@ class TestPrimitives:
 
     def test_slice_block_goes_into_a_copy_of_a_shared_adjoint(self):
         # backward reaches the add before the slice, and the add hands p
-        # and q one adjoint array; the slice's block must go into p's own
-        # copy of it, or q's gradient takes p's block as well
+        # and q each a copy of its adjoint; the slice's block must go into
+        # p's copy alone, or q's gradient takes p's block as well
         rng = np.random.default_rng(3)
         p0, q0 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
         t = Tape()
@@ -100,7 +100,7 @@ class TestPrimitives:
         np.testing.assert_array_equal(dp, expected)
 
     def test_slice_adjoints_fill_their_parents_block_without_zero_fills(self):
-        # the loss's pattern: value and gradient columns of one (rows, 1+d)
+        # slices of slices: value and gradient columns of one (rows, 1+d)
         # node, then row slices of each.  Backward holds the node's adjoint
         # and the gradient block's, two parent-sized arrays (2.01x the
         # node's bytes, measured); a zero-filled parent-shaped array per
@@ -264,10 +264,11 @@ class TestBackward:
         (g2,) = t.backward(obj, [theta])
         assert np.array_equal(g1, g2)
 
-    def test_an_adjoint_handed_on_as_g_is_never_written(self):
-        # add hands p and q one adjoint array, sub hands r its own; each
-        # of them then takes further contributions, which backward must
-        # add into arrays it owns, never into the ones the VJPs handed on
+    def test_every_contribution_is_a_fresh_array(self):
+        # add hands p and q each a copy of s's adjoint, sub hands r a copy
+        # of e's; each of them then takes further contributions, which
+        # backward adds in place into its first one, so no contribution
+        # may be g or share its memory, and no VJP's g is written
         rng = np.random.default_rng(7)
         p0, q0, r0, c = (rng.normal(size=(3, 2)) for _ in range(4))
         t = Tape()
@@ -277,12 +278,12 @@ class TestBackward:
         e = t.sub(r, p)
         s = t.add(p, q)  # recorded last, so backward reaches it first
         total = t.add(t.add(t.sum(t.square(s)), t.sum(t.square(e))), later)
-        handed = []
+        seen = []
 
         def watched(vjp):
             def wrapper(g):
                 out = vjp(g)
-                handed.extend((g, g.copy()) for contrib in out if contrib is g)
+                seen.append((g, g.copy(), [c for c in out if c is not None]))
                 return out
 
             return wrapper
@@ -295,10 +296,11 @@ class TestBackward:
         np.testing.assert_allclose(dp, 2.0 * s0 - 2.0 * e0 + 2.0 * p0, rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(dq, 2.0 * s0 + c, rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(dr, 2.0 * e0 + 2.0 * r0, rtol=1e-14, atol=1e-14)
-        # s's adjoint to p and q, e's to r; the rest are the scalar adds'
-        assert sum(g.shape == (3, 2) for g, _ in handed) == 3
-        for g, before in handed:
+        # s hands p and q their copies, e hands r and p theirs
+        assert sum(g.shape == (3, 2) and len(contribs) == 2 for g, _, contribs in seen) == 2
+        for g, before, contribs in seen:
             assert np.array_equal(g, before)
+            assert not any(np.shares_memory(c, g) for c in contribs)
 
     def test_linearity_of_backward(self):
         rng = np.random.default_rng(5)
@@ -321,6 +323,68 @@ class TestBackward:
 
         gf, gg, gc = parts(x0)
         np.testing.assert_allclose(gc, alpha * gf + beta * gg, atol=1e-12)
+
+
+MLP_DIMS = [(3, 4), (4, 4), (4, 1)]
+MLP_THETA = (sum((fi + 1) * fo for fi, fo in MLP_DIMS),)
+MLP_INPUT = np.random.default_rng(11).normal(size=(7, 3))
+# one case per primitive and kind of operand: the shapes of the operands,
+# then the op on the tape and its param operands, one Variable twice where
+# the op takes it twice
+VJP_CASES = {
+    "add": ([(3, 2), (3, 2)], lambda t, a, b: t.add(a, b)),
+    "add_broadcast": ([(3, 2), (1, 2)], lambda t, a, b: t.add(a, b)),
+    "add_broadcast_left": ([(2,), (3, 2)], lambda t, a, b: t.add(a, b)),
+    "add_scalars": ([(), ()], lambda t, a, b: t.add(a, b)),
+    "add_self": ([(3, 2)], lambda t, a: t.add(a, a)),
+    "sub": ([(3, 2), (3, 2)], lambda t, a, b: t.sub(a, b)),
+    "sub_broadcast": ([(3, 2), (1, 2)], lambda t, a, b: t.sub(a, b)),
+    "sub_broadcast_left": ([(1, 2), (3, 2)], lambda t, a, b: t.sub(a, b)),
+    "sub_self": ([(3, 2)], lambda t, a: t.sub(a, a)),
+    "mul": ([(3, 2), (3, 2)], lambda t, a, b: t.mul(a, b)),
+    "mul_broadcast": ([(3, 2), (1, 2)], lambda t, a, b: t.mul(a, b)),
+    "mul_scalar_operand": ([(), (3, 2)], lambda t, a, b: t.mul(a, b)),
+    "mul_self": ([(3, 2)], lambda t, a: t.mul(a, a)),
+    "smul": ([(3, 2)], lambda t, a: t.smul(a, -1.5)),
+    "smul_scalar": ([()], lambda t, a: t.smul(a, -1.5)),
+    "square": ([(3, 2)], lambda t, a: t.square(a)),
+    "sum": ([(3, 2)], lambda t, a: t.sum(a)),
+    "mean": ([(3, 2)], lambda t, a: t.mean(a)),
+    "row_dot": ([(3, 2), (3, 2)], lambda t, a, b: t.row_dot(a, b)),
+    "row_dot_broadcast": ([(3, 2), (1, 2)], lambda t, a, b: t.row_dot(a, b)),
+    "row_dot_self": ([(3, 2)], lambda t, a: t.row_dot(a, a)),
+    "segment_sum": ([(3, 1)], lambda t, a: t.segment_sum(a, np.array([0, 2, 2]), 4)),
+    "block_mean": ([(4, 1)], lambda t, a: t.block_mean(a, 2)),
+    # several chunks of both kinds of row, the first row standing for two
+    "mlp_tanh": ([MLP_THETA],
+                 lambda t, a: t.mlp(MLP_INPUT, a, MLP_DIMS, "tanh", grad_rows=4, repeat=2)),
+    "mlp_leaky_relu": ([MLP_THETA],
+                       lambda t, a: t.mlp(MLP_INPUT, a, MLP_DIMS, "leaky_relu", 0.1, grad_rows=4)),
+    "mlp_no_rows": ([MLP_THETA], lambda t, a: t.mlp(MLP_INPUT[:0], a, MLP_DIMS, "tanh")),
+}
+
+
+@pytest.mark.parametrize("case", VJP_CASES)
+def test_every_vjp_hands_each_parent_a_fresh_array(case, monkeypatch):
+    # backward adds every later contribution into a parent's first one in
+    # place, so no contribution may share memory with g, with an operand's
+    # value or with another contribution
+    monkeypatch.setattr(autodiff, "CHUNK_ROWS", 3)
+    shapes, op = VJP_CASES[case]
+    rng = np.random.default_rng(5)
+    t = Tape()
+    operands = [t.param(rng.normal(size=shape)) for shape in shapes]
+    out = op(t, *operands)
+    g = np.asarray(rng.normal(size=out.shape))
+    node = t._nodes[out.id]
+    contribs = node.vjp(g)
+    assert len(contribs) == len(node.parents) and all(c is not None for c in contribs)
+    values = {v.id: v.value for v in operands}
+    for i, (pid, c) in enumerate(zip(node.parents, contribs)):
+        assert np.shape(c) == values[pid].shape
+        assert not np.shares_memory(c, g)
+        assert not any(np.shares_memory(c, v) for v in values.values())
+        assert not any(np.shares_memory(c, other) for other in contribs[i + 1:])
 
 
 class TestValueOwnership:

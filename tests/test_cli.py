@@ -173,10 +173,14 @@ class TestTrainAndEval:
 
     @pytest.mark.parametrize("preset, hidden, overrides, paths, sizes", [
         # d=1 with the error grid, d=4 and d=100, each in >= 3 blocks
-        # with a short last one
+        # with a short last one; widths of 32 and more, where OpenBLAS's
+        # small-matrix GEMM, whose sums depend on the row count, engages,
+        # under leaky relu (bsb_d4) and tanh (convergence, d=2)
         ("tiny", (6,), {}, 20, [20, 20, 8]),
         ("bsb_d4", (8, 8), {"steps": 5, "eval_batch_size": 50}, 16, [16, 16, 16, 2]),
         ("highdim", (16, 16), {"steps": 4, "eval_batch_size": 30}, 8, [8, 8, 8, 6]),
+        ("bsb_d4", (64, 64), {"steps": 5, "eval_batch_size": 50}, 16, [16, 16, 16, 2]),
+        ("convergence", (32, 32), {"eval_batch_size": 50}, 16, [16, 16, 16, 2]),
     ])
     def test_blocks_give_the_figures_of_one_pass(self, config_path, monkeypatch, preset, hidden,
                                                  overrides, paths, sizes):
@@ -333,7 +337,9 @@ class TestTrainAndEval:
                                       # a schedule key that its kind does not read
                                       json.dumps({**TINY, "lr_schedule": {
                                           "kind": "cosine", "start": 0.01, "end": 1e-5,
-                                          "total_steps": 20, "warmup": 5}})])
+                                          "total_steps": 20, "warmup": 5}}),
+                                      # a step count whose time step no float can hold
+                                      json.dumps({**TINY, "steps": 10**400})])
     def test_bad_config_exits_one(self, tmp_path, text, capsys):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -613,7 +619,7 @@ class TestConverge:
 
     @pytest.mark.parametrize("args", [["--steps", "2,x"], ["--steps", "0"], ["--steps", "2,-4"],
                                       ["--steps", "2", "--runs", "1", "--keep", "2"],
-                                      ["--steps", "2,2"]])
+                                      ["--steps", "2,2"], ["--steps", str(10**400)]])
     def test_bad_arguments_exit_one(self, config_path, tmp_path, args, capsys):
         out = tmp_path / "study"
         assert cli.main(["converge", "--config", str(config_path), "--out", str(out), *args]) == 1

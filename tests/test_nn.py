@@ -4,7 +4,7 @@ import pytest
 from pidenet import nn
 from pidenet.autodiff import ShapeMismatchError, Tape
 
-from reference import evaluate, network_input
+from reference import evaluate, network_input, value_and_gradient
 from test_autodiff import ACTIVATIONS, finite_diff, rel_gap
 
 
@@ -105,8 +105,17 @@ class TestInputGradient:
         params.biases[0][:] = np.linspace(-0.5, 0.5, 7)
         x = np.random.default_rng(6).normal(size=(9, 3))
         tape = Tape()
-        value, _ = nn.TapeMlp(tape, params).value_and_grad(network_input(0.4, x))
+        value, _ = value_and_gradient(nn.TapeMlp(tape, params), network_input(0.4, x))
         assert np.array_equal(value.value, evaluate(params, network_input(0.4, x)))
+
+    def test_value_and_grad_returns_the_network_node(self):
+        # [u | grad_x u] as one node: a loss slices its blocks from it
+        params = nn.init(small_arch(d=3), seed=2)
+        tape = Tape()
+        node = nn.TapeMlp(tape, params).value_and_grad(network_input(0.4, np.ones((5, 3))),
+                                                       grad_rows=2, repeat=3)
+        assert tape._nodes[node.id].op == "mlp" and node.shape == (7, 4)
+        assert np.all(node.value[4:, 1:] == 0.0)  # the value-only rows' gradient columns
 
     def test_linear_network_gradient_is_weight_row(self):
         arch = nn.MlpArchitecture(input_dim=3, hidden=(3,), activation="leaky_relu", alpha=0.0)
@@ -115,7 +124,7 @@ class TestInputGradient:
                                                     w_out.ravel(), np.zeros(1)]))
         x = np.array([[0.5, 1.5], [2.0, 0.25]])  # positive inputs keep relu linear
         tape = Tape()
-        _, grad = nn.TapeMlp(tape, params).value_and_grad(network_input(0.9, x))
+        _, grad = value_and_gradient(nn.TapeMlp(tape, params), network_input(0.9, x))
         np.testing.assert_array_equal(grad.value, np.tile(w_out[1:].T, (2, 1)))
 
     @pytest.mark.parametrize("activation", ["tanh", "leaky_relu"])
@@ -127,7 +136,8 @@ class TestInputGradient:
             return float(evaluate(params, network_input(0.3, x[None, :]))[0, 0])
 
         tape = Tape()
-        _, grad = nn.TapeMlp(tape, params).value_and_grad(network_input(0.3, x0[None, :]))
+        inp = network_input(0.3, x0[None, :])
+        _, grad = value_and_gradient(nn.TapeMlp(tape, params), inp)
         fd = finite_diff(value_of_x, x0)
         assert rel_gap(grad.value[0], fd) <= 1e-6
 
@@ -138,8 +148,8 @@ class TestInputGradient:
             b[:] = 0.0
         x = np.array([[0.7, -0.4]])
         t1, t2 = Tape(), Tape()
-        _, g_pos = nn.TapeMlp(t1, params).value_and_grad(network_input(0.5, x))
-        _, g_neg = nn.TapeMlp(t2, params).value_and_grad(network_input(-0.5, -x))
+        _, g_pos = value_and_gradient(nn.TapeMlp(t1, params), network_input(0.5, x))
+        _, g_neg = value_and_gradient(nn.TapeMlp(t2, params), network_input(-0.5, -x))
         np.testing.assert_allclose(g_pos.value, g_neg.value, atol=1e-15)
 
     def test_gradient_of_input_gradient_wrt_params(self):
@@ -151,12 +161,12 @@ class TestInputGradient:
 
         def objective(p: nn.MlpParams) -> float:
             tape = Tape()
-            _, grad = nn.TapeMlp(tape, p).value_and_grad(network_input(0.25, x))
+            _, grad = value_and_gradient(nn.TapeMlp(tape, p), network_input(0.25, x))
             return float(tape.sum(grad).value)
 
         tape = Tape()
         net = nn.TapeMlp(tape, params)
-        _, grad = net.value_and_grad(network_input(0.25, x))
+        _, grad = value_and_gradient(net, network_input(0.25, x))
         (analytic,) = tape.backward(tape.sum(grad), [net.param_var])
 
         fd = finite_diff(lambda theta: objective(nn.MlpParams(arch, theta)), params.theta)
