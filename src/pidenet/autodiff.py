@@ -8,16 +8,21 @@ fused primitive, ``Tape.mlp``, whose hand-written VJP differentiates the
 input gradient with respect to the parameters, so losses that contain
 the gradient need no higher-order machinery.  The network lives only
 inside that node; the other primitives are the elementwise ``add``,
-``sub``, ``mul``, ``smul`` and ``square``, the reductions ``sum``,
-``mean``, ``row_dot``, ``segment_sum`` and ``block_mean``, and the 2-D
-``slice``, whose adjoint fills its block of the parent's adjoint in
-place rather than a zero-filled array of the parent's shape.  Every
-other VJP hands each parent a fresh array that nothing else holds, and
-``Tape.backward`` adds every later contribution into it in place.
-``add``, ``sub``, ``mul`` and ``row_dot`` accept an operand that
-broadcasts to the other's shape, such as the (1, d) row of a coefficient
-that does not depend on the state; its adjoint is summed over the
-broadcast axes.
+``sub`` and ``mul``, the reductions ``sum``, ``mean``, ``row_dot``,
+``segment_sum`` and ``block_mean``, and the 2-D ``slice``, whose adjoint
+fills its block of the parent's adjoint in place rather than a
+zero-filled array of the parent's shape.  A scalar product is ``mul``
+by a 0-d constant, and a square is ``mul`` of a variable by itself.
+Every other VJP hands each parent a fresh array that nothing else
+holds, and ``Tape.backward`` adds every later contribution into it in
+place.
+
+One broadcast rule holds for ``add``, ``sub``, ``mul`` and
+``row_dot``: one operand's shape must broadcast to the other's, and an
+operand that needs a gradient must have the result's shape.  So only a
+constant broadcasts, such as a scalar or the (1, d) row of a coefficient
+that does not depend on the state, and every adjoint is ``g``, ``-g`` or
+``g`` times the other operand, with no sum over broadcast axes.
 
 Tensors are plain ``numpy.ndarray`` objects in float64; they are treated
 as immutable once recorded.  A ``Variable`` owns its value; the tape keeps
@@ -58,8 +63,9 @@ The node's one parent is the parameter vector; ``mlp_layers`` gives its
 weights and biases as views, and each chunk's VJP writes their gradients
 into the same views of a gradient vector of its own.  The node's VJP
 adds these into the first chunk's vector in chunk order, each as soon as
-it and the chunks before it are done, with at most two chunks per worker
-in flight, and drops each vector once it is added.
+it and the chunks before it are done, and drops each vector once it is
+added.  The forward pass and the VJP alike keep at most two chunks per
+worker in flight (``_chunk_results``).
 
 A chunk keeps its VJP state (hidden outputs, slopes, gradient chain)
 only when the parameter vector needs a gradient.  A node over constant
@@ -140,7 +146,7 @@ class Variable:
         return self.value.shape
 
     # Arithmetic sugar so problem drivers read naturally.  Non-Variable
-    # operands are wrapped as tape constants (or scalar multiplications).
+    # operands, scalars included, are wrapped as tape constants.
     def __add__(self, other):
         return self.tape.add(self, self.tape.lift(other))
 
@@ -154,15 +160,13 @@ class Variable:
         return self.tape.sub(self.tape.lift(other), self)
 
     def __mul__(self, other):
-        if np.isscalar(other):
-            return self.tape.smul(self, float(other))
         return self.tape.mul(self, self.tape.lift(other))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __neg__(self):
-        return self.tape.smul(self, -1.0)
+        return self.tape.mul(self, self.tape.constant(-1.0))
 
 
 class _Node:
@@ -229,52 +233,28 @@ class Tape:
     # elementwise arithmetic
 
     def _binary(self, op, a, b) -> tuple[bool, bool]:
-        """Whether ``a`` and ``b`` need gradients; one's shape must broadcast to the other's."""
+        """Whether ``a`` and ``b`` need gradients; their shapes must meet ``_check_broadcast``."""
         ra, rb = self._check(a, op), self._check(b, op)
-        _check_broadcast(op, a.shape, b.shape)
+        _check_broadcast(op, a.shape, b.shape, ra, rb)
         return ra, rb
 
     def add(self, a: Variable, b: Variable) -> Variable:
         ra, rb = self._binary("add", a, b)
-        sa, sb = a.shape, b.shape
-
-        def vjp(g):
-            return (_copy_to(g, sa) if ra else None, _copy_to(g, sb) if rb else None)
-
-        return self._append("add", (a, b), a.value + b.value, vjp)
+        return self._append("add", (a, b), a.value + b.value,
+                            lambda g: (g.copy() if ra else None, g.copy() if rb else None))
 
     def sub(self, a: Variable, b: Variable) -> Variable:
         ra, rb = self._binary("sub", a, b)
-        sa, sb = a.shape, b.shape
-
-        def vjp(g):
-            return (_copy_to(g, sa) if ra else None, _reduce_to(-g, sb) if rb else None)
-
-        return self._append("sub", (a, b), a.value - b.value, vjp)
+        return self._append("sub", (a, b), a.value - b.value,
+                            lambda g: (g.copy() if ra else None, -g if rb else None))
 
     def mul(self, a: Variable, b: Variable) -> Variable:
+        """Elementwise product: ``mul(x, constant(c))`` scales, ``mul(x, x)`` squares."""
         ra, rb = self._binary("mul", a, b)
-        sa, sb = a.shape, b.shape
         # each adjoint reads the other operand, so the VJP holds only those
         by_a, by_b = b.value if ra else None, a.value if rb else None
-
-        def vjp(g):
-            return (
-                _reduce_to(g * by_a, sa) if ra else None,
-                _reduce_to(g * by_b, sb) if rb else None,
-            )
-
-        return self._append("mul", (a, b), a.value * b.value, vjp)
-
-    def smul(self, a: Variable, c: float) -> Variable:
-        self._check(a, "smul")
-        c = float(c)
-        return self._append("smul", (a,), a.value * c, lambda g: (g * c,))
-
-    def square(self, a: Variable) -> Variable:
-        self._check(a, "square")
-        av = a.value
-        return self._append("square", (a,), av * av, lambda g: (g * (2.0 * av),))
+        return self._append("mul", (a, b), a.value * b.value,
+                            lambda g: (g * by_a if ra else None, g * by_b if rb else None))
 
     # ------------------------------------------------------------------
     # reductions and slices
@@ -297,24 +277,17 @@ class Tape:
     def row_dot(self, a: Variable, b: Variable) -> Variable:
         """Row-wise inner product of two (B, d) arrays, yielding (B, 1).
 
-        Either operand may be a 2-D array that broadcasts to the other's
-        shape, such as one (1, d) row.
+        An operand that needs no gradient may be a 2-D array that
+        broadcasts to the other's shape, such as one (1, d) row.
         """
         ra, rb = self._check(a, "row_dot"), self._check(b, "row_dot")
         av, bv = a.value, b.value
-        sa, sb = av.shape, bv.shape
         if av.ndim != 2 or bv.ndim != 2:
-            raise ShapeMismatchError(f"row_dot: shapes {sa} and {sb}")
-        _check_broadcast("row_dot", sa, sb)
+            raise ShapeMismatchError(f"row_dot: shapes {av.shape} and {bv.shape}")
+        _check_broadcast("row_dot", av.shape, bv.shape, ra, rb)
         by_a, by_b = bv if ra else None, av if rb else None
-
-        def vjp(g):
-            return (
-                _reduce_to(g * by_a, sa) if ra else None,
-                _reduce_to(g * by_b, sb) if rb else None,
-            )
-
-        return self._append("row_dot", (a, b), np.einsum("bj,bj->b", av, bv)[:, None], vjp)
+        return self._append("row_dot", (a, b), np.einsum("bj,bj->b", av, bv)[:, None],
+                            lambda g: (g * by_a if ra else None, g * by_b if rb else None))
 
     def segment_sum(self, a: Variable, segment_ids: np.ndarray, num_segments: int) -> Variable:
         """Sum (K, 1) rows into (num_segments, 1) buckets given per-row ids."""
@@ -388,11 +361,11 @@ class Tape:
         ``_gradient_rows``, one of value-only rows ``_value_rows``.  The
         forward pass and the VJP each run the chunks on the pool when the
         node's input makes ``rows * sum(fan_in * fan_out)`` >= ``POOL_MACS``
-        multiply-adds, and inline in chunk order below that.  Each row's
-        value is one dot product (``_value_column``), the same bits in
-        any chunk; the gradient of ``theta`` is the chunks' gradient
-        vectors summed in chunk order, each added as it comes and then
-        dropped.
+        multiply-adds, at most two per worker in flight, and inline in
+        chunk order below that.  Each row's value is one dot product
+        (``_value_column``), the same bits in any chunk; the gradient of
+        ``theta`` is the chunks' gradient vectors summed in chunk order,
+        each added as it comes and then dropped.
         """
         differentiated = self._check(theta, "mlp")
         if activation == "leaky_relu" and not 0.0 <= alpha <= 1.0:
@@ -433,7 +406,7 @@ class Tape:
                 return block
 
             parts = _chunk_results([functools.partial(f, adjoint(*span))
-                                    for f, span in zip(chunk_vjps, spans)], pooled, per_worker=2)
+                                    for f, span in zip(chunk_vjps, spans)], pooled)
             grad = next(parts, None)
             for part in parts:  # in chunk order, so the sum never depends on the workers
                 grad += part
@@ -535,8 +508,7 @@ def _chunk_pool() -> ThreadPoolExecutor | None:
         return _pool
 
 
-def _chunk_results(tasks: list[Callable], pooled: bool, per_worker: int | None = None
-                   ) -> Iterator:
+def _chunk_results(tasks: list[Callable], pooled: bool) -> Iterator:
     """Results of zero-argument tasks, yielded in task order, on the chunk pool if ``pooled``.
 
     The tasks run inline, in task order, in three cases: a lone task; a
@@ -544,17 +516,17 @@ def _chunk_results(tasks: list[Callable], pooled: bool, per_worker: int | None =
     to pay the pool's hand-offs: a 600-iteration training of the
     ``convergence`` preset made 58 voluntary context switches with inline
     chunks and ~28,500 with the pool; and one usable core.  Inline, a task
-    runs once the caller has taken the result before it.  On the pool,
-    every task is submitted at once, or, with ``per_worker``, at most that
-    many per worker are in flight, running or finished but not yet taken,
-    and the next is submitted as the caller takes a result; so the
-    results that wait behind a slow task stay bounded.  Two per worker
-    keep a task queued for each worker that finishes.  With one, each
-    worker waited for the calling thread to wake and submit: a training
-    step of ``bsb_d4`` at B=250 took 41.8 ms against 37.5 ms with every
-    task submitted at once (medians of 10 processes, 2-core VM), and
-    35.9 ms with two.  Every task in flight has finished before any error
-    is raised, so none is left writing into arrays that the caller drops.
+    runs once the caller has taken the result before it.  On the pool, at
+    most two tasks per worker are in flight, running or finished but not
+    yet taken, and the next is submitted as the caller takes a result; so
+    the results that wait behind a slow task stay bounded, in the forward
+    pass and the VJP alike.  Two per worker keep a task queued for each
+    worker that finishes.  With one, each worker waited for the calling
+    thread to wake and submit: a training step of ``bsb_d4`` at B=250 took
+    41.8 ms against 37.5 ms with every task submitted at once (medians of
+    10 processes, 2-core VM), and 35.9 ms with two.  Every task in flight
+    has finished before any error is raised, so none is left writing into
+    arrays that the caller drops.
     """
     pool = _chunk_pool() if pooled and len(tasks) > 1 else None
     if pool is None:
@@ -562,8 +534,7 @@ def _chunk_results(tasks: list[Callable], pooled: bool, per_worker: int | None =
             yield task()
         return
     todo = iter(tasks)
-    first = len(tasks) if per_worker is None else per_worker * pool._max_workers
-    pending = deque(pool.submit(task) for task in itertools.islice(todo, first))
+    pending = deque(pool.submit(task) for task in itertools.islice(todo, 2 * pool._max_workers))
     try:
         while pending:
             yield pending.popleft().result()
@@ -806,29 +777,22 @@ def _slopes(mask: np.ndarray, alpha: float) -> np.ndarray:
     return np.maximum(s, alpha, out=s)
 
 
-def _check_broadcast(op: str, sa: tuple, sb: tuple) -> None:
-    """Raise unless one of two operand shapes broadcasts to the other."""
-    if sa == sb:  # the common case, without numpy's ~3 us shape arithmetic
+def _check_broadcast(op: str, sa: tuple, sb: tuple, ra: bool, rb: bool) -> None:
+    """Raise unless one operand shape broadcasts to the other and only a constant broadcasts.
+
+    ``ra`` and ``rb`` say whether the operands need gradients.  An operand
+    that does must have the result's shape, so every adjoint is the
+    result's adjoint times the other operand, with no sum over broadcast
+    axes.
+    """
+    # the common cases, equal shapes and a constant scalar, without numpy's
+    # ~3 us shape arithmetic
+    if sa == sb or (sb == () and not rb) or (sa == () and not ra):
         return
     try:
-        if np.broadcast_shapes(sa, sb) in (sa, sb):
-            return
+        shape = np.broadcast_shapes(sa, sb)
     except ValueError:
-        pass
+        shape = None
+    if shape in (sa, sb) and (not ra or sa == shape) and (not rb or sb == shape):
+        return
     raise ShapeMismatchError(f"{op}: shapes {sa} and {sb}")
-
-
-def _copy_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """``_reduce_to`` as a fresh array: a copy of ``g`` where it returns ``g`` itself."""
-    return g.copy() if g.shape == shape else _reduce_to(g, shape)
-
-
-def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast adjoint over the axes that broadcasting added or stretched."""
-    if g.shape == shape:
-        return g
-    if shape == ():
-        return np.asarray(g.sum())
-    lead = g.ndim - len(shape)
-    axes = (*range(lead), *(lead + i for i, n in enumerate(shape) if n == 1))
-    return g.sum(axis=axes).reshape(shape)

@@ -216,10 +216,11 @@ def config_from_dict(data: dict, name: str = "experiment") -> TrainConfig:
 
 
 def _finite_number(token: str) -> float:
-    """A JSON number of a config; NaN, Infinity and out-of-range literals are config errors."""
+    """A JSON number of a config or checkpoint; NaN, Infinity and out-of-range literals are
+    config errors."""
     value = float(token)
     if not math.isfinite(value):
-        raise ConfigError(f"config number {token} is not finite")
+        raise ConfigError(f"number {token} is not finite")
     return value
 
 
@@ -359,10 +360,13 @@ def save_checkpoint(path, params: nn.MlpParams, iteration: int, lr: float) -> No
 
 
 def load_checkpoint(path) -> tuple[nn.MlpParams, int, float]:
-    """The params, iteration and lr of a checkpoint, with a config's types; else a config error."""
+    """The params, iteration and lr of a checkpoint, with a config's types; else a config error.
+
+    As in a config, a number that is not finite is a config error.
+    """
     with open(path) as fh:
         try:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
         except ValueError as exc:
             raise ConfigError(f"checkpoint {path} is unreadable: {exc!r}") from exc
     if not isinstance(payload, dict) or payload.get("array_format") != CHECKPOINT_ARRAY_FORMAT:
@@ -421,10 +425,12 @@ def run_experiment(config: TrainConfig, out_dir) -> tuple[list[metrics.MetricsRe
     evaluated, so a run that stops early keeps both up to its last
     evaluation.  A numerical abort writes ``abort.json`` with the error
     and the iteration: the training batch's, or the evaluation's when
-    simulating its held-out batch fails.
+    simulating its held-out batch fails.  An ``abort.json`` that an
+    earlier run left in ``out_dir`` goes before the first iteration.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "abort.json").unlink(missing_ok=True)
     problem, grid = config.problem, config.grid
 
     params = nn.init(config.architecture, seed=config.seed_init)

@@ -75,9 +75,9 @@ def transfer(t, x: np.ndarray, y: Variable, z: Variable, i_term: Variable,
     """
     tape = y.tape
     noise = tape.row_dot(z, tape.constant(dw))
-    acc = tape.sub(y, tape.smul(tape.lift(driver(t, x, y, z, i_term)), dt))
+    acc = tape.sub(y, tape.mul(tape.lift(driver(t, x, y, z, i_term)), tape.constant(dt)))
     acc = tape.add(acc, noise)
-    return tape.add(acc, tape.smul(i_term, dt))
+    return tape.add(acc, tape.mul(i_term, tape.constant(dt)))
 
 
 def integral_term(
@@ -111,7 +111,7 @@ def integral_term(
         tape.segment_sum(jumped, event_ids, x.shape[0]),
         tape.mul(y_base, tape.constant(np.asarray(counts, dtype=np.float64)[:, None])),
     )
-    return tape.sub(tape.smul(jump_sum, 1.0 / dt), comp_dot)
+    return tape.sub(tape.mul(jump_sum, tape.constant(1.0 / dt)), comp_dot)
 
 
 def squared_residuals(net, batch: PathBatch, problem: ProblemSpec
@@ -169,10 +169,11 @@ def squared_residuals(net, batch: PathBatch, problem: ProblemSpec
                            y_curr, grad_curr, problem, dt)
     prediction = transfer(t_curr, x_curr, y_curr, z, i_term,
                           batch.brownian.reshape(split, batch.dim), problem.driver, dt)
-    interval_sq = tape.square(tape.sub(y_next, prediction))
+    residual = tape.sub(y_next, prediction)
+    interval_sq = tape.mul(residual, residual)
 
-    target = tape.constant(problem.terminal(batch.states[n_steps]))
-    terminal_sq = tape.square(tape.sub(y_term, target))
+    misfit = tape.sub(y_term, tape.constant(problem.terminal(batch.states[n_steps])))
+    terminal_sq = tape.mul(misfit, misfit)
     values = node.value[:n_nodes, 0].reshape(n_steps + 1, n_rows)
     return interval_sq, terminal_sq, values
 
@@ -205,7 +206,8 @@ def reduce_residuals(interval_sq: Variable, terminal_sq: Variable, n_steps: int
             breakdown=LossBreakdown(interval_terms, float(terminal.value), float("nan")),
         )
 
-    total = tape.smul(tape.add(tape.sum(interval_vec), terminal), 1.0 / (n_steps + 1))
+    total = tape.mul(tape.add(tape.sum(interval_vec), terminal),
+                     tape.constant(1.0 / (n_steps + 1)))
     return total, LossBreakdown(interval_terms=interval_terms,
                                 terminal_term=float(terminal.value), total=float(total.value))
 

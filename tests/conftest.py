@@ -10,15 +10,33 @@ from pidenet import autodiff
 
 
 class CountingPool(ThreadPoolExecutor):
-    """A thread pool that counts the tasks submitted to it."""
+    """A thread pool that counts the tasks submitted to it.
+
+    ``most_in_flight`` is the most tasks that were ever submitted and
+    whose result the caller had not yet taken.
+    """
 
     def __init__(self, workers):
         super().__init__(workers)
         self.tasks = 0
+        self.in_flight = 0
+        self.most_in_flight = 0
 
     def submit(self, fn, /, *args, **kwargs):
         self.tasks += 1
-        return super().submit(fn, *args, **kwargs)
+        self.in_flight += 1
+        self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        future = super().submit(fn, *args, **kwargs)
+
+        def taken(timeout=None):
+            # back to the class's method: the future and this closure no
+            # longer hold each other, so the result dies with the future
+            del future.result
+            self.in_flight -= 1
+            return future.result(timeout)
+
+        future.result = taken
+        return future
 
 
 @pytest.fixture

@@ -191,9 +191,9 @@ def all_rows_squared_residuals(net, batch: PathBatch, problem: ProblemSpec
     prediction = scheme.transfer(t_curr, x_curr, y_curr, z, i_term,
                                  batch.brownian.reshape(split, batch.dim), problem.driver,
                                  grid.dt)
-    interval_sq = tape.square(tape.sub(y_next, prediction))
-    target = tape.constant(problem.terminal(batch.states[n_steps]))
-    return interval_sq, tape.square(tape.sub(y_term, target))
+    residual = tape.sub(y_next, prediction)
+    misfit = tape.sub(y_term, tape.constant(problem.terminal(batch.states[n_steps])))
+    return tape.mul(residual, residual), tape.mul(misfit, misfit)
 
 
 def compensator_residual_paths(

@@ -1,4 +1,6 @@
+import operator
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -76,7 +78,7 @@ class TestPrimitives:
         block = t.slice(a, rows=(1, 3), cols=(1, 3))
         np.testing.assert_array_equal(block.value, [[4.0, 5.0], [7.0, 8.0]])
         assert t.slice(a).value.shape == (4, 3)
-        (g,) = t.backward(t.sum(t.square(block)), [a])
+        (g,) = t.backward(t.sum(t.mul(block, block)), [a])
         expected = np.zeros((4, 3))
         expected[1:3, 1:3] = 2.0 * block.value
         np.testing.assert_array_equal(g, expected)
@@ -93,7 +95,7 @@ class TestPrimitives:
         p, q = t.param(p0), t.param(q0)
         s1 = t.slice(p, rows=(1, 3))
         s = t.add(p, q)
-        dp, dq = t.backward(t.add(t.sum(t.square(s)), t.sum(t.square(s1))), [p, q])
+        dp, dq = t.backward(t.add(t.sum(t.mul(s, s)), t.sum(t.mul(s1, s1))), [p, q])
         np.testing.assert_array_equal(dq, 2.0 * (p0 + q0))
         expected = 2.0 * (p0 + q0)
         expected[1:3] += 2.0 * p0[1:3]
@@ -111,9 +113,9 @@ class TestPrimitives:
         parts = [t.slice(value, rows=r)
                  for r in ((0, 15000), (1000, 16000), (16000, 20000), (15000, 16000))]
         parts.append(t.slice(grad, rows=(0, 15000)))
-        total = t.sum(t.square(parts[0]))
+        total = t.sum(t.mul(parts[0], parts[0]))
         for part in parts[1:]:
-            total = t.add(total, t.sum(t.square(part)))
+            total = t.add(total, t.sum(t.mul(part, part)))
         tracemalloc.start()
         try:
             (g,) = t.backward(total, [a])
@@ -129,7 +131,11 @@ class TestPrimitives:
 
 
 class TestBroadcastOperand:
-    """``add``, ``sub``, ``mul`` and ``row_dot`` take a (1, d) row for a (rows, d) operand."""
+    """A constant operand of ``add``, ``sub``, ``mul`` and ``row_dot`` broadcasts.
+
+    A (1, d) row stands for a (rows, d) operand and a scalar for any
+    shape; an operand that needs a gradient must have the result's shape.
+    """
 
     OPS = ("add", "sub", "mul", "row_dot")
 
@@ -140,39 +146,48 @@ class TestBroadcastOperand:
         weights = rng.normal(size=(7, 1) if op == "row_dot" else (7, 4))
         return full, row, weights
 
+    @staticmethod
+    def run(op, full, constant, weights, constant_first=False):
+        """The value of ``op`` on ``full``, a param, and ``constant``, and the gradient of ``full``."""
+        t = Tape()
+        a = t.param(full)
+        pair = (t.constant(constant), a) if constant_first else (a, t.constant(constant))
+        out = getattr(t, op)(*pair)
+        (g,) = t.backward(t.sum(t.mul(out, t.constant(weights))), [a])
+        return out.value, g
+
     @pytest.mark.parametrize("op", OPS)
     def test_value_and_other_gradient_equal_the_full_operands(self, op):
         full, row, weights = self.operands(op)
-
-        def run(second):
-            t = Tape()
-            a = t.param(full)
-            out = getattr(t, op)(a, t.constant(second))
-            (g,) = t.backward(t.sum(t.mul(out, t.constant(weights))), [a])
-            return out.value, g
-
-        value, grad = run(row)
-        full_value, full_grad = run(np.repeat(row, 7, axis=0))
+        value, grad = self.run(op, full, row, weights)
+        full_value, full_grad = self.run(op, full, np.repeat(row, 7, axis=0), weights)
         assert value.tobytes() == full_value.tobytes()
         assert grad.tobytes() == full_grad.tobytes()
 
-    @pytest.mark.parametrize("row_first", [False, True])
+    @pytest.mark.parametrize("constant_first", [False, True])
+    @pytest.mark.parametrize("op", ("add", "sub", "mul"))
+    def test_constant_scalar_equals_the_full_constant(self, op, constant_first):
+        # a scalar product is mul by a 0-d constant: the same IEEE
+        # products as a Python float or a full array of it
+        full, _, weights = self.operands(op)
+        value, grad = self.run(op, full, -1.5, weights, constant_first)
+        full_value, full_grad = self.run(op, full, np.full((7, 4), -1.5), weights, constant_first)
+        floats = getattr(operator, op)(*((-1.5, full) if constant_first else (full, -1.5)))
+        assert value.tobytes() == full_value.tobytes() == floats.tobytes()
+        assert grad.tobytes() == full_grad.tobytes()
+
+    @pytest.mark.parametrize("small", [(1, 4), ()], ids=["row", "scalar"])
+    @pytest.mark.parametrize("small_first", [False, True])
     @pytest.mark.parametrize("op", OPS)
-    def test_row_gradient_sums_the_full_gradient_over_rows(self, op, row_first):
-        full, row, weights = self.operands(op)
-
-        def build(t, x):
-            pair = (x, t.constant(full)) if row_first else (t.constant(full), x)
-            return t.sum(t.mul(getattr(t, op)(*pair), t.constant(weights)))
-
-        grads = []
-        for point in (row, np.repeat(row, 7, axis=0)):
+    def test_differentiated_operand_that_broadcasts_is_rejected(self, op, small_first, small):
+        full = self.operands(op)[0]
+        for make_full in ("constant", "param"):
             t = Tape()
-            x = t.param(point)
-            grads.extend(t.backward(build(t, x), [x]))
-        assert grads[0].shape == (1, 4)
-        np.testing.assert_allclose(grads[0], grads[1].sum(axis=0, keepdims=True), rtol=1e-12)
-        assert grad_check(build, row) <= 1e-8
+            pair = (t.param(np.ones(small)), getattr(t, make_full)(full))
+            pair = pair if small_first else pair[::-1]
+            sa, sb = (re.escape(str(v.shape)) for v in pair)
+            with pytest.raises(ShapeMismatchError, match=rf"{op}: shapes {sa} and {sb}"):
+                getattr(t, op)(*pair)
 
     @pytest.mark.parametrize("op", OPS)
     def test_shapes_that_only_broadcast_together_are_rejected(self, op):
@@ -197,7 +212,7 @@ class TestBackward:
     def test_sum_of_squares_gradient(self):
         t = Tape()
         x = t.param(np.array([1.0, 2.0, 3.0]))
-        (g,) = t.backward(t.sum(t.square(x)), [x])
+        (g,) = t.backward(t.sum(t.mul(x, x)), [x])
         np.testing.assert_array_equal(g, [2.0, 4.0, 6.0])
 
     def test_inner_product_gradient(self):
@@ -219,7 +234,8 @@ class TestBackward:
             t = Tape()
             p = t.param(theta)
             packed = t.mlp(x, p, [(3, 5), (5, 1)], "tanh")
-            return t, p, t.mean(t.square(t.slice(packed, cols=(0, 1))))
+            u = t.slice(packed, cols=(0, 1))
+            return t, p, t.mean(t.mul(u, u))
 
         t, p, obj = loss_of(theta0)
         (g,) = t.backward(obj, [p])
@@ -243,7 +259,7 @@ class TestBackward:
         t = Tape()
         x = t.param(np.ones(3))
         unused = t.param(np.full((2, 2), 5.0))
-        (gx, gu) = t.backward(t.sum(t.square(x)), [x, unused])
+        (gx, gu) = t.backward(t.sum(t.mul(x, x)), [x, unused])
         assert gu.shape == (2, 2)
         assert np.all(gu == 0.0)
 
@@ -258,8 +274,8 @@ class TestBackward:
         t = Tape()
         theta = t.param(rng.normal(size=sum((fi + 1) * fo for fi, fo in dims)))
         packed = t.mlp(rng.normal(size=(5, 4)), theta, dims, activation, alpha, grad_rows=3)
-        obj = t.add(t.mean(t.square(t.block_mean(t.slice(packed, cols=(0, 1)), 5))),
-                    t.sum(t.square(packed)))
+        means = t.block_mean(t.slice(packed, cols=(0, 1)), 5)
+        obj = t.add(t.mean(t.mul(means, means)), t.sum(t.mul(packed, packed)))
         (g1,) = t.backward(obj, [theta])
         (g2,) = t.backward(obj, [theta])
         assert np.array_equal(g1, g2)
@@ -273,34 +289,38 @@ class TestBackward:
         p0, q0, r0, c = (rng.normal(size=(3, 2)) for _ in range(4))
         t = Tape()
         p, q, r = t.param(p0), t.param(q0), t.param(r0)
-        later = t.add(t.add(t.sum(t.square(p)), t.sum(t.mul(q, t.constant(c)))),
-                      t.sum(t.square(r)))
+        later = t.add(t.add(t.sum(t.mul(p, p)), t.sum(t.mul(q, t.constant(c)))),
+                      t.sum(t.mul(r, r)))
         e = t.sub(r, p)
         s = t.add(p, q)  # recorded last, so backward reaches it first
-        total = t.add(t.add(t.sum(t.square(s)), t.sum(t.square(e))), later)
+        total = t.add(t.add(t.sum(t.mul(s, s)), t.sum(t.mul(e, e))), later)
         seen = []
 
-        def watched(vjp):
+        def watched(op, vjp):
             def wrapper(g):
                 out = vjp(g)
-                seen.append((g, g.copy(), [c for c in out if c is not None]))
+                seen.append((op, g, g.copy(), [c for c in out if c is not None]))
                 return out
 
             return wrapper
 
         for node in t._nodes:
             if node.vjp is not None:
-                node.vjp = watched(node.vjp)
+                node.vjp = watched(node.op, node.vjp)
         dp, dq, dr = t.backward(total, [p, q, r])
         s0, e0 = p0 + q0, r0 - p0
         np.testing.assert_allclose(dp, 2.0 * s0 - 2.0 * e0 + 2.0 * p0, rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(dq, 2.0 * s0 + c, rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(dr, 2.0 * e0 + 2.0 * r0, rtol=1e-14, atol=1e-14)
-        # s hands p and q their copies, e hands r and p theirs
-        assert sum(g.shape == (3, 2) and len(contribs) == 2 for g, _, contribs in seen) == 2
-        for g, before, contribs in seen:
+        # s hands p and q their copies, e hands r and p theirs; a square,
+        # mul(x, x), hands x two products
+        assert sum(op in ("add", "sub") and g.shape == (3, 2) and len(contribs) == 2
+                   for op, g, _, contribs in seen) == 2
+        assert sum(op == "mul" and len(contribs) == 2 for op, _, _, contribs in seen) == 4
+        for _, g, before, contribs in seen:
             assert np.array_equal(g, before)
             assert not any(np.shares_memory(c, g) for c in contribs)
+            assert not (len(contribs) == 2 and np.shares_memory(*contribs))
 
     def test_linearity_of_backward(self):
         rng = np.random.default_rng(5)
@@ -313,9 +333,9 @@ class TestBackward:
             # a tanh network, whose value and gradient columns g sums
             t = Tape()
             x = t.param(x_arr)
-            f = t.sum(t.square(x))
+            f = t.sum(t.mul(x, x))
             g = t.sum(t.mlp(inp, x, [(2, 4), (4, 1)], "tanh"))
-            combo = t.add(t.smul(f, alpha), t.smul(g, beta))
+            combo = t.add(t.mul(f, t.constant(alpha)), t.mul(g, t.constant(beta)))
             gf = t.backward(f, [x])[0]
             gg = t.backward(g, [x])[0]
             gc = t.backward(combo, [x])[0]
@@ -328,30 +348,30 @@ class TestBackward:
 MLP_DIMS = [(3, 4), (4, 4), (4, 1)]
 MLP_THETA = (sum((fi + 1) * fo for fi, fo in MLP_DIMS),)
 MLP_INPUT = np.random.default_rng(11).normal(size=(7, 3))
-# one case per primitive and kind of operand: the shapes of the operands,
-# then the op on the tape and its param operands, one Variable twice where
-# the op takes it twice
+ROW = np.array([[0.5, -2.0]])
+# one case per primitive and kind of operand: the shapes of the param
+# operands, then the op on the tape and its operands, one Variable twice
+# where the op takes it twice; a constant operand is made in the op
 VJP_CASES = {
     "add": ([(3, 2), (3, 2)], lambda t, a, b: t.add(a, b)),
-    "add_broadcast": ([(3, 2), (1, 2)], lambda t, a, b: t.add(a, b)),
-    "add_broadcast_left": ([(2,), (3, 2)], lambda t, a, b: t.add(a, b)),
+    "add_constant_row": ([(3, 2)], lambda t, a: t.add(a, t.constant(ROW))),
+    "add_constant_row_left": ([(3, 2)], lambda t, a: t.add(t.constant(ROW[0]), a)),
     "add_scalars": ([(), ()], lambda t, a, b: t.add(a, b)),
     "add_self": ([(3, 2)], lambda t, a: t.add(a, a)),
     "sub": ([(3, 2), (3, 2)], lambda t, a, b: t.sub(a, b)),
-    "sub_broadcast": ([(3, 2), (1, 2)], lambda t, a, b: t.sub(a, b)),
-    "sub_broadcast_left": ([(1, 2), (3, 2)], lambda t, a, b: t.sub(a, b)),
+    "sub_constant_row": ([(3, 2)], lambda t, a: t.sub(a, t.constant(ROW))),
+    "sub_constant_row_left": ([(3, 2)], lambda t, a: t.sub(t.constant(ROW), a)),
     "sub_self": ([(3, 2)], lambda t, a: t.sub(a, a)),
     "mul": ([(3, 2), (3, 2)], lambda t, a, b: t.mul(a, b)),
-    "mul_broadcast": ([(3, 2), (1, 2)], lambda t, a, b: t.mul(a, b)),
-    "mul_scalar_operand": ([(), (3, 2)], lambda t, a, b: t.mul(a, b)),
+    "mul_constant_row": ([(3, 2)], lambda t, a: t.mul(a, t.constant(ROW))),
+    "mul_constant_scalar": ([(3, 2)], lambda t, a: t.mul(a, t.constant(-1.5))),
+    "mul_constant_scalar_left": ([(3, 2)], lambda t, a: t.mul(t.constant(-1.5), a)),
+    "mul_scalar_by_constant": ([()], lambda t, a: t.mul(a, t.constant(-1.5))),
     "mul_self": ([(3, 2)], lambda t, a: t.mul(a, a)),
-    "smul": ([(3, 2)], lambda t, a: t.smul(a, -1.5)),
-    "smul_scalar": ([()], lambda t, a: t.smul(a, -1.5)),
-    "square": ([(3, 2)], lambda t, a: t.square(a)),
     "sum": ([(3, 2)], lambda t, a: t.sum(a)),
     "mean": ([(3, 2)], lambda t, a: t.mean(a)),
     "row_dot": ([(3, 2), (3, 2)], lambda t, a, b: t.row_dot(a, b)),
-    "row_dot_broadcast": ([(3, 2), (1, 2)], lambda t, a, b: t.row_dot(a, b)),
+    "row_dot_constant_row": ([(3, 2)], lambda t, a: t.row_dot(a, t.constant(ROW))),
     "row_dot_self": ([(3, 2)], lambda t, a: t.row_dot(a, a)),
     "segment_sum": ([(3, 1)], lambda t, a: t.segment_sum(a, np.array([0, 2, 2]), 4)),
     "block_mean": ([(4, 1)], lambda t, a: t.block_mean(a, 2)),
@@ -368,7 +388,7 @@ VJP_CASES = {
 def test_every_vjp_hands_each_parent_a_fresh_array(case, monkeypatch):
     # backward adds every later contribution into a parent's first one in
     # place, so no contribution may share memory with g, with an operand's
-    # value or with another contribution
+    # value or with another contribution; a constant parent gets None
     monkeypatch.setattr(autodiff, "CHUNK_ROWS", 3)
     shapes, op = VJP_CASES[case]
     rng = np.random.default_rng(5)
@@ -378,13 +398,15 @@ def test_every_vjp_hands_each_parent_a_fresh_array(case, monkeypatch):
     g = np.asarray(rng.normal(size=out.shape))
     node = t._nodes[out.id]
     contribs = node.vjp(g)
-    assert len(contribs) == len(node.parents) and all(c is not None for c in contribs)
     values = {v.id: v.value for v in operands}
-    for i, (pid, c) in enumerate(zip(node.parents, contribs)):
+    assert len(contribs) == len(node.parents)
+    assert [c is not None for c in contribs] == [pid in values for pid in node.parents]
+    given = [(pid, c) for pid, c in zip(node.parents, contribs) if c is not None]
+    for i, (pid, c) in enumerate(given):
         assert np.shape(c) == values[pid].shape
         assert not np.shares_memory(c, g)
         assert not any(np.shares_memory(c, v) for v in values.values())
-        assert not any(np.shares_memory(c, other) for other in contribs[i + 1:])
+        assert not any(np.shares_memory(c, other) for _, other in given[i + 1:])
 
 
 class TestValueOwnership:
@@ -414,7 +436,7 @@ class TestValueOwnership:
 
 class TestGradCheck:
     def test_quadratic_is_exact(self):
-        disc = grad_check(lambda t, x: t.sum(t.square(x)), np.array(3.0), h=1e-5)
+        disc = grad_check(lambda t, x: t.sum(t.mul(x, x)), np.array(3.0), h=1e-5)
         assert disc <= 1e-9
 
     def test_leaky_relu_negative_branch(self):
@@ -459,7 +481,7 @@ class TestFusedMlp:
             p = tape.param(arr)
             packed = tape.mlp(inp, p, dims, activation, alpha)
             # squaring makes the adjoint depend on both value and gradient
-            return tape.sum(tape.mul(tape.square(packed), tape.constant(coef))), p
+            return tape.sum(tape.mul(tape.mul(packed, packed), tape.constant(coef))), p
 
         tape = Tape()
         objective, p = build(tape, theta)
@@ -577,7 +599,7 @@ class TestChunkedMlp:
         params, inp, coef = cls.data(rows, activation, d, hidden, alpha)
         tape = Tape()
         packed, theta = cls.node(tape, params, inp, tape.param)
-        (grad,) = tape.backward(tape.sum(tape.mul(tape.square(packed), tape.constant(coef))),
+        (grad,) = tape.backward(tape.sum(tape.mul(tape.mul(packed, packed), tape.constant(coef))),
                                 [theta])
         return packed.value, grad, params, inp
 
@@ -760,6 +782,22 @@ class TestChunkedMlp:
         held = 2 * workers + 1 + (workers if activation == "tanh" else 0)
         assert peak < (held + 0.75) * grad.nbytes, peak / grad.nbytes
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_two_chunks_per_worker_are_in_flight(self, workers, chunk_workers,
+                                                         monkeypatch):
+        # 40 chunks: the forward pass and the VJP each submit the next
+        # chunk only as the caller takes a result, so the chunks that wait
+        # behind a slow one stay bounded
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", 8)
+        params, inp, coef = self.data(40 * 8, "tanh")
+        for leaf in ("constant", "param"):
+            pool = chunk_workers(workers)
+            tape = Tape()
+            packed, theta = self.node(tape, params, inp, getattr(tape, leaf))
+            assert (pool.tasks, pool.most_in_flight) == (40, 2 * workers)
+        tape.backward(tape.sum(tape.mul(packed, tape.constant(coef))), [theta])
+        assert (pool.tasks, pool.most_in_flight, pool.in_flight) == (80, 2 * workers, 0)
+
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_gradient_chunk_vjp_makes_no_full_temporary(self, alpha):
         # one inline chunk of 2048 rows through 3x64: the VJP writes each
@@ -856,7 +894,7 @@ class TestChunkedMlp:
         def build(tape, arr):
             p = tape.param(arr)
             packed = tape.mlp(inp, p, dims, activation, alpha)
-            return tape.sum(tape.mul(tape.square(packed), tape.constant(coef))), p
+            return tape.sum(tape.mul(tape.mul(packed, packed), tape.constant(coef))), p
 
         tape = Tape()
         objective, p = build(tape, theta)
@@ -1147,7 +1185,7 @@ def test_random_composition_gradients_match_fd(seed):
         y = tape.mlp(inp, theta, [(k, width), (width, 1)], activation, alpha)
         for op in ops:
             if op == "square":
-                y = tape.square(y)
+                y = tape.mul(y, y)
             elif op == "slice":
                 y = tape.slice(y, cols=(y.shape[1] - 1, y.shape[1]))
             elif op in _BINARY:

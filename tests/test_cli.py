@@ -243,6 +243,17 @@ class TestTrainAndEval:
         assert sorted(p.name for p in run.iterdir()) == [
             "abort.json", "breakdown.jsonl", "checkpoint.json", "metrics.csv"]
 
+    def test_a_rerun_removes_the_abort_of_the_run_before(self, config_path, tmp_path):
+        # runs/<name> is the default directory, so a rerun after a failed
+        # run writes into a directory that holds its abort.json
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "abort.json").write_text('{"iteration": 3, "error": "an earlier run"}')
+        config = dataclasses.replace(cli.load_config(str(config_path)), iterations=2)
+        cli.run_experiment(config, run)
+        assert not (run / "abort.json").exists()
+        assert (run / "checkpoint.json").exists()
+
     def test_breakdown_log_reaches_each_checkpoint_before_it_is_written(
             self, config_path, tmp_path, monkeypatch):
         # a run killed during or after a checkpoint leaves breakdown.jsonl
@@ -699,7 +710,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("damage", [
         "not json", "no params", "wrong shape", "not base64", "short data",
         "iteration a string", "iteration a float", "iteration a bool", "lr a string",
-        "float widths", "input_dim a string", "no alpha", "no activation",
+        "lr NaN", "lr 1e999", "float widths", "input_dim a string", "no alpha", "no activation",
     ])
     def test_unreadable_checkpoint_exits_one(self, config_path, tmp_path, damage, capsys):
         path = tmp_path / "checkpoint.json"
@@ -725,10 +736,18 @@ class TestCheckpoint:
             arch["input_dim"] = "2"
         elif damage.startswith("no "):
             del arch[damage[3:]]
-        path.write_text("{not json" if damage == "not json" else json.dumps(payload))
+        text = "{not json" if damage == "not json" else json.dumps(payload)
+        # literals that plain json.loads reads as nan and inf
+        literal = {"lr NaN": "NaN", "lr 1e999": "1e999"}.get(damage)
+        if literal:
+            text = text.replace('"lr": 0.01', f'"lr": {literal}')
+            assert f'"lr": {literal}' in text
+        path.write_text(text)
         code = cli.main(["eval", "--checkpoint", str(path), "--config", str(config_path)])
         assert code == 1
         out, err = capsys.readouterr()
         assert err.startswith("config error:") and out == ""
+        if literal:
+            assert f"number {literal} is not finite" in err
         if damage == "wrong shape":  # the parameter vector's check, not the decoder's
             assert "parameter vector of shape (2,) does not fit" in err
