@@ -13,8 +13,10 @@ import sys
 
 # Single-threaded BLAS: threaded BLAS splits a product in ways that
 # depend on the thread count, so outputs would depend on the host's cores.
-# A large network node uses every core through its own row chunks instead
-# (``autodiff.CHUNK_ROWS``), which run one-thread BLAS calls in parallel.
+# A large network node uses every core through its own row chunks instead,
+# which run one-thread BLAS calls in parallel; a chunk holds at most
+# ``autodiff.CHUNK_ROWS`` rows and ``autodiff.CHUNK_VALUES`` values in its
+# widest array.
 # numpy reads them only when first imported, so a numpy loaded before this
 # package is pinned through its OpenBLAS.  A value in the environment wins.
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")

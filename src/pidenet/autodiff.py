@@ -43,21 +43,24 @@ rows, such as a start state that every path shares: its result fills
 those rows, and its adjoint is theirs summed.
 
 The node cuts each kind of row into the same number of near-equal
-contiguous chunks, one per ``CHUNK_ROWS`` rows of the node
-(``_chunk_plan``), so a chunk holds rows of one kind only, and runs their
-forward passes and VJPs on one process-wide thread pool, one worker per
-usable core; numpy releases the GIL inside its GEMMs and ufuncs, so the
-chunks run in parallel while BLAS itself stays single-threaded.  The
-chunks run inline on the calling thread, in chunk order, in three cases:
-a lone chunk; a node of fewer than ``POOL_MACS`` multiply-adds in one
+contiguous chunks (``_chunk_plan``), so a chunk holds rows of one kind
+only.  Two bounds set the number: a chunk holds at most ``CHUNK_ROWS``
+rows, and its widest array, rows times the largest fan-in or fan-out,
+at most ``CHUNK_VALUES`` values, so a wide network's chunk temporaries
+stay as small as a narrow one's.  The node runs the chunks' forward
+passes and VJPs on one process-wide thread pool, one worker per usable
+core; numpy releases the GIL inside its GEMMs and ufuncs, so the chunks
+run in parallel while BLAS itself stays single-threaded.  The chunks
+run inline on the calling thread, in chunk order, in three cases: a
+lone chunk; a node of fewer than ``POOL_MACS`` multiply-adds in one
 value pass (input rows times the sum of fan_in * fan_out), where the
 pool's hand-offs cost more than the second core gains; and one usable
 core, where no pool is made.  The chunk edges depend only on the two row
-counts, and the parameter gradients are summed in chunk order, so no
-result depends on where the chunks run, or on the number of workers or
-cores.  A row's value is one dot product of its last hidden output with
-the output weights (``_value_column``), so it depends on that row alone,
-not on the chunk it runs in, on any BLAS.
+counts and the layer widths, and the parameter gradients are summed in
+chunk order, so no result depends on where the chunks run, or on the
+number of workers or cores.  A row's value is one dot product of its
+last hidden output with the output weights (``_value_column``), so it
+depends on that row alone, not on the chunk it runs in, on any BLAS.
 
 The node's one parent is the parameter vector; ``mlp_layers`` gives its
 weights and biases as views, and each chunk's VJP writes their gradients
@@ -99,10 +102,16 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-# Rows of a ``Tape.mlp`` node per chunk of each kind of row.  A fixed
-# constant, so chunk edges, and with them every result, depend only on the
-# row counts.
+# Most rows of a ``Tape.mlp`` chunk, and most values in its widest array
+# (rows times the largest fan-in or fan-out): 1 MiB of float64.  Widths up
+# to 64 take CHUNK_ROWS rows, 128 take 1024 and 256 take 512: on a 2-core
+# VM a d=100 training process (256x256, B=64) then peaks at 80-81 MiB of
+# RSS against 101-102 MiB with 2048-row chunks.  The row cap still pays at
+# width 32: 4096-row chunks raised ``convergence``'s peak by 0.8 MiB.
+# Fixed constants, so chunk edges, and with them every result, depend only
+# on the row counts and layer widths.
 CHUNK_ROWS = 2048
+CHUNK_VALUES = 2**17
 # Fewest multiply-adds of one value pass, rows * sum(fan_in * fan_out), at
 # which ``Tape.mlp`` runs its chunks on the pool.  Training ms/iter on a
 # 2-core VM, inline chunks against the pool: 17-18% faster at 2.65M and
@@ -356,8 +365,10 @@ class Tape:
         before it runs, so the node's value has ``rows + repeat - 1``
         rows of width k.
 
-        Each kind of row is cut into ``ceil(rows / CHUNK_ROWS)``
-        near-equal chunks (``_chunk_plan``); a chunk of gradient rows runs
+        Each kind of row is cut into ``ceil(rows / per)`` near-equal
+        chunks (``_chunk_plan``), where ``per`` is at most ``CHUNK_ROWS``
+        and small enough that no chunk array holds more than
+        ``CHUNK_VALUES`` values; a chunk of gradient rows runs
         ``_gradient_rows``, one of value-only rows ``_value_rows``.  The
         forward pass and the VJP each run the chunks on the pool when the
         node's input makes ``rows * sum(fan_in * fan_out)`` >= ``POOL_MACS``
@@ -383,7 +394,7 @@ class Tape:
         ws, bs = mlp_layers(theta.value, layer_dims)
         shift = repeat - 1  # input row i >= 1 is the node's row i + shift
         packed = np.empty((rows + shift, h.shape[1]))
-        spans = _chunk_plan(grad_rows, rows)
+        spans = _chunk_plan(grad_rows, rows, max(max(dims) for dims in layer_dims))
         pooled = rows * sum(fi * fo for fi, fo in layer_dims) >= POOL_MACS
         chunk_vjps = list(_chunk_results([
             functools.partial(_gradient_rows if lo < grad_rows else _value_rows, h[lo:hi], ws, bs,
@@ -545,16 +556,19 @@ def _chunk_results(tasks: list[Callable], pooled: bool) -> Iterator:
         wait(pending)
 
 
-def _chunk_plan(grad_rows: int, rows: int) -> list[tuple[int, int]]:
+def _chunk_plan(grad_rows: int, rows: int, widest: int) -> list[tuple[int, int]]:
     """The chunks of ``Tape.mlp``, as ``(lo, hi)`` ranges of its ``rows`` input rows.
 
-    The gradient rows ``[0, grad_rows)`` come first, then the value-only
-    rows after them.  Each kind is cut into ``n = ceil(rows / CHUNK_ROWS)``
-    contiguous ranges whose sizes differ by at most one, and empty ranges
-    are dropped, so no chunk mixes the two kinds and a node of no rows has
-    no chunk.  The plan depends only on the two counts.
+    ``widest`` is the largest fan-in or fan-out of the node's layers.  A
+    chunk holds at most ``per = min(CHUNK_ROWS, CHUNK_VALUES // widest)``
+    rows, so its widest array holds at most ``CHUNK_VALUES`` values.  The
+    gradient rows ``[0, grad_rows)`` come first, then the value-only rows
+    after them.  Each kind is cut into ``n = ceil(rows / per)`` contiguous
+    ranges whose sizes differ by at most one, and empty ranges are
+    dropped, so no chunk mixes the two kinds and a node of no rows has no
+    chunk.  The plan depends only on the two counts and ``widest``.
     """
-    n = -(-rows // CHUNK_ROWS)
+    n = -(-rows // min(CHUNK_ROWS, CHUNK_VALUES // widest))
     plan = []
     for lo, count in ((0, grad_rows), (grad_rows, rows - grad_rows)):
         plan += [(lo + count * i // n, lo + count * (i + 1) // n) for i in range(n)]
@@ -771,10 +785,11 @@ def _slopes(mask: np.ndarray, alpha: float) -> np.ndarray:
     Byte for byte ``np.where(z > 0.0, 1.0, alpha)`` for 0 <= alpha <= 1,
     the range ``Tape.mlp`` accepts, and it allocates only its output; a
     table lookup such as ``np.take(table, mask)`` would first copy the
-    mask to int64.
+    mask to int64.  At alpha 0 (relu) the mask's float copy is the slopes
+    already, and no ``np.maximum`` runs.
     """
     s = mask.astype(np.float64)
-    return np.maximum(s, alpha, out=s)
+    return np.maximum(s, alpha, out=s) if alpha else s
 
 
 def _check_broadcast(op: str, sa: tuple, sb: tuple, ra: bool, rb: bool) -> None:

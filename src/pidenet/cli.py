@@ -65,10 +65,11 @@ EVAL_STREAM = 1
 
 # Most state values, (N+1) * paths * d, in one block of the held-out
 # evaluation, so that its memory does not grow with eval_batch_size.
-# With 2 MiB of states, an eval process at d=100, N=50 peaks at ~61 MiB
-# of RSS (2-core x86 VM; 99 MiB in one pass of 250 paths, 91 MiB with
-# 8 MiB blocks); 1 MiB blocks peaked at 46 MiB but took a third longer.
-# The block size changes no figure.
+# With 2 MiB of states, an eval process of 250 paths at d=100, N=50
+# peaks at ~48 MiB of RSS (2-core x86 VM; 84 MiB in one pass, 75 MiB with
+# 8 MiB blocks); 1 MiB blocks peaked at 44 MiB, at 0.22-0.23 s of wall
+# time against 0.20-0.27 s (3 processes each).  The block size changes no
+# figure.
 EVAL_BLOCK_VALUES = 2**18
 
 # distinct simulation substreams for independent runs of a study;

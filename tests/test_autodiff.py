@@ -558,13 +558,29 @@ class TestFusedMlp:
         assert peak <= slopes.nbytes + 4096, peak - slopes.nbytes
 
 
-def pool_tasks(grad_rows, value_rows=0):
-    """Tasks that two passes over a node of these rows send to the pool.
+    def test_relu_slopes_are_the_masks_float_copy(self, monkeypatch):
+        # at alpha 0 the mask's 0.0 and 1.0 are the slopes already, so no
+        # np.maximum runs over them
+        mask = np.random.default_rng(1).normal(size=(512, 64)) > 0.0
+
+        def maximum(*args, **kwargs):
+            raise AssertionError("np.maximum ran at alpha 0")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(autodiff, "np", types.SimpleNamespace(float64=np.float64,
+                                                                maximum=maximum))
+            slopes = autodiff._slopes(mask, 0.0)
+        assert slopes.dtype == np.float64
+        assert slopes.tobytes() == np.where(mask, 1.0, 0.0).tobytes()
+
+
+def pool_tasks(grad_rows, value_rows=0, widest=16):
+    """Tasks that two passes over a node of these rows and widest layer send to the pool.
 
     The passes are a forward pass and its VJP, or two forward passes: one
     task per chunk and pass, none while the node has only one chunk.
     """
-    chunks = len(autodiff._chunk_plan(grad_rows, grad_rows + value_rows))
+    chunks = len(autodiff._chunk_plan(grad_rows, grad_rows + value_rows, widest))
     return 2 * chunks if chunks > 1 else 0
 
 
@@ -679,7 +695,7 @@ class TestChunkedMlp:
         monkeypatch.setattr(autodiff, "CHUNK_ROWS", self.CHUNK)
         params, inp, coef = self.data(rows, activation, hidden=(16, 12, 8), alpha=alpha)
         expected = None
-        for lo, hi in autodiff._chunk_plan(rows, rows):  # the node's chunk edges
+        for lo, hi in autodiff._chunk_plan(rows, rows, 16):  # the node's chunk edges
             part = mlp_param_grads(inp[lo:hi], params.weights, params.biases,
                                    activation, params.arch.alpha, coef[lo:hi])
             expected = part if expected is None else [e + p for e, p in zip(expected, part)]
@@ -781,6 +797,34 @@ class TestChunkedMlp:
         # tanh's slope sweep adds a weight-sized product per running chunk
         held = 2 * workers + 1 + (workers if activation == "tanh" else 0)
         assert peak < (held + 0.75) * grad.nbytes, peak / grad.nbytes
+
+    def test_vjp_transients_are_bounded_by_chunk_bytes(self, chunk_workers):
+        # a 2x256 node at d=100 on one worker: above the adjoint, made
+        # before tracing starts, and the 2 * workers + 1 gradient vectors
+        # that may live, the VJP holds one running chunk's temporaries.
+        # With 512-row chunks they measured 2.87 MiB at 2048 and at 4096
+        # rows, 3.57 MiB when the caller takes a result a chunk late.  The
+        # row cap alone, 2048-row chunks, measured 11.2 and 11.9 MiB
+        budget = 2**20  # CHUNK_VALUES float64 values, written out so the bound stays put
+        rests = []
+        for rows in (2048, 4096):
+            chunk_workers(1)
+            params, inp, coef = self.data(rows, "leaky_relu", d=100, hidden=(256, 256),
+                                          alpha=0.01)
+            tape = Tape()
+            packed, _ = self.node(tape, params, inp, tape.param)
+            vjp = tape._nodes[packed.id].vjp
+            peaks = []
+            for _ in range(3):  # the least of three: the caller kept up with the worker
+                tracemalloc.start()
+                try:
+                    vjp(coef)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            rests.append(min(peaks) - 3 * params.theta.nbytes)
+        assert abs(rests[1] - rests[0]) < budget / 8, [r / budget for r in rests]
+        assert max(rests) < 3.25 * budget, [r / budget for r in rests]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_at_most_two_chunks_per_worker_are_in_flight(self, workers, chunk_workers,
@@ -1082,35 +1126,85 @@ class TestChunkPlan:
 
     COUNTS = [(0, 0), (1, 0), (0, 70), (1001, 1327), (12251, 317), (12251, 250 + 4000),
               (1 + 49 * 64, 64 + 40), (4096, 0), (5000, 5000), (3, 2)]
+    WIDTHS = [16, 32, 64, 128, 256]
 
+    @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("grad_rows, value_rows", COUNTS)
-    def test_chunks_cover_the_rows_in_order_one_kind_each(self, grad_rows, value_rows):
+    def test_chunks_cover_the_rows_in_order_one_kind_each(self, grad_rows, value_rows, width):
         rows = grad_rows + value_rows
-        plan = autodiff._chunk_plan(grad_rows, rows)
+        plan = autodiff._chunk_plan(grad_rows, rows, width)
         assert [lo for lo, _ in plan] + [rows] == [0] + [hi for _, hi in plan]
         assert all(hi > lo for lo, hi in plan)
         assert all(hi <= grad_rows or lo >= grad_rows for lo, hi in plan)
 
+    @pytest.mark.parametrize("width", WIDTHS)
     @pytest.mark.parametrize("grad_rows, value_rows", COUNTS)
-    def test_each_kind_is_cut_into_near_equal_chunks(self, grad_rows, value_rows):
+    def test_each_kind_is_cut_into_near_equal_chunks(self, grad_rows, value_rows, width):
         rows = grad_rows + value_rows
-        n = -(-rows // autodiff.CHUNK_ROWS)
-        plan = autodiff._chunk_plan(grad_rows, rows)
+        per = min(autodiff.CHUNK_ROWS, autodiff.CHUNK_VALUES // width)
+        n = -(-rows // per)
+        plan = autodiff._chunk_plan(grad_rows, rows, width)
         for count, chunks in ((grad_rows, [c for c in plan if c[1] <= grad_rows]),
                               (value_rows, [c for c in plan if c[0] >= grad_rows])):
             sizes = [hi - lo for lo, hi in chunks]
             assert len(sizes) == min(n, count)
             if sizes:
                 assert max(sizes) - min(sizes) <= 1
+                assert max(sizes) * width <= autodiff.CHUNK_VALUES
+
+    @pytest.mark.parametrize("width, most", [(128, 1024), (256, 512)])
+    @pytest.mark.parametrize("grad_rows, value_rows", COUNTS)
+    def test_wide_layers_take_fewer_rows_per_chunk(self, grad_rows, value_rows, width, most):
+        # 1 MiB of float64 per chunk array: bsb's 128-wide chunks hold at
+        # most 1024 rows, highdim's 256-wide ones 512
+        plan = autodiff._chunk_plan(grad_rows, grad_rows + value_rows, width)
+        assert all(hi - lo <= most for lo, hi in plan)
+
+    @pytest.mark.parametrize("width", [16, 32, 64])
+    @pytest.mark.parametrize("grad_rows, value_rows", COUNTS)
+    def test_narrow_layers_keep_the_row_plan(self, grad_rows, value_rows, width, monkeypatch):
+        # up to width 64 the row cap binds first: the plan is the one that
+        # CHUNK_ROWS alone gives
+        rows = grad_rows + value_rows
+        plan = autodiff._chunk_plan(grad_rows, rows, width)
+        monkeypatch.setattr(autodiff, "CHUNK_VALUES", 10**12)
+        assert plan == autodiff._chunk_plan(grad_rows, rows, width)
 
     def test_a_convergence_batch_runs_both_kinds_in_halves(self):
-        # B=1000, N=2: x0 and node 1 need gradients, node 2 and ~300
-        # jumped states their values; 2301 rows make two chunks of each kind
-        assert autodiff._chunk_plan(1001, 2301) == [(0, 500), (500, 1001), (1001, 1651),
-                                                    (1651, 2301)]
+        # B=1000, N=2, 32x32: x0 and node 1 need gradients, node 2 and
+        # ~300 jumped states their values; 2301 rows make two chunks of
+        # each kind
+        assert autodiff._chunk_plan(1001, 2301, 32) == [(0, 500), (500, 1001), (1001, 1651),
+                                                        (1651, 2301)]
+
+    def test_a_bsb_d4_batch_runs_seven_chunks_of_each_kind(self):
+        # B=250, N=50, 3x64: x0 and 49 nodes of 250 paths need gradients,
+        # node 50 and 67 jumped states their values
+        assert autodiff._chunk_plan(12251, 12568, 64) == [
+            (0, 1750), (1750, 3500), (3500, 5250), (5250, 7000), (7000, 8750), (8750, 10500),
+            (10500, 12251), (12251, 12296), (12296, 12341), (12341, 12386), (12386, 12432),
+            (12432, 12477), (12477, 12522), (12522, 12568)]
+
+    def test_a_highdim_node_equals_one_chunk(self, monkeypatch):
+        # train_highdim100's training node (d=100, 2x256, B=64, N=50): x0
+        # and 49 nodes of 64 paths are gradient rows, node 50 and 40
+        # jumped states value-only rows, in 7 chunks of each kind.  Every
+        # row's value and gradient columns are the one-chunk node's bytes;
+        # the chunk sums move the parameter gradient by rounding only
+        grad_rows, rows = 1 + 49 * 64, 1 + 49 * 64 + 64 + 40
+        params, inp, coef = TestChunkedMlp.data(rows, "leaky_relu", d=100, hidden=(256, 256),
+                                                alpha=0.01)
+        run = TestValueOnlyRowsAndRepeatedRow.run
+        value, grad = run(params, inp, coef, grad_rows, 1)
+        assert len(autodiff._chunk_plan(grad_rows, rows, 256)) == 14
+        monkeypatch.setattr(autodiff, "CHUNK_ROWS", 10**9)
+        monkeypatch.setattr(autodiff, "CHUNK_VALUES", 10**12)
+        whole_value, whole_grad = run(params, inp, coef, grad_rows, 1)
+        assert value.tobytes() == whole_value.tobytes()
+        assert np.max(np.abs(grad - whole_grad)) <= 1e-12 * np.max(np.abs(whole_grad))
 
     def test_no_rows_give_no_chunk_and_a_zero_gradient(self):
-        assert autodiff._chunk_plan(0, 0) == []
+        assert autodiff._chunk_plan(0, 0, 16) == []
         params, inp, _ = TestChunkedMlp.data(4, "tanh")
         tape = Tape()
         packed, theta = TestChunkedMlp.node(tape, params, inp[:0], tape.param)

@@ -542,12 +542,14 @@ def test_only_the_small_preset_runs_its_network_node_inline(preset):
     problem, steps = config.problem, config.steps
     block = min(config.eval_batch_size,
                 max(1, cli.EVAL_BLOCK_VALUES // ((steps + 1) * problem.dim)))
-    per_row = sum(fi * fo for fi, fo in config.architecture.layer_dims)
+    layer_dims = config.architecture.layer_dims
+    per_row = sum(fi * fo for fi, fo in layer_dims)
+    widest = max(max(dims) for dims in layer_dims)
     for paths in (config.batch_size, block):
         jumps = round(paths * problem.intensity * problem.total_time)
         grad_rows, value_rows = 1 + (steps - 1) * paths, paths + jumps
         macs = (grad_rows + value_rows) * per_row
-        chunks = len(autodiff._chunk_plan(grad_rows, grad_rows + value_rows))
+        chunks = len(autodiff._chunk_plan(grad_rows, grad_rows + value_rows, widest))
         if preset == "convergence":
             assert macs < autodiff.POOL_MACS, (paths, macs)
         else:
