@@ -2,20 +2,21 @@
 
 A ``Tape`` records primitive operations as they execute (dynamic graph,
 one tape per objective evaluation) and replays them in reverse to
-accumulate gradients of a scalar objective with respect to any recorded
-variables.  A network's value together with its input gradient is one
+accumulate the gradient of sum(<seed, output>) over seeded outputs with
+respect to any recorded variables.  A weighted sum of recorded arrays,
+such as a mean of squares, thus stays off the tape: the caller seeds
+each array with its weight.  A network's value together with its input gradient is one
 fused primitive, ``Tape.mlp``, whose hand-written VJP differentiates the
 input gradient with respect to the parameters, so losses that contain
 the gradient need no higher-order machinery.  The network lives only
 inside that node; the other primitives are the elementwise ``add``,
-``sub`` and ``mul``, the reductions ``sum``, ``mean``, ``row_dot``,
-``segment_sum`` and ``block_mean``, and the 2-D ``slice``, whose adjoint
-fills its block of the parent's adjoint in place rather than a
-zero-filled array of the parent's shape.  A scalar product is ``mul``
-by a 0-d constant, and a square is ``mul`` of a variable by itself.
-Every other VJP hands each parent a fresh array that nothing else
-holds, and ``Tape.backward`` adds every later contribution into it in
-place.
+``sub`` and ``mul``, the row reductions ``row_dot`` and
+``segment_sum``, and the 2-D ``slice``, whose adjoint fills its block of
+the parent's adjoint in place rather than a zero-filled array of the
+parent's shape.  A scalar product is ``mul`` by a 0-d constant, and a
+square is ``mul`` of a variable by itself.  Every other VJP hands each
+parent a fresh array that nothing else holds, and ``Tape.backward`` adds
+every later contribution into it in place.
 
 One broadcast rule holds for ``add``, ``sub``, ``mul`` and
 ``row_dot``: one operand's shape must broadcast to the other's, and an
@@ -132,7 +133,7 @@ class ShapeMismatchError(ValueError):
 
 
 class TapeError(ValueError):
-    """Raised on structural misuse: foreign variables, non-scalar objectives."""
+    """Raised on structural misuse: a variable of another tape."""
 
 
 class Variable:
@@ -266,22 +267,7 @@ class Tape:
                             lambda g: (g * by_a if ra else None, g * by_b if rb else None))
 
     # ------------------------------------------------------------------
-    # reductions and slices
-
-    def sum(self, a: Variable) -> Variable:
-        self._check(a, "sum")
-        shape = a.shape
-        return self._append(
-            "sum", (a,), np.asarray(a.value.sum()), lambda g: (np.broadcast_to(g, shape).copy(),)
-        )
-
-    def mean(self, a: Variable) -> Variable:
-        self._check(a, "mean")
-        shape, n = a.shape, a.value.size
-        return self._append(
-            "mean", (a,), np.asarray(a.value.mean()),
-            lambda g: (np.broadcast_to(g / n, shape).copy(),),
-        )
+    # row reductions and slices
 
     def row_dot(self, a: Variable, b: Variable) -> Variable:
         """Row-wise inner product of two (B, d) arrays, yielding (B, 1).
@@ -326,18 +312,6 @@ class Tape:
             raise ShapeMismatchError(f"slice: shape {av.shape}, rows [{r0}:{r1}], cols [{c0}:{c1}]")
         shape, block = av.shape, (slice(r0, r1), slice(c0, c1))
         return self._append("slice", (a,), av[block], lambda g: ((shape, block, g),))
-
-    def block_mean(self, a: Variable, n_blocks: int) -> Variable:
-        """Means over consecutive equal-size row blocks of a column."""
-        self._check(a, "block_mean")
-        av = a.value
-        if av.ndim != 2 or av.shape[1] != 1 or n_blocks < 1 or av.shape[0] % n_blocks:
-            raise ShapeMismatchError(f"block_mean: shape {av.shape} into {n_blocks} blocks")
-        block = av.shape[0] // n_blocks
-        val = av.reshape(n_blocks, block).mean(axis=1, keepdims=True)
-        return self._append(
-            "block_mean", (a,), val, lambda g: (np.repeat(g / block, block, axis=0),)
-        )
 
     # ------------------------------------------------------------------
     # fused network primitive
@@ -429,12 +403,17 @@ class Tape:
     # ------------------------------------------------------------------
     # reverse pass
 
-    def backward(self, objective: Variable, wrt: Sequence[Variable]) -> list[np.ndarray]:
-        """Gradients of a scalar objective for each requested variable.
+    def backward(self, outputs: Sequence[Variable], seeds: Sequence,
+                 wrt: Sequence[Variable]) -> list[np.ndarray]:
+        """Gradients of ``sum(<seed, output>)`` over the pairs, for each variable of ``wrt``.
 
-        Variables not reachable from the objective get exact zero arrays.
-        A node's adjoint is dropped as soon as its VJP returns, so the peak
-        holds the adjoints of one frontier, not of the whole tape.
+        A seed is its output's adjoint: 0-d, standing for that value at
+        every element, or of the output's shape; any other shape is a
+        ``ShapeMismatchError``.  Each output's adjoint starts as a fresh
+        array of its shape, and an output given twice takes its seeds
+        summed.  Variables not reachable from any output get exact zero
+        arrays.  A node's adjoint is dropped as soon as its VJP returns, so
+        the peak holds the adjoints of one frontier, not of the whole tape.
 
         A VJP returns, per parent, a fresh array that nothing else holds,
         and never writes ``g`` or its saved state, so the VJPs can run
@@ -445,15 +424,21 @@ class Tape:
         parent's first such block zero-fills its adjoint, and each adds
         into its own block.
         """
-        self._check(objective, "backward")
-        if objective.shape != ():
-            raise TapeError(f"backward: objective has shape {objective.shape}, expected scalar")
-        for v in wrt:
+        for v in (*outputs, *wrt):
             self._check(v, "backward")
         keep = {v.id for v in wrt}
 
-        adjoint: dict[int, np.ndarray] = {objective.id: np.ones(())}
-        for nid in range(objective.id, -1, -1):
+        adjoint: dict[int, np.ndarray] = {}
+        for out, seed in zip(outputs, seeds, strict=True):
+            seed = np.asarray(seed, dtype=np.float64)
+            if seed.shape not in ((), out.shape):
+                raise ShapeMismatchError(f"backward: seed of shape {seed.shape} "
+                                         f"for an output of shape {out.shape}")
+            if out.id in adjoint:
+                adjoint[out.id] += seed
+            else:
+                adjoint[out.id] = np.broadcast_to(seed, out.shape).copy()
+        for nid in range(max((v.id for v in outputs), default=-1), -1, -1):
             node = self._nodes[nid]
             if node.vjp is None:
                 continue

@@ -283,10 +283,10 @@ def _evaluate(config: TrainConfig, params: nn.MlpParams, iteration, lr, started,
     ``scheme.squared_residuals`` and writes its squares, network values
     and exact values into its columns of (N, B), (B,) and (N+1, B)
     arrays; ``scheme.reduce_residuals`` and ``metrics.evaluation_errors``
-    then run once over them.  The keyed generator makes a block the same
-    paths, bit for bit, as the one batch, and every row of the first
-    stage depends on its own path alone, so every figure is that of one
-    ``scheme.loss`` over the whole batch.  ``error_grid`` asks for
+    then run once over them, in numpy.  The keyed generator makes a block
+    the same paths, bit for bit, as the one batch, and every row of the
+    first stage depends on its own path alone, so every figure is that of
+    one ``scheme.loss`` over the whole batch.  ``error_grid`` asks for
     ``metrics.error_grid``'s rows (a 1-D problem); otherwise the second
     result is None.
 
@@ -317,9 +317,7 @@ def _evaluate(config: TrainConfig, params: nn.MlpParams, iteration, lr, started,
         if xs is not None:
             xs[:, lo:hi] = batch.states[:, :, 0]
         del batch, squares, terminal, node_values  # the block and its tape, before the next
-    tape = Tape()
-    breakdown = scheme.reduce_residuals(tape.constant(interval_sq.reshape(-1, 1)),
-                                        tape.constant(terminal_sq[:, None]), grid.steps)[1]
+    breakdown = scheme.reduce_residuals(interval_sq, terminal_sq, grid.steps)
     mean_rel_err, node_errors, max_sq_err = metrics.evaluation_errors(values, exact)
     report = metrics.MetricsReport(
         iteration=iteration,
@@ -393,13 +391,14 @@ def load_checkpoint(path) -> tuple[nn.MlpParams, int, float]:
 
 
 def _train_step(config: TrainConfig, params: nn.MlpParams, state: AdamState, it: int, lr: float):
-    """One iteration: fresh batch, loss on a new tape, backward, Adam step.
+    """One iteration: fresh batch, loss on a new tape, seeded backward, Adam step.
 
+    ``scheme.loss`` raises on a non-finite term before any backward runs.
     The batch goes once the loss is built: the tape's VJPs keep what they
     read of it, the Brownian increments and the constants made from it,
     and the states die before the backward starts.  The tape and
-    everything on it, the breakdown's values included, die when this
-    returns, before the next iteration builds its own.
+    everything on it die when this returns, before the next iteration
+    builds its own.
     """
     batch = jumpsim.simulate_forward(
         config.problem, config.grid, config.batch_size, config.seed_simulation + it,
@@ -407,9 +406,9 @@ def _train_step(config: TrainConfig, params: nn.MlpParams, state: AdamState, it:
     )
     tape = Tape()
     net = nn.TapeMlp(tape, params)
-    total, breakdown = scheme.loss(net, batch, config.problem)
+    breakdown, (squares, seeds) = scheme.loss(net, batch, config.problem)
     del batch
-    (grad,) = tape.backward(total, [net.param_var])
+    (grad,) = tape.backward(squares, seeds, [net.param_var])
     theta = optim.adam_step(params.theta, grad, state, lr)
     return nn.MlpParams(params.arch, theta), breakdown.to_dict()
 

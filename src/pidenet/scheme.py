@@ -22,10 +22,12 @@ segment sum over all jump events, which keeps the tape small and the
 matrix products large.  The five slices are recorded directly after the
 node, so backward zero-fills the node's adjoint only once every
 arithmetic VJP has run.  Every row of this stage depends on its own path
-alone.  ``reduce_residuals`` then takes the batch means.  ``loss``
-composes the two on one tape; the held-out evaluation runs the first
-stage on blocks of paths and the second once, on the squares of every
-block put side by side, which is the same arithmetic.
+alone.  ``reduce_residuals`` then takes the batch means in numpy.  The
+total is a plain average, so its adjoint on every square is one
+constant, float64(1/(N+1)) / B, which ``loss`` hands ``Tape.backward``
+as the squares' seeds.  The held-out evaluation runs the first stage on
+blocks of paths and the second once, on the squares of every block put
+side by side, which is the same arithmetic.
 """
 
 from __future__ import annotations
@@ -178,18 +180,17 @@ def squared_residuals(net, batch: PathBatch, problem: ProblemSpec
     return interval_sq, terminal_sq, values
 
 
-def reduce_residuals(interval_sq: Variable, terminal_sq: Variable, n_steps: int
-                     ) -> tuple[Variable, LossBreakdown]:
-    """The loss and its breakdown from ``squared_residuals``' squares, on their tape.
+def reduce_residuals(interval_sq: np.ndarray, terminal_sq: np.ndarray, n_steps: int
+                     ) -> LossBreakdown:
+    """The loss breakdown from ``squared_residuals``' squares, as arrays of any shape.
 
-    Expectations are realized as batch means: each interval's over its
-    (B,) block of ``interval_sq``, the terminal term over ``terminal_sq``.
-    A non-finite term aborts with the offending interval index and the
-    breakdown gathered so far.
+    Expectations are realized as batch means, in this order: each
+    interval's over its (B,) block of ``interval_sq`` (node-major), the
+    terminal term over ``terminal_sq``, then the total, their sum times
+    float64(1/(N+1)).  A non-finite term aborts with the offending
+    interval index and the breakdown gathered so far.
     """
-    tape = interval_sq.tape
-    interval_vec = tape.block_mean(interval_sq, n_steps)
-    interval_terms = interval_vec.value[:, 0].copy()
+    interval_terms = interval_sq.reshape(n_steps, -1).mean(axis=1)
     if not np.all(np.isfinite(interval_terms)):
         bad = int(np.argwhere(~np.isfinite(interval_terms))[0, 0])
         raise NumericalAbortError(
@@ -198,24 +199,26 @@ def reduce_residuals(interval_sq: Variable, terminal_sq: Variable, n_steps: int
             breakdown=LossBreakdown(interval_terms, float("nan"), float("nan")),
         )
 
-    terminal = tape.mean(terminal_sq)
-    if not np.isfinite(terminal.value):
+    terminal = float(terminal_sq.mean())
+    if not np.isfinite(terminal):
         raise NumericalAbortError(
             "non-finite terminal loss term",
             interval=n_steps,
-            breakdown=LossBreakdown(interval_terms, float(terminal.value), float("nan")),
+            breakdown=LossBreakdown(interval_terms, terminal, float("nan")),
         )
 
-    total = tape.mul(tape.add(tape.sum(interval_vec), terminal),
-                     tape.constant(1.0 / (n_steps + 1)))
-    return total, LossBreakdown(interval_terms=interval_terms,
-                                terminal_term=float(terminal.value), total=float(total.value))
+    total = (interval_terms.sum() + terminal) * (1.0 / (n_steps + 1))
+    return LossBreakdown(interval_terms=interval_terms, terminal_term=terminal, total=float(total))
 
 
-def loss(net, batch: PathBatch, problem: ProblemSpec) -> tuple[Variable, LossBreakdown]:
-    """Scalar objective over a path batch, plus its per-term breakdown.
+def loss(net, batch: PathBatch, problem: ProblemSpec
+         ) -> tuple[LossBreakdown, tuple[list[Variable], list[float]]]:
+    """The loss breakdown over a path batch, and its squares paired with their seeds.
 
-    ``squared_residuals`` then ``reduce_residuals``, on ``net``'s tape.
+    The seeds are the total's adjoint on each square, float64(1/(N+1)) /
+    B, so ``net.tape.backward(*pair, wrt)`` gives the total's gradient.
     """
     interval_sq, terminal_sq, _ = squared_residuals(net, batch, problem)
-    return reduce_residuals(interval_sq, terminal_sq, batch.grid.steps)
+    breakdown = reduce_residuals(interval_sq.value, terminal_sq.value, batch.grid.steps)
+    seed = (1.0 / (batch.grid.steps + 1)) / batch.batch_size
+    return breakdown, ([interval_sq, terminal_sq], [seed, seed])

@@ -9,7 +9,9 @@ network's value at every (node, path), the third result of
 ``scheme.squared_residuals`` (``values``), the held-out pass's total,
 terms and values (``heldout_*``, from ``squared_residuals`` and
 ``reduce_residuals`` on the whole held-out batch) and the gradient of the
-loss with respect to the parameters (``grad``), one vector in the order
+loss with respect to the parameters (``grad``; ``loss_and_values`` says
+how it is taken in trees that reduce on the tape and in those that do
+not), one vector in the order
 w0, b0, w1, b1, ..., each C-ordered: the network's one parameter vector,
 or the concatenation of its per-layer arrays in trees that keep them
 apart.  The cases are every packaged preset under each label of
@@ -191,17 +193,16 @@ def preset_cases(label: str, config, batch_sizes, depths) -> dict[str, np.ndarra
             for batch_size in batch_sizes:
                 case = f"{label}-{name}-h{n_hidden}-B{batch_size}"
                 batch, held_out = batches[batch_size]
-                tape = Tape()
-                net = nn.TapeMlp(tape, params)
-                total, breakdown, values = loss_and_values(net, batch, config)
+                net = nn.TapeMlp(Tape(), params)
                 # the parameter leaves the network holds, in its order:
                 # one vector, or one array per weight and bias
                 leaves = [v for held in vars(net).values()
                           for v in (held if isinstance(held, list) else [held])
                           if isinstance(v, Variable)]
-                grad = np.concatenate([g.ravel() for g in tape.backward(total, leaves)])
-                del tape, net, total
-                _, heldout, heldout_values = loss_and_values(
+                breakdown, values, grads = loss_and_values(net, batch, config, leaves)
+                grad = np.concatenate([g.ravel() for g in grads])
+                del net, grads
+                heldout, heldout_values, _ = loss_and_values(
                     nn.TapeMlp(Tape(), params, trainable=False), held_out, config)
                 fields = {
                     "loss": np.float64(breakdown.total),
@@ -225,13 +226,27 @@ def preset_cases(label: str, config, batch_sizes, depths) -> dict[str, np.ndarra
     return out
 
 
-def loss_and_values(net, batch, config):
-    """``scheme.loss``'s total and breakdown, and a copy of the network's (N+1, B) node values."""
+def loss_and_values(net, batch, config, wrt=()):
+    """``scheme.loss``'s breakdown, a copy of the network's (N+1, B) node values, and the gradients.
+
+    The gradients are those of the loss's total for each variable of
+    ``wrt``.  A tree whose ``Tape`` has ``block_mean`` reduces the squares
+    on the tape and differentiates the scalar total; a later one reduces
+    them in numpy and seeds the backward of every square with the total's
+    adjoint on it, float64(1/(N+1)) / B.
+    """
     from pidenet import scheme
+    from pidenet.autodiff import Tape
 
     interval_sq, terminal_sq, values = scheme.squared_residuals(net, batch, config.problem)
-    total, breakdown = scheme.reduce_residuals(interval_sq, terminal_sq, config.grid.steps)
-    return total, breakdown, values.copy()
+    steps = config.grid.steps
+    if hasattr(Tape, "block_mean"):
+        total, breakdown = scheme.reduce_residuals(interval_sq, terminal_sq, steps)
+        return breakdown, values.copy(), net.tape.backward(total, wrt)
+    breakdown = scheme.reduce_residuals(interval_sq.value, terminal_sq.value, steps)
+    seed = (1.0 / (steps + 1)) / batch.batch_size
+    grads = net.tape.backward([interval_sq, terminal_sq], [seed, seed], wrt)
+    return breakdown, values.copy(), grads
 
 
 def ulp_distance(x: np.ndarray, y: np.ndarray) -> int:

@@ -88,19 +88,20 @@ def mlp_param_grads(h, ws, bs, activation: str, alpha: float, g: np.ndarray) -> 
 def grad_check(f, point, h: float = 1e-5) -> float:
     """Max relative gap between tape gradients and central differences.
 
-    ``f`` must build a scalar objective from a single tape variable.  The
-    reported discrepancy is max over coordinates of
+    ``f`` builds a Variable of any shape from a single tape variable; the
+    objective is the sum of its elements, a seed of 1 in the backward.
+    The reported discrepancy is max over coordinates of
     ``|analytic - central| / max(1, |analytic|)``; callers assert against
     their own tolerance.
     """
     point = np.asarray(point, dtype=np.float64)
     tape = Tape()
     x = tape.param(point)
-    (analytic,) = tape.backward(f(tape, x), [x])
+    (analytic,) = tape.backward([f(tape, x)], [1.0], [x])
 
     def value_at(q: np.ndarray) -> float:
         t = Tape()
-        return float(f(t, t.param(q)).value)
+        return float(f(t, t.param(q)).value.sum())
 
     fd = np.empty_like(point)
     flat = point.ravel()

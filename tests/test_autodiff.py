@@ -68,8 +68,7 @@ class TestPrimitives:
         vals = t.param(np.array([[1.0], [2.0], [4.0]]))
         out = t.segment_sum(vals, np.array([0, 2, 2]), 4)
         np.testing.assert_array_equal(out.value.ravel(), [1.0, 0.0, 6.0, 0.0])
-        total = t.sum(t.mul(out, t.constant(np.array([[1.0], [1.0], [3.0], [1.0]]))))
-        (g,) = t.backward(total, [vals])
+        (g,) = t.backward([out], [np.array([[1.0], [1.0], [3.0], [1.0]])], [vals])
         np.testing.assert_array_equal(g.ravel(), [1.0, 3.0, 3.0])
 
     def test_slice_block_and_backward(self):
@@ -78,7 +77,7 @@ class TestPrimitives:
         block = t.slice(a, rows=(1, 3), cols=(1, 3))
         np.testing.assert_array_equal(block.value, [[4.0, 5.0], [7.0, 8.0]])
         assert t.slice(a).value.shape == (4, 3)
-        (g,) = t.backward(t.sum(t.mul(block, block)), [a])
+        (g,) = t.backward([t.mul(block, block)], [1.0], [a])
         expected = np.zeros((4, 3))
         expected[1:3, 1:3] = 2.0 * block.value
         np.testing.assert_array_equal(g, expected)
@@ -95,7 +94,7 @@ class TestPrimitives:
         p, q = t.param(p0), t.param(q0)
         s1 = t.slice(p, rows=(1, 3))
         s = t.add(p, q)
-        dp, dq = t.backward(t.add(t.sum(t.mul(s, s)), t.sum(t.mul(s1, s1))), [p, q])
+        dp, dq = t.backward([t.mul(s, s), t.mul(s1, s1)], [1.0, 1.0], [p, q])
         np.testing.assert_array_equal(dq, 2.0 * (p0 + q0))
         expected = 2.0 * (p0 + q0)
         expected[1:3] += 2.0 * p0[1:3]
@@ -104,21 +103,20 @@ class TestPrimitives:
     def test_slice_adjoints_fill_their_parents_block_without_zero_fills(self):
         # slices of slices: value and gradient columns of one (rows, 1+d)
         # node, then row slices of each.  Backward holds the node's adjoint
-        # and the gradient block's, two parent-sized arrays (2.01x the
-        # node's bytes, measured); a zero-filled parent-shaped array per
-        # slice took it to 3.01x
+        # and the gradient block's, two parent-sized arrays, or the largest
+        # square's adjoint and its two products (2.25x the node's bytes,
+        # measured); a zero-filled parent-shaped array per slice took it
+        # to 3.01x
         t = Tape()
         a = t.param(np.ones((20000, 101)))
         value, grad = t.slice(a, cols=(0, 1)), t.slice(a, cols=(1, 101))
         parts = [t.slice(value, rows=r)
                  for r in ((0, 15000), (1000, 16000), (16000, 20000), (15000, 16000))]
         parts.append(t.slice(grad, rows=(0, 15000)))
-        total = t.sum(t.mul(parts[0], parts[0]))
-        for part in parts[1:]:
-            total = t.add(total, t.sum(t.mul(part, part)))
+        squares = [t.mul(part, part) for part in parts]
         tracemalloc.start()
         try:
-            (g,) = t.backward(total, [a])
+            (g,) = t.backward(squares, [1.0] * len(squares), [a])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -153,7 +151,7 @@ class TestBroadcastOperand:
         a = t.param(full)
         pair = (t.constant(constant), a) if constant_first else (a, t.constant(constant))
         out = getattr(t, op)(*pair)
-        (g,) = t.backward(t.sum(t.mul(out, t.constant(weights))), [a])
+        (g,) = t.backward([out], [weights], [a])
         return out.value, g
 
     @pytest.mark.parametrize("op", OPS)
@@ -212,14 +210,14 @@ class TestBackward:
     def test_sum_of_squares_gradient(self):
         t = Tape()
         x = t.param(np.array([1.0, 2.0, 3.0]))
-        (g,) = t.backward(t.sum(t.mul(x, x)), [x])
+        (g,) = t.backward([t.mul(x, x)], [1.0], [x])
         np.testing.assert_array_equal(g, [2.0, 4.0, 6.0])
 
     def test_inner_product_gradient(self):
         t = Tape()
         a = t.param(np.array([[1.0, 0.0]]))
         b = t.constant(np.array([[5.0, 7.0]]))
-        (g,) = t.backward(t.sum(t.row_dot(a, b)), [a])
+        (g,) = t.backward([t.row_dot(a, b)], [1.0], [a])
         np.testing.assert_array_equal(g, [[5.0, 7.0]])
 
     def test_two_layer_mlp_loss_matches_finite_differences(self):
@@ -235,31 +233,78 @@ class TestBackward:
             p = t.param(theta)
             packed = t.mlp(x, p, [(3, 5), (5, 1)], "tanh")
             u = t.slice(packed, cols=(0, 1))
-            return t, p, t.mean(t.mul(u, u))
+            return t, p, t.mul(u, u)
 
-        t, p, obj = loss_of(theta0)
-        (g,) = t.backward(obj, [p])
-        fd = finite_diff(lambda theta: float(loss_of(theta)[2].value), theta0)
+        t, p, square = loss_of(theta0)
+        (g,) = t.backward([square], [1.0 / 4], [p])
+        fd = finite_diff(lambda theta: float(loss_of(theta)[2].value.mean()), theta0)
         assert rel_gap(g, fd) <= 1e-6
 
-    def test_non_scalar_objective_rejected(self):
+    def test_two_seeded_outputs_match_finite_differences(self):
+        # sum(<seed, output>) over a square of a network node, seeded with
+        # an array, and a row_dot of its gradient columns, with a scalar
+        rng = np.random.default_rng(8)
+        dims = [(3, 5), (5, 1)]
+        theta0 = rng.normal(size=sum((fi + 1) * fo for fi, fo in dims))
+        x, c, w = rng.normal(size=(4, 3)), rng.normal(size=(4, 2)), rng.normal(size=(4, 3))
+
+        def outputs(t, theta):
+            packed = t.mlp(x, theta, dims, "tanh")
+            return [t.mul(packed, packed), t.row_dot(t.slice(packed, cols=(1, 3)), t.constant(c))]
+
+        def objective(theta):
+            t = Tape()
+            square, dot = outputs(t, t.constant(theta))
+            return float((w * square.value).sum() - 0.5 * dot.value.sum())
+
+        t = Tape()
+        p = t.param(theta0)
+        (g,) = t.backward(outputs(t, p), [w, -0.5], [p])
+        assert rel_gap(g, finite_diff(objective, theta0)) <= 1e-6
+
+    def test_an_output_given_twice_takes_its_seeds_summed(self):
+        t = Tape()
+        x = t.param(np.array([1.0, 2.0, 3.0]))
+        square = t.mul(x, x)
+        seed = np.array([0.5, -1.0, 2.0])
+        (twice,) = t.backward([square, square], [seed, 1.5], [x])
+        (once,) = t.backward([square], [seed + 1.5], [x])
+        assert twice.tobytes() == once.tobytes()
+        np.testing.assert_array_equal(twice, 2.0 * (seed + 1.5) * x.value)
+        np.testing.assert_array_equal(seed, [0.5, -1.0, 2.0])  # the seed itself is not written
+
+    @pytest.mark.parametrize("seed", [np.ones(2), np.ones((3, 1)), np.ones((1, 3))])
+    def test_a_seed_of_another_shape_is_rejected(self, seed):
         t = Tape()
         x = t.param(np.ones(3))
-        with pytest.raises(TapeError, match="scalar"):
-            t.backward(x, [x])
+        with pytest.raises(ShapeMismatchError, match=r"seed of shape .* output of shape \(3,\)"):
+            t.backward([t.mul(x, x)], [seed], [x])
+
+    def test_outputs_and_seeds_pair_up(self):
+        t = Tape()
+        x = t.param(np.ones(3))
+        with pytest.raises(ValueError):
+            t.backward([x, x], [1.0], [x])
+
+    def test_an_output_that_does_not_reach_wrt_gives_zeros(self):
+        t = Tape()
+        x, y = t.param(np.ones(3)), t.param(np.full((2, 2), 2.0))
+        for output in (t.mul(y, y), t.constant(np.ones(3))):
+            (gx,) = t.backward([output], [1.0], [x])
+            assert gx.shape == (3,) and not gx.any()
 
     def test_foreign_tape_variable_rejected(self):
         t1, t2 = Tape(), Tape()
         x1 = t1.param(np.ones(2))
         x2 = t2.param(np.ones(2))
         with pytest.raises(TapeError, match="different tape"):
-            t1.backward(t1.sum(x1), [x2])
+            t1.backward([x1], [1.0], [x2])
 
     def test_unused_variable_gets_exact_zeros(self):
         t = Tape()
         x = t.param(np.ones(3))
         unused = t.param(np.full((2, 2), 5.0))
-        (gx, gu) = t.backward(t.sum(t.mul(x, x)), [x, unused])
+        (gx, gu) = t.backward([t.mul(x, x)], [1.0], [x, unused])
         assert gu.shape == (2, 2)
         assert np.all(gu == 0.0)
 
@@ -274,10 +319,10 @@ class TestBackward:
         t = Tape()
         theta = t.param(rng.normal(size=sum((fi + 1) * fo for fi, fo in dims)))
         packed = t.mlp(rng.normal(size=(5, 4)), theta, dims, activation, alpha, grad_rows=3)
-        means = t.block_mean(t.slice(packed, cols=(0, 1)), 5)
-        obj = t.add(t.mean(t.mul(means, means)), t.sum(t.mul(packed, packed)))
-        (g1,) = t.backward(obj, [theta])
-        (g2,) = t.backward(obj, [theta])
+        u = t.slice(packed, cols=(0, 1))
+        squares = [t.mul(u, u), t.mul(packed, packed)]
+        (g1,) = t.backward(squares, [0.2, 1.0], [theta])
+        (g2,) = t.backward(squares, [0.2, 1.0], [theta])
         assert np.array_equal(g1, g2)
 
     def test_every_contribution_is_a_fresh_array(self):
@@ -289,11 +334,10 @@ class TestBackward:
         p0, q0, r0, c = (rng.normal(size=(3, 2)) for _ in range(4))
         t = Tape()
         p, q, r = t.param(p0), t.param(q0), t.param(r0)
-        later = t.add(t.add(t.sum(t.mul(p, p)), t.sum(t.mul(q, t.constant(c)))),
-                      t.sum(t.mul(r, r)))
+        later = [t.mul(p, p), t.mul(q, t.constant(c)), t.mul(r, r)]
         e = t.sub(r, p)
         s = t.add(p, q)  # recorded last, so backward reaches it first
-        total = t.add(t.add(t.sum(t.mul(s, s)), t.sum(t.mul(e, e))), later)
+        outputs = [t.mul(s, s), t.mul(e, e), *later]
         seen = []
 
         def watched(op, vjp):
@@ -307,7 +351,7 @@ class TestBackward:
         for node in t._nodes:
             if node.vjp is not None:
                 node.vjp = watched(node.op, node.vjp)
-        dp, dq, dr = t.backward(total, [p, q, r])
+        dp, dq, dr = t.backward(outputs, [1.0] * 5, [p, q, r])
         s0, e0 = p0 + q0, r0 - p0
         np.testing.assert_allclose(dp, 2.0 * s0 - 2.0 * e0 + 2.0 * p0, rtol=1e-14, atol=1e-14)
         np.testing.assert_allclose(dq, 2.0 * s0 + c, rtol=1e-14, atol=1e-14)
@@ -330,15 +374,15 @@ class TestBackward:
 
         def parts(x_arr):
             # x enters f through a square and g as the parameter vector of
-            # a tanh network, whose value and gradient columns g sums
+            # a tanh network, whose value and gradient columns g sums;
+            # alpha f + beta g is their seeds scaled
             t = Tape()
             x = t.param(x_arr)
-            f = t.sum(t.mul(x, x))
-            g = t.sum(t.mlp(inp, x, [(2, 4), (4, 1)], "tanh"))
-            combo = t.add(t.mul(f, t.constant(alpha)), t.mul(g, t.constant(beta)))
-            gf = t.backward(f, [x])[0]
-            gg = t.backward(g, [x])[0]
-            gc = t.backward(combo, [x])[0]
+            f = t.mul(x, x)
+            g = t.mlp(inp, x, [(2, 4), (4, 1)], "tanh")
+            gf = t.backward([f], [1.0], [x])[0]
+            gg = t.backward([g], [1.0], [x])[0]
+            gc = t.backward([f, g], [alpha, beta], [x])[0]
             return gf, gg, gc
 
         gf, gg, gc = parts(x0)
@@ -368,13 +412,10 @@ VJP_CASES = {
     "mul_constant_scalar_left": ([(3, 2)], lambda t, a: t.mul(t.constant(-1.5), a)),
     "mul_scalar_by_constant": ([()], lambda t, a: t.mul(a, t.constant(-1.5))),
     "mul_self": ([(3, 2)], lambda t, a: t.mul(a, a)),
-    "sum": ([(3, 2)], lambda t, a: t.sum(a)),
-    "mean": ([(3, 2)], lambda t, a: t.mean(a)),
     "row_dot": ([(3, 2), (3, 2)], lambda t, a, b: t.row_dot(a, b)),
     "row_dot_constant_row": ([(3, 2)], lambda t, a: t.row_dot(a, t.constant(ROW))),
     "row_dot_self": ([(3, 2)], lambda t, a: t.row_dot(a, a)),
     "segment_sum": ([(3, 1)], lambda t, a: t.segment_sum(a, np.array([0, 2, 2]), 4)),
-    "block_mean": ([(4, 1)], lambda t, a: t.block_mean(a, 2)),
     # several chunks of both kinds of row, the first row standing for two
     "mlp_tanh": ([MLP_THETA],
                  lambda t, a: t.mlp(MLP_INPUT, a, MLP_DIMS, "tanh", grad_rows=4, repeat=2)),
@@ -430,13 +471,13 @@ class TestValueOwnership:
         out = tape.mul(x, tape.constant(arr))
         del arr
         assert ref() is not None
-        (g,) = tape.backward(tape.sum(out), [x])
+        (g,) = tape.backward([out], [1.0], [x])
         np.testing.assert_array_equal(g, np.arange(5.0))
 
 
 class TestGradCheck:
     def test_quadratic_is_exact(self):
-        disc = grad_check(lambda t, x: t.sum(t.mul(x, x)), np.array(3.0), h=1e-5)
+        disc = grad_check(lambda t, x: t.mul(x, x), np.array(3.0), h=1e-5)
         assert disc <= 1e-9
 
     def test_leaky_relu_negative_branch(self):
@@ -447,11 +488,11 @@ class TestGradCheck:
         theta = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
 
         def f(t, p):
-            return t.sum(t.slice(t.mlp(inp, p, [(2, 1), (1, 1)], "leaky_relu", 0.01), cols=(0, 1)))
+            return t.slice(t.mlp(inp, p, [(2, 1), (1, 1)], "leaky_relu", 0.01), cols=(0, 1))
 
         t = Tape()
         p = t.param(theta)
-        (g,) = t.backward(f(t, p), [p])
+        (g,) = t.backward([f(t, p)], [1.0], [p])
         np.testing.assert_array_equal(g, [0.0, -0.02, 0.01, -0.02, 1.0])
         assert grad_check(f, theta) <= 1e-9
 
@@ -481,12 +522,12 @@ class TestFusedMlp:
             p = tape.param(arr)
             packed = tape.mlp(inp, p, dims, activation, alpha)
             # squaring makes the adjoint depend on both value and gradient
-            return tape.sum(tape.mul(tape.mul(packed, packed), tape.constant(coef))), p
+            return tape.mul(packed, packed), p
 
         tape = Tape()
-        objective, p = build(tape, theta)
-        (grad,) = tape.backward(objective, [p])
-        fd = finite_diff(lambda arr: float(build(Tape(), arr)[0].value), theta)
+        square, p = build(tape, theta)
+        (grad,) = tape.backward([square], [coef], [p])
+        fd = finite_diff(lambda arr: float((build(Tape(), arr)[0].value * coef).sum()), theta)
         assert rel_gap(grad, fd) <= 1e-6, (activation, alpha, n_hidden)
 
     @pytest.mark.parametrize("activation, alpha, value, slope", [
@@ -615,8 +656,7 @@ class TestChunkedMlp:
         params, inp, coef = cls.data(rows, activation, d, hidden, alpha)
         tape = Tape()
         packed, theta = cls.node(tape, params, inp, tape.param)
-        (grad,) = tape.backward(tape.sum(tape.mul(tape.mul(packed, packed), tape.constant(coef))),
-                                [theta])
+        (grad,) = tape.backward([tape.mul(packed, packed)], [coef], [theta])
         return packed.value, grad, params, inp
 
     @staticmethod
@@ -703,7 +743,7 @@ class TestChunkedMlp:
             pool = chunk_workers(workers)
             tape = Tape()
             packed, theta = self.node(tape, params, inp, tape.param)
-            (grad,) = tape.backward(tape.sum(tape.mul(packed, tape.constant(coef))), [theta])
+            (grad,) = tape.backward([packed], [coef], [theta])
             assert pool.tasks == pool_tasks(rows)
             for k, (g, e) in enumerate(zip(self.blocks(grad, params), expected)):
                 assert g.shape == e.shape, (workers, k)
@@ -786,10 +826,9 @@ class TestChunkedMlp:
         params, inp, coef = self.data(40 * 8, activation, hidden=(256, 256), alpha=alpha)
         tape = Tape()
         packed, theta = self.node(tape, params, inp, tape.param)
-        objective = tape.sum(tape.mul(packed, tape.constant(coef)))
         tracemalloc.start()
         try:
-            (grad,) = tape.backward(objective, [theta])
+            (grad,) = tape.backward([packed], [coef], [theta])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -839,7 +878,7 @@ class TestChunkedMlp:
             tape = Tape()
             packed, theta = self.node(tape, params, inp, getattr(tape, leaf))
             assert (pool.tasks, pool.most_in_flight) == (40, 2 * workers)
-        tape.backward(tape.sum(tape.mul(packed, tape.constant(coef))), [theta])
+        tape.backward([packed], [coef], [theta])
         assert (pool.tasks, pool.most_in_flight, pool.in_flight) == (80, 2 * workers, 0)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
@@ -854,10 +893,9 @@ class TestChunkedMlp:
         layer = rows * 64 * 8
         tape = Tape()
         packed, theta = self.node(tape, params, inp, tape.param)
-        objective = tape.sum(tape.mul(packed, tape.constant(coef)))
         tracemalloc.start()
         try:
-            tape.backward(objective, [theta])
+            tape.backward([packed], [coef], [theta])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -938,12 +976,12 @@ class TestChunkedMlp:
         def build(tape, arr):
             p = tape.param(arr)
             packed = tape.mlp(inp, p, dims, activation, alpha)
-            return tape.sum(tape.mul(tape.mul(packed, packed), tape.constant(coef))), p
+            return tape.mul(packed, packed), p
 
         tape = Tape()
-        objective, p = build(tape, theta)
-        (grad,) = tape.backward(objective, [p])
-        fd = finite_diff(lambda arr: float(build(Tape(), arr)[0].value), theta)
+        square, p = build(tape, theta)
+        (grad,) = tape.backward([square], [coef], [p])
+        fd = finite_diff(lambda arr: float((build(Tape(), arr)[0].value * coef).sum()), theta)
         assert rel_gap(grad, fd) <= 1e-6, (activation, alpha)
 
 
@@ -971,7 +1009,7 @@ class TestPoolCutOff:
     @staticmethod
     def backward(tape, packed, theta, coef):
         """The parameter gradient of sum(coef * packed)."""
-        return tape.backward(tape.sum(tape.mul(packed, tape.constant(coef))), [theta])[0]
+        return tape.backward([packed], [coef], [theta])[0]
 
     @pytest.mark.parametrize("leaf", ["param", "constant"])
     @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
@@ -1031,7 +1069,7 @@ class TestValueOnlyRowsAndRepeatedRow:
         """Value and parameter gradient of sum(coef * packed)."""
         tape = Tape()
         packed, theta = cls.node(tape, params, inp, grad_rows, repeat, tape.param)
-        (grad,) = tape.backward(tape.sum(tape.mul(packed, tape.constant(coef))), [theta])
+        (grad,) = tape.backward([packed], [coef], [theta])
         return packed.value, grad
 
     @pytest.mark.parametrize("hidden", [(16,), (16, 12), (16, 12, 8)])
@@ -1209,7 +1247,7 @@ class TestChunkPlan:
         tape = Tape()
         packed, theta = TestChunkedMlp.node(tape, params, inp[:0], tape.param)
         assert packed.shape == (0, inp.shape[1])
-        (grad,) = tape.backward(tape.sum(packed), [theta])
+        (grad,) = tape.backward([packed], [1.0], [theta])
         assert grad.shape == params.theta.shape and not grad.any()
 
 
@@ -1246,13 +1284,13 @@ def test_concurrent_blas_calls_equal_serial_ones():
 
 
 # Random compositions: a fused network node followed by a chain of
-# elementwise, slice and reduction ops, whose gradient with respect to
-# the parameter vector must agree with central differences away from
-# activation kinks.
+# elementwise, slice and row reduction ops, whose summed gradient with
+# respect to the parameter vector must agree with central differences
+# away from activation kinks.
 _ACTIVATIONS = (("tanh", 0.2), ("leaky_relu", 0.0), ("leaky_relu", 0.2))
 _UNARY = ("square", "slice", "identity")
 _BINARY = ("add", "sub", "mul")
-_REDUCE = ("mean", "block_mean", "segment_sum")
+_REDUCE = ("none", "segment_sum")
 
 
 @settings(max_examples=60, deadline=None)
@@ -1272,8 +1310,7 @@ def test_random_composition_gradients_match_fd(seed):
     ops = [str(rng.choice(_UNARY)), str(rng.choice(_BINARY)), str(rng.choice(_UNARY))]
     reduce = str(rng.choice(_REDUCE))
     ids = rng.integers(0, 3, size=rows)
-    blocks = int(rng.choice([b for b in range(1, rows + 1) if rows % b == 0]))
-    weights = rng.uniform(-1.0, 1.0, size=(7, 1))
+    weights = rng.uniform(-1.0, 1.0, size=(3, 1))
 
     def build(tape, theta):
         y = tape.mlp(inp, theta, [(k, width), (width, 1)], activation, alpha)
@@ -1286,12 +1323,10 @@ def test_random_composition_gradients_match_fd(seed):
                 fn = {"add": tape.add, "sub": tape.sub, "mul": tape.mul}[op]
                 y = fn(y, tape.constant(other[:, : y.shape[1]]))
         col = tape.row_dot(y, tape.constant(other[:, : y.shape[1]]))
-        # unequal weights per block or segment make the routing count
-        if reduce == "block_mean":
-            col = tape.mul(tape.block_mean(col, blocks), tape.constant(weights[:blocks]))
-        elif reduce == "segment_sum":
-            col = tape.mul(tape.segment_sum(col, ids, 3), tape.constant(weights[:3]))
-        return tape.mean(col)
+        # unequal weights per segment make the routing count
+        if reduce == "segment_sum":
+            col = tape.mul(tape.segment_sum(col, ids, 3), tape.constant(weights))
+        return col
 
     # reject draws where a pre-activation sits close to a leaky relu kink,
     # where central differences are meaningless

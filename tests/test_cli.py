@@ -482,6 +482,31 @@ class TestTrainAndEval:
         cli._train_step(config, params, optim.AdamState.for_params(params.theta), 1, 1e-3)
         assert dead == [True]
 
+    def test_a_non_finite_term_aborts_before_the_backward(self, monkeypatch):
+        # the reduction runs in numpy before any backward: a driver that is
+        # NaN on interval 2 alone names that interval, and neither the
+        # backward nor the Adam step runs
+        config = with_hidden(dataclasses.replace(cli.load_config("pide1d"), steps=4,
+                                                 batch_size=8), (8,))
+        bad_time = config.grid.times[2]
+        driver = config.problem.driver
+
+        def nan_on_interval_2(t, x, y, z, i):
+            return driver(t, x, y, z, i) + np.where(t == bad_time, np.nan, 0.0)
+
+        config = dataclasses.replace(
+            config, problem=dataclasses.replace(config.problem, driver=nan_on_interval_2))
+        backward_calls = []
+        monkeypatch.setattr(autodiff.Tape, "backward",
+                            lambda *args, **kwargs: backward_calls.append(args))
+        params = nn.init(config.architecture, seed=config.seed_init)
+        state = optim.AdamState.for_params(params.theta)
+        with pytest.raises(NumericalAbortError, match="interval 2") as err:
+            cli._train_step(config, params, state, 1, 1e-3)
+        assert err.value.interval == 2
+        assert np.isfinite(err.value.breakdown.interval_terms[:2]).all()
+        assert backward_calls == [] and state.step == 0
+
     def test_train_and_eval_import_no_scipy(self, tmp_path):
         # a fresh process, since the tests themselves import scipy
         config_path = tmp_path / "two.json"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -77,3 +79,63 @@ def test_tally_prints_the_worst_relative_gap_beside_the_ulps(stored, capsys):
 ])
 def test_relu_cases_keep_their_label_in_either_spelling(activation, alpha, label):
     assert equality.case_label(activation, alpha) == label
+
+
+@pytest.fixture
+def small_case():
+    """A config, its training batch and params: pide1d at N=3, B=8 and one hidden layer."""
+    from pidenet import cli, jumpsim, nn
+
+    config = cli.load_config("pide1d")
+    config = dataclasses.replace(
+        config, steps=3, batch_size=8,
+        architecture=dataclasses.replace(config.architecture, hidden=(6,)))
+    batch = jumpsim.simulate_forward(config.problem, config.grid, 8, config.seed_simulation)
+    return config, batch, nn.init(config.architecture, seed=config.seed_init)
+
+
+def test_a_tree_that_reduces_in_numpy_seeds_the_backward_as_its_loss_does(small_case):
+    # this tree: the gradient is the backward of ``scheme.loss``'s squares
+    # and seeds, and the breakdown that loss's, byte for byte
+    from pidenet import nn, scheme
+    from pidenet.autodiff import Tape
+
+    config, batch, params = small_case
+    assert not hasattr(Tape, "block_mean")
+    net = nn.TapeMlp(Tape(), params)
+    breakdown, values, (grad,) = equality.loss_and_values(net, batch, config, [net.param_var])
+    tape = Tape()
+    loss_net = nn.TapeMlp(tape, params)
+    want, pair = scheme.loss(loss_net, batch, config.problem)
+    (want_grad,) = tape.backward(*pair, [loss_net.param_var])
+    assert breakdown.to_dict() == want.to_dict()
+    assert grad.tobytes() == want_grad.tobytes()
+    assert values.shape == (4, 8)
+
+
+def test_a_tree_that_reduces_on_the_tape_differentiates_its_scalar_total(small_case, monkeypatch):
+    # stand-ins for such a tree's API: ``reduce_residuals`` takes the
+    # squares as Variables and returns the total with the breakdown, and
+    # ``Tape.backward`` takes that total and the variables
+    from pidenet import nn, scheme
+    from pidenet.autodiff import Tape, Variable
+
+    config, batch, params = small_case
+    total, reduced, differentiated = object(), [], []
+
+    def reduce_on_the_tape(interval_sq, terminal_sq, n_steps):
+        reduced.append((type(interval_sq), type(terminal_sq), n_steps))
+        return total, "breakdown"
+
+    def backward(tape, objective, wrt):
+        differentiated.append(objective)
+        return [np.full(v.shape, 7.0) for v in wrt]
+
+    monkeypatch.setattr(Tape, "block_mean", None, raising=False)
+    monkeypatch.setattr(scheme, "reduce_residuals", reduce_on_the_tape)
+    monkeypatch.setattr(Tape, "backward", backward)
+    net = nn.TapeMlp(Tape(), params)
+    breakdown, values, (grad,) = equality.loss_and_values(net, batch, config, [net.param_var])
+    assert reduced == [(Variable, Variable, 3)] and differentiated == [total]
+    assert breakdown == "breakdown" and values.shape == (4, 8)
+    assert np.array_equal(grad, np.full(params.theta.shape, 7.0))

@@ -162,12 +162,12 @@ class TestInputGradient:
         def objective(p: nn.MlpParams) -> float:
             tape = Tape()
             _, grad = value_and_gradient(nn.TapeMlp(tape, p), network_input(0.25, x))
-            return float(tape.sum(grad).value)
+            return float(grad.value.sum())
 
         tape = Tape()
         net = nn.TapeMlp(tape, params)
         _, grad = value_and_gradient(net, network_input(0.25, x))
-        (analytic,) = tape.backward(tape.sum(grad), [net.param_var])
+        (analytic,) = tape.backward([grad], [1.0], [net.param_var])
 
         fd = finite_diff(lambda theta: objective(nn.MlpParams(arch, theta)), params.theta)
         assert rel_gap(analytic, fd) <= 1e-5

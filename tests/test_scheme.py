@@ -199,8 +199,8 @@ class TestLoss:
         params = linear_net(1, [0.0, 0.0], bias=0.0)
         batch = jumpsim.simulate_forward(prob, TimeGrid(1.0, 1), 8, seed=0)
         tape = Tape()
-        total, breakdown = scheme.loss(nn.TapeMlp(tape, params), batch, prob)
-        assert float(total.value) == 0.0
+        breakdown, _ = scheme.loss(nn.TapeMlp(tape, params), batch, prob)
+        assert breakdown.total == 0.0
         assert breakdown.terminal_term == 0.0
 
     def test_loss_nonnegative_and_breakdown_identity(self):
@@ -208,13 +208,30 @@ class TestLoss:
         params = nn.init(nn.MlpArchitecture(2, (8, 8), "tanh"), seed=3)
         batch = toy_batch(prob, n_steps=5, batch_size=16, seed=41)
         tape = Tape()
-        total, breakdown = scheme.loss(nn.TapeMlp(tape, params), batch, prob)
-        assert float(total.value) >= 0.0
+        breakdown, (squares, seeds) = scheme.loss(nn.TapeMlp(tape, params), batch, prob)
+        assert breakdown.total >= 0.0
         assert np.all(breakdown.interval_terms >= 0.0)
         assert breakdown.terminal_term >= 0.0
         recomputed = (breakdown.interval_terms.sum() + breakdown.terminal_term) / 6
         assert breakdown.total == pytest.approx(recomputed, rel=1e-14)
-        assert float(total.value) == breakdown.total
+        # the seeds weigh every square as the total does: 1/6 of a mean over 16 paths
+        assert seeds == [1.0 / 6 / 16] * 2
+        seeded = sum((seed * square.value).sum() for square, seed in zip(squares, seeds))
+        assert breakdown.total == pytest.approx(seeded, rel=1e-14)
+
+    def test_reduction_does_not_depend_on_the_squares_shape(self):
+        # training hands reduce_residuals the tape's (N*B, 1) and (B, 1)
+        # columns, the held-out pass (N, B) and (B,) arrays: the same bytes
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n_steps, batch_size = (int(k) for k in rng.integers(1, 300, size=2))
+            interval_sq = rng.exponential(size=(n_steps * batch_size, 1))
+            terminal_sq = rng.exponential(size=(batch_size, 1))
+            column = scheme.reduce_residuals(interval_sq, terminal_sq, n_steps)
+            rows = scheme.reduce_residuals(interval_sq.reshape(n_steps, batch_size),
+                                           terminal_sq[:, 0], n_steps)
+            assert column.interval_terms.tobytes() == rows.interval_terms.tobytes()
+            assert (column.terminal_term, column.total) == (rows.terminal_term, rows.total)
 
     def test_permutation_invariance(self):
         prob = problems.bsb_jumps(dim=2)
@@ -224,7 +241,7 @@ class TestLoss:
         t1, t2 = Tape(), Tape()
         l1, _ = scheme.loss(nn.TapeMlp(t1, params), batch, prob)
         l2, _ = scheme.loss(nn.TapeMlp(t2, params), permuted(batch, perm), prob)
-        assert float(l1.value) == pytest.approx(float(l2.value), abs=1e-12)
+        assert l1.total == pytest.approx(l2.total, abs=1e-12)
 
     def test_numpy_operand_first_in_the_driver(self):
         # a numpy operand first (c + r * y) must give the loss and gradients of r * y + c
@@ -239,8 +256,8 @@ class TestLoss:
             problem = dataclasses.replace(prob, driver=driver)
             tape = Tape()
             net = nn.TapeMlp(tape, params)
-            total, _ = scheme.loss(net, batch, problem)
-            results.append([total.value, *tape.backward(total, [net.param_var])])
+            breakdown, pair = scheme.loss(net, batch, problem)
+            results.append([breakdown.total, *tape.backward(*pair, [net.param_var])])
         for first, second in zip(*results):
             assert np.array_equal(first, second)
 
@@ -254,10 +271,10 @@ class TestLoss:
         try:
             tape = Tape()
             net = nn.TapeMlp(tape, params)
-            total, _ = scheme.loss(net, batch, prob)
-            (grad,) = tape.backward(total, [net.param_var])
+            _, pair = scheme.loss(net, batch, prob)
+            (grad,) = tape.backward(*pair, [net.param_var])
             alive = weakref.ref(tape)
-            del tape, net, total
+            del tape, net, pair
             assert alive() is None
         finally:
             gc.enable()
@@ -269,9 +286,9 @@ class TestLoss:
         prob = problems.pure_jump_1d()
         batch = toy_batch(prob, n_steps=8, batch_size=256, seed=5)
         tape = Tape()
-        total, breakdown = scheme.loss(OracleNetwork(tape, prob), batch, prob)
+        breakdown, _ = scheme.loss(OracleNetwork(tape, prob), batch, prob)
         assert breakdown.terminal_term == 0.0
-        assert float(total.value) <= 1e-25
+        assert breakdown.total <= 1e-25
 
     def test_nonfinite_loss_aborts_with_interval(self):
         prob = problems.pide_1d()
@@ -297,13 +314,12 @@ class TestLoss:
 
         def loss_value(p: nn.MlpParams) -> float:
             tape = Tape()
-            total, _ = scheme.loss(nn.TapeMlp(tape, p), batch, prob)
-            return float(total.value)
+            return scheme.loss(nn.TapeMlp(tape, p), batch, prob)[0].total
 
         tape = Tape()
         net = nn.TapeMlp(tape, params)
-        total, _ = scheme.loss(net, batch, prob)
-        (grad,) = tape.backward(total, [net.param_var])
+        _, pair = scheme.loss(net, batch, prob)
+        (grad,) = tape.backward(*pair, [net.param_var])
         fd = finite_diff(lambda theta: loss_value(nn.MlpParams(arch, theta)), params.theta)
         assert rel_gap(grad, fd) <= 1e-5
 
@@ -317,13 +333,12 @@ class TestLoss:
 
         def loss_value(p: nn.MlpParams) -> float:
             tape = Tape()
-            total, _ = scheme.loss(nn.TapeMlp(tape, p), batch, prob)
-            return float(total.value)
+            return scheme.loss(nn.TapeMlp(tape, p), batch, prob)[0].total
 
         tape = Tape()
         net = nn.TapeMlp(tape, params)
-        total, _ = scheme.loss(net, batch, prob)
-        (grad,) = tape.backward(total, [net.param_var])
+        _, pair = scheme.loss(net, batch, prob)
+        (grad,) = tape.backward(*pair, [net.param_var])
         fd = finite_diff(lambda theta: loss_value(nn.MlpParams(arch, theta)), params.theta)
         assert rel_gap(grad, fd) <= 1e-5
 
@@ -401,9 +416,8 @@ def test_transfer_matches_benchmark_recursions(problem):
 class TestOneNetworkPass:
     """The loss evaluates the network once, jumped states included."""
 
-    # row-wise arithmetic, reductions and slices: everything but the network
-    NON_NETWORK = {"param", "constant", "slice", "add", "sub", "mul", "sum", "mean", "row_dot",
-                   "segment_sum", "block_mean"}
+    # row-wise arithmetic, row reductions and slices: everything but the network
+    NON_NETWORK = {"param", "constant", "slice", "add", "sub", "mul", "row_dot", "segment_sum"}
 
     @pytest.mark.parametrize("activation, alpha", ACTIVATIONS)
     def test_loss_tape_holds_one_network_node(self, activation, alpha, tape_variables):
@@ -432,13 +446,13 @@ class TestOneNetworkPass:
         assert batch.counts.sum() > 0
         tape = Tape()
         net = nn.TapeMlp(tape, nn.init(arch, seed=4))
-        total, _ = scheme.loss(net, batch, config.problem)
+        _, pair = scheme.loss(net, batch, config.problem)
         # every node's value, read through the Variable that owns it
         assert [v.id for v in tape_variables] == list(range(len(tape._nodes)))
         mlp = next(v for v in tape_variables if tape._nodes[v.id].op == "mlp")
         assert mlp.shape[0] > 3 * 128  # four chunks or more
         before = [v.value.tobytes() for v in tape_variables]
-        tape.backward(total, [net.param_var])
+        tape.backward(*pair, [net.param_var])
         assert pool.tasks > 0
         assert [v.value.tobytes() for v in tape_variables] == before
         slices = [v for v in tape_variables if tape._nodes[v.id].op == "slice"]
@@ -476,7 +490,7 @@ class TestOneNetworkPass:
             assert batch.event_marks.shape == (0, problem.mark_dim)
             assert batch.event_paths.dtype == batch.event_intervals.dtype == np.int64
             assert batch.event_marks.dtype == np.float64
-        _, breakdown = scheme.loss(nn.TapeMlp(Tape(), params), batch, problem)
+        breakdown, _ = scheme.loss(nn.TapeMlp(Tape(), params), batch, problem)
         expected = [
             np.mean((evaluate(params,
                               network_input(batch.grid.times[n + 1], batch.states[n + 1]))
@@ -566,12 +580,16 @@ class TestOneNetworkPass:
         batch = jumpsim.simulate_forward(problem, config.grid, 24, config.seed_simulation)
         assert batch.event_paths.size or not problem.intensity
         results = []
+        seed = (1.0 / (config.grid.steps + 1)) / 24  # the loss's adjoint on every square
         for squares in (lambda net: scheme.squared_residuals(net, batch, problem)[:2],
                         lambda net: all_rows_squared_residuals(net, batch, problem)):
             tape = Tape()
             net = nn.TapeMlp(tape, params)
-            total, _ = scheme.reduce_residuals(*squares(net), config.grid.steps)
-            results.append((float(total.value), tape.backward(total, [net.param_var])[0]))
+            interval_sq, terminal_sq = squares(net)
+            breakdown = scheme.reduce_residuals(interval_sq.value, terminal_sq.value,
+                                                config.grid.steps)
+            results.append((breakdown.total, tape.backward([interval_sq, terminal_sq],
+                                                           [seed, seed], [net.param_var])[0]))
         (loss, grad), (ref_loss, ref_grad) = results
         assert abs(loss - ref_loss) <= np.spacing(abs(ref_loss))
         assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
@@ -592,7 +610,7 @@ def oracle_residuals(problem, n_steps, batch_size=1000, seed=0):
     )
     tape = Tape()
     net = OracleNetwork(tape, problem)
-    _, breakdown = scheme.loss(net, batch, problem)
+    breakdown, _ = scheme.loss(net, batch, problem)
     dt = batch.grid.dt
     rng = np.random.default_rng(seed)
     mean_sum = 0.0
@@ -640,7 +658,7 @@ class TestOracleDiscretisation:
         prob = problems.pide_1d()
         for n_steps in self.STEPS:
             batch = jumpsim.simulate_forward(prob, TimeGrid(1.0, n_steps), 1000, seed=0)
-            _, breakdown = scheme.loss(OracleNetwork(Tape(), prob), batch, prob)
+            breakdown, _ = scheme.loss(OracleNetwork(Tape(), prob), batch, prob)
             assert breakdown.terminal_term == 0.0
             assert breakdown.interval_terms.max() <= 1e-28
 
